@@ -3,7 +3,6 @@ aperture eavesdropper: Gaussian-beam diffraction around the receiver,
 wiretap-channel parameters, and continuous/discrete protocol rates."""
 
 from .beams import BeamParams, PlaneField, encircled_power, field_amplitude, plane_params, total_power
-from .bessel import bessel_j0
 from .channel import (ChannelConsistencyError, ChannelParams, Geometry,
                       Scenario, channel_params, default_noise,
                       thermal_occupation)

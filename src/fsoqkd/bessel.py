@@ -1,108 +1,7 @@
-"""Zeroth-order Bessel function of the first kind.
+"""The J0 kernel of the diffraction integrals, ``scipy.special.j0``.
 
-Self-contained evaluator used by the diffraction integrals, which call it on
-very large arrays and need well-characterized accuracy everywhere (the radial
-integrands put arguments anywhere from 0 to ~1e5).  The implementation splits
-at |x| = 8:
-
-* ``|x| <= 8``: Maclaurin series in t = (x/2)^2, 31 terms, Horner form.
-* ``|x| > 8``: Hankel-style modulus/phase form
-  ``sqrt(2/(pi x)) * (P(u) cos(x - pi/4) - Q(u) sin(x - pi/4))`` with
-  ``u = (8/x)^2`` and P, Q polynomial fits.  The shifted cosine/sine are
-  computed as ``(cos x + sin x)/sqrt(2)`` and ``(sin x - cos x)/sqrt(2)`` so no
-  precision is lost subtracting pi/4 from a large argument.
-
-Verified against a 40-digit oracle table (see tests): relative error stays
-below 1e-13 away from the zeros of J0, absolute error below 1e-12 near them.
+Kept under its own module name so that J0 evaluations stay countable per
+layer: perfbench/probe.py traces ``fsoqkd.bessel.bessel_j0``.
 """
 
-from __future__ import annotations
-
-import numpy as np
-
-_SQRT_HALF = np.sqrt(0.5)
-_TWO_OVER_PI = 2.0 / np.pi
-
-# Maclaurin coefficients of J0 in t = (x/2)^2: (-1)^m / (m!)^2, m = 0..30.
-_SERIES = np.empty(31)
-_SERIES[0] = 1.0
-for _m in range(1, 31):
-    _SERIES[_m] = -_SERIES[_m - 1] / (_m * _m)
-
-# Polynomial fits in u = (8/x)^2 of the asymptotic amplitude functions:
-# P0(x) ~ _CP(u), Q0(x) ~ (8/x) * _CQ(u).  Fitted on x in [8, 1e6] against a
-# 40-digit reference; max relative error of either polynomial is < 3e-15.
-_CP = np.array([
-    1.0000000000000018,
-    -0.0010986328126914246,
-    2.738089465906745e-05,
-    -2.1842156528872533e-06,
-    3.6659745743720034e-07,
-    -1.4685417888975285e-07,
-    3.358123173689645e-07,
-    -1.3688243971810959e-06,
-    4.437374576074633e-06,
-    -1.0453274123193557e-05,
-    1.7383358557982e-05,
-    -1.8978795149579888e-05,
-    9.97764724053526e-06,
-    5.6505647166082485e-06,
-    -1.629656879470904e-05,
-    1.5499249466180696e-05,
-    -8.23740056403338e-06,
-    2.4326291654246494e-06,
-    -3.130462763137701e-07,
-])
-_CQ = np.array([
-    -0.015625000000000024,
-    0.0001430511474639781,
-    -6.930786361985338e-06,
-    8.2384950054674e-07,
-    -1.8172390102250705e-07,
-    6.491568543128738e-08,
-    -3.8025515410318086e-08,
-    4.580488354268044e-08,
-    -9.46966387857121e-08,
-    1.955469708520441e-07,
-    -3.1095654063711e-07,
-    3.3273215466764304e-07,
-    -1.7165936335920005e-07,
-    -1.0152567062911359e-07,
-    2.856187199303953e-07,
-    -2.702921196127872e-07,
-    1.4330405602058075e-07,
-    -4.225679176053412e-08,
-    5.43224737083456e-09,
-])
-
-
-def _polyval(coeffs, u):
-    acc = np.full_like(u, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * u + c
-    return acc
-
-
-def bessel_j0(x):
-    """J0(x) for scalar or ndarray ``x`` (any sign; J0 is even)."""
-    x = np.abs(np.asarray(x, dtype=float))
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-
-    small = x <= 8.0
-    if small.any():
-        t = (x[small] * 0.5) ** 2
-        out[small] = _polyval(_SERIES, t)
-    big = ~small
-    if big.any():
-        xb = x[big]
-        u = (8.0 / xb) ** 2
-        p = _polyval(_CP, u)
-        q = _polyval(_CQ, u) * (8.0 / xb)
-        c, s = np.cos(xb), np.sin(xb)
-        cos_shift = (c + s) * _SQRT_HALF
-        sin_shift = (s - c) * _SQRT_HALF
-        out[big] = np.sqrt(_TWO_OVER_PI / xb) * (p * cos_shift - q * sin_shift)
-
-    return float(out[0]) if scalar else out
+from scipy.special import j0 as bessel_j0  # noqa: F401

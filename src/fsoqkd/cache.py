@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
 import os
 import struct
 import tempfile
@@ -63,9 +62,7 @@ def _matches(profile: FieldProfile, src: SourceAnnulus, distance: float) -> bool
                  and a.refractive_index == b.refractive_index)
     s = profile.source
     same_src = (s.plane_distance == src.plane_distance
-                and s.inner_radius == src.inner_radius
-                and (s.outer_radius == src.outer_radius
-                     or (math.isinf(s.outer_radius) and math.isinf(src.outer_radius))))
+                and s.inner_radius == src.inner_radius)
     return same_beam and same_src and profile.propagation_distance == distance
 
 

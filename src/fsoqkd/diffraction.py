@@ -10,6 +10,25 @@ absorbing aperture or obstacle:
   reduction, a single radial integral with a J0 kernel.  This is what
   profiles, sweeps and channel parameters use.
 
+The Fresnel source is the beam outside a disk of radius ``a`` (Bob's aperture,
+or Eve's obstacle before Bob), so the radial integral runs over [a, inf).  It
+is evaluated as a Babinet complement: the whole beam over [0, inf) is a
+Gaussian Hankel transform with a closed form (Gradshteyn & Ryzhik 6.631.4),
+
+    int_0^inf exp(alpha r^2) J0(s r) r dr = -exp(s^2 / 4 alpha) / (2 alpha),
+
+valid for Re alpha < 0, and only the disk [0, a] is integrated by Gauss-panel
+quadrature and subtracted.  Here ``alpha = -1/W^2 + i (k/2)(1/L - 1/R)`` and
+``s = k l / L``, with W and R the spot size and curvature radius at the source
+plane, L the propagation distance and l the observation radius.  Nothing is
+truncated, so the Gaussian tail is exact.
+
+Sign convention (not settled, see ROADMAP item 2a): the source
+carries the curvature phase ``exp(-i k r^2 / 2R)`` of
+:func:`beams.field_amplitude`, while the Fresnel kernel is
+``exp(+i k r^2 / 2L)``.  The net quadratic phase is (k/2)(1/L - 1/R), so the
+diverging beam behaves as if converging and refocuses near L = R.
+
 Field profiles sample the fast evaluator on an adaptive radial grid and are
 interpolated with cubic splines (real and imaginary parts componentwise, i.e.
 complex-valued splines).  Collected powers on centered or displaced disks are
@@ -21,23 +40,18 @@ from __future__ import annotations
 import math
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .beams import BeamParams, plane_params
+from .beams import BeamParams, encircled_power, plane_params, total_power
 from .bessel import bessel_j0
 from .quadrature import QuadratureError, bisect_edges, gauss_nodes, phase_panels
 
-# Bump when node-placement or truncation policy changes; cached profiles are
-# keyed on it.
-GRID_POLICY_VERSION = 1
-
-# Outer integration limit as a multiple of the source-plane spot size.  The
-# Gaussian tail beyond 3W carries e^-18 of the power; energy-conservation
-# tests extend to 5W to bound the difference.
-OUTER_CAP_SPOT_MULTIPLE = 3.0
+# Bump when node-placement or source-integration policy changes; cached
+# profiles are keyed on it.
+GRID_POLICY_VERSION = 2
 
 # Field-profile construction: nodes per half oscillation of the observation
 # phase, and sup-norm relative tolerance of the two-level quadrature check.
@@ -45,10 +59,10 @@ PROFILE_NODES_PER_HALF_PERIOD = 8
 PROFILE_FIELD_RTOL = 1e-6
 PROFILE_MAX_NODES = 60_000
 
-SERIALIZATION_VERSION = 1
+SERIALIZATION_VERSION = 2
 
 # Instrumentation: number of profile constructions actually performed.  The
-# CLI cache test asserts a warm run performs zero.
+# CLI cache test (tests/test_cli.py) asserts a warm run performs zero.
 PROPAGATION_COUNTER = [0]
 
 _counter_lock = threading.Lock()
@@ -60,11 +74,13 @@ class CoverageError(ValueError):
 
 @dataclass(frozen=True)
 class SourceAnnulus:
-    """Annular slice of the beam at a transverse plane, the diffraction source.
+    """The beam outside a disk at a transverse plane, the diffraction source.
 
     The two canonical instances are the cropped beam behind a receiver
-    (``inner_radius`` = receiver radius, infinite outer) and the blocked beam
-    behind an absorbing obstacle (``inner_radius`` = obstacle radius).
+    (``inner_radius`` = receiver radius) and the blocked beam behind an
+    absorbing obstacle (``inner_radius`` = obstacle radius).  The source
+    always extends to infinity; ``outer_radius`` is kept only so that
+    records and cache keys carry it, and must be ``math.inf``.
     """
 
     beam: BeamParams
@@ -75,20 +91,16 @@ class SourceAnnulus:
     def __post_init__(self):
         if self.plane_distance < 0:
             raise ValueError("plane_distance must be nonnegative")
-        if not 0 <= self.inner_radius < self.outer_radius:
-            raise ValueError("need 0 <= inner_radius < outer_radius")
-
-    def working_outer_radius(self, cap_multiple: float = OUTER_CAP_SPOT_MULTIPLE) -> float:
-        w = plane_params(self.beam, self.plane_distance).spot_size
-        return min(self.outer_radius, cap_multiple * w)
+        if not 0 <= self.inner_radius < math.inf:
+            raise ValueError("inner_radius must be finite and nonnegative")
+        if self.outer_radius != math.inf:
+            raise ValueError("outer_radius must be infinite; finite annuli are "
+                             "not supported")
 
     def power(self) -> float:
         """Exact power carried by the annulus."""
-        from .beams import encircled_power, total_power
-
-        outer = (total_power(self.beam) if math.isinf(self.outer_radius)
-                 else encircled_power(self.beam, self.plane_distance, self.outer_radius))
-        return outer - encircled_power(self.beam, self.plane_distance, self.inner_radius)
+        return (total_power(self.beam)
+                - encircled_power(self.beam, self.plane_distance, self.inner_radius))
 
 
 @dataclass(frozen=True)
@@ -149,71 +161,67 @@ def fresnel_valid(src: SourceAnnulus, distance: float, factor: float = 10.0):
     return margin >= factor, margin
 
 
-def _source_envelope(src: SourceAnnulus, r: np.ndarray) -> np.ndarray:
-    """Source field with the constant propagation phase k*L_src factored out.
+def _source_gaussian(src: SourceAnnulus) -> tuple[complex, complex]:
+    """Source field ``A exp(c r^2)`` with the constant phase k*L_src factored out.
 
     Adding k*L_src (~1e11 rad) to the small r-dependent phase inside one
     float64 exponent quantizes the differential phase at the 1e-5 rad level;
     the integrals therefore work with the envelope and the caller reattaches
-    exp(-i k L_src) once.
+    exp(-i k L_src) once.  Returns ``(A, c)`` with
+    ``c = -1/W^2 - i k / 2R``.
     """
     beam = src.beam
     plane = plane_params(beam, src.plane_distance)
-    k = beam.wavenumber
-    curv = 0.0 if math.isinf(plane.curvature_radius) else \
-        k * r ** 2 / (2.0 * plane.curvature_radius)
-    return (beam.field_peak * (beam.waist_radius / plane.spot_size)
-            * np.exp(-r ** 2 / plane.spot_size ** 2)
-            * np.exp(-1j * (curv - plane.gouy_phase)))
+    inv_r = 0.0 if math.isinf(plane.curvature_radius) else 1.0 / plane.curvature_radius
+    amp = (beam.field_peak * (beam.waist_radius / plane.spot_size)
+           * np.exp(1j * plane.gouy_phase))
+    return amp, complex(-1.0 / plane.spot_size ** 2, -beam.wavenumber * inv_r / 2.0)
 
 
 def _source_phase(src: SourceAnnulus) -> complex:
     return np.exp(-1j * src.beam.wavenumber * src.plane_distance)
 
 
-def _radial_edges(src: SourceAnnulus, distance: float, max_j0_rate: float,
-                  cap_multiple: float) -> np.ndarray:
-    beam = src.beam
-    k = beam.wavenumber
-    a = src.inner_radius
-    b = src.working_outer_radius(cap_multiple)
-    if b <= a:
-        raise ValueError("annulus is empty after outer-radius truncation")
-    plane = plane_params(beam, src.plane_distance)
-    curv = 0.0 if math.isinf(plane.curvature_radius) else 1.0 / plane.curvature_radius
-    q = abs(k / 2.0 * (1.0 / distance - curv))
-    return phase_panels(a, b, q, max_j0_rate, plane.spot_size)
+def _gaussian_hankel(alpha: complex, s):
+    """int_0^inf exp(alpha r^2) J0(s r) r dr = -exp(s^2/(4 alpha)) / (2 alpha).
+
+    Gradshteyn & Ryzhik 6.631.4; needs Re alpha < 0.
+    """
+    return -np.exp(np.asarray(s, dtype=float) ** 2 / (4.0 * alpha)) / (2.0 * alpha)
 
 
-def _fresnel_integral(src: SourceAnnulus, distance: float, l_values: np.ndarray,
-                      cap_multiple: float):
+def _fresnel_integral(src: SourceAnnulus, distance: float, l_values: np.ndarray):
     """Radial J0 integral of the Fresnel reduction, for a batch of offsets.
 
-    Returns (coarse, fine) integral values; the fine level uses bisected
-    panels and is the one callers should keep.
+    The source envelope times the kernel phase is ``A exp(alpha r^2)`` (see
+    the module docstring), integrated over [a, inf) as the closed form over
+    [0, inf) minus a Gauss-panel quadrature over the disk [0, a].  Returns
+    (coarse, fine, source_nodes): the two levels differ in the disk quadrature
+    only, the fine level uses bisected panels and is the one callers should
+    keep, and ``source_nodes`` is its node count.
     """
     k = src.beam.wavenumber
-    l_values = np.asarray(l_values, dtype=float)
-    s_max = k * float(l_values.max(initial=0.0)) / distance
-    edges = _radial_edges(src, distance, s_max, cap_multiple)
+    amp, c = _source_gaussian(src)
+    alpha = c + 0.5j * k / distance
+    s = k * np.asarray(l_values, dtype=float) / distance
+    whole = amp * _gaussian_hankel(alpha, s)
+    a = src.inner_radius
+    if a == 0.0:
+        return whole, whole, 0
 
-    def level(e):
-        nodes, weights = gauss_nodes(e)
-        base = (_source_envelope(src, nodes)
-                * np.exp(1j * k * nodes ** 2 / (2.0 * distance))
-                * nodes * weights)
-        out = np.empty(l_values.shape, dtype=complex)
-        scale = k / distance
+    def disk(nodes, weights):
+        base = amp * np.exp(alpha * nodes ** 2) * nodes * weights
+        out = np.empty(s.shape, dtype=complex)
         step = max(1, int(2_000_000 / max(nodes.size, 1)))
-        for i0 in range(0, l_values.size, step):
-            chunk = l_values[i0:i0 + step]
-            kern = bessel_j0(np.outer(chunk, nodes) * scale)
-            out[i0:i0 + step] = kern @ base
+        for i0 in range(0, s.size, step):
+            out[i0:i0 + step] = bessel_j0(np.outer(s[i0:i0 + step], nodes)) @ base
         return out
 
-    coarse = level(edges)
-    fine = level(bisect_edges(edges))
-    return coarse, fine, edges
+    edges = phase_panels(0.0, a, abs(alpha.imag), float(s.max(initial=0.0)),
+                         plane_params(src.beam, src.plane_distance).spot_size)
+    coarse = whole - disk(*gauss_nodes(edges))
+    fine_nodes, fine_weights = gauss_nodes(bisect_edges(edges))
+    return coarse, whole - disk(fine_nodes, fine_weights), fine_nodes.size
 
 
 def _fresnel_prefactor(src: SourceAnnulus, distance: float, l_values):
@@ -225,14 +233,21 @@ def _fresnel_prefactor(src: SourceAnnulus, distance: float, l_values):
 
 
 def fresnel_field_bessel(src: SourceAnnulus, distance: float, l: float,
-                         rel_tol: float = 1e-6,
-                         cap_multiple: float = OUTER_CAP_SPOT_MULTIPLE) -> complex:
-    """Diffracted field at radial offset ``l``, Fresnel/Bessel reduction."""
+                         rel_tol: float = 1e-6) -> complex:
+    """Diffracted field at radial offset ``l``, Fresnel/Bessel reduction.
+
+    The source integral over [inner_radius, inf) is the closed-form Hankel
+    transform of the whole Gaussian minus a quadrature over the disk
+    [0, inner_radius] (Babinet complement, see the module docstring); the
+    two-level quadrature check is made on the subtracted value.  The source
+    phase is ``exp(-i k r^2 / 2R)`` under the kernel ``exp(+i k r^2 / 2L)``,
+    the convention stated in the module docstring.
+    """
     if distance <= 0:
         raise ValueError("propagation distance must be positive")
     if l < 0:
         raise ValueError("radial offset must be nonnegative")
-    coarse, fine, _ = _fresnel_integral(src, distance, np.array([l]), cap_multiple)
+    coarse, fine, _ = _fresnel_integral(src, distance, np.array([l]))
     est = abs(fine[0] - coarse[0]) / max(abs(fine[0]), 1e-300)
     if est > rel_tol and abs(fine[0]) > 1e-12:
         raise QuadratureError("fresnel_field_bessel did not converge", est)
@@ -240,14 +255,18 @@ def fresnel_field_bessel(src: SourceAnnulus, distance: float, l: float,
 
 
 def rs_field_direct(src: SourceAnnulus, distance: float, l: float, phi: float = 0.0,
-                    rel_tol: float = 1e-5,
-                    cap_multiple: float = OUTER_CAP_SPOT_MULTIPLE) -> complex:
+                    rel_tol: float = 1e-5) -> complex:
     """Direct 2-D Rayleigh–Sommerfeld integral (validation oracle).
 
     The kernel is ``(distance / (i lambda)) * exp(i k r12) / r12**2`` over the
     annulus.  The azimuth integral depends only on theta - phi for a
     cylindrically symmetric source, so phi is folded out by substitution and
     the result is phi-independent by construction.
+
+    The 2-D kernel has no closed form for the Gaussian tail, so the source is
+    cut at 3 W, three spot sizes of the source plane.  The tail beyond carries
+    e^-18 of the power; dropping it moves the field by 1e-4 to 4e-4 of its
+    maximum.
     """
     if distance <= 0:
         raise ValueError("propagation distance must be positive")
@@ -257,9 +276,11 @@ def rs_field_direct(src: SourceAnnulus, distance: float, l: float, phi: float = 
 
     beam = src.beam
     k = beam.wavenumber
-    a = src.inner_radius
-    b = src.working_outer_radius(cap_multiple)
     plane = plane_params(beam, src.plane_distance)
+    a = src.inner_radius
+    b = 3.0 * plane.spot_size
+    if b <= a:
+        raise ValueError("annulus is empty inside the oracle's outer cut")
     curv = 0.0 if math.isinf(plane.curvature_radius) else 1.0 / plane.curvature_radius
     # radial phase rate: quadratic from r12 ~ (r^2 - 2 r l cos)/2D plus the
     # source curvature term
@@ -270,10 +291,12 @@ def rs_field_direct(src: SourceAnnulus, distance: float, l: float, phi: float = 
     n_theta = max(12, int(math.ceil(theta_span / math.pi)) + 4)
     t_edges = np.linspace(0.0, math.pi, n_theta + 1)
 
+    amp, c = _source_gaussian(src)
+
     def level(re, te):
         rn, rw = gauss_nodes(re)
         tn, tw = gauss_nodes(te)
-        src_amp = _source_envelope(src, rn) * rn * rw
+        src_amp = amp * np.exp(c * rn ** 2) * rn * rw
         acc = 0.0 + 0.0j
         step = max(1, int(2_000_000 / max(rn.size, 1)))
         for i0 in range(0, tn.size, step):
@@ -297,17 +320,16 @@ def rs_field_direct(src: SourceAnnulus, distance: float, l: float, phi: float = 
                    * np.exp(1j * k * distance) * _source_phase(src) * fine)
 
 
-def _profile_nodes(src: SourceAnnulus, distance: float, coverage: float,
-                   cap_multiple: float) -> np.ndarray:
+def _profile_nodes(src: SourceAnnulus, distance: float, coverage: float) -> np.ndarray:
     """Observation-plane radial nodes resolving carrier and ring structure.
 
-    Local spacing follows the combined phase rate k*(l + r_outer)/distance,
+    Local spacing follows the combined phase rate k*(l + r_out)/distance,
+    where r_out = 3 W is the transverse extent of the source that matters,
     with density doubled near the axis and near the geometric shadow edge at
     l = inner_radius where the field has the most curvature.
     """
     k = src.beam.wavenumber
-    r_out = src.working_outer_radius(cap_multiple)
-    rate = k * (coverage + r_out) / distance
+    r_out = 3.0 * plane_params(src.beam, src.plane_distance).spot_size
     n = max(64, int(math.ceil(PROFILE_NODES_PER_HALF_PERIOD
                               * (k * (coverage ** 2 / 2.0 + r_out * coverage)
                                  / distance) / math.pi)))
@@ -339,15 +361,18 @@ def _profile_nodes(src: SourceAnnulus, distance: float, coverage: float,
 
 
 def propagate_profile(src: SourceAnnulus, distance: float, disk_hint: DiskSpec,
-                      rel_tol: float = PROFILE_FIELD_RTOL,
-                      cap_multiple: float = OUTER_CAP_SPOT_MULTIPLE) -> FieldProfile:
-    """Sample the diffracted field on a grid covering the hinted disk."""
+                      rel_tol: float = PROFILE_FIELD_RTOL) -> FieldProfile:
+    """Sample the diffracted field on a grid covering the hinted disk.
+
+    The achieved error is the sup-norm difference of the two quadrature
+    levels of the Babinet-subtracted field, relative to its maximum.
+    """
     if distance <= 0:
         raise ValueError("propagation distance must be positive")
     coverage = disk_hint.center_offset + disk_hint.radius
-    nodes = _profile_nodes(src, distance, coverage, cap_multiple)
+    nodes = _profile_nodes(src, distance, coverage)
 
-    coarse, fine, r_edges = _fresnel_integral(src, distance, nodes, cap_multiple)
+    coarse, fine, source_nodes = _fresnel_integral(src, distance, nodes)
     scale = float(np.abs(fine).max())
     est = float(np.abs(fine - coarse).max()) / max(scale, 1e-300)
     if est > rel_tol and scale > 1e-12:
@@ -358,7 +383,7 @@ def propagate_profile(src: SourceAnnulus, distance: float, disk_hint: DiskSpec,
         PROPAGATION_COUNTER[0] += 1
 
     budget = QuadratureBudget(rel_tol=rel_tol, achieved=est,
-                              source_nodes=(len(r_edges) * 2 - 1) * 10,
+                              source_nodes=source_nodes,
                               profile_nodes=len(nodes))
     return FieldProfile(src, distance, nodes, amplitudes, budget)
 
@@ -442,24 +467,27 @@ def arago_relative_amplitude(obstacle_radius: float, distance: float, l,
 
 # ---------------------------------------------------------------------------
 # Serialization: versioned little-endian binary record.
-# Header: uint32 version; 8 float64 fields (wavelength, waist radius, field
+# Header: uint32 version; 10 float64 fields (wavelength, waist radius, field
 # peak, refractive index, source plane distance, inner radius, outer radius,
-# propagation distance); uint64 node count.  Body: (node, re, im) float64
-# triples.
+# propagation distance, budget rel_tol, budget achieved error); uint64 node
+# count (the budget's profile_nodes); uint64 budget source_nodes.
+# Body: (node, re, im) float64 triples.
 # ---------------------------------------------------------------------------
 
-_HEADER = struct.Struct("<I8dQ")
+_HEADER = struct.Struct("<I10d2Q")
 
 
 def serialize_profile(profile: FieldProfile) -> bytes:
     src = profile.source
     beam = src.beam
+    budget = profile.budget
     n = profile.radial_nodes.size
     head = _HEADER.pack(
         SERIALIZATION_VERSION,
         beam.wavelength, beam.waist_radius, beam.field_peak, beam.refractive_index,
         src.plane_distance, src.inner_radius, src.outer_radius,
-        profile.propagation_distance, n)
+        profile.propagation_distance, budget.rel_tol, budget.achieved,
+        n, budget.source_nodes)
     body = np.empty((n, 3))
     body[:, 0] = profile.radial_nodes
     body[:, 1] = profile.complex_amplitudes.real
@@ -470,8 +498,8 @@ def serialize_profile(profile: FieldProfile) -> bytes:
 def deserialize_profile(blob: bytes) -> FieldProfile:
     if len(blob) < _HEADER.size:
         raise ValueError("profile record truncated: missing header")
-    (version, wavelength, waist, peak, n_index,
-     plane, inner, outer, distance, count) = _HEADER.unpack_from(blob)
+    (version, wavelength, waist, peak, n_index, plane, inner, outer, distance,
+     rel_tol, achieved, count, source_nodes) = _HEADER.unpack_from(blob)
     if version != SERIALIZATION_VERSION:
         raise ValueError(f"unsupported profile record version {version}")
     expect = _HEADER.size + count * 24
@@ -484,6 +512,6 @@ def deserialize_profile(blob: bytes) -> FieldProfile:
         raise ValueError("profile record corrupt: bad radial grid")
     beam = BeamParams(wavelength, waist, peak, n_index)
     src = SourceAnnulus(beam, plane, inner, outer)
-    budget = QuadratureBudget(rel_tol=float("nan"), achieved=float("nan"),
-                              source_nodes=0, profile_nodes=int(count))
+    budget = QuadratureBudget(rel_tol=rel_tol, achieved=achieved,
+                              source_nodes=int(source_nodes), profile_nodes=int(count))
     return FieldProfile(src, distance, nodes, amps, budget)

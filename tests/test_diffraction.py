@@ -1,7 +1,11 @@
 import math
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy.special import j0
 
 from fsoqkd.beams import BeamParams, field_amplitude, plane_params, total_power
 from fsoqkd.diffraction import (CoverageError, DiskSpec, SourceAnnulus,
@@ -9,10 +13,39 @@ from fsoqkd.diffraction import (CoverageError, DiskSpec, SourceAnnulus,
                                 disk_power, fresnel_field_bessel, fresnel_valid,
                                 profile_power, propagate_profile,
                                 rs_field_direct, serialize_profile,
+                                _fresnel_prefactor, _gaussian_hankel,
                                 _overlap_halfwidth)
 from fsoqkd.quadrature import QuadratureError, phase_panels
 
 LAM = 1550e-9
+
+
+def reference_field(src, distance, nodes):
+    """Fresnel field at ``nodes`` with the source cut at 6 W (tail ~e^-36).
+
+    Brute-force radial quadrature over [inner_radius, 6 W]: uniform panels
+    spanning at most pi of the integrand's phase, 16 Gauss points each, the
+    J0 kernel from scipy.  Shares only the constant prefactor with the code
+    under test.
+    """
+    beam = src.beam
+    k = beam.wavenumber
+    plane = plane_params(beam, src.plane_distance)
+    inv_r = 0.0 if math.isinf(plane.curvature_radius) else 1.0 / plane.curvature_radius
+    a, b = src.inner_radius, 6.0 * plane.spot_size
+    rate = 2.0 * abs(k / 2.0 * (1.0 / distance - inv_r)) * b + k * nodes.max() / distance
+    n = max(64, int(math.ceil((b - a) * rate / math.pi)))
+    edges = np.linspace(a, b, n + 1)
+    gx, gw = leggauss(16)
+    half = 0.5 * np.diff(edges)[:, None]
+    r = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * gx).ravel()
+    w = (half * gw).ravel()
+    envelope = (beam.field_peak * beam.waist_radius / plane.spot_size
+                * np.exp(-r ** 2 / plane.spot_size ** 2)
+                * np.exp(-1j * (k * r ** 2 * inv_r / 2.0 - plane.gouy_phase)))
+    base = envelope * np.exp(1j * k * r ** 2 / (2.0 * distance)) * r * w
+    integral = np.array([j0(k * l * r / distance) @ base for l in nodes])
+    return _fresnel_prefactor(src, distance, nodes) * integral
 
 
 @pytest.fixture(scope="module")
@@ -144,13 +177,62 @@ def test_profile_energy_bounded_by_source(beam):
 
 
 def test_profile_energy_near_conservation_wide_coverage(beam):
-    # widen the outer cap to 5 W: the tail bound is e^-18 of the power
+    # the untruncated source collects the same power as a source cut at 6 W,
+    # whose tail bound is e^-36 of the power
     src = SourceAnnulus(beam, 30e3, 0.1)
-    p3 = propagate_profile(src, 10e3, DiskSpec(0.2, 0.0))
-    p5 = propagate_profile(src, 10e3, DiskSpec(0.2, 0.0), cap_multiple=5.0)
-    a = disk_power(p3, DiskSpec(0.2, 0.0))
-    b = disk_power(p5, DiskSpec(0.2, 0.0))
-    assert abs(a - b) / b < 1e-3
+    prof = propagate_profile(src, 10e3, DiskSpec(0.2, 0.0))
+    ref = replace(prof, complex_amplitudes=reference_field(
+        src, 10e3, prof.radial_nodes))
+    a = disk_power(prof, DiskSpec(0.2, 0.0))
+    b = disk_power(ref, DiskSpec(0.2, 0.0))
+    assert abs(a - b) / b < 1e-8
+
+
+@pytest.mark.parametrize("alpha,s", [
+    (-4.0 + 0.0j, 0.0),
+    (-20.0 + 150.0j, 0.0),
+    (-20.0 - 150.0j, 40.0),
+    (-2.0 + 7.0j, 9.0),
+])
+def test_gaussian_hankel_matches_mpmath(alpha, s):
+    with mpmath.workdps(30):
+        a = mpmath.mpc(alpha)
+        # split at every pi of the quadratic phase, out to the e^-60 envelope
+        r_end = math.sqrt(60.0 / -alpha.real)
+        splits = max(8, int(abs(alpha.imag) * r_end ** 2 / math.pi))
+        points = [r_end * math.sqrt(i / splits) for i in range(splits + 1)]
+        want = mpmath.quad(lambda r: mpmath.exp(a * r * r) * mpmath.besselj(0, s * r) * r,
+                           points + [mpmath.inf])
+        want = complex(want)
+    got = complex(_gaussian_hankel(alpha, s))
+    assert abs(got - want) / abs(want) <= 1e-12
+
+
+@pytest.mark.parametrize("scenario,lbe_km", [
+    ("behind", 2.0), ("behind", 5.0), ("behind", 40.0), ("behind", 400.0),
+    ("before", 5.0), ("before", 20.0),
+])
+def test_profile_matches_wide_truncated_reference(beam, scenario, lbe_km):
+    lab, lbe = 40e3, lbe_km * 1e3
+    plane = lab if scenario == "behind" else lab - lbe
+    src = SourceAnnulus(beam, plane, 0.1)
+    prof = propagate_profile(src, lbe, DiskSpec(0.1, 0.0))
+    ref = reference_field(src, lbe, prof.radial_nodes)
+    err = np.abs(prof.complex_amplitudes - ref).max() / np.abs(ref).max()
+    assert err <= 1e-10
+
+
+def test_unobstructed_source_is_closed_form_only(beam):
+    src = SourceAnnulus(beam, 40e3, 0.0)
+    prof = propagate_profile(src, 5e3, DiskSpec(0.1, 0.0))
+    assert prof.budget.source_nodes == 0 and prof.budget.achieved == 0.0
+    ref = reference_field(src, 5e3, prof.radial_nodes)
+    assert np.abs(prof.complex_amplitudes - ref).max() / np.abs(ref).max() <= 1e-10
+
+
+def test_finite_outer_radius_rejected(beam):
+    with pytest.raises(ValueError):
+        SourceAnnulus(beam, 40e3, 0.1, outer_radius=0.5)
 
 
 def test_grid_refinement_stable_disk_powers(beam, monkeypatch):
@@ -267,6 +349,8 @@ def test_profile_roundtrip_bit_exact(profile_60):
     assert back.source.inner_radius == profile_60.source.inner_radius
     assert math.isinf(back.source.outer_radius)
     assert back.propagation_distance == profile_60.propagation_distance
+    assert back.budget == profile_60.budget
+    assert back.budget.source_nodes > 0 and back.budget.achieved < 1e-6
 
 
 def test_truncated_record_rejected(profile_60):
