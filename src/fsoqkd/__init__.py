@@ -10,7 +10,6 @@ from .diffraction import (CoverageError, DiskSpec, FieldProfile, SourceAnnulus,
                           arago_relative_amplitude, deserialize_profile,
                           disk_power, fresnel_field_bessel, fresnel_valid,
                           propagate_profile, rs_field_direct, serialize_profile)
-from .gaussian import GaussianState, PhysicalityError, symplectic_eigenvalues
 from .quadrature import QuadratureError
 from .rates import (MuOptimum, RateInputs, RateReport, eve_spectra, g_entropy,
                     lb_direct, lb_reverse, optimize_mu, rate_report,

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 from .beams import BeamParams
 from .channel import Geometry, Scenario, default_noise
 from .rates import OBJECTIVES, RateInputs
+from .sweeps import SWEEP_PARAMETERS, SWEEP_SPACINGS
 
 CONFIG_VERSION = 1
 
@@ -73,6 +74,23 @@ class RunConfig:
         for name, value in positives.items():
             if not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value!r}")
+        if not self.beta <= 1:
+            raise ConfigError(f"beta must lie in (0, 1], got {self.beta!r}")
+        if not self.f_L >= 1:
+            raise ConfigError(f"f_L must be >= 1, got {self.f_L!r}")
+        if not self.mu > 0:
+            raise ConfigError(f"mu must be positive (\"inf\" allowed), got {self.mu!r}")
+        if self.noise_override is not None and not self.noise_override >= 0:
+            raise ConfigError(
+                f"noise_override must be nonnegative, got {self.noise_override!r}")
+        if self.sweep_parameter not in SWEEP_PARAMETERS:
+            raise ConfigError(f"unknown sweep_parameter {self.sweep_parameter!r}")
+        if self.sweep_spacing not in SWEEP_SPACINGS:
+            raise ConfigError(f"unknown sweep_spacing {self.sweep_spacing!r}")
+        try:
+            self.geometry()  # offset sign, before-Bob placement
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.sweep_count < 2:
             raise ConfigError("sweep_count must be at least 2")
         if not self.sweep_min < self.sweep_max:

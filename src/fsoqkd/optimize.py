@@ -36,9 +36,15 @@ def golden_section_max(f, lo: float, hi: float, tol: float,
     return d, fd
 
 
-def grid_then_golden_max(f, grid, tol: float):
-    """Coarse grid argmax refined by golden section between its neighbors."""
-    values = [f(x) for x in grid]
+def grid_then_golden_max(f, grid, tol: float, values=None):
+    """Coarse grid argmax refined by golden section between its neighbors.
+
+    ``values`` are ``f`` on ``grid``, when the caller already has them (for
+    instance from one vectorized evaluation).  Ties go to the first grid
+    point, and the grid point wins if the refinement does not beat it.
+    """
+    if values is None:
+        values = [f(x) for x in grid]
     i = max(range(len(grid)), key=values.__getitem__)
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]

@@ -3,11 +3,12 @@
 The channel is a thermal-loss wiretap: transmissivity ``eta`` to Bob, a
 fraction ``kappa`` of the lost light collected by an eavesdropper holding a
 single bosonic mode, background occupation ``n_e``.  Direct and reverse
-reconciliation lower bounds are evaluated from the Holevo information of that
-collected mode, built from the purified Gaussian network:
-
-    TMSV(mu)  --eta-->  Bob        (environment arm: TMSV-purified thermal)
-    lost arm  --kappa-->  Eve      (vacuum ancilla on the residual)
+reconciliation lower bounds are Holevo quantities of that collected mode.
+The mode is single-mode and phase-insensitive, alone and conditioned on
+Bob's heterodyne outcome, so each of its two symplectic spectra is one
+scalar with a closed form (``eve_spectra``).  The finite-power bodies of the
+bounds and rates are numpy expressions over ``mu``: ``evaluate_objective``
+scores a whole grid of powers in one call.
 
 ``mu = math.inf`` is a supported sentinel: the bounds are then evaluated from
 their analytic large-power limits instead of a huge finite value, which would
@@ -27,11 +28,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelParams
-from .gaussian import (GaussianState, apply_symplectic, beamsplitter_symplectic,
-                       heterodyne_condition, symplectic_eigenvalues,
-                       thermal_covariance, tmsv_covariance, vacuum_state)
-from .optimize import golden_section_max
+from .optimize import grid_then_golden_max
 
+LN2 = math.log(2.0)
 LOG2_E = math.log2(math.e)
 MU_GRID_LO, MU_GRID_HI = 1e-4, 1e8
 
@@ -96,9 +95,11 @@ class RateReport:
 def g_entropy(x: float) -> float:
     """Von Neumann entropy of a thermal state with mean photon x, in bits.
 
-    ``(x+1) log2(x+1) - x log2(x)`` evaluated through log1p so no precision
-    is lost at either end; beyond 1e12 the asymptote log2(x) + log2(e) +
-    1/(2 x ln 2) takes over.
+    ``(x+1) log2(x+1) - x log2(x)`` in a form that neither cancels nor
+    overflows: below 1 as ((1+x) log1p(x) - x ln x) / ln 2, whose terms add
+    and which stays finite for subnormal x, where 1/x overflows; from 1 to
+    1e12 as (log1p(x) + x log1p(1/x)) / ln 2; beyond 1e12 the asymptote
+    log2(x) + log2(e) + 1/(2 x ln 2).
     """
     if x < 0:
         raise ValueError("mean photon number must be nonnegative")
@@ -106,46 +107,73 @@ def g_entropy(x: float) -> float:
         return 0.0
     if x > 1e12:
         return math.log2(x) + LOG2_E + LOG2_E / (2.0 * x)
-    return (math.log1p(x) + x * math.log1p(1.0 / x)) / math.log(2.0)
+    if x < 1.0:
+        return ((1.0 + x) * math.log1p(x) - x * math.log(x)) / LN2
+    return (math.log1p(x) + x * math.log1p(1.0 / x)) / LN2
 
 
-def binary_entropy(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+def g_entropy_array(x) -> np.ndarray:
+    """``g_entropy`` elementwise, with the same three branches."""
+    x = np.asarray(x, dtype=float)
+    if (x < 0).any():
+        raise ValueError("mean photon number must be nonnegative")
+    out = np.zeros(x.shape)
+    small = (x > 0.0) & (x < 1.0)
+    huge = x > 1e12
+    mid = ~((x < 1.0) | huge)
+    xs, xm, xh = x[small], x[mid], x[huge]
+    out[small] = ((1.0 + xs) * np.log1p(xs) - xs * np.log(xs)) / LN2
+    out[mid] = (np.log1p(xm) + xm * np.log1p(1.0 / xm)) / LN2
+    out[huge] = np.log2(xh) + LOG2_E + LOG2_E / (2.0 * xh)
+    return out
 
 
-def eve_spectra(channel: ChannelParams, mu: float):
-    """Symplectic spectra of Eve's collected mode.
+def binary_entropy(p) -> np.ndarray:
+    """Binary entropy in bits, elementwise; 0 outside (0, 1)."""
+    p = np.asarray(p, dtype=float)
+    inside = (p > 0.0) & (p < 1.0)
+    q = np.where(inside, p, 0.5)
+    return np.where(inside, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q), 0.0)
 
-    Returns ``(nu, nu_conditional)`` where the conditional spectrum follows a
-    heterodyne measurement of Bob's mode.  Built explicitly from the purified
-    five-mode network (source TMSV, environment TMSV, vacuum ancilla).
+
+def eve_spectra(channel: ChannelParams, mu):
+    """Symplectic eigenvalues of Eve's collected mode.
+
+    Returns ``(nu, nu_conditional)``, arrays shaped like
+    ``np.atleast_1d(mu)``; the conditional value follows a heterodyne
+    measurement of Bob's mode.  A two-mode squeezed source of ``mu`` photons
+    per arm passes the beamsplitter ``eta`` (thermal environment ``n_e``)
+    and Eve's beamsplitter ``kappa`` (vacuum ancilla).  Both states are
+    single-mode and phase-insensitive, so each spectrum is one scalar
+    (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)):
+
+        nu     = 1 + 2 kappa ((1-eta) mu + eta n_e)
+        nu|B   = 1 + 2 kappa ((1-eta) mu + eta n_e + mu n_e)
+                     / (1 + eta mu + (1-eta) n_e)
+
+    The second is the Schur complement V_E - c^2 / (V_B + 1) with the
+    cancelling terms removed; its mu -> inf limit is
+    ``_eve_conditional_limit``.  Raises ``ValueError`` when a value falls
+    below the vacuum's 1, which only unphysical channel parameters cause.
     """
-    if not (0 <= mu < math.inf):
-        raise ValueError("eve_spectra needs a finite mu")
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    if not ((mu >= 0.0) & (mu < math.inf)).all():
+        raise ValueError("eve_spectra needs finite mu >= 0")
     eta, kappa, n_e = channel.eta, channel.kappa, channel.n_e
-    # modes: 0 = Alice's kept arm, 1 = signal -> Bob, 2 = env -> lost -> Eve,
-    #        3 = environment purifier, 4 = vacuum ancilla
-    cov = np.eye(10)
-    cov[0:4, 0:4] = tmsv_covariance(mu)
-    cov[4:8, 4:8] = tmsv_covariance(n_e)
-    state = GaussianState(cov)
-    state = apply_symplectic(state, beamsplitter_symplectic(5, 1, 2, eta))
-    state = apply_symplectic(state, beamsplitter_symplectic(5, 2, 4, kappa))
-    state.assert_physical()
-
-    nu = symplectic_eigenvalues(state.reduced([2]).covariance)
-    cond = heterodyne_condition(state, keep=[2], measured=[1])
-    nu_cond = symplectic_eigenvalues(cond.covariance)
+    leaked = (1.0 - eta) * mu + eta * n_e
+    nu = 1.0 + 2.0 * kappa * leaked
+    nu_cond = 1.0 + 2.0 * kappa * ((leaked + mu * n_e)
+                                   / (1.0 + eta * mu + (1.0 - eta) * n_e))
+    if not ((nu >= 1.0).all() and (nu_cond >= 1.0).all()):
+        raise ValueError("unphysical channel: Eve's symplectic eigenvalue "
+                         "is below 1")
     return nu, nu_cond
 
 
-def _eve_entropy_terms(channel: ChannelParams, mu: float):
+def _eve_entropy_terms(channel: ChannelParams, mu):
     nu, nu_cond = eve_spectra(channel, mu)
-    s_e = sum(g_entropy(max((v - 1.0) / 2.0, 0.0)) for v in nu)
-    s_e_cond = sum(g_entropy(max((v - 1.0) / 2.0, 0.0)) for v in nu_cond)
-    return s_e, s_e_cond
+    return (g_entropy_array((nu - 1.0) / 2.0),
+            g_entropy_array((nu_cond - 1.0) / 2.0))
 
 
 def _loss_to_eve(channel: ChannelParams) -> float:
@@ -163,55 +191,72 @@ def _eve_conditional_limit(channel: ChannelParams) -> float:
                     + 2.0 * (1.0 - eta) * n_e + eta * n_e)
 
 
-def lb_direct(inputs: RateInputs) -> float:
-    """Direct-reconciliation lower bound, bits/mode."""
+def _at_own_mu(finite, inputs: RateInputs) -> float:
+    return float(finite(inputs, np.array([inputs.mu]))[0])
+
+
+def _lb_direct(inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
     ch = inputs.channel
     eta, kappa, n_e = ch.eta, ch.kappa, ch.n_e
     beta = inputs.beta
-    if math.isinf(inputs.mu):
-        if beta < 1.0:
-            return 0.0  # (beta - 1) log2(mu) -> -inf
-        lte = _loss_to_eve(ch)
-        if lte == 0.0:
-            return math.inf
-        if eta == 0.0:
-            return 0.0
-        value = (math.log2(eta / lte)
-                 - g_entropy(n_e * (1.0 - eta))
-                 + g_entropy(n_e * (1.0 - eta * kappa)))
-        return max(0.0, value)
-    s_e, _ = _eve_entropy_terms(ch, inputs.mu)
-    value = (beta * g_entropy(n_e * (1.0 - eta) + eta * inputs.mu)
+    s_e, _ = _eve_entropy_terms(ch, mu)
+    value = (beta * g_entropy_array(n_e * (1.0 - eta) + eta * mu)
              - s_e
              - beta * g_entropy(n_e * (1.0 - eta))
+             + g_entropy(n_e * (1.0 - eta * kappa)))
+    return np.maximum(0.0, value)
+
+
+def lb_direct(inputs: RateInputs) -> float:
+    """Direct-reconciliation lower bound, bits/mode."""
+    if not math.isinf(inputs.mu):
+        return _at_own_mu(_lb_direct, inputs)
+    ch = inputs.channel
+    eta, kappa, n_e = ch.eta, ch.kappa, ch.n_e
+    if inputs.beta < 1.0:
+        return 0.0  # (beta - 1) log2(mu) -> -inf
+    lte = _loss_to_eve(ch)
+    if lte == 0.0:
+        return math.inf
+    if eta == 0.0:
+        return 0.0
+    value = (math.log2(eta / lte)
+             - g_entropy(n_e * (1.0 - eta))
              + g_entropy(n_e * (1.0 - eta * kappa)))
     return max(0.0, value)
 
 
+def _lb_reverse(inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
+    ch = inputs.channel
+    eta, n_e = ch.eta, ch.n_e
+    beta = inputs.beta
+    s_e, s_e_cond = _eve_entropy_terms(ch, mu)
+    # Alice's mean photon number given Bob's heterodyne outcome, written so
+    # that nothing cancels at large mu
+    cond_alice = mu * (1.0 - eta) * (1.0 + n_e) / (1.0 + eta * mu + (1.0 - eta) * n_e)
+    value = (beta * g_entropy_array(mu)
+             - s_e
+             - beta * g_entropy_array(cond_alice)
+             + s_e_cond)
+    return np.maximum(0.0, value)
+
+
 def lb_reverse(inputs: RateInputs) -> float:
     """Reverse-reconciliation lower bound, bits/mode."""
+    if not math.isinf(inputs.mu):
+        return _at_own_mu(_lb_reverse, inputs)
     ch = inputs.channel
-    eta, kappa, n_e = ch.eta, ch.kappa, ch.n_e
-    beta = inputs.beta
-    if math.isinf(inputs.mu):
-        if beta < 1.0:
-            return 0.0
-        lte = _loss_to_eve(ch)
-        if lte == 0.0:
-            return math.inf
-        if eta == 0.0:
-            return 0.0
-        cond_alice = (1.0 - eta) * (1.0 + n_e) / eta
-        value = (-math.log2(lte) - g_entropy(cond_alice)
-                 + g_entropy(_eve_conditional_limit(ch)))
-        return max(0.0, value)
-    mu = inputs.mu
-    s_e, s_e_cond = _eve_entropy_terms(ch, mu)
-    bob_cond = mu - eta * mu * (1.0 + mu) / (1.0 + n_e - n_e * eta + eta * mu)
-    value = (beta * g_entropy(mu)
-             - s_e
-             - beta * g_entropy(max(bob_cond, 0.0))
-             + s_e_cond)
+    eta, n_e = ch.eta, ch.n_e
+    if inputs.beta < 1.0:
+        return 0.0
+    lte = _loss_to_eve(ch)
+    if lte == 0.0:
+        return math.inf
+    if eta == 0.0:
+        return 0.0
+    cond_alice = (1.0 - eta) * (1.0 + n_e) / eta
+    value = (-math.log2(lte) - g_entropy(cond_alice)
+             + g_entropy(_eve_conditional_limit(ch)))
     return max(0.0, value)
 
 
@@ -237,10 +282,13 @@ def upper_bound(channel: ChannelParams, provider=None) -> float:
     return (provider or default_upper_bound)(channel)
 
 
-def _mutual_info_heterodyne(channel: ChannelParams, mu: float, beta: float) -> float:
-    eta, n_e = channel.eta, channel.n_e
-    floor = 1.0 + (1.0 - eta) * n_e
-    return beta * math.log2((floor + eta * mu) / floor)
+def _skr_cv(inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
+    ch = inputs.channel
+    s_e, s_e_cond = _eve_entropy_terms(ch, mu)
+    holevo = s_e - s_e_cond
+    floor = 1.0 + (1.0 - ch.eta) * ch.n_e
+    mutual = inputs.beta * np.log2((floor + ch.eta * mu) / floor)
+    return inputs.pulse_rate * np.maximum(0.0, mutual - holevo)
 
 
 def skr_cv_ccq(inputs: RateInputs) -> float:
@@ -249,24 +297,38 @@ def skr_cv_ccq(inputs: RateInputs) -> float:
     ``R * max(0, beta I(A;B) - chi(E;B))`` with the Holevo term taken from
     the collected-mode spectra.
     """
+    if not math.isinf(inputs.mu):
+        return _at_own_mu(_skr_cv, inputs)
     ch = inputs.channel
-    eta, kappa, n_e = ch.eta, ch.kappa, ch.n_e
-    if math.isinf(inputs.mu):
-        if inputs.beta < 1.0:
-            return 0.0
-        lte = _loss_to_eve(ch)
-        if eta == 0.0:
-            return 0.0
-        if lte == 0.0:
-            return math.inf
-        floor = 1.0 + (1.0 - eta) * n_e
-        value = (math.log2(eta / lte) - math.log2(floor) - LOG2_E
-                 + g_entropy(_eve_conditional_limit(ch)))
-        return inputs.pulse_rate * max(0.0, value)
-    s_e, s_e_cond = _eve_entropy_terms(ch, inputs.mu)
-    holevo = s_e - s_e_cond
-    value = _mutual_info_heterodyne(ch, inputs.mu, inputs.beta) - holevo
+    eta, n_e = ch.eta, ch.n_e
+    if inputs.beta < 1.0:
+        return 0.0
+    lte = _loss_to_eve(ch)
+    if eta == 0.0:
+        return 0.0
+    if lte == 0.0:
+        return math.inf
+    floor = 1.0 + (1.0 - eta) * n_e
+    value = (math.log2(eta / lte) - math.log2(floor) - LOG2_E
+             + g_entropy(_eve_conditional_limit(ch)))
     return inputs.pulse_rate * max(0.0, value)
+
+
+def _bb84(inputs: RateInputs, signal: np.ndarray, leak: np.ndarray) -> np.ndarray:
+    y0 = inputs.channel.n_e * inputs.background_modes
+    gain = y0 + signal
+    detected = gain > 0.0
+    gain = np.where(detected, gain, 1.0)
+    err = (0.5 * y0 + inputs.misalignment * signal) / gain
+    value = np.where(detected,
+                     gain * (1.0 - inputs.f_L * binary_entropy(err)) - leak, 0.0)
+    return inputs.pulse_rate * inputs.basis_efficiency * np.maximum(0.0, value)
+
+
+def _skr_bb84(inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
+    signal = -np.expm1(-inputs.channel.eta * mu)
+    leak = -np.expm1(-_loss_to_eve(inputs.channel) * mu)
+    return _bb84(inputs, signal, leak)
 
 
 def skr_ds_bb84(inputs: RateInputs) -> float:
@@ -276,38 +338,36 @@ def skr_ds_bb84(inputs: RateInputs) -> float:
     source plus background yield, Eve's information bounded by the chance her
     collected mode holds at least one photon.
     """
-    ch = inputs.channel
-    eta, n_e = ch.eta, ch.n_e
-    y0 = n_e * inputs.background_modes
-    if math.isinf(inputs.mu):
-        signal = 1.0
-        leak = 1.0 if _loss_to_eve(ch) > 0.0 else 0.0
-    else:
-        signal = -math.expm1(-eta * inputs.mu)
-        leak = -math.expm1(-_loss_to_eve(ch) * inputs.mu)
-    gain = y0 + signal
-    if gain <= 0.0:
-        return 0.0
-    err = (0.5 * y0 + inputs.misalignment * signal) / gain
-    value = gain * (1.0 - inputs.f_L * binary_entropy(err)) - leak
-    return inputs.pulse_rate * inputs.basis_efficiency * max(0.0, value)
+    if not math.isinf(inputs.mu):
+        return _at_own_mu(_skr_bb84, inputs)
+    leak = 1.0 if _loss_to_eve(inputs.channel) > 0.0 else 0.0
+    return float(_bb84(inputs, np.array([1.0]), np.array([leak]))[0])
 
 
+def _lb_max(inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
+    return np.maximum(_lb_direct(inputs, mu), _lb_reverse(inputs, mu))
+
+
+# objective -> (value at inputs.mu, values over an array of finite powers)
 _OBJECTIVE_FUNCS = {
-    "lb_direct": lb_direct,
-    "lb_reverse": lb_reverse,
-    "lb_max": lambda inp: max(lb_direct(inp), lb_reverse(inp)),
-    "skr_cv": skr_cv_ccq,
-    "skr_bb84": skr_ds_bb84,
+    "lb_direct": (lb_direct, _lb_direct),
+    "lb_reverse": (lb_reverse, _lb_reverse),
+    "lb_max": (lambda inp: max(lb_direct(inp), lb_reverse(inp)), _lb_max),
+    "skr_cv": (skr_cv_ccq, _skr_cv),
+    "skr_bb84": (skr_ds_bb84, _skr_bb84),
 }
 
 
-def evaluate_objective(inputs: RateInputs, objective: str) -> float:
+def evaluate_objective(inputs: RateInputs, objective: str, mu=None):
+    """Objective at ``inputs.mu``; or, given ``mu``, an array of finite
+    powers, the array of its values at each of them."""
     try:
-        func = _OBJECTIVE_FUNCS[objective]
+        at_own_mu, over_grid = _OBJECTIVE_FUNCS[objective]
     except KeyError:
         raise ValueError(f"unknown objective {objective!r}") from None
-    return func(inputs)
+    if mu is None:
+        return at_own_mu(inputs)
+    return over_grid(inputs, np.asarray(mu, dtype=float))
 
 
 def optimize_mu(inputs: RateInputs, objective: str = "lb_max",
@@ -317,7 +377,8 @@ def optimize_mu(inputs: RateInputs, objective: str = "lb_max",
     With perfect reconciliation the continuous lower bounds increase without
     bound in mu, so the infinite sentinel and its analytic value are returned
     directly.  Otherwise the maximizer is bracketed on a log grid spanning
-    [1e-4, 1e8] and refined by golden section to ``rel_tol`` in mu.
+    [1e-4, 1e8], scored in one vectorized call, and refined by golden section
+    to ``rel_tol`` in mu.
     """
     if objective in LB_OBJECTIVES and inputs.beta == 1.0:
         sent = replace(inputs, mu=math.inf)
@@ -327,16 +388,12 @@ def optimize_mu(inputs: RateInputs, objective: str = "lb_max",
         return evaluate_objective(replace(inputs, mu=math.exp(t)), objective)
 
     grid = np.log(np.geomspace(MU_GRID_LO, MU_GRID_HI, 61))
-    values = [obj_log(t) for t in grid]
-    if max(values) <= 0.0:
+    values = evaluate_objective(inputs, objective, mu=np.exp(grid))
+    if values.max() <= 0.0:
         return MuOptimum(mu=MU_GRID_LO, value=0.0, degenerate=True)
-    i = int(np.argmax(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    t_best, v_best = golden_section_max(obj_log, lo, hi, tol=math.log1p(rel_tol))
-    if values[i] > v_best:
-        t_best, v_best = grid[i], values[i]
-    return MuOptimum(mu=math.exp(t_best), value=v_best)
+    t_best, v_best = grid_then_golden_max(obj_log, grid, tol=math.log1p(rel_tol),
+                                          values=values)
+    return MuOptimum(mu=math.exp(t_best), value=float(v_best))
 
 
 def rate_report(inputs: RateInputs, optimize: bool = False,

@@ -21,10 +21,11 @@ from .channel import ChannelParams, Geometry, Scenario, channel_params
 from .diffraction import (DiskSpec, FieldProfile, SourceAnnulus,
                           arago_relative_amplitude, disk_power,
                           propagate_profile)
-from .optimize import golden_section_max
+from .optimize import golden_section_max, grid_then_golden_max
 from .rates import RateInputs, RateReport, rate_report
 
 SWEEP_PARAMETERS = ("L_BE", "L_AE", "mu", "D", "L_AB", "W0", "r_e")
+SWEEP_SPACINGS = ("log", "linear")
 
 
 class ProfileCache:
@@ -81,7 +82,7 @@ class SweepSpec:
             raise ValueError("grid needs at least 2 points")
         if not self.minimum < self.maximum:
             raise ValueError("grid minimum must be below maximum")
-        if self.spacing not in ("log", "linear"):
+        if self.spacing not in SWEEP_SPACINGS:
             raise ValueError("spacing must be 'log' or 'linear'")
 
     def grid(self) -> np.ndarray:
@@ -323,11 +324,7 @@ def analytic_f1_f2(pred: AnalyticPredictor, branch: int = 0):
     f2_argmax = 1.0 / denom
 
     grid = np.geomspace(0.05 * l_ab, 20.0 * l_ab, 2000)
-    vals = [pred.magnitude(l) for l in grid]
-    i = int(np.argmax(vals))
-    x, _ = golden_section_max(pred.magnitude,
-                              grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)],
-                              tol=max(1.0, 1e-6 * l_ab))
+    x, _ = grid_then_golden_max(pred.magnitude, grid, tol=max(1.0, 1e-6 * l_ab))
     return f1_argmax, f2_argmax, float(x)
 
 

@@ -1,5 +1,9 @@
 """Small Gaussian-state covariance toolkit (vacuum variance = 1 convention).
 
+The reference that the closed forms of ``fsoqkd.rates`` are tested against:
+``five_mode_spectra`` builds the purified wiretap network explicitly and
+reads Eve's spectra off its covariance matrix.
+
 A thermal state with mean photon number n has covariance (2n+1) * I per mode,
 so symplectic eigenvalues map to thermal occupations via (nu - 1) / 2.  Only
 the few-mode networks needed by the rate bounds are supported: two-mode
@@ -137,3 +141,30 @@ def symplectic_eigenvalues(covariance: np.ndarray) -> np.ndarray:
     nu = np.sqrt(np.maximum(nu2, 0.0))
     nu = 0.5 * (nu[0::2] + nu[1::2])
     return np.sort(nu)[::-1]
+
+
+def five_mode_spectra(eta: float, kappa: float, n_e: float, mu: float):
+    """Eve's spectra and Alice's conditional spectrum from the full network.
+
+    Modes: 0 = Alice's kept arm, 1 = signal -> Bob, 2 = environment -> lost
+    arm -> Eve, 3 = environment purifier, 4 = vacuum ancilla.
+
+        TMSV(mu)  --eta-->  Bob        (environment arm: TMSV-purified thermal)
+        lost arm  --kappa-->  Eve      (vacuum ancilla on the residual)
+
+    Returns ``(nu_E, nu_E|B, nu_A|B)`` as floats; the conditional values
+    follow a heterodyne measurement of Bob's mode.
+    """
+    cov = np.eye(10)
+    cov[0:4, 0:4] = tmsv_covariance(mu)
+    cov[4:8, 4:8] = tmsv_covariance(n_e)
+    state = GaussianState(cov)
+    state = apply_symplectic(state, beamsplitter_symplectic(5, 1, 2, eta))
+    state = apply_symplectic(state, beamsplitter_symplectic(5, 2, 4, kappa))
+    state.assert_physical()
+    nu = symplectic_eigenvalues(state.reduced([2]).covariance)
+    nu_cond = symplectic_eigenvalues(
+        heterodyne_condition(state, keep=[2], measured=[1]).covariance)
+    nu_alice = symplectic_eigenvalues(
+        heterodyne_condition(state, keep=[0], measured=[1]).covariance)
+    return float(nu[0]), float(nu_cond[0]), float(nu_alice[0])

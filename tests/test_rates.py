@@ -1,14 +1,18 @@
 import math
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsoqkd.channel import ChannelParams
-from fsoqkd.rates import (MuOptimum, RateInputs, eve_spectra, g_entropy,
-                          lb_direct, lb_reverse, optimize_mu, rate_report,
-                          skr_cv_ccq, skr_ds_bb84, upper_bound)
+from fsoqkd.rates import (OBJECTIVES, MuOptimum, RateInputs, evaluate_objective,
+                          eve_spectra, g_entropy, g_entropy_array, lb_direct,
+                          lb_reverse, optimize_mu, rate_report, skr_cv_ccq,
+                          skr_ds_bb84, upper_bound)
+from gaussian_reference import five_mode_spectra
 
 
 def channel(eta, kappa, n_e=0.0):
@@ -53,6 +57,39 @@ def test_g_monotone_small_and_large():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+SUBNORMALS = [5e-324, 1e-323, 1e-320, 1e-315, 1e-310, 3e-309]
+
+
+@pytest.mark.parametrize("x", SUBNORMALS + [2.2250738585072014e-308, 1e-300,
+                                            1e-20, 1e-5, 0.5, 1.0, 7.0, 1e12, 1e15])
+def test_g_matches_mpmath(x):
+    # 1/x overflows below ~3e-309; a subnormal result carries an absolute
+    # rounding of a few 5e-324 steps
+    with mpmath.workdps(40):
+        m = mpmath.mpf(x)
+        want = float(((1 + m) * mpmath.log1p(m) - m * mpmath.log(m)) / mpmath.log(2))
+    got = g_entropy(x)
+    assert abs(got - want) <= 1e-14 * want + 1e-322
+
+
+def test_g_array_matches_scalar():
+    xs = np.concatenate([[0.0, 1.0, math.nextafter(1.0, 0.0),
+                          math.nextafter(1e12, 0.0), 1e12,
+                          math.nextafter(1e12, math.inf)],
+                         SUBNORMALS, np.geomspace(1e-300, 1e15, 3000)])
+    scalar = np.array([g_entropy(float(x)) for x in xs])
+    assert np.allclose(g_entropy_array(xs), scalar, rtol=1e-13, atol=0.0)
+    with pytest.raises(ValueError):
+        g_entropy_array([1.0, -0.1])
+
+
+def test_direct_bound_at_subnormal_noise():
+    # g(n_e (1-eta)) appears with opposite signs; an infinite g made it nan,
+    # which the clamp at 0 turned into a silent 0
+    inp = inputs(0.25, 0.0, mu=1.0, n_e=5e-324)
+    assert lb_direct(inp) == pytest.approx(g_entropy(0.25), rel=1e-14)
+
+
 # ------------------------------------------------------------- eve spectra
 
 def test_pure_loss_spectrum():
@@ -71,11 +108,92 @@ def test_conditional_limit_large_mu():
     assert (nu_y[0] - 1) / 2 == pytest.approx((1 - 0.75) / 0.75, rel=1e-4)
 
 
+def test_spectra_shape_and_physicality_check():
+    nu, nu_y = eve_spectra(channel(0.6, 0.3, 0.1), [0.5, 2.0, 8.0])
+    assert nu.shape == nu_y.shape == (3,)
+    assert eve_spectra(channel(0.6, 0.3, 0.1), 2.0)[0].shape == (1,)
+    with pytest.raises(ValueError):
+        eve_spectra(channel(0.5, 1.0, -0.5), 0.0)  # nu = 0.5 < 1
+    with pytest.raises(ValueError):
+        eve_spectra(channel(0.5, 1.0), math.inf)
+
+
 def test_unconditional_mean_photon_thermal():
     eta, kappa, n_e, mu = 0.6, 0.8, 0.4, 2.0
     nu, _ = eve_spectra(channel(eta, kappa, n_e), mu)
     want = kappa * ((1 - eta) * mu + eta * n_e)
     assert (nu[0] - 1) / 2 == pytest.approx(want, rel=1e-10)
+
+
+def test_conditional_spectrum_matches_mpmath_schur_complement():
+    # the five-mode network, x quadrature, in 50 digits: TMSV(mu) on
+    # (Alice, signal), TMSV(n_e) on (environment, purifier), vacuum ancilla;
+    # then beamsplitters eta on (signal, environment) and kappa on
+    # (lost arm, ancilla).  p quadratures give the same B and E entries.
+    def bs(t, a, b):
+        s = mpmath.eye(5)
+        s[a, a] = s[b, b] = mpmath.sqrt(t)
+        s[a, b] = mpmath.sqrt(1 - t)
+        s[b, a] = -mpmath.sqrt(1 - t)
+        return s
+
+    def tmsv(n):
+        return 2 * n + 1, 2 * mpmath.sqrt(n * (n + 1))
+
+    for eta, kappa, n_e in [(0.6, 0.3, 0.0), (0.25, 0.9, 1e-7), (0.9, 1.0, 0.4)]:
+        mus = np.geomspace(1e-4, 1e8, 25)
+        _, got = eve_spectra(channel(eta, kappa, n_e), mus)
+        with mpmath.workdps(50):
+            e, k = mpmath.mpf(eta), mpmath.mpf(kappa)
+            for mu, nu in zip(mus, got):
+                v = mpmath.zeros(5)
+                for i, n in ((0, mpmath.mpf(mu)), (2, mpmath.mpf(n_e))):
+                    a, c = tmsv(n)
+                    v[i, i] = v[i + 1, i + 1] = a
+                    v[i, i + 1] = v[i + 1, i] = c
+                v[4, 4] = 1
+                s = bs(k, 2, 4) * bs(e, 1, 2)
+                v = s * v * s.T
+                want = v[2, 2] - v[2, 1] ** 2 / (v[1, 1] + 1)
+                assert abs(nu - want) <= 1e-13 * want
+
+
+@settings(max_examples=60, deadline=None)
+@given(eta=st.floats(0.01, 0.99), kappa=st.floats(0.0, 1.0),
+       n_e=st.floats(0.0, 1.0), mu=st.floats(1e-4, 1e8),
+       beta=st.floats(0.5, 1.0))
+def test_closed_forms_match_five_mode_network(eta, kappa, n_e, mu, beta):
+    # rate formulas on the covariance-matrix spectra; the reference itself is
+    # off by ~4e-8 absolute in nu at mu ~ 1e8, hence the absolute floor for
+    # rates near their clamp at 0
+    nu_e, nu_eb, nu_ab = five_mode_spectra(eta, kappa, n_e, mu)
+    s_e = g_entropy(max((nu_e - 1) / 2, 0.0))
+    s_eb = g_entropy(max((nu_eb - 1) / 2, 0.0))
+    alice_cond = max((nu_ab - 1) / 2, 0.0)
+    floor = 1 + (1 - eta) * n_e
+    want = {
+        lb_direct: beta * g_entropy(n_e * (1 - eta) + eta * mu) - s_e
+        - beta * g_entropy(n_e * (1 - eta)) + g_entropy(n_e * (1 - eta * kappa)),
+        lb_reverse: beta * g_entropy(mu) - s_e - beta * g_entropy(alice_cond) + s_eb,
+        skr_cv_ccq: beta * math.log2((floor + eta * mu) / floor) - (s_e - s_eb),
+    }
+    inp = inputs(eta, kappa, mu=mu, beta=beta, n_e=n_e, pulse_rate=1.0)
+    for func, value in want.items():
+        assert func(inp) == pytest.approx(max(0.0, value), rel=1e-6, abs=1e-7)
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("eta,kappa,n_e,beta", [(0.7, 0.9, 0.0, 0.95),
+                                                (0.3, 0.2, 1e-7, 0.9),
+                                                (0.55, 1.0, 0.3, 0.8)])
+def test_objective_grid_equals_scalar_calls(objective, eta, kappa, n_e, beta):
+    inp = inputs(eta, kappa, mu=1.0, beta=beta, n_e=n_e, misalignment=0.01)
+    mus = np.exp(np.log(np.geomspace(1e-4, 1e8, 61)))
+    grid = evaluate_objective(inp, objective, mu=mus)
+    one_by_one = [evaluate_objective(replace(inp, mu=float(m)), objective)
+                  for m in mus]
+    assert grid.shape == mus.shape
+    assert grid.tolist() == one_by_one
 
 
 # ------------------------------------------------------------ lower bounds
@@ -137,6 +255,17 @@ def test_lower_bounds_nonincreasing_in_kappa(eta, n_e, mu, beta, k1, k2):
     args = dict(mu=mu, beta=beta, n_e=n_e)
     assert lb_direct(inputs(eta, hi, **args)) <= lb_direct(inputs(eta, lo, **args)) + 1e-9
     assert lb_reverse(inputs(eta, hi, **args)) <= lb_reverse(inputs(eta, lo, **args)) + 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(eta=st.floats(0.05, 0.95), n_e=st.floats(0.0, 0.5),
+       mu=st.floats(0.01, 100.0), beta=st.floats(0.5, 1.0),
+       k1=st.floats(0.0, 1.0), k2=st.floats(0.0, 1.0))
+def test_protocol_rates_nonincreasing_in_kappa(eta, n_e, mu, beta, k1, k2):
+    lo, hi = sorted((k1, k2))
+    args = dict(mu=mu, beta=beta, n_e=n_e, pulse_rate=1.0)
+    for rate in (skr_cv_ccq, skr_ds_bb84):
+        assert rate(inputs(eta, hi, **args)) <= rate(inputs(eta, lo, **args)) + 1e-9
 
 
 # ------------------------------------------------------------- upper bound
