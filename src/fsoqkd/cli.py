@@ -219,7 +219,7 @@ def cmd_wavefront(config: RunConfig, out_dir: str, name: str, label: str,
         xx, yy = np.meshgrid(axis, axis)
         rho = np.hypot(xx, yy)
         mag = np.abs(spline(np.clip(rho, 0.0, profile.truncation_radius)))
-        peak = mag.max()
+        peak = float(mag.max())
         pixels = np.zeros_like(mag, dtype=">u2")
         if peak > 0:
             pixels = np.round(mag / peak * 65535.0).astype(">u2")
@@ -238,8 +238,8 @@ def cmd_wavefront(config: RunConfig, out_dir: str, name: str, label: str,
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["rho", "magnitude", "real", "imag"])
             for r, a in zip(profile.radial_nodes, profile.complex_amplitudes):
-                writer.writerow([repr(float(r)), repr(abs(a)),
-                                 repr(a.real), repr(a.imag)])
+                writer.writerow([repr(float(r)), repr(float(abs(a))),
+                                 repr(float(a.real)), repr(float(a.imag))])
     return 0
 
 

@@ -1,9 +1,18 @@
-"""CLI runs against the on-disk profile cache."""
+"""CLI runs: the on-disk profile cache, config errors, and tiny wavefront and
+optimize-d grids."""
 
+import csv
 import json
+import os
 import struct
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from fsoqkd import cli, diffraction
 from fsoqkd.cache import CACHE_ENV_VAR
@@ -63,6 +72,21 @@ def test_old_record_version_is_recomputed(sweep):
     assert entry.read_bytes() == blob
 
 
+def test_two_node_cache_entry_is_recomputed(sweep):
+    _, cold = sweep()
+    entry = sorted(sweep.cache_dir.glob("*.profile"))[2]
+    blob = entry.read_bytes()
+    profile = diffraction.deserialize_profile(blob)
+    # the two end nodes keep the entry's coverage, so only the count is bad
+    entry.write_bytes(diffraction.serialize_profile(replace(
+        profile, radial_nodes=profile.radial_nodes[[0, -1]],
+        complex_amplitudes=profile.complex_amplitudes[[0, -1]])))
+    computed, again = sweep()
+    assert computed == 1
+    assert again == cold
+    assert entry.read_bytes() == blob
+
+
 @pytest.mark.parametrize("override", [
     {"mu": -2},
     {"eve_offset": -1},
@@ -81,3 +105,53 @@ def test_bad_config_exits_2(tmp_path, capsys, override):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+def _run_cli(tmp_path, monkeypatch, command, config, out):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+    return out
+
+
+def test_wavefront_map_peak_matches_scipy_spline(tmp_path, monkeypatch):
+    config = {**CONFIG, "wavefront": {"half_width": 0.35, "pixels": 21,
+                                      "distances": [60_000.0]}}
+    out = _run_cli(tmp_path, monkeypatch, "wavefront", config, tmp_path / "out")
+    header = b"P5\n21 21\n65535\n"
+    pgm = (out / "grid__run_lbe60000m.pgm").read_bytes()
+    assert pgm.startswith(header) and len(pgm) == len(header) + 21 * 21 * 2
+    with open(out / "grid__run_lbe60000m.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    nodes = np.array([float(r["rho"]) for r in rows])
+    amps = np.array([complex(float(r["real"]), float(r["imag"])) for r in rows])
+    reference = CubicSpline(nodes, amps, bc_type=((1, 0j), "not-a-knot"))
+    axis = np.linspace(-0.35, 0.35, 21)
+    rho = np.hypot(*np.meshgrid(axis, axis))
+    want = np.abs(reference(np.clip(rho, 0.0, nodes[-1]))).max()
+    meta = dict(line.split(" ", 1) for line in
+                (out / "grid__run_lbe60000m.txt").read_text().splitlines())
+    assert float(meta["peak_field_amplitude"]) == want
+
+
+def test_optimize_d_rows_are_clean_and_deterministic(tmp_path, monkeypatch):
+    config = {**CONFIG, "sweep_count": 2}
+    runs = [_run_cli(tmp_path, monkeypatch, "optimize-d", config, tmp_path / f"out{i}")
+            for i in range(2)]
+    for name in ("grid__run.csv", "grid__run_d0.csv"):
+        with open(runs[0] / name, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 2
+        assert all(row["error"] == "" for row in rows)
+        assert all(float(row["D_opt"]) >= 0.0 for row in rows)
+        assert (runs[1] / name).read_bytes() == (runs[0] / name).read_bytes()
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, fsoqkd.cli; print('scipy.interpolate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.strip() == "False"

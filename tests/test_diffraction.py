@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -5,16 +6,19 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 from scipy.special import j0
 
 from fsoqkd.beams import BeamParams, field_amplitude, plane_params, total_power
-from fsoqkd.diffraction import (CoverageError, DiskSpec, SourceAnnulus,
+from fsoqkd.diffraction import (CoverageError, DiskSpec, FieldProfile,
+                                QuadratureBudget, SourceAnnulus,
                                 arago_relative_amplitude, deserialize_profile,
                                 disk_power, fresnel_field_bessel, fresnel_valid,
                                 profile_power, propagate_profile,
                                 rs_field_direct, serialize_profile,
-                                _fresnel_prefactor, _gaussian_hankel,
-                                _overlap_halfwidth)
+                                _fresnel_integral, _fresnel_prefactor,
+                                _gaussian_hankel, _overlap_halfwidth)
 from fsoqkd.quadrature import QuadratureError, phase_panels
 
 LAM = 1550e-9
@@ -320,6 +324,102 @@ def test_disk_power_disjoint_disk_is_zero(profile_60):
     assert val >= 0.0
 
 
+# ------------------------------------------------------------ spline profile
+
+@functools.cache
+def profile_at(plane, distance, offset=0.0):
+    """Profile behind a 10 cm disk at ``plane``, covering a 10 cm disk at ``offset``."""
+    src = SourceAnnulus(BeamParams(LAM, 0.1), plane, 0.1)
+    return propagate_profile(src, distance, DiskSpec(0.1, offset))
+
+
+def scipy_spline(nodes, amplitudes):
+    return CubicSpline(nodes, amplitudes, bc_type=((1, 0j), "not-a-knot"))
+
+
+@pytest.mark.parametrize("plane,lbe_km", [
+    (40e3, 0.7), (40e3, 5.0), (40e3, 40.0), (40e3, 400.0), (35e3, 5.0),
+], ids=["behind-0.7km", "behind-5km", "behind-40km", "behind-400km", "before-5km"])
+def test_interpolator_equals_scipy_cubic_spline(plane, lbe_km):
+    prof = profile_at(plane, lbe_km * 1e3)
+    ours = prof.interpolator()
+    ref = scipy_spline(prof.radial_nodes, prof.complex_amplitudes)
+    rng = np.random.default_rng(7)
+    radii = np.concatenate([rng.uniform(0.0, prof.truncation_radius, 2000),
+                            prof.radial_nodes])
+    assert np.array_equal(ours(radii), ref(radii))
+    axis = np.linspace(-0.07, 0.07, 15)
+    grid = np.hypot(*np.meshgrid(axis, axis))
+    assert ours(grid).shape == grid.shape
+    assert np.array_equal(ours(grid), ref(grid))
+
+
+@pytest.mark.parametrize("count", [3, 4])
+def test_interpolator_equals_scipy_on_few_nodes(beam, count):
+    rng = np.random.default_rng(count)
+    nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 0.2, count - 1))])
+    amps = rng.normal(size=count) + 1j * rng.normal(size=count)
+    prof = FieldProfile(cropped(beam), 10e3, nodes, amps,
+                        QuadratureBudget(1e-6, 0.0, 0, count))
+    radii = np.concatenate([rng.uniform(-0.01, 0.25, 500), nodes])
+    ref = scipy_spline(nodes, amps)
+    assert np.array_equal(prof.interpolator()(radii), ref(radii))
+    assert np.array_equal(prof.interpolator()(0.05), ref(0.05))
+
+
+def quad_disk_power(prof, disk):
+    """disk_power by adaptive quadrature on each interval between the breaks.
+
+    The breaks are the disk's radial limits, the overlap edge |D - r| and
+    the profile nodes, so every square-root edge of the overlap weight sits
+    at an interval end.
+    """
+    spline = prof.interpolator()
+    d, r = disk.center_offset, disk.radius
+    lo, hi = max(0.0, d - r), d + r
+    nodes = prof.radial_nodes
+    cuts = np.unique(np.concatenate([[lo, hi, abs(d - r)],
+                                     nodes[(nodes > lo) & (nodes < hi)]]))
+
+    def integrand(rho):
+        u = complex(spline(rho))
+        alpha = float(_overlap_halfwidth(np.array([rho]), disk)[0])
+        return (u.real ** 2 + u.imag ** 2) * 2.0 * alpha * rho
+
+    return sum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+@pytest.mark.parametrize("lbe_km", [5.0, 40.0])
+def test_disk_power_quadrature_error(lbe_km):
+    # 8-point Gauss per interval is exact on axis.  Off axis the arccos
+    # overlap weight has square-root edges; measured 8e-9..1.4e-7 at 5 km and
+    # 7e-9..1.3e-5 (D = 0.15 m) at 40 km, where the nodes are sparse.
+    prof = profile_at(40e3, lbe_km * 1e3, 0.2)
+    for offset, bound in [(0.0, 1e-14), (0.02, 3e-5), (0.05, 3e-5), (0.1, 3e-5),
+                          (0.15, 3e-5), (0.2, 3e-5)]:
+        disk = DiskSpec(0.1, offset)
+        want = quad_disk_power(prof, disk)
+        assert abs(disk_power(prof, disk) - want) / want <= bound
+
+
+@pytest.mark.parametrize("plane,lbe_km", [
+    (40e3, 0.7), (40e3, 5.0), (40e3, 40.0), (40e3, 400.0), (20e3, 2.0),
+])
+def test_disk_power_spline_interpolation_error(plane, lbe_km):
+    # On-axis power from the spline against |U|^2 of the Babinet field itself,
+    # 16-point Gauss on 800 panels; measured 4e-12..5.3e-8.
+    prof = profile_at(plane, lbe_km * 1e3)
+    edges = np.linspace(0.0, 0.1, 801)
+    gx, gw = leggauss(16)
+    half = 0.5 * np.diff(edges)[:, None]
+    rho = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * gx).ravel()
+    _, fine, _ = _fresnel_integral(prof.source, prof.propagation_distance, rho)
+    field = _fresnel_prefactor(prof.source, prof.propagation_distance, rho) * fine
+    direct = np.sum(np.abs(field) ** 2 * 2.0 * math.pi * rho * (half * gw).ravel())
+    assert abs(disk_power(prof, DiskSpec(0.1)) - direct) / direct <= 1e-6
+
+
 # --------------------------------------------------------------- Arago spot
 
 def test_arago_factor_limits():
@@ -359,6 +459,17 @@ def test_truncated_record_rejected(profile_60):
         deserialize_profile(blob[:-8])
     with pytest.raises(ValueError):
         deserialize_profile(blob[:10])
+
+
+def test_record_with_fewer_than_three_nodes_rejected(profile_60):
+    # the not-a-knot end of the spline needs three nodes
+    short = replace(profile_60, radial_nodes=profile_60.radial_nodes[:2],
+                    complex_amplitudes=profile_60.complex_amplitudes[:2])
+    with pytest.raises(ValueError, match="corrupt"):
+        deserialize_profile(serialize_profile(short))
+    three = replace(short, radial_nodes=profile_60.radial_nodes[:3],
+                    complex_amplitudes=profile_60.complex_amplitudes[:3])
+    assert deserialize_profile(serialize_profile(three)).radial_nodes.size == 3
 
 
 def test_wrong_version_rejected(profile_60):
