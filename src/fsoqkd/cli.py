@@ -19,15 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .beams import BeamParams
 from .cache import CACHE_ENV_VAR, ProfileDiskCache, default_cache_dir
-from .channel import Scenario, channel_params
 from .config import ConfigError, RunConfig
 from .diffraction import DiskSpec, SourceAnnulus
-from .rates import RateInputs, rate_report
-from .recipes import Recipe, RecipeItem, build_recipe, recipe_names
+from .recipes import RecipeItem, build_recipe, recipe_names
 from .sweeps import (ProfileCache, SweepRow, SweepSpec, arago_prediction_curve,
-                     optimal_eve_distance, optimize_eve_offset, run_sweep)
+                     geometry_row, optimal_eve_distance, optimize_eve_offset,
+                     run_sweep)
 
 CSV_HEADER = ["parameter", "eta", "kappa", "P_Bob", "P_Eve", "lb_direct",
               "lb_reverse", "lb", "ub", "skr_cv", "skr_bb84", "optimal_mu",
@@ -75,19 +73,11 @@ def _make_cache(config: RunConfig, cache_override: str | None) -> ProfileCache:
 
 
 def _sweep_spec(config: RunConfig) -> SweepSpec:
-    geom = config.geometry()
-    beam = config.beam()
-    noise = config.noise()
-    # channel placeholder: rows recompute it; only n_e is read from here
-    from .channel import ChannelParams
-
-    rates = RateInputs(channel=ChannelParams(0.5, 0.5, noise, 0.5, 0.25),
-                       mu=config.mu, beta=config.beta, f_L=config.f_L,
-                       pulse_rate=config.pulse_rate)
     return SweepSpec(parameter=config.sweep_parameter, minimum=config.sweep_min,
                      maximum=config.sweep_max, count=config.sweep_count,
-                     spacing=config.sweep_spacing, geometry=geom, beam=beam,
-                     rates=rates, optimize_power=config.optimize_mu,
+                     spacing=config.sweep_spacing, geometry=config.geometry(),
+                     beam=config.beam(), rates=config.rate_inputs(),
+                     noise=config.noise(), optimize_power=config.optimize_mu,
                      objective=config.objective,
                      tie_bob_eve_to_link=config.tie_bob_eve_to_link)
 
@@ -104,7 +94,7 @@ def cmd_sweep(config: RunConfig, out_dir: str, name: str, label: str,
     if config.emit_arago_overlay and spec.parameter == "L_BE" \
             and config.scenario == "behind_bob" and config.eve_offset == 0.0:
         overlay = arago_prediction_curve(spec.geometry, spec.beam, spec.rates,
-                                         spec.grid())
+                                         spec.noise, spec.grid())
         errors += write_rows_csv(_out_path(out_dir, name, f"{label}_arago"), overlay)
     return errors
 
@@ -144,24 +134,16 @@ def cmd_combined_axis(items, out_dir: str, name: str, cache: ProfileCache,
 
 def cmd_optimal_distance(config: RunConfig, out_dir: str, name: str, label: str,
                          cache: ProfileCache) -> int:
-    geom = config.geometry()
-    beam = config.beam()
-    from .channel import ChannelParams
-
-    rates = RateInputs(channel=ChannelParams(0.5, 0.5, config.noise(), 0.5, 0.25),
-                       mu=config.mu, beta=config.beta, f_L=config.f_L,
-                       pulse_rate=config.pulse_rate)
-    result = optimal_eve_distance(geom, beam, rates,
-                                  search_range=(config.sweep_min, config.sweep_max),
-                                  n_coarse=max(200, config.sweep_count),
-                                  cache=cache, objective=config.objective)
-    rows = []
-    for lbe, _ in ((result.distance, result.rate),) + result.secondary_minima:
-        ch = channel_params(replace(geom, bob_eve_distance=lbe), beam,
-                            config.noise(), profile_provider=cache.get_or_compute)
-        rep = rate_report(replace(rates, channel=ch),
-                          optimize=config.optimize_mu, objective=config.objective)
-        rows.append(SweepRow(value=lbe, channel=ch, report=rep, d_opt=0.0))
+    spec = _sweep_spec(config)
+    geom = spec.geometry
+    result = optimal_eve_distance(geom, spec.beam, spec.rates, spec.noise,
+                                  search_range=(spec.minimum, spec.maximum),
+                                  n_coarse=max(200, spec.count), cache=cache,
+                                  objective=spec.objective,
+                                  optimize_power=spec.optimize_power)
+    lbes = [result.distance] + [x for x, _ in result.secondary_minima]
+    rows = [geometry_row(spec, lbe, replace(geom, bob_eve_distance=lbe),
+                         spec.beam, spec.rates, cache) for lbe in lbes]
     return write_rows_csv(_out_path(out_dir, name, label), rows)
 
 
@@ -169,33 +151,22 @@ def cmd_optimize_d(config: RunConfig, out_dir: str, name: str, label: str,
                    cache: ProfileCache) -> int:
     if config.scenario != "behind_bob":
         raise ConfigError("offset optimization needs scenario = behind_bob")
-    geom = config.geometry()
-    beam = config.beam()
-    from .channel import ChannelParams
-
-    rates = RateInputs(channel=ChannelParams(0.5, 0.5, config.noise(), 0.5, 0.25),
-                       mu=config.mu, beta=config.beta, f_L=config.f_L,
-                       pulse_rate=config.pulse_rate)
     spec = _sweep_spec(config)
     rows_opt, rows_axis = [], []
     for lbe in spec.grid():
         try:
-            d_star, _ = optimize_eve_offset(geom, beam, rates, lbe, cache=cache)
-            ch = channel_params(replace(geom, bob_eve_distance=lbe, eve_offset=d_star),
-                                beam, config.noise(),
-                                profile_provider=cache.get_or_compute)
-            rep = rate_report(replace(rates, channel=ch),
-                              optimize=config.optimize_mu, objective=config.objective)
-            rows_opt.append(SweepRow(value=lbe, channel=ch, report=rep, d_opt=d_star))
-            ch0 = channel_params(replace(geom, bob_eve_distance=lbe), beam,
-                                 config.noise(), profile_provider=cache.get_or_compute)
-            rep0 = rate_report(replace(rates, channel=ch0),
-                               optimize=config.optimize_mu, objective=config.objective)
-            rows_axis.append(SweepRow(value=lbe, channel=ch0, report=rep0, d_opt=0.0))
+            geom = replace(spec.geometry, bob_eve_distance=lbe)
+            d_star, _ = optimize_eve_offset(geom, spec.beam, spec.rates, spec.noise,
+                                            cache=cache, objective=spec.objective,
+                                            optimize_power=spec.optimize_power)
+            row = geometry_row(spec, lbe, replace(geom, eve_offset=d_star),
+                               spec.beam, spec.rates, cache)
+            row0 = geometry_row(spec, lbe, replace(geom, eve_offset=0.0),
+                                spec.beam, spec.rates, cache)
         except Exception as exc:
-            err = f"{type(exc).__name__}: {exc}"
-            rows_opt.append(SweepRow(value=lbe, channel=None, report=None, error=err))
-            rows_axis.append(SweepRow(value=lbe, channel=None, report=None, error=err))
+            row = row0 = SweepRow.failed(lbe, exc)
+        rows_opt.append(row)
+        rows_axis.append(row0)
     errors = write_rows_csv(_out_path(out_dir, name, label), rows_opt)
     errors += write_rows_csv(_out_path(out_dir, name, f"{label}_d0"), rows_axis)
     return errors

@@ -1,8 +1,10 @@
 """Run configuration: a versioned JSON key-value tree.
 
-The schema is documented in the README.  ``mu`` serializes as the string
-"inf" for the infinite-power sentinel since JSON has no infinity literal;
-everything else round-trips losslessly (floats via repr).
+The schema is the set of ``RunConfig`` fields (``wavefront`` a nested
+object of ``WavefrontSettings`` fields) plus an optional ``version``; an
+unknown key is an error.  ``mu`` serializes as the string "inf" for the
+infinite-power sentinel since JSON has no infinity literal; everything else
+round-trips losslessly (floats via repr).
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ class RunConfig:
     output_dir: str = "."
     cache_dir: str | None = None
     threads: int = 1
-    deterministic: bool = True
 
     def validate(self):
         if self.scenario not in ("behind_bob", "before_bob"):
@@ -99,8 +100,6 @@ class RunConfig:
             raise ConfigError(f"unknown objective {self.objective!r}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        if not self.deterministic:
-            raise ConfigError("only deterministic execution is supported")
         return self
 
     # -- domain object builders ------------------------------------------
@@ -124,9 +123,9 @@ class RunConfig:
             return self.noise_override
         return default_noise(self.beam(), self.temperature)
 
-    def rate_inputs(self, channel) -> RateInputs:
-        return RateInputs(channel=channel, mu=self.mu, beta=self.beta,
-                          f_L=self.f_L, pulse_rate=self.pulse_rate)
+    def rate_inputs(self) -> RateInputs:
+        return RateInputs(mu=self.mu, beta=self.beta, f_L=self.f_L,
+                          pulse_rate=self.pulse_rate)
 
     # -- serialization ----------------------------------------------------
 

@@ -14,10 +14,12 @@ scores a whole grid of powers in one call.
 their analytic large-power limits instead of a huge finite value, which would
 cancel catastrophically.
 
-The upper bound and the two protocol rates (heterodyne CV with a
+Every bound and rate takes the channel first and the protocol settings
+(``RateInputs``) second, so one set of settings serves every geometry of a
+sweep.  The upper bound and the two protocol rates (heterodyne CV with a
 classical-classical-quantum structure, and asymptotic decoy-state BB84) are
-documented defaults behind pluggable providers: only the information
-structure, not a specific published formula, is fixed here.
+documented choices: only the information structure, not a specific
+published formula, is fixed here.
 """
 
 from __future__ import annotations
@@ -40,24 +42,19 @@ OBJECTIVES = LB_OBJECTIVES + ("skr_cv", "skr_bb84")
 
 @dataclass(frozen=True)
 class RateInputs:
-    """Channel plus protocol knobs.
+    """Protocol settings, independent of the channel they are used on.
 
     ``mu`` is the mean transmitted photon number per mode (``math.inf``
     allowed), ``beta`` the reconciliation efficiency of the continuous
     bounds, ``f_L`` the BB84 reconciliation inefficiency, ``pulse_rate`` the
-    source rate in states/s.  The remaining fields are BB84 detection
-    details: misalignment error, basis-sifting efficiency and the number of
-    background modes feeding the dark-count yield.
+    source rate in states/s and ``misalignment`` the BB84 optical error.
     """
 
-    channel: ChannelParams
     mu: float = math.inf
     beta: float = 1.0
     f_L: float = 1.1
     pulse_rate: float = 1e9
     misalignment: float = 0.0
-    basis_efficiency: float = 1.0
-    background_modes: float = 1.0
 
     def __post_init__(self):
         if not (self.mu > 0):
@@ -191,12 +188,11 @@ def _eve_conditional_limit(channel: ChannelParams) -> float:
                     + 2.0 * (1.0 - eta) * n_e + eta * n_e)
 
 
-def _at_own_mu(finite, inputs: RateInputs) -> float:
-    return float(finite(inputs, np.array([inputs.mu]))[0])
+def _at_own_mu(finite, ch: ChannelParams, inputs: RateInputs) -> float:
+    return float(finite(ch, inputs, np.array([inputs.mu]))[0])
 
 
-def _lb_direct(inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
-    ch = inputs.channel
+def _lb_direct(ch: ChannelParams, inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
     eta, kappa, n_e = ch.eta, ch.kappa, ch.n_e
     beta = inputs.beta
     s_e, _ = _eve_entropy_terms(ch, mu)
@@ -207,11 +203,10 @@ def _lb_direct(inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, value)
 
 
-def lb_direct(inputs: RateInputs) -> float:
+def lb_direct(ch: ChannelParams, inputs: RateInputs) -> float:
     """Direct-reconciliation lower bound, bits/mode."""
     if not math.isinf(inputs.mu):
-        return _at_own_mu(_lb_direct, inputs)
-    ch = inputs.channel
+        return _at_own_mu(_lb_direct, ch, inputs)
     eta, kappa, n_e = ch.eta, ch.kappa, ch.n_e
     if inputs.beta < 1.0:
         return 0.0  # (beta - 1) log2(mu) -> -inf
@@ -226,8 +221,7 @@ def lb_direct(inputs: RateInputs) -> float:
     return max(0.0, value)
 
 
-def _lb_reverse(inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
-    ch = inputs.channel
+def _lb_reverse(ch: ChannelParams, inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
     eta, n_e = ch.eta, ch.n_e
     beta = inputs.beta
     s_e, s_e_cond = _eve_entropy_terms(ch, mu)
@@ -241,11 +235,10 @@ def _lb_reverse(inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, value)
 
 
-def lb_reverse(inputs: RateInputs) -> float:
+def lb_reverse(ch: ChannelParams, inputs: RateInputs) -> float:
     """Reverse-reconciliation lower bound, bits/mode."""
     if not math.isinf(inputs.mu):
-        return _at_own_mu(_lb_reverse, inputs)
-    ch = inputs.channel
+        return _at_own_mu(_lb_reverse, ch, inputs)
     eta, n_e = ch.eta, ch.n_e
     if inputs.beta < 1.0:
         return 0.0
@@ -260,7 +253,7 @@ def lb_reverse(inputs: RateInputs) -> float:
     return max(0.0, value)
 
 
-def default_upper_bound(channel: ChannelParams) -> float:
+def upper_bound(channel: ChannelParams) -> float:
     """Loss-bound on the rate through the channel complementary to Eve.
 
     Pure-loss style ``-log2(kappa (1-eta))``; with background noise the
@@ -278,12 +271,7 @@ def default_upper_bound(channel: ChannelParams) -> float:
     return max(0.0, value)
 
 
-def upper_bound(channel: ChannelParams, provider=None) -> float:
-    return (provider or default_upper_bound)(channel)
-
-
-def _skr_cv(inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
-    ch = inputs.channel
+def _skr_cv(ch: ChannelParams, inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
     s_e, s_e_cond = _eve_entropy_terms(ch, mu)
     holevo = s_e - s_e_cond
     floor = 1.0 + (1.0 - ch.eta) * ch.n_e
@@ -291,15 +279,14 @@ def _skr_cv(inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
     return inputs.pulse_rate * np.maximum(0.0, mutual - holevo)
 
 
-def skr_cv_ccq(inputs: RateInputs) -> float:
+def skr_cv_ccq(ch: ChannelParams, inputs: RateInputs) -> float:
     """Heterodyne CV rate with measured (classical) data on both ends, bits/s.
 
     ``R * max(0, beta I(A;B) - chi(E;B))`` with the Holevo term taken from
     the collected-mode spectra.
     """
     if not math.isinf(inputs.mu):
-        return _at_own_mu(_skr_cv, inputs)
-    ch = inputs.channel
+        return _at_own_mu(_skr_cv, ch, inputs)
     eta, n_e = ch.eta, ch.n_e
     if inputs.beta < 1.0:
         return 0.0
@@ -314,24 +301,25 @@ def skr_cv_ccq(inputs: RateInputs) -> float:
     return inputs.pulse_rate * max(0.0, value)
 
 
-def _bb84(inputs: RateInputs, signal: np.ndarray, leak: np.ndarray) -> np.ndarray:
-    y0 = inputs.channel.n_e * inputs.background_modes
+def _bb84(ch: ChannelParams, inputs: RateInputs, signal: np.ndarray,
+          leak: np.ndarray) -> np.ndarray:
+    y0 = ch.n_e
     gain = y0 + signal
     detected = gain > 0.0
     gain = np.where(detected, gain, 1.0)
     err = (0.5 * y0 + inputs.misalignment * signal) / gain
     value = np.where(detected,
                      gain * (1.0 - inputs.f_L * binary_entropy(err)) - leak, 0.0)
-    return inputs.pulse_rate * inputs.basis_efficiency * np.maximum(0.0, value)
+    return inputs.pulse_rate * np.maximum(0.0, value)
 
 
-def _skr_bb84(inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
-    signal = -np.expm1(-inputs.channel.eta * mu)
-    leak = -np.expm1(-_loss_to_eve(inputs.channel) * mu)
-    return _bb84(inputs, signal, leak)
+def _skr_bb84(ch: ChannelParams, inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
+    signal = -np.expm1(-ch.eta * mu)
+    leak = -np.expm1(-_loss_to_eve(ch) * mu)
+    return _bb84(ch, inputs, signal, leak)
 
 
-def skr_ds_bb84(inputs: RateInputs) -> float:
+def skr_ds_bb84(ch: ChannelParams, inputs: RateInputs) -> float:
     """Asymptotic decoy-state BB84 rate under beam-splitting leakage, bits/s.
 
     Infinite-decoy GLLP-style structure: gain and error from the Poissonian
@@ -339,26 +327,27 @@ def skr_ds_bb84(inputs: RateInputs) -> float:
     collected mode holds at least one photon.
     """
     if not math.isinf(inputs.mu):
-        return _at_own_mu(_skr_bb84, inputs)
-    leak = 1.0 if _loss_to_eve(inputs.channel) > 0.0 else 0.0
-    return float(_bb84(inputs, np.array([1.0]), np.array([leak]))[0])
+        return _at_own_mu(_skr_bb84, ch, inputs)
+    leak = 1.0 if _loss_to_eve(ch) > 0.0 else 0.0
+    return float(_bb84(ch, inputs, np.array([1.0]), np.array([leak]))[0])
 
 
-def _lb_max(inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
-    return np.maximum(_lb_direct(inputs, mu), _lb_reverse(inputs, mu))
+def _lb_max(ch: ChannelParams, inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
+    return np.maximum(_lb_direct(ch, inputs, mu), _lb_reverse(ch, inputs, mu))
 
 
 # objective -> (value at inputs.mu, values over an array of finite powers)
 _OBJECTIVE_FUNCS = {
     "lb_direct": (lb_direct, _lb_direct),
     "lb_reverse": (lb_reverse, _lb_reverse),
-    "lb_max": (lambda inp: max(lb_direct(inp), lb_reverse(inp)), _lb_max),
+    "lb_max": (lambda ch, inp: max(lb_direct(ch, inp), lb_reverse(ch, inp)), _lb_max),
     "skr_cv": (skr_cv_ccq, _skr_cv),
     "skr_bb84": (skr_ds_bb84, _skr_bb84),
 }
 
 
-def evaluate_objective(inputs: RateInputs, objective: str, mu=None):
+def evaluate_objective(ch: ChannelParams, inputs: RateInputs, objective: str,
+                       mu=None):
     """Objective at ``inputs.mu``; or, given ``mu``, an array of finite
     powers, the array of its values at each of them."""
     try:
@@ -366,12 +355,12 @@ def evaluate_objective(inputs: RateInputs, objective: str, mu=None):
     except KeyError:
         raise ValueError(f"unknown objective {objective!r}") from None
     if mu is None:
-        return at_own_mu(inputs)
-    return over_grid(inputs, np.asarray(mu, dtype=float))
+        return at_own_mu(ch, inputs)
+    return over_grid(ch, inputs, np.asarray(mu, dtype=float))
 
 
-def optimize_mu(inputs: RateInputs, objective: str = "lb_max",
-                rel_tol: float = 1e-4) -> MuOptimum:
+def optimize_mu(ch: ChannelParams, inputs: RateInputs,
+                objective: str = "lb_max", rel_tol: float = 1e-4) -> MuOptimum:
     """Input power maximizing an objective.
 
     With perfect reconciliation the continuous lower bounds increase without
@@ -382,13 +371,13 @@ def optimize_mu(inputs: RateInputs, objective: str = "lb_max",
     """
     if objective in LB_OBJECTIVES and inputs.beta == 1.0:
         sent = replace(inputs, mu=math.inf)
-        return MuOptimum(mu=math.inf, value=evaluate_objective(sent, objective))
+        return MuOptimum(mu=math.inf, value=evaluate_objective(ch, sent, objective))
 
     def obj_log(t: float) -> float:
-        return evaluate_objective(replace(inputs, mu=math.exp(t)), objective)
+        return evaluate_objective(ch, replace(inputs, mu=math.exp(t)), objective)
 
     grid = np.log(np.geomspace(MU_GRID_LO, MU_GRID_HI, 61))
-    values = evaluate_objective(inputs, objective, mu=np.exp(grid))
+    values = evaluate_objective(ch, inputs, objective, mu=np.exp(grid))
     if values.max() <= 0.0:
         return MuOptimum(mu=MU_GRID_LO, value=0.0, degenerate=True)
     t_best, v_best = grid_then_golden_max(obj_log, grid, tol=math.log1p(rel_tol),
@@ -396,7 +385,7 @@ def optimize_mu(inputs: RateInputs, objective: str = "lb_max",
     return MuOptimum(mu=math.exp(t_best), value=float(v_best))
 
 
-def rate_report(inputs: RateInputs, optimize: bool = False,
+def rate_report(ch: ChannelParams, inputs: RateInputs, optimize: bool = False,
                 objective: str = "lb_max") -> RateReport:
     """Full bound/protocol summary at fixed or optimized input power.
 
@@ -404,16 +393,16 @@ def rate_report(inputs: RateInputs, optimize: bool = False,
     ``objective`` while each protocol rate is reported at its own optimum
     (the operational choice a transmitter would make per protocol).
     """
-    ub = upper_bound(inputs.channel)
+    ub = upper_bound(ch)
     if optimize:
-        primary = optimize_mu(inputs, objective)
+        primary = optimize_mu(ch, inputs, objective)
         at_primary = replace(inputs, mu=primary.mu)
-        cv = optimize_mu(inputs, "skr_cv")
-        bb = optimize_mu(inputs, "skr_bb84")
+        cv = optimize_mu(ch, inputs, "skr_cv")
+        bb = optimize_mu(ch, inputs, "skr_bb84")
         return RateReport(
-            lb_direct=lb_direct(at_primary),
-            lb_reverse=lb_reverse(at_primary),
-            lb=max(lb_direct(at_primary), lb_reverse(at_primary)),
+            lb_direct=lb_direct(ch, at_primary),
+            lb_reverse=lb_reverse(ch, at_primary),
+            lb=max(lb_direct(ch, at_primary), lb_reverse(ch, at_primary)),
             ub=ub,
             skr_cv=cv.value,
             skr_bb84=bb.value,
@@ -421,7 +410,8 @@ def rate_report(inputs: RateInputs, optimize: bool = False,
             optimal_mu_cv=cv.mu,
             optimal_mu_bb84=bb.mu,
         )
-    d = lb_direct(inputs)
-    r = lb_reverse(inputs)
+    d = lb_direct(ch, inputs)
+    r = lb_reverse(ch, inputs)
     return RateReport(lb_direct=d, lb_reverse=r, lb=max(d, r), ub=ub,
-                      skr_cv=skr_cv_ccq(inputs), skr_bb84=skr_ds_bb84(inputs))
+                      skr_cv=skr_cv_ccq(ch, inputs),
+                      skr_bb84=skr_ds_bb84(ch, inputs))

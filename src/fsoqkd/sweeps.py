@@ -19,10 +19,10 @@ import numpy as np
 from .beams import BeamParams, encircled_power, plane_params, total_power
 from .channel import ChannelParams, Geometry, Scenario, channel_params
 from .diffraction import (DiskSpec, FieldProfile, SourceAnnulus,
-                          arago_relative_amplitude, disk_power,
-                          propagate_profile)
+                          arago_relative_amplitude, propagate_profile)
 from .optimize import golden_section_max, grid_then_golden_max
-from .rates import RateInputs, RateReport, rate_report
+from .rates import (RateInputs, RateReport, evaluate_objective, optimize_mu,
+                    rate_report)
 
 SWEEP_PARAMETERS = ("L_BE", "L_AE", "mu", "D", "L_AB", "W0", "r_e")
 SWEEP_SPACINGS = ("log", "linear")
@@ -61,7 +61,13 @@ class ProfileCache:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One varied parameter over a grid, everything else fixed."""
+    """One varied parameter over a grid, everything else fixed.
+
+    ``rates`` holds the protocol settings and ``noise`` the background
+    occupation n_e; every row computes its own channel from them.  With
+    ``optimize_power`` each row reports the rates at the optimal mu for
+    ``objective``.
+    """
 
     parameter: str
     minimum: float
@@ -71,6 +77,7 @@ class SweepSpec:
     geometry: Geometry | None = None
     beam: BeamParams | None = None
     rates: RateInputs | None = None
+    noise: float = 0.0
     optimize_power: bool = False
     objective: str = "lb_max"
     tie_bob_eve_to_link: bool = False  # L_AB sweeps with L_BE kept equal
@@ -99,6 +106,11 @@ class SweepRow:
     d_opt: float | None = None
     error: str | None = None
 
+    @classmethod
+    def failed(cls, value: float, exc: Exception) -> "SweepRow":
+        return cls(value=value, channel=None, report=None,
+                   error=f"{type(exc).__name__}: {exc}")
+
 
 def _apply_parameter(spec: SweepSpec, value: float):
     geom, beam, rates = spec.geometry, spec.beam, spec.rates
@@ -125,19 +137,24 @@ def _apply_parameter(spec: SweepSpec, value: float):
     raise AssertionError(p)
 
 
+def geometry_row(spec: SweepSpec, value: float, geom: Geometry,
+                 beam: BeamParams, rates: RateInputs,
+                 cache: ProfileCache) -> SweepRow:
+    """Channel and rate report of one geometry under the spec's noise and
+    power setting; ``d_opt`` is the offset the geometry places Eve at."""
+    ch = channel_params(geom, beam, spec.noise,
+                        profile_provider=cache.get_or_compute)
+    report = rate_report(ch, rates, optimize=spec.optimize_power,
+                         objective=spec.objective)
+    return SweepRow(value=value, channel=ch, report=report,
+                    d_opt=geom.eve_offset)
+
+
 def _row(spec: SweepSpec, value: float, cache: ProfileCache) -> SweepRow:
     try:
-        geom, beam, rates = _apply_parameter(spec, value)
-        ch = channel_params(geom, beam, rates.channel.n_e,
-                            profile_provider=cache.get_or_compute)
-        inputs = replace(rates, channel=ch)
-        report = rate_report(inputs, optimize=spec.optimize_power,
-                             objective=spec.objective)
-        return SweepRow(value=value, channel=ch, report=report,
-                        d_opt=geom.eve_offset)
+        return geometry_row(spec, value, *_apply_parameter(spec, value), cache)
     except Exception as exc:  # row errors are recorded, not raised
-        return SweepRow(value=value, channel=None, report=None,
-                        error=f"{type(exc).__name__}: {exc}")
+        return SweepRow.failed(value, exc)
 
 
 def run_sweep(spec: SweepSpec, cache: ProfileCache | None = None,
@@ -165,18 +182,20 @@ class EveDistanceResult:
     secondary_minima: tuple = ()
 
 
-def _rate_at_lbe(geom: Geometry, beam: BeamParams, rates: RateInputs,
-                 lbe: float, cache: ProfileCache, objective: str) -> float:
-    ch = channel_params(replace(geom, bob_eve_distance=lbe), beam,
-                        rates.channel.n_e, profile_provider=cache.get_or_compute)
-    from .rates import evaluate_objective
-    return evaluate_objective(replace(rates, channel=ch), objective)
+def _geometry_score(ch: ChannelParams, rates: RateInputs, objective: str,
+                    optimize_power: bool) -> float:
+    """What a geometry search minimizes: the objective at the fixed mu, or
+    under ``optimize_power`` its value at the mu that maximizes it."""
+    if optimize_power:
+        return optimize_mu(ch, rates, objective).value
+    return evaluate_objective(ch, rates, objective)
 
 
 def optimal_eve_distance(geom: Geometry, beam: BeamParams, rates: RateInputs,
-                         search_range=(1e3, 5e5), n_coarse: int = 200,
-                         cache: ProfileCache | None = None,
-                         objective: str = "lb_max") -> EveDistanceResult:
+                         noise: float, search_range=(1e3, 5e5),
+                         n_coarse: int = 200, cache: ProfileCache | None = None,
+                         objective: str = "lb_max",
+                         optimize_power: bool = False) -> EveDistanceResult:
     """Distance behind Bob minimizing the achievable rate.
 
     Coarse log grid (>= 200 points) plus golden refinement around the global
@@ -186,17 +205,21 @@ def optimal_eve_distance(geom: Geometry, beam: BeamParams, rates: RateInputs,
     if geom.scenario is not Scenario.BEHIND_BOB:
         raise ValueError("eavesdropper-distance search applies behind Bob")
     cache = cache or ProfileCache()
+
+    def rate_at(lbe: float) -> float:
+        ch = channel_params(replace(geom, bob_eve_distance=lbe), beam, noise,
+                            profile_provider=cache.get_or_compute)
+        return _geometry_score(ch, rates, objective, optimize_power)
+
     n_coarse = max(n_coarse, 200)
     grid = np.geomspace(search_range[0], search_range[1], n_coarse)
-    vals = np.array([_rate_at_lbe(geom, beam, rates, l, cache, objective)
-                     for l in grid])
+    vals = np.array([rate_at(l) for l in grid])
 
     def refine(i):
         lo = grid[max(i - 1, 0)]
         hi = grid[min(i + 1, len(grid) - 1)]
-        x, fneg = golden_section_max(
-            lambda l: -_rate_at_lbe(geom, beam, rates, l, cache, objective),
-            lo, hi, tol=max(1.0, 1e-3 * grid[i]))
+        x, fneg = golden_section_max(lambda l: -rate_at(l), lo, hi,
+                                     tol=max(1.0, 1e-3 * grid[i]))
         return x, -fneg
 
     i_min = int(np.argmin(vals))
@@ -217,11 +240,10 @@ def optimal_eve_distance(geom: Geometry, beam: BeamParams, rates: RateInputs,
 
 
 def optimize_eve_offset(geom: Geometry, beam: BeamParams, rates: RateInputs,
-                        bob_eve_distance: float,
-                        cache: ProfileCache | None = None,
-                        objective: str = "lb_max",
+                        noise: float, cache: ProfileCache | None = None,
+                        objective: str = "lb_max", optimize_power: bool = False,
                         offset_tol: float = 1e-3):
-    """Offset D minimizing the rate at a fixed distance behind Bob.
+    """Offset D minimizing the rate at the geometry's distance behind Bob.
 
     One profile covers the whole offset range, so the search only re-weights
     the stored intensity.  Multistart golden section (axis, shadow edge, two
@@ -234,19 +256,12 @@ def optimize_eve_offset(geom: Geometry, beam: BeamParams, rates: RateInputs,
     d_max = geom.bob_radius + 3.0 * w_src
     src = SourceAnnulus(beam, geom.alice_bob_distance, geom.bob_radius)
     hint = DiskSpec(geom.eve_radius, d_max)
-    profile = cache.get_or_compute(src, bob_eve_distance, hint)
-    p_tot = total_power(beam)
-    p_bob = encircled_power(beam, geom.alice_bob_distance, geom.bob_radius)
-    eta = p_bob / p_tot
-    from .channel import _kappa_from_powers
-    from .rates import evaluate_objective
+    profile = cache.get_or_compute(src, geom.bob_eve_distance, hint)
 
     def rate_at(d: float) -> float:
-        p_eve = disk_power(profile, DiskSpec(geom.eve_radius, d))
-        kappa = _kappa_from_powers(p_eve, eta, p_tot)
-        ch = ChannelParams(eta=eta, kappa=kappa, n_e=rates.channel.n_e,
-                           p_bob=p_bob / p_tot, p_eve=p_eve / p_tot)
-        return evaluate_objective(replace(rates, channel=ch), objective)
+        ch = channel_params(replace(geom, eve_offset=d), beam, noise,
+                            profile_provider=lambda *_: profile)
+        return _geometry_score(ch, rates, objective, optimize_power)
 
     starts = sorted({0.0, min(geom.bob_radius, d_max), d_max / 3.0,
                      2.0 * d_max / 3.0})
@@ -329,7 +344,7 @@ def analytic_f1_f2(pred: AnalyticPredictor, branch: int = 0):
 
 
 def arago_prediction_curve(geom: Geometry, beam: BeamParams, rates: RateInputs,
-                           lbe_grid) -> list[SweepRow]:
+                           noise: float, lbe_grid) -> list[SweepRow]:
     """Rates with Eve's power predicted from the bright-spot factor.
 
     The undisturbed beam at ``L_AB + L_BE`` is scaled by the point-source
@@ -352,9 +367,8 @@ def arago_prediction_curve(geom: Geometry, beam: BeamParams, rates: RateInputs,
         p_eve = float(np.trapezoid(intensity * 2.0 * np.pi * ls, ls))
         p_eve = min(p_eve, (1.0 - eta) * p_tot)  # prediction can overshoot
         ch = ChannelParams(eta=eta, kappa=p_eve / ((1.0 - eta) * p_tot),
-                           n_e=rates.channel.n_e,
-                           p_bob=p_bob / p_tot, p_eve=p_eve / p_tot)
-        report = rate_report(replace(rates, channel=ch))
+                           n_e=noise, p_bob=p_bob / p_tot, p_eve=p_eve / p_tot)
+        report = rate_report(ch, rates)
         rows.append(SweepRow(value=float(lbe), channel=ch, report=report,
                              d_opt=0.0))
     return rows

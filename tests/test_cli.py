@@ -1,5 +1,5 @@
-"""CLI runs: the on-disk profile cache, config errors, and tiny wavefront and
-optimize-d grids."""
+"""CLI runs: the on-disk profile cache, config errors, and every command on
+tiny grids."""
 
 import csv
 import json
@@ -16,6 +16,8 @@ from scipy.interpolate import CubicSpline
 
 from fsoqkd import cli, diffraction
 from fsoqkd.cache import CACHE_ENV_VAR
+from fsoqkd.channel import ChannelParams
+from fsoqkd.rates import upper_bound
 
 CONFIG = {"scenario": "behind_bob", "alice_bob_distance": 40_000.0,
           "sweep_parameter": "L_BE", "sweep_min": 20_000.0,
@@ -107,12 +109,25 @@ def test_bad_config_exits_2(tmp_path, capsys, override):
     assert not (tmp_path / "out").exists()
 
 
-def _run_cli(tmp_path, monkeypatch, command, config, out):
+def test_removed_deterministic_key_exits_2(tmp_path, capsys):
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps({**CONFIG, "deterministic": True}))
+    code = cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "deterministic" in capsys.readouterr().err
+
+
+def _run_cli(tmp_path, monkeypatch, command, config, out, *extra):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(config))
-    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+    assert cli.main([command, "--config", str(path), "--out", str(out), *extra]) == 0
     return out
+
+
+def _rows(path):
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
 
 
 def test_wavefront_map_peak_matches_scipy_spline(tmp_path, monkeypatch):
@@ -155,3 +170,95 @@ def test_cli_import_leaves_scipy_interpolate_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
     assert done.stdout.strip() == "False"
+
+
+BEFORE_BOB = {**CONFIG, "scenario": "before_bob", "bob_eve_distance": 20_000.0,
+              "sweep_parameter": "L_AE", "sweep_min": 2_000.0,
+              "sweep_max": 38_000.0, "sweep_spacing": "linear"}
+# optimal-distance scans at least 200 points whatever sweep_count says
+DISTANCE_SEARCH = {**CONFIG, "sweep_min": 50_000.0}
+
+
+def test_before_bob_runs_on_a_tiny_grid(tmp_path, monkeypatch):
+    out = _run_cli(tmp_path, monkeypatch, "before-bob", BEFORE_BOB, tmp_path / "out")
+    rows = _rows(out / "grid__run.csv")
+    assert [float(r["parameter"]) for r in rows] == [-38_000.0, -20_000.0, -2_000.0]
+    assert all(r["error"] == "" and float(r["lb"]) <= float(r["ub"]) for r in rows)
+
+
+def test_optimal_distance_runs_on_a_tiny_grid(tmp_path, monkeypatch):
+    out = _run_cli(tmp_path, monkeypatch, "optimal-distance", DISTANCE_SEARCH,
+                   tmp_path / "out")
+    rows = _rows(out / "grid__run.csv")
+    assert rows and all(r["error"] == "" for r in rows)
+    assert all(50_000.0 <= float(r["parameter"]) <= 400_000.0 for r in rows)
+    assert all(float(r["D_opt"]) == 0.0 for r in rows)
+
+
+def test_optimal_distance_reports_the_offset_it_used(tmp_path, monkeypatch):
+    config = {**DISTANCE_SEARCH, "eve_offset": 0.05}
+    out = _run_cli(tmp_path, monkeypatch, "optimal-distance", config, tmp_path / "out")
+    rows = _rows(out / "grid__run.csv")
+    assert rows and all(float(r["D_opt"]) == 0.05 for r in rows)
+
+
+def test_optimize_d_axis_file_ignores_the_config_offset(tmp_path, monkeypatch):
+    outs = [_run_cli(tmp_path, monkeypatch, "optimize-d",
+                     {**CONFIG, "sweep_count": 2, "eve_offset": d},
+                     tmp_path / f"out{i}") for i, d in enumerate((0.0, 0.05))]
+    axis = [(out / "grid__run_d0.csv").read_bytes() for out in outs]
+    assert axis[0] == axis[1]
+    assert all(float(r["D_opt"]) == 0.0 for r in _rows(outs[1] / "grid__run_d0.csv"))
+
+
+@pytest.mark.parametrize("command,config,files", [
+    ("sweep", CONFIG, ["grid__run.csv"]),
+    ("optimal-distance", DISTANCE_SEARCH, ["grid__run.csv"]),
+    ("optimize-d", {**CONFIG, "sweep_count": 2}, ["grid__run.csv", "grid__run_d0.csv"]),
+    ("before-bob", BEFORE_BOB, ["grid__run.csv"]),
+])
+def test_noise_reaches_every_command(tmp_path, monkeypatch, command, config, files):
+    # ub depends on the channel alone, so it pins the n_e each row was given
+    noise = 0.05
+    out = _run_cli(tmp_path, monkeypatch, command,
+                   {**config, "noise_override": noise}, tmp_path / "out")
+    for name in files:
+        rows = _rows(out / name)
+        assert rows and all(r["error"] == "" for r in rows)
+        for r in rows:
+            ch = ChannelParams(float(r["eta"]), float(r["kappa"]), noise, 0.0, 0.0)
+            assert repr(upper_bound(ch)) == r["ub"]
+
+
+@pytest.mark.parametrize("command,config", [("sweep", CONFIG),
+                                            ("before-bob", BEFORE_BOB)])
+def test_csv_is_identical_at_one_and_two_threads(tmp_path, monkeypatch, command,
+                                                 config):
+    outs = [_run_cli(tmp_path, monkeypatch, command, config, tmp_path / f"t{n}",
+                     "--threads", str(n)) for n in (1, 2)]
+    assert (outs[0] / "grid__run.csv").read_bytes() == \
+        (outs[1] / "grid__run.csv").read_bytes()
+
+
+# beta < 1 makes every bound 0 at mu = inf, so the searches only see the
+# geometry through the mu-optimized rate
+RATE_OPT = {**CONFIG, "alice_bob_distance": 50_000.0, "beta": 0.95,
+            "optimize_mu": True}
+
+
+def test_optimize_d_scores_the_optimized_power(tmp_path, monkeypatch):
+    config = {**RATE_OPT, "sweep_min": 1_000.0, "sweep_max": 2_000.0,
+              "sweep_count": 2}
+    out = _run_cli(tmp_path, monkeypatch, "optimize-d", config, tmp_path / "out")
+    first = _rows(out / "grid__run.csv")[0]
+    assert float(first["parameter"]) == 1_000.0
+    assert float(first["D_opt"]) > 0.1
+
+
+def test_optimal_distance_scores_the_optimized_power(tmp_path, monkeypatch):
+    config = {**RATE_OPT, "sweep_min": 5_000.0, "sweep_max": 400_000.0,
+              "sweep_count": 200}
+    out = _run_cli(tmp_path, monkeypatch, "optimal-distance", config,
+                   tmp_path / "out")
+    best = float(_rows(out / "grid__run.csv")[0]["parameter"])
+    assert 10_000.0 < best < 400_000.0

@@ -22,7 +22,8 @@ def channel(eta, kappa, n_e=0.0):
 
 
 def inputs(eta, kappa, mu, beta=1.0, n_e=0.0, **kw):
-    return RateInputs(channel=channel(eta, kappa, n_e), mu=mu, beta=beta, **kw)
+    """(channel, protocol settings), the two leading arguments of every rate."""
+    return channel(eta, kappa, n_e), RateInputs(mu=mu, beta=beta, **kw)
 
 
 # ---------------------------------------------------------------- g entropy
@@ -87,7 +88,7 @@ def test_direct_bound_at_subnormal_noise():
     # g(n_e (1-eta)) appears with opposite signs; an infinite g made it nan,
     # which the clamp at 0 turned into a silent 0
     inp = inputs(0.25, 0.0, mu=1.0, n_e=5e-324)
-    assert lb_direct(inp) == pytest.approx(g_entropy(0.25), rel=1e-14)
+    assert lb_direct(*inp) == pytest.approx(g_entropy(0.25), rel=1e-14)
 
 
 # ------------------------------------------------------------- eve spectra
@@ -179,7 +180,7 @@ def test_closed_forms_match_five_mode_network(eta, kappa, n_e, mu, beta):
     }
     inp = inputs(eta, kappa, mu=mu, beta=beta, n_e=n_e, pulse_rate=1.0)
     for func, value in want.items():
-        assert func(inp) == pytest.approx(max(0.0, value), rel=1e-6, abs=1e-7)
+        assert func(*inp) == pytest.approx(max(0.0, value), rel=1e-6, abs=1e-7)
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -187,10 +188,10 @@ def test_closed_forms_match_five_mode_network(eta, kappa, n_e, mu, beta):
                                                 (0.3, 0.2, 1e-7, 0.9),
                                                 (0.55, 1.0, 0.3, 0.8)])
 def test_objective_grid_equals_scalar_calls(objective, eta, kappa, n_e, beta):
-    inp = inputs(eta, kappa, mu=1.0, beta=beta, n_e=n_e, misalignment=0.01)
+    ch, inp = inputs(eta, kappa, mu=1.0, beta=beta, n_e=n_e, misalignment=0.01)
     mus = np.exp(np.log(np.geomspace(1e-4, 1e8, 61)))
-    grid = evaluate_objective(inp, objective, mu=mus)
-    one_by_one = [evaluate_objective(replace(inp, mu=float(m)), objective)
+    grid = evaluate_objective(ch, inp, objective, mu=mus)
+    one_by_one = [evaluate_objective(ch, replace(inp, mu=float(m)), objective)
                   for m in mus]
     assert grid.shape == mus.shape
     assert grid.tolist() == one_by_one
@@ -202,39 +203,39 @@ def test_objective_grid_equals_scalar_calls(objective, eta, kappa, n_e, beta):
 def test_pure_loss_limits(eta):
     large = inputs(eta, 1.0, mu=1e8)
     sentinel = inputs(eta, 1.0, mu=math.inf)
-    assert abs(lb_direct(large) - math.log2(eta / (1 - eta))) < 1e-3
-    assert abs(lb_reverse(large) - (-math.log2(1 - eta))) < 1e-3
-    assert lb_direct(sentinel) == pytest.approx(math.log2(eta / (1 - eta)), rel=1e-12)
-    assert lb_reverse(sentinel) == pytest.approx(-math.log2(1 - eta), rel=1e-12)
+    assert abs(lb_direct(*large) - math.log2(eta / (1 - eta))) < 1e-3
+    assert abs(lb_reverse(*large) - (-math.log2(1 - eta))) < 1e-3
+    assert lb_direct(*sentinel) == pytest.approx(math.log2(eta / (1 - eta)), rel=1e-12)
+    assert lb_reverse(*sentinel) == pytest.approx(-math.log2(1 - eta), rel=1e-12)
 
 
 def test_direct_clamped_at_low_transmissivity():
-    assert lb_direct(inputs(0.5, 1.0, mu=math.inf)) == 0.0
-    assert lb_direct(inputs(0.3, 1.0, mu=1e8)) == 0.0
+    assert lb_direct(*inputs(0.5, 1.0, mu=math.inf)) == 0.0
+    assert lb_direct(*inputs(0.3, 1.0, mu=1e8)) == 0.0
 
 
 def test_direct_decoupled_reduces_to_mutual_information():
     inp = inputs(0.8, 0.0, mu=5.0, beta=0.9)
-    assert lb_direct(inp) == pytest.approx(0.9 * g_entropy(0.8 * 5.0), rel=1e-12)
+    assert lb_direct(*inp) == pytest.approx(0.9 * g_entropy(0.8 * 5.0), rel=1e-12)
 
 
 def test_direct_no_noise_reduces_to_two_terms():
     eta, kappa, mu = 0.7, 0.6, 4.0
     inp = inputs(eta, kappa, mu=mu)
     want = g_entropy(eta * mu) - g_entropy(kappa * (1 - eta) * mu)
-    assert lb_direct(inp) == pytest.approx(want, rel=1e-9)
+    assert lb_direct(*inp) == pytest.approx(want, rel=1e-9)
 
 
 def test_reverse_vanishes_at_zero_modulation():
-    assert lb_reverse(inputs(0.7, 0.5, mu=1e-9)) < 1e-7
+    assert lb_reverse(*inputs(0.7, 0.5, mu=1e-9)) < 1e-7
 
 
 def test_reverse_positive_without_eve():
     inp = inputs(0.5, 0.0, mu=1.0)
     third = 1.0 - 0.5 * 1.0 * 2.0 / (1.0 + 0.5)
     want = g_entropy(1.0) - g_entropy(third)
-    assert lb_reverse(inp) == pytest.approx(want, rel=1e-9)
-    assert lb_reverse(inp) > 0.0
+    assert lb_reverse(*inp) == pytest.approx(want, rel=1e-9)
+    assert lb_reverse(*inp) > 0.0
 
 
 def test_sentinel_matches_brute_force_thermal():
@@ -242,8 +243,8 @@ def test_sentinel_matches_brute_force_thermal():
     eta, kappa, n_e = 0.65, 0.8, 0.2
     brute = inputs(eta, kappa, mu=1e8, n_e=n_e)
     sent = inputs(eta, kappa, mu=math.inf, n_e=n_e)
-    assert lb_direct(sent) == pytest.approx(lb_direct(brute), abs=2e-3)
-    assert lb_reverse(sent) == pytest.approx(lb_reverse(brute), abs=2e-3)
+    assert lb_direct(*sent) == pytest.approx(lb_direct(*brute), abs=2e-3)
+    assert lb_reverse(*sent) == pytest.approx(lb_reverse(*brute), abs=2e-3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -253,8 +254,8 @@ def test_sentinel_matches_brute_force_thermal():
 def test_lower_bounds_nonincreasing_in_kappa(eta, n_e, mu, beta, k1, k2):
     lo, hi = sorted((k1, k2))
     args = dict(mu=mu, beta=beta, n_e=n_e)
-    assert lb_direct(inputs(eta, hi, **args)) <= lb_direct(inputs(eta, lo, **args)) + 1e-9
-    assert lb_reverse(inputs(eta, hi, **args)) <= lb_reverse(inputs(eta, lo, **args)) + 1e-9
+    assert lb_direct(*inputs(eta, hi, **args)) <= lb_direct(*inputs(eta, lo, **args)) + 1e-9
+    assert lb_reverse(*inputs(eta, hi, **args)) <= lb_reverse(*inputs(eta, lo, **args)) + 1e-9
 
 
 @settings(max_examples=40, deadline=None)
@@ -265,7 +266,7 @@ def test_protocol_rates_nonincreasing_in_kappa(eta, n_e, mu, beta, k1, k2):
     lo, hi = sorted((k1, k2))
     args = dict(mu=mu, beta=beta, n_e=n_e, pulse_rate=1.0)
     for rate in (skr_cv_ccq, skr_ds_bb84):
-        assert rate(inputs(eta, hi, **args)) <= rate(inputs(eta, lo, **args)) + 1e-9
+        assert rate(*inputs(eta, hi, **args)) <= rate(*inputs(eta, lo, **args)) + 1e-9
 
 
 # ------------------------------------------------------------- upper bound
@@ -273,7 +274,7 @@ def test_protocol_rates_nonincreasing_in_kappa(eta, n_e, mu, beta, k1, k2):
 def test_upper_bound_pure_loss_edge():
     ch = channel(0.75, 1.0)
     assert upper_bound(ch) == pytest.approx(2.0, rel=1e-12)
-    assert upper_bound(ch) == pytest.approx(lb_reverse(inputs(0.75, 1.0, mu=math.inf)), rel=1e-9)
+    assert upper_bound(ch) == pytest.approx(lb_reverse(*inputs(0.75, 1.0, mu=math.inf)), rel=1e-9)
 
 
 def test_upper_bound_sentinel_without_eve():
@@ -284,25 +285,21 @@ def test_upper_bound_half_half():
     assert upper_bound(channel(0.5, 0.5)) == pytest.approx(2.0, rel=1e-12)
 
 
-def test_upper_bound_pluggable():
-    assert upper_bound(channel(0.5, 0.5), provider=lambda ch: 42.0) == 42.0
-
-
 @settings(max_examples=40, deadline=None)
 @given(eta=st.floats(0.05, 0.95), kappa=st.floats(0.05, 1.0),
        mu=st.floats(0.01, 1000.0), beta=st.floats(0.5, 1.0))
 def test_bound_ordering(eta, kappa, mu, beta):
     inp = inputs(eta, kappa, mu=mu, beta=beta)
-    ub = upper_bound(inp.channel)
-    assert max(lb_direct(inp), lb_reverse(inp)) <= ub + 1e-9
+    ub = upper_bound(inp[0])
+    assert max(lb_direct(*inp), lb_reverse(*inp)) <= ub + 1e-9
 
 
 # ---------------------------------------------------------- protocol rates
 
 def test_ccq_without_eve():
     inp = inputs(0.8, 0.0, mu=3.0, beta=0.9)
-    want = inp.pulse_rate * 0.9 * math.log2(1 + 0.8 * 3.0)
-    assert skr_cv_ccq(inp) == pytest.approx(want, rel=1e-12)
+    want = inp[1].pulse_rate * 0.9 * math.log2(1 + 0.8 * 3.0)
+    assert skr_cv_ccq(*inp) == pytest.approx(want, rel=1e-12)
 
 
 def test_ccq_below_reverse_bound():
@@ -311,36 +308,36 @@ def test_ccq_below_reverse_bound():
         for kappa in (0.2, 0.7, 1.0):
             for mu in (0.5, 5.0, 500.0):
                 inp = inputs(eta, kappa, mu=mu)
-                assert skr_cv_ccq(inp) <= inp.pulse_rate * lb_reverse(inp) + 1e-9
+                assert skr_cv_ccq(*inp) <= inp[1].pulse_rate * lb_reverse(*inp) + 1e-9
 
 
 def test_bb84_without_eve():
     inp = inputs(0.8, 0.0, mu=2.0)
-    want = inp.pulse_rate * (1 - math.exp(-0.8 * 2.0))
-    assert skr_ds_bb84(inp) == pytest.approx(want, rel=1e-12)
+    want = inp[1].pulse_rate * (1 - math.exp(-0.8 * 2.0))
+    assert skr_ds_bb84(*inp) == pytest.approx(want, rel=1e-12)
 
 
 def test_bb84_clamps_when_eve_dominates():
-    assert skr_ds_bb84(inputs(0.2, 1.0, mu=50.0)) == 0.0
+    assert skr_ds_bb84(*inputs(0.2, 1.0, mu=50.0)) == 0.0
 
 
 def test_bb84_misalignment_costs_rate():
-    clean = skr_ds_bb84(inputs(0.8, 0.1, mu=1.0))
-    noisy = skr_ds_bb84(inputs(0.8, 0.1, mu=1.0, misalignment=0.03))
+    clean = skr_ds_bb84(*inputs(0.8, 0.1, mu=1.0))
+    noisy = skr_ds_bb84(*inputs(0.8, 0.1, mu=1.0, misalignment=0.03))
     assert noisy < clean
 
 
 # ------------------------------------------------------------ optimization
 
 def test_optimize_mu_sentinel_at_perfect_reconciliation():
-    opt = optimize_mu(inputs(0.75, 0.8, mu=1.0, beta=1.0), "lb_reverse")
+    opt = optimize_mu(*inputs(0.75, 0.8, mu=1.0, beta=1.0), "lb_reverse")
     assert math.isinf(opt.mu)
     assert opt.value == pytest.approx(
-        lb_reverse(inputs(0.75, 0.8, mu=math.inf)), rel=1e-12)
+        lb_reverse(*inputs(0.75, 0.8, mu=math.inf)), rel=1e-12)
 
 
 def test_optimize_mu_finite_at_imperfect_reconciliation():
-    opt = optimize_mu(inputs(0.75, 0.8, mu=1.0, beta=0.95), "lb_reverse")
+    opt = optimize_mu(*inputs(0.75, 0.8, mu=1.0, beta=0.95), "lb_reverse")
     assert math.isfinite(opt.mu)
     assert opt.value > 0.0
     assert not opt.degenerate
@@ -348,16 +345,16 @@ def test_optimize_mu_finite_at_imperfect_reconciliation():
 
 def test_optimize_mu_matches_dense_grid():
     inp = inputs(0.7, 0.9, mu=1.0, beta=0.95)
-    opt = optimize_mu(inp, "lb_reverse")
+    opt = optimize_mu(*inp, "lb_reverse")
     grid = np.geomspace(1e-4, 1e8, 10_000)
-    dense = max(lb_reverse(RateInputs(channel=inp.channel, mu=float(m), beta=0.95))
+    dense = max(lb_reverse(inp[0], RateInputs(mu=float(m), beta=0.95))
                 for m in grid)
     assert opt.value >= dense * (1 - 1e-2)
 
 
 def test_optimize_mu_degenerate_channel():
     # eta below kappa(1-eta) everywhere and beta<1: nothing to send
-    opt = optimize_mu(inputs(0.05, 1.0, mu=1.0, beta=0.6), "lb_direct")
+    opt = optimize_mu(*inputs(0.05, 1.0, mu=1.0, beta=0.6), "lb_direct")
     assert opt.degenerate
     assert opt.value == 0.0
     assert opt.mu == pytest.approx(1e-4)
@@ -365,7 +362,7 @@ def test_optimize_mu_degenerate_channel():
 
 def test_rate_report_with_optimization():
     inp = inputs(0.6, 0.7, mu=1.0, beta=0.95)
-    rep = rate_report(inp, optimize=True)
+    rep = rate_report(*inp, optimize=True)
     assert rep.optimal_mu is not None
     assert rep.optimal_mu_cv is not None and rep.optimal_mu_bb84 is not None
     assert rep.lb <= rep.ub + 1e-9
@@ -374,8 +371,8 @@ def test_rate_report_with_optimization():
 
 def test_rate_inputs_validation():
     with pytest.raises(ValueError):
-        RateInputs(channel=channel(0.5, 0.5), mu=-1.0)
+        RateInputs(mu=-1.0)
     with pytest.raises(ValueError):
-        RateInputs(channel=channel(0.5, 0.5), mu=1.0, beta=0.0)
+        RateInputs(mu=1.0, beta=0.0)
     with pytest.raises(ValueError):
-        RateInputs(channel=channel(0.5, 0.5), mu=1.0, f_L=0.9)
+        RateInputs(mu=1.0, f_L=0.9)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fsoqkd.beams import BeamParams
-from fsoqkd.channel import ChannelParams, Geometry, Scenario
+from fsoqkd.channel import Geometry, Scenario
 from fsoqkd.rates import RateInputs
 from fsoqkd.sweeps import (AnalyticPredictor, DegenerateGeometryError,
                            ProfileCache, SweepSpec, analytic_f1_f2,
@@ -17,8 +17,7 @@ LAM = 1550e-9
 def make_spec(**kw):
     beam = kw.pop("beam", BeamParams(LAM, 0.1))
     geom = kw.pop("geometry", Geometry(Scenario.BEHIND_BOB, 20e3, 20e3))
-    rates = kw.pop("rates", RateInputs(
-        channel=ChannelParams(0.5, 0.5, 0.0, 0.5, 0.25), mu=math.inf, beta=1.0))
+    rates = kw.pop("rates", RateInputs(mu=math.inf, beta=1.0))
     defaults = dict(parameter="L_BE", minimum=2e3, maximum=120e3, count=10,
                     spacing="log", geometry=geom, beam=beam, rates=rates)
     defaults.update(kw)
@@ -85,8 +84,7 @@ def test_sweep_records_row_errors_without_aborting(monkeypatch):
 
 
 def test_mu_sweep_wires_rate_inputs():
-    rates = RateInputs(channel=ChannelParams(0.5, 0.5, 0.0, 0.5, 0.25),
-                       mu=1.0, beta=0.95)
+    rates = RateInputs(mu=1.0, beta=0.95)
     spec = make_spec(parameter="mu", minimum=0.1, maximum=100.0, count=5,
                      rates=rates)
     rows = run_sweep(spec)
@@ -130,9 +128,8 @@ def test_predictor_degenerate_geometry():
 def test_offset_returns_zero_past_reconvergence():
     beam = BeamParams(LAM, 0.1)
     geom = Geometry(Scenario.BEHIND_BOB, 40e3, 60e3)
-    rates = RateInputs(channel=ChannelParams(0.5, 0.5, 0.0, 0.5, 0.25),
-                       mu=math.inf, beta=1.0)
-    d_star, rate = optimize_eve_offset(geom, beam, rates, 60e3)
+    rates = RateInputs(mu=math.inf, beta=1.0)
+    d_star, rate = optimize_eve_offset(geom, beam, rates, 0.0)
     assert d_star == 0.0
     assert rate > 0.0
 
@@ -142,9 +139,8 @@ def test_offset_returns_zero_past_reconvergence():
 def test_arago_curve_tiny_obstacle_reduces_to_plain_beam():
     beam = BeamParams(LAM, 0.1)
     geom = Geometry(Scenario.BEHIND_BOB, 15e3, 10e3, bob_radius=1e-4)
-    rates = RateInputs(channel=ChannelParams(0.5, 0.5, 0.0, 0.5, 0.25),
-                       mu=math.inf, beta=1.0)
-    rows = arago_prediction_curve(geom, beam, rates, [10e3])
+    rates = RateInputs(mu=math.inf, beta=1.0)
+    rows = arago_prediction_curve(geom, beam, rates, 0.0, [10e3])
     from fsoqkd.beams import encircled_power
 
     want = encircled_power(beam, 25e3, 0.1)
@@ -154,7 +150,6 @@ def test_arago_curve_tiny_obstacle_reduces_to_plain_beam():
 def test_arago_curve_requires_on_axis():
     beam = BeamParams(LAM, 0.1)
     geom = Geometry(Scenario.BEHIND_BOB, 15e3, 10e3, eve_offset=0.05)
-    rates = RateInputs(channel=ChannelParams(0.5, 0.5, 0.0, 0.5, 0.25),
-                       mu=math.inf, beta=1.0)
+    rates = RateInputs(mu=math.inf, beta=1.0)
     with pytest.raises(ValueError):
-        arago_prediction_curve(geom, beam, rates, [10e3])
+        arago_prediction_curve(geom, beam, rates, 0.0, [10e3])
