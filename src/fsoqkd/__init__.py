@@ -2,6 +2,15 @@
 aperture eavesdropper: Gaussian-beam diffraction around the receiver,
 wiretap-channel parameters, and continuous/discrete protocol rates."""
 
+import os
+
+# The sweep row pool is the one parallel layer: BLAS runs inline on the row
+# thread that calls it.  Set before any submodule loads numpy; exporting any
+# of these variables keeps the user's choice for all three.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+if not any(var in os.environ for var in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+
 from .beams import BeamParams, PlaneField, encircled_power, field_amplitude, plane_params, total_power
 from .channel import (ChannelConsistencyError, ChannelParams, Geometry,
                       Scenario, channel_params, default_noise,

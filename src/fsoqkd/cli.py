@@ -4,6 +4,12 @@ Subcommands: ``sweep``, ``wavefront``, ``optimal-distance``, ``optimize-d``,
 ``before-bob``, ``cache``.  All outputs are deterministic: identical configs
 produce byte-identical files regardless of thread count.
 
+Parallelism: the sweep row pool (``--threads``, or the config's ``threads``)
+is the only one.  Importing ``fsoqkd`` pins OpenBLAS, MKL and OpenMP to one
+thread each, so every BLAS call runs inline on the row thread that made it;
+exporting any of ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` or
+``OMP_NUM_THREADS`` before the import leaves all three to the user.
+
 Exit codes: 0 on success, 1 when computational error rows were recorded, 2 on
 usage or configuration errors.
 """
@@ -134,6 +140,8 @@ def cmd_combined_axis(items, out_dir: str, name: str, cache: ProfileCache,
 
 def cmd_optimal_distance(config: RunConfig, out_dir: str, name: str, label: str,
                          cache: ProfileCache) -> int:
+    if config.scenario != "behind_bob":
+        raise ConfigError("eavesdropper-distance search needs scenario = behind_bob")
     spec = _sweep_spec(config)
     geom = spec.geometry
     result = optimal_eve_distance(geom, spec.beam, spec.rates, spec.noise,
@@ -232,21 +240,28 @@ def cmd_cache(args) -> int:
     return 0
 
 
+def _with_overrides(config: RunConfig, args) -> RunConfig:
+    """Fold ``--threads`` and ``--max-points`` (0: keep the config's) into a
+    config, and validate the result."""
+    changes = {}
+    if args.threads:
+        changes["threads"] = args.threads
+    if args.max_points:
+        changes["sweep_count"] = min(config.sweep_count, args.max_points)
+    return replace(config, **changes).validate()
+
+
 def _load_items(args) -> tuple[str, str, list[RecipeItem]]:
     if args.recipe:
         recipe = build_recipe(args.recipe, scale=args.scale)
-        items = list(recipe.items)
-        if args.max_points:
-            items = [RecipeItem(i.label, replace(i.config, sweep_count=min(
-                i.config.sweep_count, args.max_points))) for i in items]
-        return recipe.name, recipe.kind, items
-    if not args.config:
+        name, kind, items = recipe.name, recipe.kind, recipe.items
+    elif args.config:
+        name, kind = Path(args.config).stem, args.command.replace("-", "_")
+        items = [RecipeItem("run", RunConfig.from_json(Path(args.config).read_text()))]
+    else:
         raise ConfigError("either --config or --recipe is required")
-    config = RunConfig.from_json(Path(args.config).read_text())
-    if args.max_points:
-        config = replace(config, sweep_count=min(config.sweep_count, args.max_points))
-    return Path(args.config).stem, args.command.replace("-", "_"), \
-        [RecipeItem("run", config)]
+    return name, kind, [RecipeItem(i.label, _with_overrides(i.config, args))
+                        for i in items]
 
 
 _KIND_FOR_COMMAND = {
@@ -264,7 +279,7 @@ def _run_command(args) -> int:
         raise ConfigError(
             f"recipe {name!r} is of kind {kind!r}, not usable with '{args.command}'")
     out_dir = args.out or items[0].config.output_dir
-    threads = args.threads or items[0].config.threads
+    threads = items[0].config.threads
     cache = _make_cache(items[0].config, args.cache)
     errors = 0
     if kind == "combined_axis":
@@ -303,9 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache", help=f"profile cache directory "
                                        f"(default ${CACHE_ENV_VAR})")
         p.add_argument("--threads", type=int, default=0,
-                       help="worker threads for sweep rows")
+                       help="worker threads for sweep rows, the only parallel "
+                            "layer: BLAS is pinned to one thread unless "
+                            "OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or "
+                            "OMP_NUM_THREADS is exported (default: the "
+                            "config's threads)")
         p.add_argument("--max-points", type=int, default=0,
-                       help="cap sweep grid sizes (smoke testing)")
+                       help="cap sweep grid sizes, at least 2 (smoke testing)")
         p.add_argument("--scale", type=float, default=1.0,
                        help="scale factor for recipe grid sizes")
 

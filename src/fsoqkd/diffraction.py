@@ -23,7 +23,7 @@ quadrature and subtracted.  Here ``alpha = -1/W^2 + i (k/2)(1/L - 1/R)`` and
 plane, L the propagation distance and l the observation radius.  Nothing is
 truncated, so the Gaussian tail is exact.
 
-Sign convention (not settled, see ROADMAP item 2a): the source
+Sign convention (not settled, see ROADMAP item 1): the source
 carries the curvature phase ``exp(-i k r^2 / 2R)`` of
 :func:`beams.field_amplitude`, while the Fresnel kernel is
 ``exp(+i k r^2 / 2L)``.  The net quadratic phase is (k/2)(1/L - 1/R), so the
@@ -443,7 +443,8 @@ def _overlap_halfwidth(rho: np.ndarray, disk: DiskSpec) -> np.ndarray:
     full = rho < (re - d) if d < re else np.zeros_like(rho, dtype=bool)
     lo, hi = abs(d - re), d + re
     band = (rho >= lo) & (rho <= hi) & ~full
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # a subnormal offset overflows arg; the clip below maps it to +-1
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         arg = (rho ** 2 + d ** 2 - re ** 2) / (2.0 * rho * d)
     alpha[full] = math.pi
     alpha[band] = np.arccos(np.clip(arg[band], -1.0, 1.0))

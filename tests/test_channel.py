@@ -1,11 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fsoqkd.beams import BeamParams
 from fsoqkd.channel import (ChannelConsistencyError, Geometry, Scenario,
                             channel_params, default_noise, thermal_occupation)
+from fsoqkd.rates import RateInputs, lb_direct, lb_reverse, upper_bound
 
 LAM = 1550e-9
 
@@ -145,3 +149,51 @@ def test_power_conservation_envelope(beam):
         ch = channel_params(g, beam, 0.0)
         assert 0.0 <= ch.eta <= 1.0
         assert ch.p_eve <= (1.0 - ch.eta) + 1e-6
+
+
+def test_subnormal_offset_is_the_axis_without_warnings(beam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ch = channel_params(Geometry(Scenario.BEHIND_BOB, 40e3, 40e3, 1e-310), beam, 0.0)
+    assert ch == channel_params(Geometry(Scenario.BEHIND_BOB, 40e3, 40e3), beam, 0.0)
+
+
+# ------------------------------------------- invariants over random geometries
+
+KM = 1e3
+radii = st.floats(0.05, 0.2)
+
+
+def _assert_physical(geom, waist, mu):
+    # at the default noise, 0 for 1550 nm at 3 K: with any n_e > 0 the
+    # thermal upper_bound falls below lb_direct on a nearly lossless link
+    # (see CHANGES.md)
+    beam = BeamParams(LAM, waist)
+    ch = channel_params(geom, beam, default_noise(beam))
+    assert ch.p_bob + ch.p_eve <= 1.0 + 1e-12
+    assert 0.0 <= ch.kappa <= 1.0
+    for power in (math.inf, mu):
+        inputs = RateInputs(mu=power)
+        ub = upper_bound(ch)
+        assert lb_direct(ch, inputs) <= ub
+        assert lb_reverse(ch, inputs) <= ub
+
+
+@settings(max_examples=100, deadline=None)
+@given(lab=st.floats(5 * KM, 200 * KM), lbe=st.floats(5 * KM, 400 * KM),
+       offset=st.floats(0.0, 0.3), waist=radii, r_b=radii, r_e=radii,
+       mu=st.floats(0.01, 1000.0))
+def test_behind_bob_invariants(lab, lbe, offset, waist, r_b, r_e, mu):
+    geom = Geometry(Scenario.BEHIND_BOB, lab, lbe, eve_offset=offset,
+                    bob_radius=r_b, eve_radius=r_e)
+    _assert_physical(geom, waist, mu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lab=st.floats(5 * KM, 200 * KM), share=st.floats(0.0, 1.0, exclude_max=True),
+       waist=radii, r_b=radii, r_e=radii, mu=st.floats(0.01, 1000.0))
+def test_before_bob_invariants(lab, share, waist, r_b, r_e, mu):
+    lbe = 5 * KM + share * (lab - 5 * KM)  # 5 km <= L_BE < L_AB
+    assume(lbe < lab)
+    geom = Geometry(Scenario.BEFORE_BOB, lab, lbe, bob_radius=r_b, eve_radius=r_e)
+    _assert_physical(geom, waist, mu)

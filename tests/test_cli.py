@@ -109,6 +109,19 @@ def test_bad_config_exits_2(tmp_path, capsys, override):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("override", [["--threads", "-2"], ["--max-points", "1"],
+                                      ["--max-points", "-3"]],
+                         ids=" ".join)
+def test_bad_cli_override_exits_2(tmp_path, capsys, override):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps(CONFIG))
+    code = cli.main(["sweep", "--config", str(config), "--out",
+                     str(tmp_path / "out"), *override])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_removed_deterministic_key_exits_2(tmp_path, capsys):
     config = tmp_path / "old.json"
     config.write_text(json.dumps({**CONFIG, "deterministic": True}))
@@ -163,13 +176,58 @@ def test_optimize_d_rows_are_clean_and_deterministic(tmp_path, monkeypatch):
         assert (runs[1] / name).read_bytes() == (runs[0] / name).read_bytes()
 
 
-def test_cli_import_leaves_scipy_interpolate_unloaded():
-    src = Path(cli.__file__).resolve().parents[1]
-    code = "import sys, fsoqkd.cli; print('scipy.interpolate' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_python(*args, **env_vars):
+    """Run ``python *args`` in a new process that sees this checkout's
+    ``src``, no disk cache, and of the BLAS thread variables only
+    ``env_vars`` (this process already imported fsoqkd, which sets them)."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in BLAS_THREAD_VARS and k != CACHE_ENV_VAR}
+    env.update(env_vars, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, *args], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
-    assert done.stdout.strip() == "False"
+    return done.stdout
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    code = "import sys, fsoqkd.cli; print('scipy.interpolate' in sys.modules)"
+    assert _fresh_python("-c", code).strip() == "False"
+
+
+BLAS_REPORT = f"""
+import os, sys, fsoqkd.cli
+print(*(os.environ.get(v) for v in {BLAS_THREAD_VARS!r}))
+if sys.platform.startswith("linux"):
+    print(*(l.split()[1] for l in open("/proc/self/status") if l.startswith("Threads:")))
+"""
+
+
+def test_import_pins_blas_to_one_thread():
+    lines = _fresh_python("-c", BLAS_REPORT).splitlines()
+    assert lines[0].split() == ["1", "1", "1"]
+    if sys.platform.startswith("linux"):
+        assert lines[1] == "1"  # no BLAS worker beside the main thread
+
+
+def test_exported_blas_variable_overrides_the_pin():
+    lines = _fresh_python("-c", BLAS_REPORT, OPENBLAS_NUM_THREADS="2").splitlines()
+    assert lines[0].split() == ["2", "None", "None"]
+
+
+def test_csv_is_identical_with_and_without_the_blas_pin(tmp_path):
+    # 0.7-3 km behind a 40 km link: the largest propagation matvecs
+    config = tmp_path / "near.json"
+    config.write_text(json.dumps({**CONFIG, "sweep_min": 700.0,
+                                  "sweep_max": 3_000.0}))
+    csvs = []
+    for i, env_vars in enumerate(({}, {"OPENBLAS_NUM_THREADS": "2"})):
+        out = tmp_path / f"out{i}"
+        _fresh_python("-m", "fsoqkd.cli", "sweep", "--config", str(config),
+                      "--out", str(out), **env_vars)
+        csvs.append((out / "near__run.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 BEFORE_BOB = {**CONFIG, "scenario": "before_bob", "bob_eve_distance": 20_000.0,
@@ -193,6 +251,17 @@ def test_optimal_distance_runs_on_a_tiny_grid(tmp_path, monkeypatch):
     assert rows and all(r["error"] == "" for r in rows)
     assert all(50_000.0 <= float(r["parameter"]) <= 400_000.0 for r in rows)
     assert all(float(r["D_opt"]) == 0.0 for r in rows)
+
+
+def test_optimal_distance_before_bob_exits_2(tmp_path, capsys):
+    config = tmp_path / "before.json"
+    config.write_text(json.dumps({**BEFORE_BOB, "sweep_parameter": "L_BE",
+                                  "sweep_min": 1_000.0, "sweep_max": 20_000.0}))
+    code = cli.main(["optimal-distance", "--config", str(config), "--out",
+                     str(tmp_path / "out")])
+    assert code == 2
+    assert "behind_bob" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_optimal_distance_reports_the_offset_it_used(tmp_path, monkeypatch):
