@@ -3,12 +3,19 @@ aperture eavesdropper: Gaussian-beam diffraction around the receiver,
 wiretap-channel parameters, and continuous/discrete protocol rates."""
 
 import os
+import sys
+import warnings
 
 # The sweep row pool is the one parallel layer: BLAS runs inline on the row
 # thread that calls it.  Set before any submodule loads numpy; exporting any
-# of these variables keeps the user's choice for all three.
+# of these variables keeps the user's choice for all three.  BLAS reads them
+# when numpy loads it, so a numpy imported earlier keeps its thread pool.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 if not any(var in os.environ for var in _BLAS_THREAD_VARS):
+    if "numpy" in sys.modules:
+        warnings.warn("numpy was imported before fsoqkd, so BLAS keeps its own "
+                      "thread pool; import fsoqkd first or export "
+                      "OPENBLAS_NUM_THREADS=1", RuntimeWarning, stacklevel=2)
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
 from .beams import BeamParams, PlaneField, encircled_power, field_amplitude, plane_params, total_power

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from scipy.constants import h as PLANCK, k as BOLTZMANN, c as LIGHT_SPEED
@@ -114,31 +115,53 @@ def _kappa_from_powers(p_eve: float, eta: float, p_total: float) -> float:
     return kappa
 
 
-def channel_params(geom: Geometry, beam: BeamParams, noise: float,
-                   profile_provider=None) -> ChannelParams:
+def channel_params(geom: Geometry | Sequence[Geometry], beam: BeamParams,
+                   noise: float, profile_provider=None
+                   ) -> ChannelParams | list[ChannelParams]:
     """Compute (eta, kappa, n_e) for a geometry.
 
-    ``profile_provider`` optionally replaces direct profile construction with
-    a caching callable of signature ``(source, distance, disk_hint) ->
-    FieldProfile``; sweeps and the CLI use it to share propagations.
+    ``geom`` is a :class:`Geometry`, which gives one :class:`ChannelParams`,
+    or a sequence of geometries that differ in ``bob_eve_distance`` only,
+    which gives a list in the same order: the collected powers of the whole
+    sequence then come from one :func:`disk_power` call, and the values are
+    those of one call per geometry.  ``profile_provider`` optionally replaces
+    direct profile construction with a caching callable of signature
+    ``(source, distance, disk_hint) -> FieldProfile``; sweeps and the CLI use
+    it to share propagations.
     """
+    single = isinstance(geom, Geometry)
+    geoms = [geom] if single else list(geom)
+    g0 = geoms[0]
+    layout = _layout(g0)
+    if any(_layout(g) != layout for g in geoms):
+        raise ValueError("a geometry sequence may vary bob_eve_distance only")
     provider = profile_provider or propagate_profile
     p_tot = total_power(beam)
 
-    if geom.scenario is Scenario.BEHIND_BOB:
-        p_bob = encircled_power(beam, geom.alice_bob_distance, geom.bob_radius)
-        src = SourceAnnulus(beam, geom.alice_bob_distance, geom.bob_radius)
-        disk = DiskSpec(geom.eve_radius, geom.eve_offset)
-        profile = provider(src, geom.bob_eve_distance, disk)
-        p_eve = disk_power(profile, disk)
+    if g0.scenario is Scenario.BEHIND_BOB:
+        p_bob = encircled_power(beam, g0.alice_bob_distance, g0.bob_radius)
+        src = SourceAnnulus(beam, g0.alice_bob_distance, g0.bob_radius)
+        disk = DiskSpec(g0.eve_radius, g0.eve_offset)
+        profiles = [provider(src, g.bob_eve_distance, disk) for g in geoms]
+        p_bobs, p_eves = [p_bob] * len(geoms), disk_power(profiles, disk).tolist()
     else:
-        p_eve = encircled_power(beam, geom.alice_eve_distance, geom.eve_radius)
-        src = SourceAnnulus(beam, geom.alice_eve_distance, geom.eve_radius)
-        disk = DiskSpec(geom.bob_radius, 0.0)
-        profile = provider(src, geom.bob_eve_distance, disk)
-        p_bob = disk_power(profile, disk)
+        p_eves = [encircled_power(beam, g.alice_eve_distance, g.eve_radius)
+                  for g in geoms]
+        disk = DiskSpec(g0.bob_radius, 0.0)
+        profiles = [provider(SourceAnnulus(beam, g.alice_eve_distance, g.eve_radius),
+                             g.bob_eve_distance, disk) for g in geoms]
+        p_bobs = disk_power(profiles, disk).tolist()
 
-    eta = p_bob / p_tot
-    kappa = _kappa_from_powers(p_eve, eta, p_tot)
-    return ChannelParams(eta=eta, kappa=kappa, n_e=noise,
-                         p_bob=p_bob / p_tot, p_eve=p_eve / p_tot)
+    out = []
+    for p_bob, p_eve in zip(p_bobs, p_eves):
+        eta = p_bob / p_tot
+        kappa = _kappa_from_powers(p_eve, eta, p_tot)
+        out.append(ChannelParams(eta=eta, kappa=kappa, n_e=noise,
+                                 p_bob=p_bob / p_tot, p_eve=p_eve / p_tot))
+    return out[0] if single else out
+
+
+def _layout(geom: Geometry) -> tuple:
+    """Everything of a geometry but its Bob-Eve distance."""
+    return (geom.scenario, geom.alice_bob_distance, geom.eve_offset,
+            geom.alice_radius, geom.bob_radius, geom.eve_radius)

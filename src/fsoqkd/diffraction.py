@@ -33,11 +33,15 @@ Field profiles sample the fast evaluator on an adaptive radial grid and are
 interpolated by a complex cubic spline: the slope is clamped to 0 at the axis,
 where U(rho) is even, and the outer end is not-a-knot.  The spline is built and
 evaluated here in the arithmetic of scipy's ``CubicSpline`` with that boundary
-condition (the same tridiagonal system, the same ``solve_banded`` call, the
-same piecewise power form), so it equals scipy's bit for bit without the
-import of ``scipy.interpolate``.  Collected powers on centered or displaced
-disks are integrated from the spline with the angular-overlap weight of the
-disk, by an 8-point Gauss rule between the profile nodes.
+condition (the same tridiagonal system, solved by the LAPACK ``gtsv`` that
+``solve_banded((1, 1), ...)`` calls, and the same piecewise power form), so it
+equals scipy's bit for bit without the import of ``scipy.interpolate``.  The
+systems of several profiles are solved as one block-diagonal system: the zero
+couplings between blocks keep every block's elimination, pivots included,
+what it is alone.  Collected powers on centered or displaced disks are
+integrated from the spline with the angular-overlap weight of the disk, by an
+8-point Gauss rule between the profile nodes; :func:`disk_power` takes one
+profile or a whole sequence of them.
 """
 
 from __future__ import annotations
@@ -45,11 +49,12 @@ from __future__ import annotations
 import math
 import struct
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .beams import BeamParams, encircled_power, plane_params, total_power
 from .bessel import bessel_j0
@@ -75,6 +80,14 @@ _counter_lock = threading.Lock()
 
 # Gauss-Legendre rule of disk_power, per interval between profile nodes.
 _DISK_GX, _DISK_GW = leggauss(8)
+
+# disk_power over a sequence of profiles works on runs of consecutive
+# profiles holding at most this many radial nodes (a larger profile is a run
+# of its own), so its temporaries stay a few hundred kB whatever the count.
+DISK_POWER_CHUNK_NODES = 512
+
+# Complex tridiagonal solver, the routine solve_banded((1, 1), ...) calls.
+_GTSV, = get_lapack_funcs(("gtsv",), dtype=np.complex128)
 
 
 class CoverageError(ValueError):
@@ -157,40 +170,85 @@ class FieldProfile:
         complex_amplitudes, bc_type=((1, 0j), "not-a-knot"))``: U(rho) is even
         in rho, so the slope is clamped to 0 at the axis, and the outer end is
         not-a-knot.  The node slopes solve scipy's tridiagonal system by the
-        same ``solve_banded`` call, and a radius u past node x_i evaluates as
+        same LAPACK call, and a radius u past node x_i evaluates as
         ((c3 + c2 u) + c1 u^2) + c0 u^3, scipy's order of operations.  Radii
         outside the nodes extrapolate the end pieces.  Needs at least 3 nodes.
         """
-        x, y = self.radial_nodes, self.complex_amplitudes
+        x = self.radial_nodes
         n = x.size
-        dx = np.diff(x)
-        slope = np.diff(y) / dx
-        ab = np.zeros((3, n))
-        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-        ab[0, 2:] = dx[:-1]
-        ab[-1, :-2] = dx[1:]
-        b = np.empty(n, dtype=complex)
-        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        ab[1, 0] = 1.0  # slope 0 at the axis
-        b[0] = 0.0
-        d = x[-1] - x[-3]  # not-a-knot at the outer node
-        ab[1, -1] = dx[-2]
-        ab[-1, -2] = d
-        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-        s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
-                         check_finite=False)
-        t = (s[:-1] + s[1:] - 2 * slope) / dx
-        coeffs = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+        coeffs = _spline_coefficients(x, self.complex_amplitudes, np.array([n - 1]))
 
         def spline(rho):
             rho = np.asarray(rho, dtype=float)
             i = np.clip(np.searchsorted(x, rho, side="right") - 1, 0, n - 2)
-            u = rho - x[i]
+            u = np.atleast_1d(rho - x[i])
             u2 = u * u
-            c0, c1, c2, c3 = coeffs.take(i, axis=1)
-            return ((c3 + c2 * u) + c1 * u2) + c0 * (u2 * u)
+            c = coeffs[:, i]
+            vals = _cubic(c.real, u, u2) + 1j * _cubic(c.imag, u, u2)
+            return vals.reshape(rho.shape)[()]
 
         return spline
+
+
+def _spline_coefficients(x, y, last):
+    """Piecewise-cubic coefficients of the splines of several profiles.
+
+    ``x`` and ``y`` hold the nodes and samples of the profiles end to end,
+    profile p ending at index ``last[p]``.  Column j of the (4, len-1)
+    result holds the cubic on [x_j, x_j+1]; columns at ``last`` straddle two
+    profiles and are never used.  Each profile's system is scipy's for its
+    boundary condition, and the blocks sit on one tridiagonal matrix with zero
+    couplings, solved by one ``gtsv`` call.
+    """
+    first = np.concatenate(([0], last[:-1] + 1))
+    if np.any(last - first < 2):
+        raise ValueError("a spline needs at least 3 nodes per profile")
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d = np.empty(x.size)
+    du = np.empty(x.size - 1)
+    dl = np.empty(x.size - 1)
+    b = np.empty(x.size, dtype=complex)
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    du[1:] = dx[:-1]
+    dl[:-1] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d[first] = 1.0  # slope 0 at the axis
+    du[first] = 0.0
+    b[first] = 0.0
+    du[last[:-1]] = 0.0  # no coupling between profiles
+    dl[last[:-1]] = 0.0
+    span = x[last] - x[last - 2]  # not-a-knot at the outer node
+    d[last] = dx[last - 2]
+    dl[last - 1] = span
+    # scipy squares the last step with a scalar pow(), which differs from
+    # h * h in the last bit on about 0.1% of values
+    sq = np.array([h ** 2 for h in dx[last - 1].tolist()])
+    b[last] = (sq * slope[last - 2]
+               + (2 * span + dx[last - 1]) * dx[last - 2] * slope[last - 1]) / span
+    *_, s, info = _GTSV(dl, d, du, b, overwrite_b=True)
+    if info:
+        raise np.linalg.LinAlgError("singular spline system")
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
+def _cubic(c, u, u2):
+    """scipy's ((c3 + c2 u) + c1 u^2) + c0 u^3 for rows ``c`` of real parts.
+
+    The offset u is real, so each complex product of scipy's evaluation is
+    one real product per part: the real and the imaginary part of the spline
+    are this on ``coeffs.real`` and on ``coeffs.imag``, scipy's values up to
+    the sign of a zero.  ``u`` must be an array; the sum is built in place.
+    """
+    out = c[2] * u
+    out += c[3]
+    t = c[1] * u2
+    out += t
+    np.multiply(u2, u, out=t)
+    t *= c[0]
+    out += t
+    return out
 
 
 def fresnel_valid(src: SourceAnnulus, distance: float, factor: float = 10.0):
@@ -451,44 +509,106 @@ def _overlap_halfwidth(rho: np.ndarray, disk: DiskSpec) -> np.ndarray:
     return alpha
 
 
-def disk_power(profile: FieldProfile, disk: DiskSpec) -> float:
+def disk_power(profile: FieldProfile | Sequence[FieldProfile],
+               disk: DiskSpec) -> float | np.ndarray:
     """Power collected by a disk, exploiting the field's cylindrical symmetry.
 
     On-axis disks use the plain 2*pi*rho weight; offset disks weight the
-    intensity by twice the angular half-width of the overlap arc.
+    intensity by twice the angular half-width of the overlap arc.  A single
+    :class:`FieldProfile` gives a float; a sequence of profiles gives an array
+    of the same values, computed together.  A profile that does not cover the
+    disk raises :class:`CoverageError`, the first such one in the sequence.
     """
+    single = isinstance(profile, FieldProfile)
+    profiles = [profile] if single else list(profile)
     outer = disk.center_offset + disk.radius
-    if outer > profile.truncation_radius * (1.0 + 1e-12):
-        raise CoverageError(
-            f"disk extends to {outer:.6g} m, profile covers {profile.truncation_radius:.6g} m")
+    for prof in profiles:
+        if outer > prof.truncation_radius * (1.0 + 1e-12):
+            raise CoverageError(f"disk extends to {outer:.6g} m, profile covers "
+                                f"{prof.truncation_radius:.6g} m")
+    out = np.empty(len(profiles))
+    start = size = 0
+    for stop, prof in enumerate(profiles):
+        if stop > start and size + prof.radial_nodes.size > DISK_POWER_CHUNK_NODES:
+            _disk_power_run(profiles[start:stop], disk, out[start:stop])
+            start, size = stop, 0
+        size += prof.radial_nodes.size
+    if profiles:
+        _disk_power_run(profiles[start:], disk, out[start:])
+    return float(out[0]) if single else out
 
-    spline = profile.interpolator()
-    nodes = profile.radial_nodes
+
+def _disk_power_run(profiles, disk: DiskSpec, out: np.ndarray):
+    """disk_power of consecutive profiles into ``out``, their nodes taken
+    end to end."""
+    counts = [p.radial_nodes.size for p in profiles]
+    x = np.concatenate([p.radial_nodes for p in profiles])
+    y = np.concatenate([p.complex_amplitudes for p in profiles])
+    last = np.cumsum(counts) - 1
+    coeffs = _spline_coefficients(x, y, last)
+
+    # The integration cuts of each profile: its nodes inside the disk's radial
+    # range, the range ends and the overlap edge, sorted and distinct, as
+    # (profile, radius) keys.  Consecutive cuts of one profile bound a panel.
+    n = len(profiles)
+    pid = np.repeat(np.arange(n), counts)
     lo_lim = max(0.0, disk.center_offset - disk.radius)
-    hi_lim = min(outer, profile.truncation_radius)
-
-    breakpoints = {lo_lim, hi_lim}
+    hi_lim = np.minimum(disk.center_offset + disk.radius, x[last])
+    inside = (x > lo_lim) & (x < hi_lim[pid])
+    edges = [np.full(n, lo_lim), hi_lim]
     if disk.center_offset < disk.radius:
-        breakpoints.add(disk.radius - disk.center_offset)
-    cuts = np.unique(np.concatenate([
-        nodes[(nodes > lo_lim) & (nodes < hi_lim)],
-        np.array(sorted(b for b in breakpoints if lo_lim <= b <= hi_lim)),
-    ]))
-    if cuts.size < 2:
-        return 0.0
+        edges.append(np.full(n, disk.radius - disk.center_offset))
+    breaks = np.concatenate(edges)
+    break_pid = np.tile(np.arange(n), len(edges))
+    keep = (lo_lim <= breaks) & (breaks <= hi_lim[break_pid])
+    cuts = np.sort(_keys(np.concatenate([pid[inside], break_pid[keep]]),
+                         np.concatenate([x[inside], breaks[keep]])))
+    distinct = np.ones(cuts.size, dtype=bool)  # np.unique is 4x slower here
+    distinct[1:] = cuts[1:] != cuts[:-1]
+    cuts = cuts[distinct]
+    pair = cuts.real[1:] == cuts.real[:-1]
+    left, panel_pid = cuts[:-1][pair], cuts.real[1:][pair]
+    a, b = left.imag, cuts.imag[1:][pair]
+
     # |spline|^2 is a degree-6 polynomial per interval and the on-axis weight
     # 2*pi*rho adds one degree, so 8-point Gauss is exact on axis.  Off axis the
     # arccos overlap weight has square-root edges at |D - r| and D + r; they
     # cost 1e-8 to 1e-5 relative, the most where the nodes are sparse
     # (test_disk_power_quadrature_error).
-    half = 0.5 * np.diff(cuts)
-    mid = 0.5 * (cuts[:-1] + cuts[1:])
-    pts = (mid[:, None] + half[:, None] * _DISK_GX[None, :]).ravel()
-    wts = (half[:, None] * _DISK_GW[None, :]).ravel()
-    vals = spline(pts)
-    intensity = vals.real ** 2 + vals.imag ** 2
-    weight = 2.0 * _overlap_halfwidth(pts, disk)
-    return float(np.sum(intensity * weight * pts * wts))
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    pts = mid[:, None] + half[:, None] * _DISK_GX  # one row per panel
+    wts = half[:, None] * _DISK_GW
+    # A panel lies in one node interval, found from its left end.  Its Gauss
+    # points take that interval's cubic, as the interpolator does, except for
+    # a point rounded onto the panel's end node; that needs a panel a few ulps
+    # wide, whose weight is far below the rounding of the sum.
+    i = np.searchsorted(_keys(pid, x), left, side="right")[:, None] - 1
+    # |U|^2 * weight * rho * w, in place to keep the run's memory small
+    u = pts - x[i]
+    u2 = u * u
+    c = coeffs[:, i]
+    terms = _cubic(c.real, u, u2)
+    terms *= terms
+    im = _cubic(c.imag, u, u2)
+    terms += np.square(im, out=im)
+    del u, u2, c, im
+    terms *= 2.0 * _overlap_halfwidth(pts, disk)
+    terms *= pts
+    terms *= wts
+    # one pairwise sum per profile over its own slice, as for one profile
+    ends = _DISK_GX.size * np.searchsorted(panel_pid, np.arange(n + 1))
+    terms = terms.ravel()
+    for k, (lo, hi) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist())):
+        out[k] = terms[lo:hi].sum()
+
+
+def _keys(owner, radius):
+    """(owner, radius) pairs as complex numbers, which numpy sorts and
+    searches by real part, then imaginary part."""
+    keys = np.empty(len(radius), dtype=complex)
+    keys.real, keys.imag = owner, radius
+    return keys
 
 
 def profile_power(profile: FieldProfile, radius: float | None = None) -> float:

@@ -198,7 +198,8 @@ def optimal_eve_distance(geom: Geometry, beam: BeamParams, rates: RateInputs,
                          optimize_power: bool = False) -> EveDistanceResult:
     """Distance behind Bob minimizing the achievable rate.
 
-    Coarse log grid (>= 200 points) plus golden refinement around the global
+    Coarse log grid (>= 200 points), its channels from one batched
+    :func:`channel_params` call, plus golden refinement around the global
     minimum; interference dips below 1.05x the global minimum are reported as
     secondary minima.
     """
@@ -213,7 +214,10 @@ def optimal_eve_distance(geom: Geometry, beam: BeamParams, rates: RateInputs,
 
     n_coarse = max(n_coarse, 200)
     grid = np.geomspace(search_range[0], search_range[1], n_coarse)
-    vals = np.array([rate_at(l) for l in grid])
+    coarse = channel_params([replace(geom, bob_eve_distance=l) for l in grid],
+                            beam, noise, profile_provider=cache.get_or_compute)
+    vals = np.array([_geometry_score(ch, rates, objective, optimize_power)
+                     for ch in coarse])
 
     def refine(i):
         lo = grid[max(i - 1, 0)]
@@ -265,15 +269,16 @@ def optimize_eve_offset(geom: Geometry, beam: BeamParams, rates: RateInputs,
 
     starts = sorted({0.0, min(geom.bob_radius, d_max), d_max / 3.0,
                      2.0 * d_max / 3.0})
-    best_d, best_v = 0.0, rate_at(0.0)
+    on_axis = rate_at(0.0)
+    best_d, best_v = 0.0, on_axis
     for lo, hi in zip(starts[:-1], starts[1:]):
         x, fneg = golden_section_max(lambda d: -rate_at(d), lo, hi,
                                      tol=offset_tol)
         v = -fneg
         if v < best_v - 1e-12 or (abs(v - best_v) <= 1e-12 and x < best_d):
             best_d, best_v = x, v
-    if rate_at(0.0) <= best_v + 1e-12:
-        best_d, best_v = 0.0, rate_at(0.0)
+    if on_axis <= best_v + 1e-12:
+        best_d, best_v = 0.0, on_axis
     return best_d, best_v
 
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,6 +157,26 @@ def test_subnormal_offset_is_the_axis_without_warnings(beam):
         warnings.simplefilter("error")
         ch = channel_params(Geometry(Scenario.BEHIND_BOB, 40e3, 40e3, 1e-310), beam, 0.0)
     assert ch == channel_params(Geometry(Scenario.BEHIND_BOB, 40e3, 40e3), beam, 0.0)
+
+
+@pytest.mark.parametrize("geom", [
+    Geometry(Scenario.BEHIND_BOB, 40e3, 1e3),
+    Geometry(Scenario.BEHIND_BOB, 40e3, 1e3, eve_offset=0.05, eve_radius=0.08),
+    Geometry(Scenario.BEFORE_BOB, 40e3, 1e3),
+], ids=["behind", "behind-offset", "before"])
+def test_distance_sequence_equals_one_call_per_geometry(beam, geom):
+    geoms = [replace(geom, bob_eve_distance=lbe) for lbe in (2e3, 7e3, 20e3, 33e3)]
+    want = [channel_params(g, beam, 1e-7) for g in geoms]
+    assert channel_params(geoms, beam, 1e-7) == want
+    assert channel_params(tuple(geoms[::-1]), beam, 1e-7) == want[::-1]
+
+
+def test_geometry_sequence_varies_the_bob_eve_distance_only(beam):
+    geom = Geometry(Scenario.BEHIND_BOB, 40e3, 5e3)
+    for other in (replace(geom, alice_bob_distance=50e3),
+                  replace(geom, eve_offset=0.01), replace(geom, eve_radius=0.2)):
+        with pytest.raises(ValueError, match="bob_eve_distance only"):
+            channel_params([geom, other], beam, 0.0)
 
 
 # ------------------------------------------- invariants over random geometries

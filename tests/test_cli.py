@@ -216,6 +216,22 @@ def test_exported_blas_variable_overrides_the_pin():
     assert lines[0].split() == ["2", "None", "None"]
 
 
+NUMPY_FIRST = """
+import warnings, numpy
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    import fsoqkd
+print(sum(issubclass(w.category, RuntimeWarning) for w in caught))
+"""
+
+
+def test_numpy_imported_first_warns_that_the_pin_cannot_apply():
+    assert _fresh_python("-c", NUMPY_FIRST).strip() == "1"
+    # an exported variable is the user's choice, and fsoqkd first pins BLAS
+    assert _fresh_python("-c", NUMPY_FIRST, OPENBLAS_NUM_THREADS="1").strip() == "0"
+    _fresh_python("-W", "error::RuntimeWarning", "-c", "import fsoqkd, numpy")
+
+
 def test_csv_is_identical_with_and_without_the_blas_pin(tmp_path):
     # 0.7-3 km behind a 40 km link: the largest propagation matvecs
     config = tmp_path / "near.json"

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.special import j0
 
+from fsoqkd import diffraction
 from fsoqkd.beams import BeamParams, field_amplitude, plane_params, total_power
 from fsoqkd.diffraction import (CoverageError, DiskSpec, FieldProfile,
                                 QuadratureBudget, SourceAnnulus,
@@ -418,6 +419,109 @@ def test_disk_power_spline_interpolation_error(plane, lbe_km):
     field = _fresnel_prefactor(prof.source, prof.propagation_distance, rho) * fine
     direct = np.sum(np.abs(field) ** 2 * 2.0 * math.pi * rho * (half * gw).ravel())
     assert abs(disk_power(prof, DiskSpec(0.1)) - direct) / direct <= 1e-6
+
+
+# ------------------------------------------------------ batched disk power
+
+def reference_disk_power(prof, disk):
+    """disk_power of one profile, written out from its interpolator: the
+    integration cuts, 8 Gauss points per cut interval, |U|^2 of the spline
+    and one pairwise np.sum, in the arithmetic the batched pass must keep."""
+    spline = prof.interpolator()
+    nodes = prof.radial_nodes
+    lo = max(0.0, disk.center_offset - disk.radius)
+    hi = min(disk.center_offset + disk.radius, prof.truncation_radius)
+    breaks = {lo, hi}
+    if disk.center_offset < disk.radius:
+        breaks.add(disk.radius - disk.center_offset)
+    cuts = np.unique(np.concatenate([nodes[(nodes > lo) & (nodes < hi)],
+                                     [b for b in breaks if lo <= b <= hi]]))
+    if cuts.size < 2:
+        return 0.0
+    gx, gw = leggauss(8)
+    half = 0.5 * np.diff(cuts)
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    pts = (mid[:, None] + half[:, None] * gx).ravel()
+    wts = (half[:, None] * gw).ravel()
+    vals = spline(pts)
+    intensity = vals.real ** 2 + vals.imag ** 2
+    weight = 2.0 * _overlap_halfwidth(pts, disk)
+    return float(np.sum(intensity * weight * pts * wts))
+
+
+def few_node_profile(beam, nodes, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=len(nodes)) + 1j * rng.normal(size=len(nodes))
+    return FieldProfile(cropped(beam), 10e3, np.array(nodes), amps,
+                        QuadratureBudget(1e-6, 0.0, 0, len(nodes)))
+
+
+@pytest.fixture(scope="module")
+def profile_mix(beam):
+    """Behind-Bob profiles from 0.7 to 400 km (64 to ~1,000 nodes), one
+    covering an offset disk, one before Bob, and 3- and 4-node profiles."""
+    return [profile_at(40e3, 0.7e3), few_node_profile(beam, [0.0, 0.07, 0.15], 3),
+            profile_at(40e3, 5e3), profile_at(40e3, 40e3), profile_at(40e3, 400e3),
+            few_node_profile(beam, [0.0, 0.03, 0.1, 0.16], 4),
+            profile_at(40e3, 5e3, 0.2), profile_at(35e3, 5e3)]
+
+
+@pytest.mark.parametrize("chunk", [diffraction.DISK_POWER_CHUNK_NODES, 100])
+@pytest.mark.parametrize("radius,offset", [
+    (0.1, 0.0), (0.05, 0.0), (0.03, 0.02), (0.04, 0.05), (0.02, 0.08),
+])
+def test_disk_power_sequence_equals_per_profile_calls(profile_mix, radius, offset,
+                                                      chunk, monkeypatch):
+    # chunk 100 splits the sequence into runs of one or several profiles
+    monkeypatch.setattr(diffraction, "DISK_POWER_CHUNK_NODES", chunk)
+    disk = DiskSpec(radius, offset)
+    batched = disk_power(profile_mix, disk)
+    assert isinstance(batched, np.ndarray) and batched.shape == (len(profile_mix),)
+    singles = [disk_power(p, disk) for p in profile_mix]
+    assert all(type(v) is float for v in singles)
+    assert np.array_equal(batched, singles)
+    assert np.array_equal(batched, [reference_disk_power(p, disk) for p in profile_mix])
+    assert disk_power(tuple(profile_mix[::-1]), disk).tolist() == singles[::-1]
+
+
+def test_disk_power_of_no_profiles_is_empty():
+    assert disk_power([], DiskSpec(0.1)).shape == (0,)
+
+
+def test_two_node_profile_is_rejected(beam, profile_mix):
+    two = few_node_profile(beam, [0.0, 0.15], 2)
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        two.interpolator()
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        disk_power(profile_mix[1:2] + [two], DiskSpec(0.1))
+
+
+def test_disk_power_sequence_raises_for_the_first_uncovered_profile(profile_mix):
+    # reaches 0.2 m: only the profile built for an offset disk covers it
+    with pytest.raises(CoverageError, match="profile covers 0.1 m"):
+        disk_power(profile_mix[2:], DiskSpec(0.1, 0.1))
+    with pytest.raises(CoverageError, match="profile covers 0.15 m"):
+        disk_power(profile_mix[1:], DiskSpec(0.1, 0.1))
+
+
+def test_disk_power_gauss_points_rounding_onto_a_node():
+    # A cut one ulp below a node makes a panel whose Gauss points all round
+    # onto the node: the interpolator puts them on the next interval, the
+    # batched pass on the panel's own.  The panel weighs an ulp, so the sum
+    # is the same.
+    prof = profile_at(40e3, 5e3, 0.2)
+    nodes = prof.radial_nodes
+    node = next(x for x in nodes[(nodes > 0.02) & (nodes < 0.08)]
+                if 0.5 * (np.nextafter(x, 0.0) + x) == x)
+    lo = float(np.nextafter(node, 0.0))
+    radius = next(r for r in 2.0 ** -np.arange(4, 12) if (lo + r) - r == lo)
+    disk = DiskSpec(radius, lo + radius)  # the disk's radial range starts at lo
+    assert disk.center_offset - disk.radius == lo
+    want = reference_disk_power(prof, disk)
+    assert disk_power(prof, disk) == want
+    other = profile_at(40e3, 40e3, 0.2)
+    assert disk_power([other, prof], disk).tolist() == [
+        reference_disk_power(other, disk), want]
 
 
 # --------------------------------------------------------------- Arago spot

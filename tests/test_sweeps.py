@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fsoqkd import sweeps
 from fsoqkd.beams import BeamParams
-from fsoqkd.channel import Geometry, Scenario
+from fsoqkd.channel import Geometry, Scenario, channel_params
 from fsoqkd.rates import RateInputs
 from fsoqkd.sweeps import (AnalyticPredictor, DegenerateGeometryError,
                            ProfileCache, SweepSpec, analytic_f1_f2,
@@ -123,15 +125,58 @@ def test_predictor_degenerate_geometry():
         analytic_f1_f2(pred)
 
 
+# ------------------------------------------------------ distance search
+
+@pytest.fixture(scope="module")
+def distance_search_cache():
+    return ProfileCache()
+
+
+@pytest.mark.parametrize("optimize_power", [False, True])
+def test_distance_search_coarse_grid_equals_per_point_channels(
+        monkeypatch, distance_search_cache, optimize_power):
+    # the search's first 200 scores are its coarse grid, batched
+    geom = Geometry(Scenario.BEHIND_BOB, 40e3, 50e3)
+    beam = BeamParams(LAM, 0.1)
+    rates = RateInputs(mu=math.inf, beta=0.95)
+    cache = distance_search_cache
+    score = sweeps._geometry_score
+    seen = []
+
+    def spy(ch, *args):
+        seen.append((ch, score(ch, *args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(sweeps, "_geometry_score", spy)
+    sweeps.optimal_eve_distance(geom, beam, rates, 1e-7, search_range=(50e3, 400e3),
+                                n_coarse=200, cache=cache,
+                                optimize_power=optimize_power)
+    want = [channel_params(replace(geom, bob_eve_distance=lbe), beam, 1e-7,
+                           profile_provider=cache.get_or_compute)
+            for lbe in np.geomspace(50e3, 400e3, 200)]
+    assert [ch for ch, _ in seen[:200]] == want
+    assert [v for _, v in seen[:200]] == [
+        score(ch, rates, "lb_max", optimize_power) for ch in want]
+
+
 # ------------------------------------------------------ offset optimization
 
-def test_offset_returns_zero_past_reconvergence():
+def test_offset_returns_zero_past_reconvergence(monkeypatch):
     beam = BeamParams(LAM, 0.1)
     geom = Geometry(Scenario.BEHIND_BOB, 40e3, 60e3)
     rates = RateInputs(mu=math.inf, beta=1.0)
+    offsets = []
+    real = sweeps.channel_params
+
+    def spy(g, *args, **kwargs):
+        offsets.append(g.eve_offset)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "channel_params", spy)
     d_star, rate = optimize_eve_offset(geom, beam, rates, 0.0)
     assert d_star == 0.0
     assert rate > 0.0
+    assert offsets.count(0.0) == 1  # the on-axis rate is computed once
 
 
 # ------------------------------------------------------ bright-spot curve
