@@ -6,9 +6,13 @@ single bosonic mode, background occupation ``n_e``.  Direct and reverse
 reconciliation lower bounds are Holevo quantities of that collected mode.
 The mode is single-mode and phase-insensitive, alone and conditioned on
 Bob's heterodyne outcome, so each of its two symplectic spectra is one
-scalar with a closed form (``eve_spectra``).  The finite-power bodies of the
-bounds and rates are numpy expressions over ``mu``: ``evaluate_objective``
-scores a whole grid of powers in one call.
+scalar with a closed form (``eve_spectra``).  Each finite-power body of the
+bounds and rates (``_lb_direct``, ``_skr_cv``, ...) is written once and takes
+either a float ``mu`` or an array of them: ``evaluate_objective`` scores a
+whole grid of powers in one call, while a single power (``RateInputs.mu``, a
+golden-section point of ``optimize_mu``) stays a float.  The float path
+chooses branches with Python ``if``s instead of masks but calls the same
+numpy ufuncs, so it gives the bits a one-element array would.
 
 ``mu = math.inf`` is a supported sentinel: the bounds are then evaluated from
 their analytic large-power limits instead of a huge finite value, which would
@@ -65,6 +69,8 @@ class RateInputs:
             raise ValueError("f_L must be >= 1")
         if self.pulse_rate <= 0:
             raise ValueError("pulse_rate must be positive")
+        if not 0.0 <= self.misalignment <= 0.5:
+            raise ValueError("misalignment must lie in [0, 0.5]")
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,18 @@ def g_entropy(x: float) -> float:
     return (math.log1p(x) + x * math.log1p(1.0 / x)) / LN2
 
 
+def _g_small(x):
+    return ((1.0 + x) * np.log1p(x) - x * np.log(x)) / LN2
+
+
+def _g_mid(x):
+    return (np.log1p(x) + x * np.log1p(1.0 / x)) / LN2
+
+
+def _g_huge(x):
+    return np.log2(x) + LOG2_E + LOG2_E / (2.0 * x)
+
+
 def g_entropy_array(x) -> np.ndarray:
     """``g_entropy`` elementwise, with the same three branches."""
     x = np.asarray(x, dtype=float)
@@ -118,19 +136,67 @@ def g_entropy_array(x) -> np.ndarray:
     small = (x > 0.0) & (x < 1.0)
     huge = x > 1e12
     mid = ~((x < 1.0) | huge)
-    xs, xm, xh = x[small], x[mid], x[huge]
-    out[small] = ((1.0 + xs) * np.log1p(xs) - xs * np.log(xs)) / LN2
-    out[mid] = (np.log1p(xm) + xm * np.log1p(1.0 / xm)) / LN2
-    out[huge] = np.log2(xh) + LOG2_E + LOG2_E / (2.0 * xh)
+    out[small] = _g_small(x[small])
+    out[mid] = _g_mid(x[mid])
+    out[huge] = _g_huge(x[huge])
     return out
 
 
-def binary_entropy(p) -> np.ndarray:
-    """Binary entropy in bits, elementwise; 0 outside (0, 1)."""
-    p = np.asarray(p, dtype=float)
+def _g(x):
+    """g of a float or of an array of mean photon numbers.
+
+    A float takes its branch by Python ``if``s instead of masks; the numpy
+    ufuncs are those of the array branch, so both give the same bits.
+    """
+    if isinstance(x, np.ndarray):
+        return g_entropy_array(x)
+    if x < 0.0:
+        raise ValueError("mean photon number must be nonnegative")
+    if x == 0.0:
+        return 0.0
+    if x > 1e12:
+        return _g_huge(x)
+    if x < 1.0:
+        return _g_small(x)
+    return _g_mid(x)
+
+
+def _where(cond, a, b):
+    """``np.where``; a bool takes Python's conditional expression."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def binary_entropy(p):
+    """Binary entropy in bits of a float, or elementwise as an array; 0
+    outside (0, 1)."""
+    if not isinstance(p, float):
+        p = np.asarray(p, dtype=float)
     inside = (p > 0.0) & (p < 1.0)
-    q = np.where(inside, p, 0.5)
-    return np.where(inside, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q), 0.0)
+    q = _where(inside, p, 0.5)
+    return _where(inside, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q), 0.0)
+
+
+def _clamp(value):
+    """``np.maximum(0.0, value)``; a float takes Python's ``max``, which
+    passes nan and -0.0 through as the ufunc does."""
+    if isinstance(value, np.ndarray):
+        return np.maximum(0.0, value)
+    return max(value, 0.0)
+
+
+def _spectra(channel: ChannelParams, mu):
+    """``eve_spectra`` of a float or an array of finite powers, unchecked."""
+    eta, kappa, n_e = channel.eta, channel.kappa, channel.n_e
+    leaked = (1.0 - eta) * mu + eta * n_e
+    nu = 1.0 + 2.0 * kappa * leaked
+    nu_cond = 1.0 + 2.0 * kappa * ((leaked + mu * n_e)
+                                   / (1.0 + eta * mu + (1.0 - eta) * n_e))
+    return nu, nu_cond
+
+
+_UNPHYSICAL = "unphysical channel: Eve's symplectic eigenvalue is below 1"
 
 
 def eve_spectra(channel: ChannelParams, mu):
@@ -156,21 +222,26 @@ def eve_spectra(channel: ChannelParams, mu):
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if not ((mu >= 0.0) & (mu < math.inf)).all():
         raise ValueError("eve_spectra needs finite mu >= 0")
-    eta, kappa, n_e = channel.eta, channel.kappa, channel.n_e
-    leaked = (1.0 - eta) * mu + eta * n_e
-    nu = 1.0 + 2.0 * kappa * leaked
-    nu_cond = 1.0 + 2.0 * kappa * ((leaked + mu * n_e)
-                                   / (1.0 + eta * mu + (1.0 - eta) * n_e))
+    nu, nu_cond = _spectra(channel, mu)
     if not ((nu >= 1.0).all() and (nu_cond >= 1.0).all()):
-        raise ValueError("unphysical channel: Eve's symplectic eigenvalue "
-                         "is below 1")
+        raise ValueError(_UNPHYSICAL)
     return nu, nu_cond
 
 
 def _eve_entropy_terms(channel: ChannelParams, mu):
-    nu, nu_cond = eve_spectra(channel, mu)
-    return (g_entropy_array((nu - 1.0) / 2.0),
-            g_entropy_array((nu_cond - 1.0) / 2.0))
+    """g of Eve's two spectra at a float power or over an array of powers.
+
+    An array goes through ``eve_spectra`` and its checks; a float power is
+    finite and positive already (a validated ``RateInputs.mu`` or a golden
+    point), so only the vacuum check is left to make.
+    """
+    if isinstance(mu, np.ndarray):
+        nu, nu_cond = eve_spectra(channel, mu)
+    else:
+        nu, nu_cond = _spectra(channel, mu)
+        if not (nu >= 1.0 and nu_cond >= 1.0):
+            raise ValueError(_UNPHYSICAL)
+    return _g((nu - 1.0) / 2.0), _g((nu_cond - 1.0) / 2.0)
 
 
 def _loss_to_eve(channel: ChannelParams) -> float:
@@ -188,25 +259,21 @@ def _eve_conditional_limit(channel: ChannelParams) -> float:
                     + 2.0 * (1.0 - eta) * n_e + eta * n_e)
 
 
-def _at_own_mu(finite, ch: ChannelParams, inputs: RateInputs) -> float:
-    return float(finite(ch, inputs, np.array([inputs.mu]))[0])
-
-
-def _lb_direct(ch: ChannelParams, inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
+def _lb_direct(ch: ChannelParams, inputs: RateInputs, mu, terms=None):
     eta, kappa, n_e = ch.eta, ch.kappa, ch.n_e
     beta = inputs.beta
-    s_e, _ = _eve_entropy_terms(ch, mu)
-    value = (beta * g_entropy_array(n_e * (1.0 - eta) + eta * mu)
+    s_e, _ = _eve_entropy_terms(ch, mu) if terms is None else terms
+    value = (beta * _g(n_e * (1.0 - eta) + eta * mu)
              - s_e
              - beta * g_entropy(n_e * (1.0 - eta))
              + g_entropy(n_e * (1.0 - eta * kappa)))
-    return np.maximum(0.0, value)
+    return _clamp(value)
 
 
 def lb_direct(ch: ChannelParams, inputs: RateInputs) -> float:
     """Direct-reconciliation lower bound, bits/mode."""
     if not math.isinf(inputs.mu):
-        return _at_own_mu(_lb_direct, ch, inputs)
+        return float(_lb_direct(ch, inputs, inputs.mu))
     eta, kappa, n_e = ch.eta, ch.kappa, ch.n_e
     if inputs.beta < 1.0:
         return 0.0  # (beta - 1) log2(mu) -> -inf
@@ -221,24 +288,24 @@ def lb_direct(ch: ChannelParams, inputs: RateInputs) -> float:
     return max(0.0, value)
 
 
-def _lb_reverse(ch: ChannelParams, inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
+def _lb_reverse(ch: ChannelParams, inputs: RateInputs, mu, terms=None):
     eta, n_e = ch.eta, ch.n_e
     beta = inputs.beta
-    s_e, s_e_cond = _eve_entropy_terms(ch, mu)
+    s_e, s_e_cond = _eve_entropy_terms(ch, mu) if terms is None else terms
     # Alice's mean photon number given Bob's heterodyne outcome, written so
     # that nothing cancels at large mu
     cond_alice = mu * (1.0 - eta) * (1.0 + n_e) / (1.0 + eta * mu + (1.0 - eta) * n_e)
-    value = (beta * g_entropy_array(mu)
+    value = (beta * _g(mu)
              - s_e
-             - beta * g_entropy_array(cond_alice)
+             - beta * _g(cond_alice)
              + s_e_cond)
-    return np.maximum(0.0, value)
+    return _clamp(value)
 
 
 def lb_reverse(ch: ChannelParams, inputs: RateInputs) -> float:
     """Reverse-reconciliation lower bound, bits/mode."""
     if not math.isinf(inputs.mu):
-        return _at_own_mu(_lb_reverse, ch, inputs)
+        return float(_lb_reverse(ch, inputs, inputs.mu))
     eta, n_e = ch.eta, ch.n_e
     if inputs.beta < 1.0:
         return 0.0
@@ -271,12 +338,12 @@ def upper_bound(channel: ChannelParams) -> float:
     return max(0.0, value)
 
 
-def _skr_cv(ch: ChannelParams, inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
+def _skr_cv(ch: ChannelParams, inputs: RateInputs, mu):
     s_e, s_e_cond = _eve_entropy_terms(ch, mu)
     holevo = s_e - s_e_cond
     floor = 1.0 + (1.0 - ch.eta) * ch.n_e
     mutual = inputs.beta * np.log2((floor + ch.eta * mu) / floor)
-    return inputs.pulse_rate * np.maximum(0.0, mutual - holevo)
+    return inputs.pulse_rate * _clamp(mutual - holevo)
 
 
 def skr_cv_ccq(ch: ChannelParams, inputs: RateInputs) -> float:
@@ -286,7 +353,7 @@ def skr_cv_ccq(ch: ChannelParams, inputs: RateInputs) -> float:
     the collected-mode spectra.
     """
     if not math.isinf(inputs.mu):
-        return _at_own_mu(_skr_cv, ch, inputs)
+        return float(_skr_cv(ch, inputs, inputs.mu))
     eta, n_e = ch.eta, ch.n_e
     if inputs.beta < 1.0:
         return 0.0
@@ -301,19 +368,18 @@ def skr_cv_ccq(ch: ChannelParams, inputs: RateInputs) -> float:
     return inputs.pulse_rate * max(0.0, value)
 
 
-def _bb84(ch: ChannelParams, inputs: RateInputs, signal: np.ndarray,
-          leak: np.ndarray) -> np.ndarray:
+def _bb84(ch: ChannelParams, inputs: RateInputs, signal, leak):
     y0 = ch.n_e
     gain = y0 + signal
     detected = gain > 0.0
-    gain = np.where(detected, gain, 1.0)
+    gain = _where(detected, gain, 1.0)
     err = (0.5 * y0 + inputs.misalignment * signal) / gain
-    value = np.where(detected,
-                     gain * (1.0 - inputs.f_L * binary_entropy(err)) - leak, 0.0)
-    return inputs.pulse_rate * np.maximum(0.0, value)
+    value = _where(detected,
+                   gain * (1.0 - inputs.f_L * binary_entropy(err)) - leak, 0.0)
+    return inputs.pulse_rate * _clamp(value)
 
 
-def _skr_bb84(ch: ChannelParams, inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
+def _skr_bb84(ch: ChannelParams, inputs: RateInputs, mu):
     signal = -np.expm1(-ch.eta * mu)
     leak = -np.expm1(-_loss_to_eve(ch) * mu)
     return _bb84(ch, inputs, signal, leak)
@@ -327,16 +393,20 @@ def skr_ds_bb84(ch: ChannelParams, inputs: RateInputs) -> float:
     collected mode holds at least one photon.
     """
     if not math.isinf(inputs.mu):
-        return _at_own_mu(_skr_bb84, ch, inputs)
+        return float(_skr_bb84(ch, inputs, inputs.mu))
     leak = 1.0 if _loss_to_eve(ch) > 0.0 else 0.0
-    return float(_bb84(ch, inputs, np.array([1.0]), np.array([leak]))[0])
+    return float(_bb84(ch, inputs, 1.0, leak))
 
 
-def _lb_max(ch: ChannelParams, inputs: RateInputs, mu: np.ndarray) -> np.ndarray:
-    return np.maximum(_lb_direct(ch, inputs, mu), _lb_reverse(ch, inputs, mu))
+def _lb_max(ch: ChannelParams, inputs: RateInputs, mu):
+    terms = _eve_entropy_terms(ch, mu)
+    d = _lb_direct(ch, inputs, mu, terms)
+    r = _lb_reverse(ch, inputs, mu, terms)
+    # a float takes Python's max, as max(lb_direct, lb_reverse) does
+    return np.maximum(d, r) if isinstance(d, np.ndarray) else max(d, r)
 
 
-# objective -> (value at inputs.mu, values over an array of finite powers)
+# objective -> (value at inputs.mu, value at a float power or over an array)
 _OBJECTIVE_FUNCS = {
     "lb_direct": (lb_direct, _lb_direct),
     "lb_reverse": (lb_reverse, _lb_reverse),
@@ -367,19 +437,23 @@ def optimize_mu(ch: ChannelParams, inputs: RateInputs,
     bound in mu, so the infinite sentinel and its analytic value are returned
     directly.  Otherwise the maximizer is bracketed on a log grid spanning
     [1e-4, 1e8], scored in one vectorized call, and refined by golden section
-    to ``rel_tol`` in mu.
+    to ``rel_tol`` in mu, each golden point scored as a float.
     """
     if objective in LB_OBJECTIVES and inputs.beta == 1.0:
         sent = replace(inputs, mu=math.inf)
         return MuOptimum(mu=math.inf, value=evaluate_objective(ch, sent, objective))
 
-    def obj_log(t: float) -> float:
-        return evaluate_objective(ch, replace(inputs, mu=math.exp(t)), objective)
-
     grid = np.log(np.geomspace(MU_GRID_LO, MU_GRID_HI, 61))
     values = evaluate_objective(ch, inputs, objective, mu=np.exp(grid))
     if values.max() <= 0.0:
         return MuOptimum(mu=MU_GRID_LO, value=0.0, degenerate=True)
+    finite = _OBJECTIVE_FUNCS[objective][1]
+
+    def obj_log(t: float) -> float:
+        # math.exp, not np.exp: the two differ in the last bit on a few
+        # percent of inputs, and the golden points have always used math.exp
+        return finite(ch, inputs, math.exp(t))
+
     t_best, v_best = grid_then_golden_max(obj_log, grid, tol=math.log1p(rel_tol),
                                           values=values)
     return MuOptimum(mu=math.exp(t_best), value=float(v_best))
@@ -399,10 +473,12 @@ def rate_report(ch: ChannelParams, inputs: RateInputs, optimize: bool = False,
         at_primary = replace(inputs, mu=primary.mu)
         cv = optimize_mu(ch, inputs, "skr_cv")
         bb = optimize_mu(ch, inputs, "skr_bb84")
+        d = lb_direct(ch, at_primary)
+        r = lb_reverse(ch, at_primary)
         return RateReport(
-            lb_direct=lb_direct(ch, at_primary),
-            lb_reverse=lb_reverse(ch, at_primary),
-            lb=max(lb_direct(ch, at_primary), lb_reverse(ch, at_primary)),
+            lb_direct=d,
+            lb_reverse=r,
+            lb=max(d, r),
             ub=ub,
             skr_cv=cv.value,
             skr_bb84=bb.value,

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsoqkd import rates
 from fsoqkd.channel import ChannelParams
-from fsoqkd.rates import (OBJECTIVES, MuOptimum, RateInputs, evaluate_objective,
-                          eve_spectra, g_entropy, g_entropy_array, lb_direct,
-                          lb_reverse, optimize_mu, rate_report, skr_cv_ccq,
-                          skr_ds_bb84, upper_bound)
+from fsoqkd.optimize import grid_then_golden_max
+from fsoqkd.rates import (MU_GRID_HI, MU_GRID_LO, OBJECTIVES, MuOptimum, RateInputs,
+                          binary_entropy, evaluate_objective, eve_spectra, g_entropy,
+                          g_entropy_array, lb_direct, lb_reverse, optimize_mu,
+                          rate_report, skr_cv_ccq, skr_ds_bb84, upper_bound)
 from gaussian_reference import five_mode_spectra
 
 
@@ -84,6 +86,49 @@ def test_g_array_matches_scalar():
         g_entropy_array([1.0, -0.1])
 
 
+# The edges of g's branches, where a float and an array must take the same one.
+BRANCH_EDGES = [0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0, 1e12,
+                math.nextafter(1e12, math.inf)]
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+def test_g_float_branch_equals_array_branch_at_edges():
+    for x in BRANCH_EDGES:
+        assert bits(rates._g(x)) == bits(g_entropy_array([x])[0]), x
+    with pytest.raises(ValueError):
+        rates._g(-0.1)
+
+
+def test_binary_entropy_float_branch_equals_array_branch():
+    for p in [-1.0, 0.0, 5e-324, 0.03, 0.5, math.nextafter(1.0, 0.0), 1.0, 2.0]:
+        assert bits(binary_entropy(p)) == bits(binary_entropy([p])[0]), p
+
+
+def test_clamp_float_equals_ufunc_on_signed_zeros_and_nan():
+    for v in [-1.0, -0.0, 0.0, 5e-324, 1.0, math.inf, -math.inf, math.nan]:
+        assert bits(rates._clamp(v)) == bits(np.maximum(0.0, np.array([v]))[0]), v
+
+
+FINITE_BODIES = [rates._lb_direct, rates._lb_reverse, rates._lb_max,
+                 rates._skr_cv, rates._skr_bb84]
+
+
+@pytest.mark.parametrize("body", FINITE_BODIES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("eta,kappa,n_e", [(0.5, 0.0, 0.0), (0.3, 0.2, 1e-7),
+                                           (0.9, 1.0, 5e-324), (0.05, 0.7, 1e-2)])
+def test_finite_body_float_equals_array_at_branch_edges(body, eta, kappa, n_e):
+    # a golden point is scored as a float; it must give the bits of the
+    # one-element array the grid path would give
+    ch, inp = inputs(eta, kappa, mu=1.0, beta=0.95, n_e=n_e, misalignment=0.02)
+    for mu in BRANCH_EDGES:
+        got = body(ch, inp, mu)
+        assert not isinstance(got, np.ndarray)
+        assert bits(got) == bits(body(ch, inp, np.array([mu]))[0]), mu
+
+
 def test_direct_bound_at_subnormal_noise():
     # g(n_e (1-eta)) appears with opposite signs; an infinite g made it nan,
     # which the clamp at 0 turned into a silent 0
@@ -115,6 +160,8 @@ def test_spectra_shape_and_physicality_check():
     assert eve_spectra(channel(0.6, 0.3, 0.1), 2.0)[0].shape == (1,)
     with pytest.raises(ValueError):
         eve_spectra(channel(0.5, 1.0, -0.5), 0.0)  # nu = 0.5 < 1
+    with pytest.raises(ValueError):  # the same check on a float power
+        lb_reverse(*inputs(0.5, 1.0, mu=0.1, n_e=-0.5))
     with pytest.raises(ValueError):
         eve_spectra(channel(0.5, 1.0), math.inf)
 
@@ -352,6 +399,43 @@ def test_optimize_mu_matches_dense_grid():
     assert opt.value >= dense * (1 - 1e-2)
 
 
+def golden_loop_reference(ch, inp, objective, score, rel_tol=1e-4):
+    """optimize_mu at beta < 1, with each golden point t scored by
+    ``score(ch, inp, objective, math.exp(t))``."""
+    grid = np.log(np.geomspace(MU_GRID_LO, MU_GRID_HI, 61))
+    values = evaluate_objective(ch, inp, objective, mu=np.exp(grid))
+    if values.max() <= 0.0:
+        return MuOptimum(mu=MU_GRID_LO, value=0.0, degenerate=True)
+    t, v = grid_then_golden_max(lambda t: score(ch, inp, objective, math.exp(t)),
+                                grid, tol=math.log1p(rel_tol), values=values)
+    return MuOptimum(mu=math.exp(t), value=float(v))
+
+
+def score_at_own_mu(ch, inp, objective, mu):
+    return evaluate_objective(ch, replace(inp, mu=mu), objective)
+
+
+def score_one_element_array(ch, inp, objective, mu):
+    return float(evaluate_objective(ch, inp, objective, mu=np.array([mu]))[0])
+
+
+def test_optimize_mu_equals_golden_loop_over_rate_inputs():
+    rng = np.random.default_rng(201213865)
+    degenerate = 0
+    for i in range(500):
+        eta, kappa = rng.uniform(0.01, 0.99), rng.uniform(0.0, 1.0)
+        ch, inp = inputs(eta, kappa, mu=1.0, beta=rng.uniform(0.5, 1.0),
+                         n_e=rng.uniform(0.0, 1e-2),
+                         misalignment=rng.uniform(0.0, 0.1))
+        objective = OBJECTIVES[i % len(OBJECTIVES)]
+        got = optimize_mu(ch, inp, objective)
+        for score in (score_at_own_mu, score_one_element_array):
+            assert got == golden_loop_reference(ch, inp, objective, score), (
+                i, objective, score.__name__)
+        degenerate += got.degenerate
+    assert degenerate < 250
+
+
 def test_optimize_mu_degenerate_channel():
     # eta below kappa(1-eta) everywhere and beta<1: nothing to send
     opt = optimize_mu(*inputs(0.05, 1.0, mu=1.0, beta=0.6), "lb_direct")
@@ -376,3 +460,8 @@ def test_rate_inputs_validation():
         RateInputs(mu=1.0, beta=0.0)
     with pytest.raises(ValueError):
         RateInputs(mu=1.0, f_L=0.9)
+    for misalignment in (-1e-3, math.nextafter(0.5, 1.0), 1.0, math.nan):
+        with pytest.raises(ValueError):
+            RateInputs(mu=1.0, misalignment=misalignment)
+    assert RateInputs(misalignment=0.0).misalignment == 0.0
+    assert RateInputs(misalignment=0.5).misalignment == 0.5
