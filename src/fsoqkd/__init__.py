@@ -24,7 +24,7 @@ from .channel import (ChannelConsistencyError, ChannelParams, Geometry,
                       thermal_occupation)
 from .diffraction import (CoverageError, DiskSpec, FieldProfile, SourceAnnulus,
                           arago_relative_amplitude, deserialize_profile,
-                          disk_power, fresnel_field_bessel, fresnel_valid,
+                          disk_power, fresnel_valid, profile_key,
                           propagate_profile, rs_field_direct, serialize_profile)
 from .quadrature import QuadratureError
 from .rates import (MuOptimum, RateInputs, RateReport, eve_spectra, g_entropy,

@@ -187,8 +187,6 @@ def cmd_wavefront(config: RunConfig, out_dir: str, name: str, label: str,
     beam = config.beam()
     src = SourceAnnulus(beam, config.alice_bob_distance, config.bob_radius)
     wf = config.wavefront
-    if wf.pixels < 1 or wf.half_width <= 0:
-        raise ConfigError("wavefront grid must have positive size")
     for dist in wf.distances:
         coverage = wf.half_width * math.sqrt(2.0) * 1.0001
         profile = cache.get_or_compute(src, dist, DiskSpec(coverage, 0.0))

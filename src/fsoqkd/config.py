@@ -92,14 +92,26 @@ class RunConfig:
             self.geometry()  # offset sign, before-Bob placement
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.sweep_count < 2:
-            raise ConfigError("sweep_count must be at least 2")
+        if not (isinstance(self.sweep_count, int) and self.sweep_count >= 2):
+            raise ConfigError(f"sweep_count must be an integer >= 2, "
+                              f"got {self.sweep_count!r}")
         if not self.sweep_min < self.sweep_max:
             raise ConfigError("sweep_min must be below sweep_max")
+        if self.sweep_spacing == "log" and not self.sweep_min > 0:
+            raise ConfigError(f"a log sweep needs sweep_min > 0, "
+                              f"got {self.sweep_min!r}")
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"unknown objective {self.objective!r}")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        if not (isinstance(self.threads, int) and self.threads >= 1):
+            raise ConfigError(f"threads must be an integer >= 1, "
+                              f"got {self.threads!r}")
+        wf = self.wavefront
+        if not (isinstance(wf.pixels, int) and wf.pixels >= 1 and wf.half_width > 0):
+            raise ConfigError("wavefront grid must have a positive half_width and "
+                              "a positive integer number of pixels")
+        if not wf.distances or not all(d > 0 for d in wf.distances):
+            raise ConfigError(f"wavefront distances must be positive, got "
+                              f"{list(wf.distances)!r}")
         return self
 
     # -- domain object builders ------------------------------------------
@@ -154,13 +166,16 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg_kwargs = dict(data)
-        if wf is not None:
-            cfg_kwargs["wavefront"] = WavefrontSettings(
-                half_width=wf.get("half_width", 0.35),
-                pixels=wf.get("pixels", 201),
-                distances=tuple(wf.get("distances", (60_000.0,))))
+        if wf is not None and not isinstance(wf, dict):
+            raise ConfigError("wavefront must be an object")
+        unknown = set(wf or ()) - set(WavefrontSettings.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown wavefront keys: {sorted(unknown)}")
         try:
-            return cls(**cfg_kwargs).validate()
+            if wf is not None:
+                if "distances" in wf:
+                    wf = {**wf, "distances": tuple(wf["distances"])}
+                data["wavefront"] = WavefrontSettings(**wf)
+            return cls(**data).validate()
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc

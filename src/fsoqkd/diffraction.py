@@ -6,9 +6,10 @@ absorbing aperture or obstacle:
 * :func:`rs_field_direct` — direct two-dimensional Rayleigh–Sommerfeld
   integral in polar coordinates.  Slow by design; it is the validation oracle
   and no production path depends on it.
-* :func:`fresnel_field_bessel` — the cylindrically symmetric Fresnel
-  reduction, a single radial integral with a J0 kernel.  This is what
-  profiles, sweeps and channel parameters use.
+* :func:`propagate_profile` — the cylindrically symmetric Fresnel reduction,
+  a single radial integral with a J0 kernel, sampled on a radial grid.  This
+  is what sweeps, geometry searches and channel parameters use; the field at
+  one radius l is the outer node of a profile whose disk reaches l.
 
 The Fresnel source is the beam outside a disk of radius ``a`` (Bob's aperture,
 or Eve's obstacle before Bob), so the radial integral runs over [a, inf).  It
@@ -29,7 +30,7 @@ carries the curvature phase ``exp(-i k r^2 / 2R)`` of
 ``exp(+i k r^2 / 2L)``.  The net quadratic phase is (k/2)(1/L - 1/R), so the
 diverging beam behaves as if converging and refocuses near L = R.
 
-Field profiles sample the fast evaluator on an adaptive radial grid and are
+Field profiles sample the radial integral on an adaptive grid and are
 interpolated by a complex cubic spline: the slope is clamped to 0 at the axis,
 where U(rho) is even, and the outer end is not-a-knot.  The spline is built and
 evaluated here in the arithmetic of scipy's ``CubicSpline`` with that boundary
@@ -42,13 +43,15 @@ what it is alone.  Collected powers on centered or displaced disks are
 integrated from the spline with the angular-overlap weight of the disk, by an
 8-point Gauss rule between the profile nodes; :func:`disk_power` takes one
 profile or a whole sequence of them.
+
+A profile is identified by :func:`profile_key`, the one list of the inputs
+that determine it; the in-memory and the on-disk profile caches key on it.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -70,13 +73,7 @@ PROFILE_NODES_PER_HALF_PERIOD = 8
 PROFILE_FIELD_RTOL = 1e-6
 PROFILE_MAX_NODES = 60_000
 
-SERIALIZATION_VERSION = 2
-
-# Instrumentation: number of profile constructions actually performed.  The
-# CLI cache test (tests/test_cli.py) asserts a warm run performs zero.
-PROPAGATION_COUNTER = [0]
-
-_counter_lock = threading.Lock()
+SERIALIZATION_VERSION = 3
 
 # Gauss-Legendre rule of disk_power, per interval between profile nodes.
 _DISK_GX, _DISK_GW = leggauss(8)
@@ -101,28 +98,31 @@ class SourceAnnulus:
     The two canonical instances are the cropped beam behind a receiver
     (``inner_radius`` = receiver radius) and the blocked beam behind an
     absorbing obstacle (``inner_radius`` = obstacle radius).  The source
-    always extends to infinity; ``outer_radius`` is kept only so that
-    records and cache keys carry it, and must be ``math.inf``.
+    always extends to infinity.
     """
 
     beam: BeamParams
     plane_distance: float
     inner_radius: float
-    outer_radius: float = math.inf
 
     def __post_init__(self):
         if self.plane_distance < 0:
             raise ValueError("plane_distance must be nonnegative")
         if not 0 <= self.inner_radius < math.inf:
             raise ValueError("inner_radius must be finite and nonnegative")
-        if self.outer_radius != math.inf:
-            raise ValueError("outer_radius must be infinite; finite annuli are "
-                             "not supported")
 
     def power(self) -> float:
         """Exact power carried by the annulus."""
         return (total_power(self.beam)
                 - encircled_power(self.beam, self.plane_distance, self.inner_radius))
+
+
+def profile_key(src: SourceAnnulus, distance: float, coverage: float) -> tuple:
+    """The inputs that determine a field profile: the beam, the source
+    annulus, the propagation distance and the radial coverage."""
+    b = src.beam
+    return (b.wavelength, b.waist_radius, b.field_peak, b.refractive_index,
+            src.plane_distance, src.inner_radius, distance, coverage)
 
 
 @dataclass(frozen=True)
@@ -162,6 +162,12 @@ class FieldProfile:
     @property
     def truncation_radius(self) -> float:
         return float(self.radial_nodes[-1])
+
+    @property
+    def key(self) -> tuple:
+        """:func:`profile_key` of the profile; its last node is the coverage."""
+        return profile_key(self.source, self.propagation_distance,
+                           self.truncation_radius)
 
     def interpolator(self):
         """Complex cubic spline through the samples, callable on radius arrays.
@@ -336,28 +342,6 @@ def _fresnel_prefactor(src: SourceAnnulus, distance: float, l_values):
             * np.exp(1j * k * np.asarray(l_values, dtype=float) ** 2 / (2.0 * distance)))
 
 
-def fresnel_field_bessel(src: SourceAnnulus, distance: float, l: float,
-                         rel_tol: float = 1e-6) -> complex:
-    """Diffracted field at radial offset ``l``, Fresnel/Bessel reduction.
-
-    The source integral over [inner_radius, inf) is the closed-form Hankel
-    transform of the whole Gaussian minus a quadrature over the disk
-    [0, inner_radius] (Babinet complement, see the module docstring); the
-    two-level quadrature check is made on the subtracted value.  The source
-    phase is ``exp(-i k r^2 / 2R)`` under the kernel ``exp(+i k r^2 / 2L)``,
-    the convention stated in the module docstring.
-    """
-    if distance <= 0:
-        raise ValueError("propagation distance must be positive")
-    if l < 0:
-        raise ValueError("radial offset must be nonnegative")
-    coarse, fine, _ = _fresnel_integral(src, distance, np.array([l]))
-    est = abs(fine[0] - coarse[0]) / max(abs(fine[0]), 1e-300)
-    if est > rel_tol and abs(fine[0]) > 1e-12:
-        raise QuadratureError("fresnel_field_bessel did not converge", est)
-    return complex(_fresnel_prefactor(src, distance, l) * fine[0])
-
-
 def rs_field_direct(src: SourceAnnulus, distance: float, l: float, phi: float = 0.0,
                     rel_tol: float = 1e-5) -> complex:
     """Direct 2-D Rayleigh–Sommerfeld integral (validation oracle).
@@ -482,10 +466,6 @@ def propagate_profile(src: SourceAnnulus, distance: float, disk_hint: DiskSpec,
     if est > rel_tol and scale > 1e-12:
         raise QuadratureError("propagate_profile did not converge", est)
     amplitudes = _fresnel_prefactor(src, distance, nodes) * fine
-
-    with _counter_lock:
-        PROPAGATION_COUNTER[0] += 1
-
     budget = QuadratureBudget(rel_tol=rel_tol, achieved=est,
                               source_nodes=source_nodes,
                               profile_nodes=len(nodes))
@@ -636,27 +616,22 @@ def arago_relative_amplitude(obstacle_radius: float, distance: float, l,
 
 # ---------------------------------------------------------------------------
 # Serialization: versioned little-endian binary record.
-# Header: uint32 version; 10 float64 fields (wavelength, waist radius, field
-# peak, refractive index, source plane distance, inner radius, outer radius,
-# propagation distance, budget rel_tol, budget achieved error); uint64 node
-# count (the budget's profile_nodes); uint64 budget source_nodes.
-# Body: (node, re, im) float64 triples.
+# Header: uint32 version; 9 float64 fields: the profile key less its coverage
+# (wavelength, waist radius, field peak, refractive index, source plane
+# distance, inner radius, propagation distance), then budget rel_tol and
+# budget achieved error; uint64 node count (the budget's profile_nodes);
+# uint64 budget source_nodes.
+# Body: (node, re, im) float64 triples; the last node is the coverage.
 # ---------------------------------------------------------------------------
 
-_HEADER = struct.Struct("<I10d2Q")
+_HEADER = struct.Struct("<I9d2Q")
 
 
 def serialize_profile(profile: FieldProfile) -> bytes:
-    src = profile.source
-    beam = src.beam
     budget = profile.budget
     n = profile.radial_nodes.size
-    head = _HEADER.pack(
-        SERIALIZATION_VERSION,
-        beam.wavelength, beam.waist_radius, beam.field_peak, beam.refractive_index,
-        src.plane_distance, src.inner_radius, src.outer_radius,
-        profile.propagation_distance, budget.rel_tol, budget.achieved,
-        n, budget.source_nodes)
+    head = _HEADER.pack(SERIALIZATION_VERSION, *profile.key[:-1],
+                        budget.rel_tol, budget.achieved, n, budget.source_nodes)
     body = np.empty((n, 3))
     body[:, 0] = profile.radial_nodes
     body[:, 1] = profile.complex_amplitudes.real
@@ -667,8 +642,7 @@ def serialize_profile(profile: FieldProfile) -> bytes:
 def deserialize_profile(blob: bytes) -> FieldProfile:
     if len(blob) < _HEADER.size:
         raise ValueError("profile record truncated: missing header")
-    (version, wavelength, waist, peak, n_index, plane, inner, outer, distance,
-     rel_tol, achieved, count, source_nodes) = _HEADER.unpack_from(blob)
+    version, *key, rel_tol, achieved, count, source_nodes = _HEADER.unpack_from(blob)
     if version != SERIALIZATION_VERSION:
         raise ValueError(f"unsupported profile record version {version}")
     expect = _HEADER.size + count * 24
@@ -679,8 +653,8 @@ def deserialize_profile(blob: bytes) -> FieldProfile:
     amps = body[:, 1] + 1j * body[:, 2]
     if count < 3 or nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0):
         raise ValueError("profile record corrupt: bad radial grid")
-    beam = BeamParams(wavelength, waist, peak, n_index)
-    src = SourceAnnulus(beam, plane, inner, outer)
+    # profile_key's order: four beam fields, two annulus fields, the distance
+    src = SourceAnnulus(BeamParams(*key[:4]), *key[4:6])
     budget = QuadratureBudget(rel_tol=rel_tol, achieved=achieved,
                               source_nodes=int(source_nodes), profile_nodes=int(count))
-    return FieldProfile(src, distance, nodes, amps, budget)
+    return FieldProfile(src, key[6], nodes, amps, budget)

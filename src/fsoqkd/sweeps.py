@@ -19,7 +19,8 @@ import numpy as np
 from .beams import BeamParams, encircled_power, plane_params, total_power
 from .channel import ChannelParams, Geometry, Scenario, channel_params
 from .diffraction import (DiskSpec, FieldProfile, SourceAnnulus,
-                          arago_relative_amplitude, propagate_profile)
+                          arago_relative_amplitude, profile_key,
+                          propagate_profile)
 from .optimize import golden_section_max, grid_then_golden_max
 from .rates import (RateInputs, RateReport, evaluate_objective, optimize_mu,
                     rate_report)
@@ -40,16 +41,9 @@ class ProfileCache:
         self._lock = threading.Lock()
         self._compute = compute or propagate_profile
 
-    @staticmethod
-    def key(src: SourceAnnulus, distance: float, coverage: float):
-        b = src.beam
-        return (b.wavelength, b.waist_radius, b.field_peak, b.refractive_index,
-                src.plane_distance, src.inner_radius, src.outer_radius,
-                distance, coverage)
-
     def get_or_compute(self, src: SourceAnnulus, distance: float,
                        disk_hint: DiskSpec) -> FieldProfile:
-        k = self.key(src, distance, disk_hint.center_offset + disk_hint.radius)
+        k = profile_key(src, distance, disk_hint.center_offset + disk_hint.radius)
         with self._lock:
             hit = self._store.get(k)
         if hit is not None:

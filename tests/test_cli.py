@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from fsoqkd import cli, diffraction
+from fsoqkd import cache, cli, diffraction
 from fsoqkd.cache import CACHE_ENV_VAR
 from fsoqkd.channel import ChannelParams
 from fsoqkd.rates import upper_bound
@@ -32,12 +32,18 @@ def sweep(tmp_path, monkeypatch):
     config = tmp_path / "grid.json"
     config.write_text(json.dumps(CONFIG))
     out = tmp_path / "out"
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return diffraction.propagate_profile(*args, **kwargs)
+
+    monkeypatch.setattr(cache, "propagate_profile", counted)
 
     def run():
-        before = diffraction.PROPAGATION_COUNTER[0]
+        calls.clear()
         assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == 0
-        return (diffraction.PROPAGATION_COUNTER[0] - before,
-                (out / "grid__run.csv").read_bytes())
+        return len(calls), (out / "grid__run.csv").read_bytes()
 
     run.cache_dir = cache_dir
     return run
@@ -89,6 +95,19 @@ def test_two_node_cache_entry_is_recomputed(sweep):
     assert entry.read_bytes() == blob
 
 
+def test_record_of_another_profile_is_recomputed(sweep, caplog):
+    _, cold = sweep()
+    first, second = sorted(sweep.cache_dir.glob("*.profile"))[:2]
+    blob = second.read_bytes()
+    # a valid record whose key is not the one its file name stands for
+    second.write_bytes(first.read_bytes())
+    computed, again = sweep()
+    assert "does not match its key" in caplog.text
+    assert computed == 1
+    assert again == cold
+    assert second.read_bytes() == blob
+
+
 @pytest.mark.parametrize("override", [
     {"mu": -2},
     {"eve_offset": -1},
@@ -99,11 +118,36 @@ def test_two_node_cache_entry_is_recomputed(sweep):
     {"noise_override": -1e-8},
     {"beta": 1.5},
     {"f_L": 0.9},
+    {"sweep_parameter": "mu", "sweep_min": 0.0, "sweep_max": 1.0},
+    {"sweep_min": -5.0},
+    {"sweep_count": 2.5},
+    {"threads": 1.5},
 ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
 def test_bad_config_exits_2(tmp_path, capsys, override):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({**CONFIG, **override}))
     code = cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("wavefront", [
+    {"distances": [0.0]},
+    {"distances": [60_000.0, -1.0]},
+    {"distances": []},
+    {"distances": 5},
+    {"pixel": 5},
+    {"pixels": 0},
+    {"pixels": 2.5},
+    {"half_width": -0.1},
+    [1, 2],
+], ids=json.dumps)
+def test_bad_wavefront_config_exits_2(tmp_path, capsys, wavefront):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({**CONFIG, "wavefront": wavefront}))
+    code = cli.main(["wavefront", "--config", str(config), "--out",
+                     str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
