@@ -16,10 +16,13 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from scipy.constants import h as PLANCK, k as BOLTZMANN, c as LIGHT_SPEED
-
 from .beams import BeamParams, encircled_power, total_power
 from .diffraction import DiskSpec, SourceAnnulus, disk_power, propagate_profile
+
+# exact SI values (2019 redefinition), equal to scipy.constants' h, k and c
+PLANCK = 6.62607015e-34  # J s
+BOLTZMANN = 1.380649e-23  # J/K
+LIGHT_SPEED = 299792458.0  # m/s
 
 KAPPA_CLAMP_TOL = 1e-3
 

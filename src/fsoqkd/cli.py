@@ -29,7 +29,7 @@ from .cache import CACHE_ENV_VAR, ProfileDiskCache, default_cache_dir
 from .config import ConfigError, RunConfig
 from .diffraction import DiskSpec, SourceAnnulus
 from .recipes import RecipeItem, build_recipe, recipe_names
-from .sweeps import (ProfileCache, SweepRow, SweepSpec, arago_prediction_curve,
+from .sweeps import (ProfileCache, SweepRow, arago_prediction_curve,
                      geometry_row, optimal_eve_distance, optimize_eve_offset,
                      run_sweep)
 
@@ -78,23 +78,13 @@ def _make_cache(config: RunConfig, cache_override: str | None) -> ProfileCache:
     return ProfileCache()
 
 
-def _sweep_spec(config: RunConfig) -> SweepSpec:
-    return SweepSpec(parameter=config.sweep_parameter, minimum=config.sweep_min,
-                     maximum=config.sweep_max, count=config.sweep_count,
-                     spacing=config.sweep_spacing, geometry=config.geometry(),
-                     beam=config.beam(), rates=config.rate_inputs(),
-                     noise=config.noise(), optimize_power=config.optimize_mu,
-                     objective=config.objective,
-                     tie_bob_eve_to_link=config.tie_bob_eve_to_link)
-
-
 def _out_path(out_dir: str, name: str, label: str, suffix: str = ".csv") -> Path:
     return Path(out_dir) / f"{name}__{label}{suffix}"
 
 
 def cmd_sweep(config: RunConfig, out_dir: str, name: str, label: str,
               cache: ProfileCache, threads: int) -> int:
-    spec = _sweep_spec(config)
+    spec = config.sweep_spec()
     rows = run_sweep(spec, cache=cache, threads=threads)
     errors = write_rows_csv(_out_path(out_dir, name, label), rows)
     if config.emit_arago_overlay and spec.parameter == "L_BE" \
@@ -111,7 +101,7 @@ def cmd_before_bob(config: RunConfig, out_dir: str, name: str, label: str,
     signed Bob-to-Eve distance (negative when Eve is before Bob)."""
     if config.scenario != "before_bob":
         raise ConfigError("before-bob command needs scenario = before_bob")
-    spec = _sweep_spec(config)
+    spec = config.sweep_spec()
     rows = run_sweep(spec, cache=cache, threads=threads)
     lab = config.alice_bob_distance
     signed = [replace(r, value=-(lab - r.value)) for r in rows]
@@ -124,7 +114,7 @@ def cmd_combined_axis(items, out_dir: str, name: str, cache: ProfileCache,
     """Merge before-Bob (negative axis) and behind-Bob (positive) segments."""
     merged: dict[str, list[SweepRow]] = {}
     for item in items:
-        spec = _sweep_spec(item.config)
+        spec = item.config.sweep_spec()
         rows = run_sweep(spec, cache=cache, threads=threads)
         base, _, side = item.label.rpartition("_")
         if side == "before":
@@ -142,7 +132,7 @@ def cmd_optimal_distance(config: RunConfig, out_dir: str, name: str, label: str,
                          cache: ProfileCache) -> int:
     if config.scenario != "behind_bob":
         raise ConfigError("eavesdropper-distance search needs scenario = behind_bob")
-    spec = _sweep_spec(config)
+    spec = config.sweep_spec()
     geom = spec.geometry
     result = optimal_eve_distance(geom, spec.beam, spec.rates, spec.noise,
                                   search_range=(spec.minimum, spec.maximum),
@@ -159,7 +149,7 @@ def cmd_optimize_d(config: RunConfig, out_dir: str, name: str, label: str,
                    cache: ProfileCache) -> int:
     if config.scenario != "behind_bob":
         raise ConfigError("offset optimization needs scenario = behind_bob")
-    spec = _sweep_spec(config)
+    spec = config.sweep_spec()
     rows_opt, rows_axis = [], []
     for lbe in spec.grid():
         try:

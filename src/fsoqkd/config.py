@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from .beams import BeamParams
 from .channel import Geometry, Scenario, default_noise
 from .rates import OBJECTIVES, RateInputs
-from .sweeps import SWEEP_PARAMETERS, SWEEP_SPACINGS
+from .sweeps import SWEEP_PARAMETERS, SWEEP_SPACINGS, SweepSpec, _apply_parameter
 
 CONFIG_VERSION = 1
 
@@ -100,6 +100,15 @@ class RunConfig:
         if self.sweep_spacing == "log" and not self.sweep_min > 0:
             raise ConfigError(f"a log sweep needs sweep_min > 0, "
                               f"got {self.sweep_min!r}")
+        # each parameter's valid values form an interval and every grid is
+        # monotone, so a grid is valid when both of its ends are
+        spec = self.sweep_spec()
+        for value in (self.sweep_min, self.sweep_max):
+            try:
+                _apply_parameter(spec, value)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"sweep {self.sweep_parameter} = {value!r}: {exc}") from exc
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"unknown objective {self.objective!r}")
         if not (isinstance(self.threads, int) and self.threads >= 1):
@@ -138,6 +147,15 @@ class RunConfig:
     def rate_inputs(self) -> RateInputs:
         return RateInputs(mu=self.mu, beta=self.beta, f_L=self.f_L,
                           pulse_rate=self.pulse_rate)
+
+    def sweep_spec(self) -> SweepSpec:
+        return SweepSpec(parameter=self.sweep_parameter, minimum=self.sweep_min,
+                         maximum=self.sweep_max, count=self.sweep_count,
+                         spacing=self.sweep_spacing, geometry=self.geometry(),
+                         beam=self.beam(), rates=self.rate_inputs(),
+                         noise=self.noise(), optimize_power=self.optimize_mu,
+                         objective=self.objective,
+                         tie_bob_eve_to_link=self.tie_bob_eve_to_link)
 
     # -- serialization ----------------------------------------------------
 

@@ -7,12 +7,9 @@ reconciliation lower bounds are Holevo quantities of that collected mode.
 The mode is single-mode and phase-insensitive, alone and conditioned on
 Bob's heterodyne outcome, so each of its two symplectic spectra is one
 scalar with a closed form (``eve_spectra``).  Each finite-power body of the
-bounds and rates (``_lb_direct``, ``_skr_cv``, ...) is written once and takes
-either a float ``mu`` or an array of them: ``evaluate_objective`` scores a
-whole grid of powers in one call, while a single power (``RateInputs.mu``, a
-golden-section point of ``optimize_mu``) stays a float.  The float path
-chooses branches with Python ``if``s instead of masks but calls the same
-numpy ufuncs, so it gives the bits a one-element array would.
+bounds and rates (``_lb_direct``, ``_skr_cv``, ...) takes one float ``mu``
+and works in ``math``; ``optimize_mu`` calls it once per grid point and per
+golden-section point.
 
 ``mu = math.inf`` is a supported sentinel: the bounds are then evaluated from
 their analytic large-power limits instead of a huge finite value, which would
@@ -39,6 +36,8 @@ from .optimize import grid_then_golden_max
 LN2 = math.log(2.0)
 LOG2_E = math.log2(math.e)
 MU_GRID_LO, MU_GRID_HI = 1e-4, 1e8
+# log powers of optimize_mu's coarse grid
+_LOG_MU_GRID = np.log(np.geomspace(MU_GRID_LO, MU_GRID_HI, 61)).tolist()
 
 LB_OBJECTIVES = ("lb_direct", "lb_reverse", "lb_max")
 OBJECTIVES = LB_OBJECTIVES + ("skr_cv", "skr_bb84")
@@ -115,100 +114,22 @@ def g_entropy(x: float) -> float:
     return (math.log1p(x) + x * math.log1p(1.0 / x)) / LN2
 
 
-def _g_small(x):
-    return ((1.0 + x) * np.log1p(x) - x * np.log(x)) / LN2
-
-
-def _g_mid(x):
-    return (np.log1p(x) + x * np.log1p(1.0 / x)) / LN2
-
-
-def _g_huge(x):
-    return np.log2(x) + LOG2_E + LOG2_E / (2.0 * x)
-
-
-def g_entropy_array(x) -> np.ndarray:
-    """``g_entropy`` elementwise, with the same three branches."""
-    x = np.asarray(x, dtype=float)
-    if (x < 0).any():
-        raise ValueError("mean photon number must be nonnegative")
-    out = np.zeros(x.shape)
-    small = (x > 0.0) & (x < 1.0)
-    huge = x > 1e12
-    mid = ~((x < 1.0) | huge)
-    out[small] = _g_small(x[small])
-    out[mid] = _g_mid(x[mid])
-    out[huge] = _g_huge(x[huge])
-    return out
-
-
-def _g(x):
-    """g of a float or of an array of mean photon numbers.
-
-    A float takes its branch by Python ``if``s instead of masks; the numpy
-    ufuncs are those of the array branch, so both give the same bits.
-    """
-    if isinstance(x, np.ndarray):
-        return g_entropy_array(x)
-    if x < 0.0:
-        raise ValueError("mean photon number must be nonnegative")
-    if x == 0.0:
+def binary_entropy(p: float) -> float:
+    """Binary entropy in bits; 0 outside (0, 1)."""
+    if not 0.0 < p < 1.0:
         return 0.0
-    if x > 1e12:
-        return _g_huge(x)
-    if x < 1.0:
-        return _g_small(x)
-    return _g_mid(x)
+    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def _where(cond, a, b):
-    """``np.where``; a bool takes Python's conditional expression."""
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, a, b)
-    return a if cond else b
+def eve_spectra(channel: ChannelParams, mu: float) -> tuple[float, float]:
+    """Symplectic eigenvalues of Eve's collected mode at a finite power.
 
-
-def binary_entropy(p):
-    """Binary entropy in bits of a float, or elementwise as an array; 0
-    outside (0, 1)."""
-    if not isinstance(p, float):
-        p = np.asarray(p, dtype=float)
-    inside = (p > 0.0) & (p < 1.0)
-    q = _where(inside, p, 0.5)
-    return _where(inside, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q), 0.0)
-
-
-def _clamp(value):
-    """``np.maximum(0.0, value)``; a float takes Python's ``max``, which
-    passes nan and -0.0 through as the ufunc does."""
-    if isinstance(value, np.ndarray):
-        return np.maximum(0.0, value)
-    return max(value, 0.0)
-
-
-def _spectra(channel: ChannelParams, mu):
-    """``eve_spectra`` of a float or an array of finite powers, unchecked."""
-    eta, kappa, n_e = channel.eta, channel.kappa, channel.n_e
-    leaked = (1.0 - eta) * mu + eta * n_e
-    nu = 1.0 + 2.0 * kappa * leaked
-    nu_cond = 1.0 + 2.0 * kappa * ((leaked + mu * n_e)
-                                   / (1.0 + eta * mu + (1.0 - eta) * n_e))
-    return nu, nu_cond
-
-
-_UNPHYSICAL = "unphysical channel: Eve's symplectic eigenvalue is below 1"
-
-
-def eve_spectra(channel: ChannelParams, mu):
-    """Symplectic eigenvalues of Eve's collected mode.
-
-    Returns ``(nu, nu_conditional)``, arrays shaped like
-    ``np.atleast_1d(mu)``; the conditional value follows a heterodyne
-    measurement of Bob's mode.  A two-mode squeezed source of ``mu`` photons
-    per arm passes the beamsplitter ``eta`` (thermal environment ``n_e``)
-    and Eve's beamsplitter ``kappa`` (vacuum ancilla).  Both states are
-    single-mode and phase-insensitive, so each spectrum is one scalar
-    (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)):
+    Returns ``(nu, nu_conditional)``; the conditional value follows a
+    heterodyne measurement of Bob's mode.  A two-mode squeezed source of
+    ``mu`` photons per arm passes the beamsplitter ``eta`` (thermal
+    environment ``n_e``) and Eve's beamsplitter ``kappa`` (vacuum ancilla).
+    Both states are single-mode and phase-insensitive, so each spectrum is
+    one scalar (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)):
 
         nu     = 1 + 2 kappa ((1-eta) mu + eta n_e)
         nu|B   = 1 + 2 kappa ((1-eta) mu + eta n_e + mu n_e)
@@ -216,32 +137,26 @@ def eve_spectra(channel: ChannelParams, mu):
 
     The second is the Schur complement V_E - c^2 / (V_B + 1) with the
     cancelling terms removed; its mu -> inf limit is
-    ``_eve_conditional_limit``.  Raises ``ValueError`` when a value falls
-    below the vacuum's 1, which only unphysical channel parameters cause.
+    ``_eve_conditional_limit``.  Raises ``ValueError`` unless
+    ``0 <= mu < inf``, and when a value falls below the vacuum's 1, which
+    only unphysical channel parameters cause.
     """
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if not ((mu >= 0.0) & (mu < math.inf)).all():
+    if not 0.0 <= mu < math.inf:
         raise ValueError("eve_spectra needs finite mu >= 0")
-    nu, nu_cond = _spectra(channel, mu)
-    if not ((nu >= 1.0).all() and (nu_cond >= 1.0).all()):
-        raise ValueError(_UNPHYSICAL)
+    eta, kappa, n_e = channel.eta, channel.kappa, channel.n_e
+    leaked = (1.0 - eta) * mu + eta * n_e
+    nu = 1.0 + 2.0 * kappa * leaked
+    nu_cond = 1.0 + 2.0 * kappa * ((leaked + mu * n_e)
+                                   / (1.0 + eta * mu + (1.0 - eta) * n_e))
+    if not (nu >= 1.0 and nu_cond >= 1.0):
+        raise ValueError("unphysical channel: Eve's symplectic eigenvalue is below 1")
     return nu, nu_cond
 
 
-def _eve_entropy_terms(channel: ChannelParams, mu):
-    """g of Eve's two spectra at a float power or over an array of powers.
-
-    An array goes through ``eve_spectra`` and its checks; a float power is
-    finite and positive already (a validated ``RateInputs.mu`` or a golden
-    point), so only the vacuum check is left to make.
-    """
-    if isinstance(mu, np.ndarray):
-        nu, nu_cond = eve_spectra(channel, mu)
-    else:
-        nu, nu_cond = _spectra(channel, mu)
-        if not (nu >= 1.0 and nu_cond >= 1.0):
-            raise ValueError(_UNPHYSICAL)
-    return _g((nu - 1.0) / 2.0), _g((nu_cond - 1.0) / 2.0)
+def _eve_entropy_terms(channel: ChannelParams, mu: float) -> tuple[float, float]:
+    """Entropies of Eve's mode, alone and given Bob's outcome, in bits."""
+    nu, nu_cond = eve_spectra(channel, mu)
+    return g_entropy((nu - 1.0) / 2.0), g_entropy((nu_cond - 1.0) / 2.0)
 
 
 def _loss_to_eve(channel: ChannelParams) -> float:
@@ -259,21 +174,22 @@ def _eve_conditional_limit(channel: ChannelParams) -> float:
                     + 2.0 * (1.0 - eta) * n_e + eta * n_e)
 
 
-def _lb_direct(ch: ChannelParams, inputs: RateInputs, mu, terms=None):
+def _lb_direct(ch: ChannelParams, inputs: RateInputs, mu: float,
+               terms: tuple[float, float] | None = None) -> float:
     eta, kappa, n_e = ch.eta, ch.kappa, ch.n_e
     beta = inputs.beta
-    s_e, _ = _eve_entropy_terms(ch, mu) if terms is None else terms
-    value = (beta * _g(n_e * (1.0 - eta) + eta * mu)
+    s_e, _ = terms or _eve_entropy_terms(ch, mu)
+    value = (beta * g_entropy(n_e * (1.0 - eta) + eta * mu)
              - s_e
              - beta * g_entropy(n_e * (1.0 - eta))
              + g_entropy(n_e * (1.0 - eta * kappa)))
-    return _clamp(value)
+    return max(value, 0.0)
 
 
 def lb_direct(ch: ChannelParams, inputs: RateInputs) -> float:
     """Direct-reconciliation lower bound, bits/mode."""
     if not math.isinf(inputs.mu):
-        return float(_lb_direct(ch, inputs, inputs.mu))
+        return _lb_direct(ch, inputs, inputs.mu)
     eta, kappa, n_e = ch.eta, ch.kappa, ch.n_e
     if inputs.beta < 1.0:
         return 0.0  # (beta - 1) log2(mu) -> -inf
@@ -288,24 +204,25 @@ def lb_direct(ch: ChannelParams, inputs: RateInputs) -> float:
     return max(0.0, value)
 
 
-def _lb_reverse(ch: ChannelParams, inputs: RateInputs, mu, terms=None):
+def _lb_reverse(ch: ChannelParams, inputs: RateInputs, mu: float,
+                terms: tuple[float, float] | None = None) -> float:
     eta, n_e = ch.eta, ch.n_e
     beta = inputs.beta
-    s_e, s_e_cond = _eve_entropy_terms(ch, mu) if terms is None else terms
+    s_e, s_e_cond = terms or _eve_entropy_terms(ch, mu)
     # Alice's mean photon number given Bob's heterodyne outcome, written so
     # that nothing cancels at large mu
     cond_alice = mu * (1.0 - eta) * (1.0 + n_e) / (1.0 + eta * mu + (1.0 - eta) * n_e)
-    value = (beta * _g(mu)
+    value = (beta * g_entropy(mu)
              - s_e
-             - beta * _g(cond_alice)
+             - beta * g_entropy(cond_alice)
              + s_e_cond)
-    return _clamp(value)
+    return max(value, 0.0)
 
 
 def lb_reverse(ch: ChannelParams, inputs: RateInputs) -> float:
     """Reverse-reconciliation lower bound, bits/mode."""
     if not math.isinf(inputs.mu):
-        return float(_lb_reverse(ch, inputs, inputs.mu))
+        return _lb_reverse(ch, inputs, inputs.mu)
     eta, n_e = ch.eta, ch.n_e
     if inputs.beta < 1.0:
         return 0.0
@@ -338,12 +255,12 @@ def upper_bound(channel: ChannelParams) -> float:
     return max(0.0, value)
 
 
-def _skr_cv(ch: ChannelParams, inputs: RateInputs, mu):
+def _skr_cv(ch: ChannelParams, inputs: RateInputs, mu: float) -> float:
     s_e, s_e_cond = _eve_entropy_terms(ch, mu)
     holevo = s_e - s_e_cond
     floor = 1.0 + (1.0 - ch.eta) * ch.n_e
-    mutual = inputs.beta * np.log2((floor + ch.eta * mu) / floor)
-    return inputs.pulse_rate * _clamp(mutual - holevo)
+    mutual = inputs.beta * math.log2((floor + ch.eta * mu) / floor)
+    return inputs.pulse_rate * max(mutual - holevo, 0.0)
 
 
 def skr_cv_ccq(ch: ChannelParams, inputs: RateInputs) -> float:
@@ -353,7 +270,7 @@ def skr_cv_ccq(ch: ChannelParams, inputs: RateInputs) -> float:
     the collected-mode spectra.
     """
     if not math.isinf(inputs.mu):
-        return float(_skr_cv(ch, inputs, inputs.mu))
+        return _skr_cv(ch, inputs, inputs.mu)
     eta, n_e = ch.eta, ch.n_e
     if inputs.beta < 1.0:
         return 0.0
@@ -368,20 +285,19 @@ def skr_cv_ccq(ch: ChannelParams, inputs: RateInputs) -> float:
     return inputs.pulse_rate * max(0.0, value)
 
 
-def _bb84(ch: ChannelParams, inputs: RateInputs, signal, leak):
+def _bb84(ch: ChannelParams, inputs: RateInputs, signal: float, leak: float) -> float:
     y0 = ch.n_e
     gain = y0 + signal
-    detected = gain > 0.0
-    gain = _where(detected, gain, 1.0)
+    if not gain > 0.0:
+        return 0.0  # nothing detected
     err = (0.5 * y0 + inputs.misalignment * signal) / gain
-    value = _where(detected,
-                   gain * (1.0 - inputs.f_L * binary_entropy(err)) - leak, 0.0)
-    return inputs.pulse_rate * _clamp(value)
+    value = gain * (1.0 - inputs.f_L * binary_entropy(err)) - leak
+    return inputs.pulse_rate * max(value, 0.0)
 
 
-def _skr_bb84(ch: ChannelParams, inputs: RateInputs, mu):
-    signal = -np.expm1(-ch.eta * mu)
-    leak = -np.expm1(-_loss_to_eve(ch) * mu)
+def _skr_bb84(ch: ChannelParams, inputs: RateInputs, mu: float) -> float:
+    signal = -math.expm1(-ch.eta * mu)
+    leak = -math.expm1(-_loss_to_eve(ch) * mu)
     return _bb84(ch, inputs, signal, leak)
 
 
@@ -393,20 +309,17 @@ def skr_ds_bb84(ch: ChannelParams, inputs: RateInputs) -> float:
     collected mode holds at least one photon.
     """
     if not math.isinf(inputs.mu):
-        return float(_skr_bb84(ch, inputs, inputs.mu))
+        return _skr_bb84(ch, inputs, inputs.mu)
     leak = 1.0 if _loss_to_eve(ch) > 0.0 else 0.0
-    return float(_bb84(ch, inputs, 1.0, leak))
+    return _bb84(ch, inputs, 1.0, leak)
 
 
-def _lb_max(ch: ChannelParams, inputs: RateInputs, mu):
+def _lb_max(ch: ChannelParams, inputs: RateInputs, mu: float) -> float:
     terms = _eve_entropy_terms(ch, mu)
-    d = _lb_direct(ch, inputs, mu, terms)
-    r = _lb_reverse(ch, inputs, mu, terms)
-    # a float takes Python's max, as max(lb_direct, lb_reverse) does
-    return np.maximum(d, r) if isinstance(d, np.ndarray) else max(d, r)
+    return max(_lb_direct(ch, inputs, mu, terms), _lb_reverse(ch, inputs, mu, terms))
 
 
-# objective -> (value at inputs.mu, value at a float power or over an array)
+# objective -> (value at inputs.mu, value at a finite power)
 _OBJECTIVE_FUNCS = {
     "lb_direct": (lb_direct, _lb_direct),
     "lb_reverse": (lb_reverse, _lb_reverse),
@@ -416,17 +329,13 @@ _OBJECTIVE_FUNCS = {
 }
 
 
-def evaluate_objective(ch: ChannelParams, inputs: RateInputs, objective: str,
-                       mu=None):
-    """Objective at ``inputs.mu``; or, given ``mu``, an array of finite
-    powers, the array of its values at each of them."""
+def evaluate_objective(ch: ChannelParams, inputs: RateInputs, objective: str) -> float:
+    """Objective at ``inputs.mu``."""
     try:
-        at_own_mu, over_grid = _OBJECTIVE_FUNCS[objective]
+        at_own_mu, _ = _OBJECTIVE_FUNCS[objective]
     except KeyError:
         raise ValueError(f"unknown objective {objective!r}") from None
-    if mu is None:
-        return at_own_mu(ch, inputs)
-    return over_grid(ch, inputs, np.asarray(mu, dtype=float))
+    return at_own_mu(ch, inputs)
 
 
 def optimize_mu(ch: ChannelParams, inputs: RateInputs,
@@ -436,27 +345,23 @@ def optimize_mu(ch: ChannelParams, inputs: RateInputs,
     With perfect reconciliation the continuous lower bounds increase without
     bound in mu, so the infinite sentinel and its analytic value are returned
     directly.  Otherwise the maximizer is bracketed on a log grid spanning
-    [1e-4, 1e8], scored in one vectorized call, and refined by golden section
-    to ``rel_tol`` in mu, each golden point scored as a float.
+    [1e-4, 1e8] and refined by golden section to ``rel_tol`` in mu; grid and
+    golden points alike are scored at ``math.exp`` of their log power.
     """
     if objective in LB_OBJECTIVES and inputs.beta == 1.0:
         sent = replace(inputs, mu=math.inf)
         return MuOptimum(mu=math.inf, value=evaluate_objective(ch, sent, objective))
-
-    grid = np.log(np.geomspace(MU_GRID_LO, MU_GRID_HI, 61))
-    values = evaluate_objective(ch, inputs, objective, mu=np.exp(grid))
-    if values.max() <= 0.0:
-        return MuOptimum(mu=MU_GRID_LO, value=0.0, degenerate=True)
     finite = _OBJECTIVE_FUNCS[objective][1]
 
     def obj_log(t: float) -> float:
-        # math.exp, not np.exp: the two differ in the last bit on a few
-        # percent of inputs, and the golden points have always used math.exp
         return finite(ch, inputs, math.exp(t))
 
-    t_best, v_best = grid_then_golden_max(obj_log, grid, tol=math.log1p(rel_tol),
-                                          values=values)
-    return MuOptimum(mu=math.exp(t_best), value=float(v_best))
+    values = [obj_log(t) for t in _LOG_MU_GRID]
+    if max(values) <= 0.0:
+        return MuOptimum(mu=MU_GRID_LO, value=0.0, degenerate=True)
+    t_best, v_best = grid_then_golden_max(obj_log, _LOG_MU_GRID,
+                                          tol=math.log1p(rel_tol), values=values)
+    return MuOptimum(mu=math.exp(t_best), value=v_best)
 
 
 def rate_report(ch: ChannelParams, inputs: RateInputs, optimize: bool = False,

@@ -120,6 +120,13 @@ def test_record_of_another_profile_is_recomputed(sweep, caplog):
     {"f_L": 0.9},
     {"sweep_parameter": "mu", "sweep_min": 0.0, "sweep_max": 1.0},
     {"sweep_min": -5.0},
+    {"sweep_spacing": "linear", "sweep_min": -5.0},
+    {"sweep_parameter": "L_AE", "sweep_min": 1_000.0, "sweep_max": 50_000.0},
+    {"sweep_parameter": "mu", "sweep_spacing": "linear", "sweep_min": -1.0},
+    {"sweep_parameter": "D", "sweep_spacing": "linear", "sweep_min": -0.1,
+     "sweep_max": 0.1},
+    {"scenario": "before_bob", "bob_eve_distance": 10_000.0,
+     "sweep_parameter": "L_AE", "sweep_min": 1_000.0, "sweep_max": 45_000.0},
     {"sweep_count": 2.5},
     {"threads": 1.5},
 ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
@@ -235,8 +242,9 @@ def _fresh_python(*args, **env_vars):
     return done.stdout
 
 
-def test_cli_import_leaves_scipy_interpolate_unloaded():
-    code = "import sys, fsoqkd.cli; print('scipy.interpolate' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.constants"])
+def test_cli_import_leaves_scipy_module_unloaded(module):
+    code = f"import sys, fsoqkd.cli; print({module!r} in sys.modules)"
     assert _fresh_python("-c", code).strip() == "False"
 
 
@@ -359,20 +367,21 @@ def test_noise_reaches_every_command(tmp_path, monkeypatch, command, config, fil
             assert repr(upper_bound(ch)) == r["ub"]
 
 
+# beta < 1 makes every bound 0 at mu = inf, so the searches only see the
+# geometry through the mu-optimized rate
+RATE_OPT = {**CONFIG, "alice_bob_distance": 50_000.0, "beta": 0.95,
+            "optimize_mu": True}
+
+
 @pytest.mark.parametrize("command,config", [("sweep", CONFIG),
-                                            ("before-bob", BEFORE_BOB)])
+                                            ("before-bob", BEFORE_BOB),
+                                            ("sweep", RATE_OPT)])
 def test_csv_is_identical_at_one_and_two_threads(tmp_path, monkeypatch, command,
                                                  config):
     outs = [_run_cli(tmp_path, monkeypatch, command, config, tmp_path / f"t{n}",
                      "--threads", str(n)) for n in (1, 2)]
     assert (outs[0] / "grid__run.csv").read_bytes() == \
         (outs[1] / "grid__run.csv").read_bytes()
-
-
-# beta < 1 makes every bound 0 at mu = inf, so the searches only see the
-# geometry through the mu-optimized rate
-RATE_OPT = {**CONFIG, "alice_bob_distance": 50_000.0, "beta": 0.95,
-            "optimize_mu": True}
 
 
 def test_optimize_d_scores_the_optimized_power(tmp_path, monkeypatch):
