@@ -242,10 +242,17 @@ def _fresh_python(*args, **env_vars):
     return done.stdout
 
 
-@pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.constants"])
-def test_cli_import_leaves_scipy_module_unloaded(module):
+def _loaded_by_cli_import(module):
     code = f"import sys, fsoqkd.cli; print({module!r} in sys.modules)"
-    assert _fresh_python("-c", code).strip() == "False"
+    return _fresh_python("-c", code).strip() == "True"
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    assert not _loaded_by_cli_import("scipy.interpolate")
+
+
+def test_cli_import_leaves_scipy_constants_unloaded():
+    assert not _loaded_by_cli_import("scipy.constants")
 
 
 BLAS_REPORT = f"""

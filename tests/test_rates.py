@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsoqkd import rates
 from fsoqkd.channel import ChannelParams
 from fsoqkd.optimize import grid_then_golden_max
 from fsoqkd.rates import (MU_GRID_HI, MU_GRID_LO, OBJECTIVES, MuOptimum, RateInputs,
@@ -173,6 +174,31 @@ def test_closed_forms_match_five_mode_network(eta, kappa, n_e, mu, beta):
     inp = inputs(eta, kappa, mu=mu, beta=beta, n_e=n_e, pulse_rate=1.0)
     for func, value in want.items():
         assert func(*inp) == pytest.approx(max(0.0, value), rel=1e-6, abs=1e-7)
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("eta,kappa,n_e,beta", [(0.7, 0.9, 0.0, 0.95),
+                                                (0.3, 0.2, 1e-7, 0.9),
+                                                (0.55, 1.0, 0.3, 0.8)])
+def test_objective_grid_equals_scalar_calls(objective, eta, kappa, n_e, beta,
+                                            monkeypatch):
+    # every point optimize_mu scores, on its grid and in its golden steps,
+    # equals evaluate_objective called at that power
+    ch, inp = inputs(eta, kappa, mu=1.0, beta=beta, n_e=n_e, misalignment=0.01)
+    at_own_mu, finite = rates._OBJECTIVE_FUNCS[objective]
+    scored = []
+
+    def recording(ch, inputs, mu):
+        value = finite(ch, inputs, mu)
+        scored.append((mu, value))
+        return value
+
+    monkeypatch.setitem(rates._OBJECTIVE_FUNCS, objective, (at_own_mu, recording))
+    optimize_mu(ch, inp, objective)
+    grid = np.log(np.geomspace(MU_GRID_LO, MU_GRID_HI, 61)).tolist()
+    assert [mu for mu, _ in scored[:61]] == [math.exp(t) for t in grid]
+    assert [value for _, value in scored] == [
+        evaluate_objective(ch, replace(inp, mu=mu), objective) for mu, _ in scored]
 
 
 # ------------------------------------------------------------ lower bounds
