@@ -1,4 +1,4 @@
-"""Closed-form Gaussian beam quantities.
+"""Closed-form Gaussian beam quantities, for propagation in vacuum.
 
 All lengths are in meters, angles in radians.  With the default normalization
 (``field_peak`` left as ``None``) the beam carries unit total power, so every
@@ -24,14 +24,11 @@ class BeamParams:
     field_peak : float, optional
         On-axis field amplitude at the waist.  Defaults to
         ``sqrt(2 / (pi * waist_radius**2))`` which normalizes total power to 1.
-    refractive_index : float
-        Fixed to 1 for vacuum links.
     """
 
     wavelength: float
     waist_radius: float
     field_peak: float | None = None
-    refractive_index: float = 1.0
 
     def __post_init__(self):
         if self.wavelength <= 0:
@@ -51,7 +48,7 @@ class BeamParams:
 
     @property
     def rayleigh_length(self) -> float:
-        return self.refractive_index * math.pi * self.waist_radius ** 2 / self.wavelength
+        return math.pi * self.waist_radius ** 2 / self.wavelength
 
 
 @dataclass(frozen=True)

@@ -75,5 +75,8 @@ class ProfileDiskCache:
         return len(entries)
 
 
-def default_cache_dir() -> str | None:
-    return os.environ.get(CACHE_ENV_VAR)
+def env_cache() -> ProfileDiskCache | None:
+    """The cache in the directory ``FSOQKD_CACHE`` names, the one way to
+    turn a disk cache on; ``None`` when the variable is unset or empty."""
+    directory = os.environ.get(CACHE_ENV_VAR)
+    return ProfileDiskCache(directory) if directory else None

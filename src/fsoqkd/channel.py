@@ -44,19 +44,19 @@ class Geometry:
     ``eve_offset`` displaces Eve's aperture off the beam axis.  For
     BEFORE_BOB, Eve sits at ``alice_bob_distance - bob_eve_distance`` from
     Alice, always on axis (her on-axis position maximizes her collection).
+    Alice's aperture is the beam waist, ``BeamParams.waist_radius``.
     """
 
     scenario: Scenario
     alice_bob_distance: float
     bob_eve_distance: float
     eve_offset: float = 0.0
-    alice_radius: float = 0.1
     bob_radius: float = 0.1
     eve_radius: float = 0.1
 
     def __post_init__(self):
         if min(self.alice_bob_distance, self.bob_eve_distance,
-               self.alice_radius, self.bob_radius, self.eve_radius) <= 0:
+               self.bob_radius, self.eve_radius) <= 0:
             raise ValueError("all distances and radii must be positive")
         if self.eve_offset < 0:
             raise ValueError("eve_offset must be nonnegative")
@@ -167,4 +167,4 @@ def channel_params(geom: Geometry | Sequence[Geometry], beam: BeamParams,
 def _layout(geom: Geometry) -> tuple:
     """Everything of a geometry but its Bob-Eve distance."""
     return (geom.scenario, geom.alice_bob_distance, geom.eve_offset,
-            geom.alice_radius, geom.bob_radius, geom.eve_radius)
+            geom.bob_radius, geom.eve_radius)

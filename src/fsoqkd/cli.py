@@ -4,11 +4,16 @@ Subcommands: ``sweep``, ``wavefront``, ``optimal-distance``, ``optimize-d``,
 ``before-bob``, ``cache``.  All outputs are deterministic: identical configs
 produce byte-identical files regardless of thread count.
 
-Parallelism: the sweep row pool (``--threads``, or the config's ``threads``)
-is the only one.  Importing ``fsoqkd`` pins OpenBLAS, MKL and OpenMP to one
-thread each, so every BLAS call runs inline on the row thread that made it;
-exporting any of ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` or
-``OMP_NUM_THREADS`` before the import leaves all three to the user.
+The config says what is computed; ``--out``, ``--threads`` and the
+environment say where and how.  ``FSOQKD_CACHE`` is the profile cache's only
+switch: naming a directory keeps profiles there across runs, and ``cache
+inspect|clear`` lists or deletes them.
+
+Parallelism: the sweep row pool (``--threads``, default 1) is the only one.
+Importing ``fsoqkd`` pins OpenBLAS, MKL and OpenMP to one thread each, so
+every BLAS call runs inline on the row thread that made it; exporting any of
+``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` or ``OMP_NUM_THREADS`` before
+the import leaves all three to the user.
 
 Exit codes: 0 on success, 1 when computational error rows were recorded, 2 on
 usage or configuration errors.
@@ -25,13 +30,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .cache import CACHE_ENV_VAR, ProfileDiskCache, default_cache_dir
+from .cache import CACHE_ENV_VAR, env_cache
 from .config import ConfigError, RunConfig
 from .diffraction import DiskSpec, SourceAnnulus
 from .recipes import RecipeItem, build_recipe, recipe_names
-from .sweeps import (ProfileCache, SweepRow, arago_prediction_curve,
-                     geometry_row, optimal_eve_distance, optimize_eve_offset,
-                     run_sweep)
+from .sweeps import (ProfileCache, SweepRow, SweepSpec, arago_prediction_curve,
+                     geometry_row, offset_search_disk, optimal_eve_distance,
+                     optimize_eve_offset, run_sweep)
+
+CACHE_HELP = (f"Field profiles are cached on disk when the {CACHE_ENV_VAR} "
+              f"environment variable names a directory, and only then.")
 
 CSV_HEADER = ["parameter", "eta", "kappa", "P_Bob", "P_Eve", "lb_direct",
               "lb_reverse", "lb", "ub", "skr_cv", "skr_bb84", "optimal_mu",
@@ -68,14 +76,6 @@ def write_rows_csv(path: Path, rows) -> int:
                 errors += 1
             writer.writerow(_row_cells(row))
     return errors
-
-
-def _make_cache(config: RunConfig, cache_override: str | None) -> ProfileCache:
-    cache_dir = cache_override or config.cache_dir or default_cache_dir()
-    if cache_dir:
-        disk = ProfileDiskCache(cache_dir)
-        return ProfileCache(compute=disk.get_or_compute)
-    return ProfileCache()
 
 
 def _out_path(out_dir: str, name: str, label: str, suffix: str = ".csv") -> Path:
@@ -128,11 +128,17 @@ def cmd_combined_axis(items, out_dir: str, name: str, cache: ProfileCache,
     return errors
 
 
+def _search_spec(config: RunConfig, search: str) -> SweepSpec:
+    if config.scenario != "behind_bob" or config.sweep_parameter != "L_BE":
+        raise ConfigError(f"{search} scans Bob-Eve distances behind Bob and needs "
+                          f"scenario = behind_bob and sweep_parameter = L_BE, got "
+                          f"{config.scenario!r} and {config.sweep_parameter!r}")
+    return config.sweep_spec()
+
+
 def cmd_optimal_distance(config: RunConfig, out_dir: str, name: str, label: str,
                          cache: ProfileCache) -> int:
-    if config.scenario != "behind_bob":
-        raise ConfigError("eavesdropper-distance search needs scenario = behind_bob")
-    spec = config.sweep_spec()
+    spec = _search_spec(config, "eavesdropper-distance search")
     geom = spec.geometry
     result = optimal_eve_distance(geom, spec.beam, spec.rates, spec.noise,
                                   search_range=(spec.minimum, spec.maximum),
@@ -141,15 +147,13 @@ def cmd_optimal_distance(config: RunConfig, out_dir: str, name: str, label: str,
                                   optimize_power=spec.optimize_power)
     lbes = [result.distance] + [x for x, _ in result.secondary_minima]
     rows = [geometry_row(spec, lbe, replace(geom, bob_eve_distance=lbe),
-                         spec.beam, spec.rates, cache) for lbe in lbes]
+                         spec.beam, spec.rates, cache.get_or_compute) for lbe in lbes]
     return write_rows_csv(_out_path(out_dir, name, label), rows)
 
 
 def cmd_optimize_d(config: RunConfig, out_dir: str, name: str, label: str,
                    cache: ProfileCache) -> int:
-    if config.scenario != "behind_bob":
-        raise ConfigError("offset optimization needs scenario = behind_bob")
-    spec = config.sweep_spec()
+    spec = _search_spec(config, "offset optimization")
     rows_opt, rows_axis = [], []
     for lbe in spec.grid():
         try:
@@ -157,10 +161,16 @@ def cmd_optimize_d(config: RunConfig, out_dir: str, name: str, label: str,
             d_star, _ = optimize_eve_offset(geom, spec.beam, spec.rates, spec.noise,
                                             cache=cache, objective=spec.objective,
                                             optimize_power=spec.optimize_power)
+            # both rows are scored on the profile the search scored
+            disk = offset_search_disk(geom, spec.beam)
+
+            def searched(src, distance, _hint):
+                return cache.get_or_compute(src, distance, disk)
+
             row = geometry_row(spec, lbe, replace(geom, eve_offset=d_star),
-                               spec.beam, spec.rates, cache)
+                               spec.beam, spec.rates, searched)
             row0 = geometry_row(spec, lbe, replace(geom, eve_offset=0.0),
-                                spec.beam, spec.rates, cache)
+                                spec.beam, spec.rates, searched)
         except Exception as exc:
             row = row0 = SweepRow.failed(lbe, exc)
         rows_opt.append(row)
@@ -211,12 +221,9 @@ def cmd_wavefront(config: RunConfig, out_dir: str, name: str, label: str,
 
 
 def cmd_cache(args) -> int:
-    cache_dir = args.cache or default_cache_dir()
-    if not cache_dir:
-        print(f"no cache directory; pass --cache or set {CACHE_ENV_VAR}",
-              file=sys.stderr)
-        return 2
-    disk = ProfileDiskCache(cache_dir)
+    disk = env_cache()
+    if disk is None:
+        raise ConfigError(f"no profile cache: {CACHE_ENV_VAR} is not set")
     if args.cache_action == "clear":
         removed = disk.clear()
         print(f"removed {removed} cached profiles")
@@ -228,27 +235,24 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def _with_overrides(config: RunConfig, args) -> RunConfig:
-    """Fold ``--threads`` and ``--max-points`` (0: keep the config's) into a
-    config, and validate the result."""
-    changes = {}
-    if args.threads:
-        changes["threads"] = args.threads
-    if args.max_points:
-        changes["sweep_count"] = min(config.sweep_count, args.max_points)
-    return replace(config, **changes).validate()
+def _capped(config: RunConfig, max_points: int) -> RunConfig:
+    """Cap the sweep grid at ``max_points`` (0: keep the config's), and
+    validate the result."""
+    if max_points:
+        config = replace(config, sweep_count=min(config.sweep_count, max_points))
+    return config.validate()
 
 
 def _load_items(args) -> tuple[str, str, list[RecipeItem]]:
     if args.recipe:
-        recipe = build_recipe(args.recipe, scale=args.scale)
+        recipe = build_recipe(args.recipe)
         name, kind, items = recipe.name, recipe.kind, recipe.items
     elif args.config:
         name, kind = Path(args.config).stem, args.command.replace("-", "_")
         items = [RecipeItem("run", RunConfig.from_json(Path(args.config).read_text()))]
     else:
         raise ConfigError("either --config or --recipe is required")
-    return name, kind, [RecipeItem(i.label, _with_overrides(i.config, args))
+    return name, kind, [RecipeItem(i.label, _capped(i.config, args.max_points))
                         for i in items]
 
 
@@ -262,13 +266,15 @@ _KIND_FOR_COMMAND = {
 
 
 def _run_command(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     name, kind, items = _load_items(args)
     if args.recipe and kind not in _KIND_FOR_COMMAND[args.command]:
         raise ConfigError(
             f"recipe {name!r} is of kind {kind!r}, not usable with '{args.command}'")
-    out_dir = args.out or items[0].config.output_dir
-    threads = items[0].config.threads
-    cache = _make_cache(items[0].config, args.cache)
+    out_dir, threads = args.out, args.threads
+    disk = env_cache()
+    cache = ProfileCache(compute=disk.get_or_compute if disk else None)
     errors = 0
     if kind == "combined_axis":
         errors += cmd_combined_axis(items, out_dir, name, cache, threads)
@@ -295,34 +301,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fsoqkd",
         description="Key-rate bounds over a free-space link with a movable "
-                    "finite-aperture eavesdropper")
+                    "finite-aperture eavesdropper",
+        epilog=CACHE_HELP)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--recipe", choices=recipe_names(),
                        help="named canonical recipe")
-        p.add_argument("--out", help="output directory (default from config)")
-        p.add_argument("--cache", help=f"profile cache directory "
-                                       f"(default ${CACHE_ENV_VAR})")
-        p.add_argument("--threads", type=int, default=0,
+        p.add_argument("--out", default=".",
+                       help="output directory (default: the current one)")
+        p.add_argument("--threads", type=int, default=1,
                        help="worker threads for sweep rows, the only parallel "
                             "layer: BLAS is pinned to one thread unless "
                             "OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or "
-                            "OMP_NUM_THREADS is exported (default: the "
-                            "config's threads)")
+                            "OMP_NUM_THREADS is exported (default: 1)")
         p.add_argument("--max-points", type=int, default=0,
                        help="cap sweep grid sizes, at least 2 (smoke testing)")
-        p.add_argument("--scale", type=float, default=1.0,
-                       help="scale factor for recipe grid sizes")
 
     for cmd in ("sweep", "wavefront", "optimal-distance", "optimize-d",
                 "before-bob"):
-        add_common(sub.add_parser(cmd))
+        add_common(sub.add_parser(cmd, epilog=CACHE_HELP))
 
-    cache_p = sub.add_parser("cache")
+    cache_p = sub.add_parser("cache", description="List or delete the profiles "
+                             f"cached in the ${CACHE_ENV_VAR} directory.")
     cache_p.add_argument("cache_action", choices=["inspect", "clear"])
-    cache_p.add_argument("--cache", help="cache directory")
     return parser
 
 

@@ -1,5 +1,10 @@
 """Run configuration: a versioned JSON key-value tree.
 
+The config holds what is computed: link, beam, protocol and grid.  Where
+and how a run happens comes from the command line and the environment alone:
+the output directory (``--out``), the worker threads (``--threads``) and the
+profile cache (``FSOQKD_CACHE``).
+
 The schema is the set of ``RunConfig`` fields (``wavefront`` a nested
 object of ``WavefrontSettings`` fields) plus an optional ``version``; an
 unknown key is an error.  ``mu`` serializes as the string "inf" for the
@@ -40,7 +45,6 @@ class RunConfig:
     alice_bob_distance: float = 50_000.0
     bob_eve_distance: float = 50_000.0
     eve_offset: float = 0.0
-    alice_radius: float = 0.1
     bob_radius: float = 0.1
     eve_radius: float = 0.1
     mu: float = math.inf
@@ -59,9 +63,6 @@ class RunConfig:
     objective: str = "lb_max"
     emit_arago_overlay: bool = False
     wavefront: WavefrontSettings = field(default_factory=WavefrontSettings)
-    output_dir: str = "."
-    cache_dir: str | None = None
-    threads: int = 1
 
     def validate(self):
         if self.scenario not in ("behind_bob", "before_bob"):
@@ -69,7 +70,7 @@ class RunConfig:
         positives = dict(wavelength=self.wavelength, waist_radius=self.waist_radius,
                          alice_bob_distance=self.alice_bob_distance,
                          bob_eve_distance=self.bob_eve_distance,
-                         alice_radius=self.alice_radius, bob_radius=self.bob_radius,
+                         bob_radius=self.bob_radius,
                          eve_radius=self.eve_radius, beta=self.beta,
                          pulse_rate=self.pulse_rate, temperature=self.temperature)
         for name, value in positives.items():
@@ -111,9 +112,6 @@ class RunConfig:
                     f"sweep {self.sweep_parameter} = {value!r}: {exc}") from exc
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"unknown objective {self.objective!r}")
-        if not (isinstance(self.threads, int) and self.threads >= 1):
-            raise ConfigError(f"threads must be an integer >= 1, "
-                              f"got {self.threads!r}")
         wf = self.wavefront
         if not (isinstance(wf.pixels, int) and wf.pixels >= 1 and wf.half_width > 0):
             raise ConfigError("wavefront grid must have a positive half_width and "
@@ -134,7 +132,6 @@ class RunConfig:
             alice_bob_distance=self.alice_bob_distance,
             bob_eve_distance=self.bob_eve_distance,
             eve_offset=self.eve_offset,
-            alice_radius=self.alice_radius,
             bob_radius=self.bob_radius,
             eve_radius=self.eve_radius,
         )

@@ -73,7 +73,7 @@ PROFILE_NODES_PER_HALF_PERIOD = 8
 PROFILE_FIELD_RTOL = 1e-6
 PROFILE_MAX_NODES = 60_000
 
-SERIALIZATION_VERSION = 3
+SERIALIZATION_VERSION = 4
 
 # Gauss-Legendre rule of disk_power, per interval between profile nodes.
 _DISK_GX, _DISK_GW = leggauss(8)
@@ -121,8 +121,8 @@ def profile_key(src: SourceAnnulus, distance: float, coverage: float) -> tuple:
     """The inputs that determine a field profile: the beam, the source
     annulus, the propagation distance and the radial coverage."""
     b = src.beam
-    return (b.wavelength, b.waist_radius, b.field_peak, b.refractive_index,
-            src.plane_distance, src.inner_radius, distance, coverage)
+    return (b.wavelength, b.waist_radius, b.field_peak, src.plane_distance,
+            src.inner_radius, distance, coverage)
 
 
 @dataclass(frozen=True)
@@ -616,15 +616,14 @@ def arago_relative_amplitude(obstacle_radius: float, distance: float, l,
 
 # ---------------------------------------------------------------------------
 # Serialization: versioned little-endian binary record.
-# Header: uint32 version; 9 float64 fields: the profile key less its coverage
-# (wavelength, waist radius, field peak, refractive index, source plane
-# distance, inner radius, propagation distance), then budget rel_tol and
-# budget achieved error; uint64 node count (the budget's profile_nodes);
-# uint64 budget source_nodes.
+# Header: uint32 version; 8 float64 fields: the profile key less its coverage
+# (wavelength, waist radius, field peak, source plane distance, inner radius,
+# propagation distance), then budget rel_tol and budget achieved error;
+# uint64 node count (the budget's profile_nodes); uint64 budget source_nodes.
 # Body: (node, re, im) float64 triples; the last node is the coverage.
 # ---------------------------------------------------------------------------
 
-_HEADER = struct.Struct("<I9d2Q")
+_HEADER = struct.Struct("<I8d2Q")
 
 
 def serialize_profile(profile: FieldProfile) -> bytes:
@@ -653,8 +652,8 @@ def deserialize_profile(blob: bytes) -> FieldProfile:
     amps = body[:, 1] + 1j * body[:, 2]
     if count < 3 or nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0):
         raise ValueError("profile record corrupt: bad radial grid")
-    # profile_key's order: four beam fields, two annulus fields, the distance
-    src = SourceAnnulus(BeamParams(*key[:4]), *key[4:6])
+    # profile_key's order: three beam fields, two annulus fields, the distance
+    src = SourceAnnulus(BeamParams(*key[:3]), *key[3:5])
     budget = QuadratureBudget(rel_tol=rel_tol, achieved=achieved,
                               source_nodes=int(source_nodes), profile_nodes=int(count))
-    return FieldProfile(src, key[6], nodes, amps, budget)
+    return FieldProfile(src, key[5], nodes, amps, budget)

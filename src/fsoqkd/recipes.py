@@ -4,14 +4,14 @@ Each recipe reproduces one figure-style computation at the default operating
 point (1550 nm, 10 cm apertures, 3 K background): power sweeps, distance
 sweeps with and without offset optimization, bright-spot comparison curves,
 wavefront panels and the combined before/behind axis.  Grid sizes are chosen
-so a recipe completes in minutes; ``scale`` trims them proportionally for
+so a recipe completes in minutes; the CLI's ``--max-points`` caps them for
 smoke tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .config import RunConfig, WavefrontSettings
 
@@ -35,22 +35,12 @@ def _base(**kw) -> RunConfig:
     return RunConfig(**kw).validate()
 
 
-def _scaled(cfg: RunConfig, scale: float) -> RunConfig:
-    if scale >= 1.0:
-        return cfg
-    count = max(2, int(cfg.sweep_count * scale))
-    return replace(cfg, sweep_count=count)
-
-
-def build_recipe(name: str, scale: float = 1.0) -> Recipe:
+def build_recipe(name: str) -> Recipe:
     try:
         builder = _RECIPES[name]
     except KeyError:
         raise KeyError(f"unknown recipe {name!r}; known: {', '.join(sorted(_RECIPES))}")
-    recipe = builder()
-    return Recipe(recipe.name, recipe.kind,
-                  tuple(RecipeItem(i.label, _scaled(i.config, scale))
-                        for i in recipe.items))
+    return builder()
 
 
 def recipe_names() -> list[str]:
@@ -97,7 +87,7 @@ def _fig8() -> Recipe:
 def _fig9() -> Recipe:
     items = []
     for w0_cm in (5, 10, 30):
-        cfg = _base(waist_radius=w0_cm / 100.0, alice_radius=w0_cm / 100.0,
+        cfg = _base(waist_radius=w0_cm / 100.0,
                     sweep_parameter="L_AB", sweep_min=5 * KM, sweep_max=200 * KM,
                     sweep_count=60, sweep_spacing="log",
                     tie_bob_eve_to_link=True)
@@ -110,7 +100,7 @@ def _fig10() -> Recipe:
     items = []
     for w0_cm in (5, 10, 30):
         cfg = _base(alice_bob_distance=15 * KM, waist_radius=w0_cm / 100.0,
-                    alice_radius=w0_cm / 100.0, emit_arago_overlay=True,
+                    emit_arago_overlay=True,
                     sweep_parameter="L_BE", sweep_min=0.5 * KM, sweep_max=150 * KM,
                     sweep_count=120, sweep_spacing="log")
         items.append(RecipeItem(f"w0{w0_cm}cm", cfg))
@@ -131,7 +121,6 @@ def _fig12() -> Recipe:
     items = []
     for w0_cm in (5, 10, 20, 30):
         cfg = _base(alice_bob_distance=50 * KM, waist_radius=w0_cm / 100.0,
-                    alice_radius=w0_cm / 100.0,
                     sweep_parameter="L_BE", sweep_min=0.5 * KM, sweep_max=400 * KM,
                     sweep_count=120, sweep_spacing="log")
         items.append(RecipeItem(f"w0{w0_cm}cm", cfg))

@@ -124,8 +124,7 @@ def _apply_parameter(spec: SweepSpec, value: float):
             g = replace(g, bob_eve_distance=value)
         return g, beam, rates
     if p == "W0":
-        g = replace(geom, alice_radius=value)
-        return g, replace(beam, waist_radius=value, field_peak=None), rates
+        return geom, replace(beam, waist_radius=value, field_peak=None), rates
     if p == "r_e":
         return replace(geom, eve_radius=value), beam, rates
     raise AssertionError(p)
@@ -133,11 +132,10 @@ def _apply_parameter(spec: SweepSpec, value: float):
 
 def geometry_row(spec: SweepSpec, value: float, geom: Geometry,
                  beam: BeamParams, rates: RateInputs,
-                 cache: ProfileCache) -> SweepRow:
+                 profile_provider) -> SweepRow:
     """Channel and rate report of one geometry under the spec's noise and
     power setting; ``d_opt`` is the offset the geometry places Eve at."""
-    ch = channel_params(geom, beam, spec.noise,
-                        profile_provider=cache.get_or_compute)
+    ch = channel_params(geom, beam, spec.noise, profile_provider=profile_provider)
     report = rate_report(ch, rates, optimize=spec.optimize_power,
                          objective=spec.objective)
     return SweepRow(value=value, channel=ch, report=report,
@@ -146,7 +144,8 @@ def geometry_row(spec: SweepSpec, value: float, geom: Geometry,
 
 def _row(spec: SweepSpec, value: float, cache: ProfileCache) -> SweepRow:
     try:
-        return geometry_row(spec, value, *_apply_parameter(spec, value), cache)
+        return geometry_row(spec, value, *_apply_parameter(spec, value),
+                            cache.get_or_compute)
     except Exception as exc:  # row errors are recorded, not raised
         return SweepRow.failed(value, exc)
 
@@ -237,6 +236,12 @@ def optimal_eve_distance(geom: Geometry, beam: BeamParams, rates: RateInputs,
                              secondary_minima=tuple(secondary))
 
 
+def offset_search_disk(geom: Geometry, beam: BeamParams) -> DiskSpec:
+    """Eve's disk at the largest offset a search tries, r_b + 3 W(L_AB)."""
+    w_src = plane_params(beam, geom.alice_bob_distance).spot_size
+    return DiskSpec(geom.eve_radius, geom.bob_radius + 3.0 * w_src)
+
+
 def optimize_eve_offset(geom: Geometry, beam: BeamParams, rates: RateInputs,
                         noise: float, cache: ProfileCache | None = None,
                         objective: str = "lb_max", optimize_power: bool = False,
@@ -250,10 +255,9 @@ def optimize_eve_offset(geom: Geometry, beam: BeamParams, rates: RateInputs,
     if geom.scenario is not Scenario.BEHIND_BOB:
         raise ValueError("offset optimization applies behind Bob")
     cache = cache or ProfileCache()
-    w_src = plane_params(beam, geom.alice_bob_distance).spot_size
-    d_max = geom.bob_radius + 3.0 * w_src
+    hint = offset_search_disk(geom, beam)
+    d_max = hint.center_offset
     src = SourceAnnulus(beam, geom.alice_bob_distance, geom.bob_radius)
-    hint = DiskSpec(geom.eve_radius, d_max)
     profile = cache.get_or_compute(src, geom.bob_eve_distance, hint)
 
     def rate_at(d: float) -> float:

@@ -94,7 +94,7 @@ def test_noise_passthrough(beam):
 def test_far_field_small_waist_eve_dominates():
     # divergent beam refocused at the matched distance: Eve takes nearly all
     beam = BeamParams(LAM, 0.05)
-    g = Geometry(Scenario.BEHIND_BOB, 150e3, 150e3, alice_radius=0.05)
+    g = Geometry(Scenario.BEHIND_BOB, 150e3, 150e3)
     ch = channel_params(g, beam, 0.0)
     assert ch.p_eve > 0.85
     assert ch.p_bob < 0.05

@@ -1,5 +1,5 @@
-"""CLI runs: the on-disk profile cache, config errors, and every command on
-tiny grids."""
+"""CLI runs: the on-disk profile cache and its subcommand, config errors, and
+every command on tiny grids."""
 
 import csv
 import json
@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from fsoqkd import cache, cli, diffraction
+from fsoqkd import cache, cli, diffraction, sweeps
 from fsoqkd.cache import CACHE_ENV_VAR
 from fsoqkd.channel import ChannelParams
+from fsoqkd.config import RunConfig
 from fsoqkd.rates import upper_bound
 
 CONFIG = {"scenario": "behind_bob", "alice_bob_distance": 40_000.0,
@@ -108,6 +109,25 @@ def test_record_of_another_profile_is_recomputed(sweep, caplog):
     assert second.read_bytes() == blob
 
 
+def test_cache_inspect_lists_and_clear_removes_the_entries(sweep, capsys):
+    sweep()
+    capsys.readouterr()
+    assert cli.main(["cache", "inspect"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"3 cached profiles in {sweep.cache_dir}"
+    assert len(lines) == 4 and all(line.endswith(" bytes") for line in lines[1:])
+    assert cli.main(["cache", "clear"]) == 0
+    assert capsys.readouterr().out == "removed 3 cached profiles\n"
+    assert not list(sweep.cache_dir.glob("*.profile"))
+
+
+@pytest.mark.parametrize("action", ["inspect", "clear"])
+def test_cache_command_without_the_variable_exits_2(monkeypatch, capsys, action):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    assert cli.main(["cache", action]) == 2
+    assert CACHE_ENV_VAR in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("override", [
     {"mu": -2},
     {"eve_offset": -1},
@@ -160,8 +180,8 @@ def test_bad_wavefront_config_exits_2(tmp_path, capsys, wavefront):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("override", [["--threads", "-2"], ["--max-points", "1"],
-                                      ["--max-points", "-3"]],
+@pytest.mark.parametrize("override", [["--threads", "-2"], ["--threads", "0"],
+                                      ["--max-points", "1"], ["--max-points", "-3"]],
                          ids=" ".join)
 def test_bad_cli_override_exits_2(tmp_path, capsys, override):
     config = tmp_path / "grid.json"
@@ -174,11 +194,30 @@ def test_bad_cli_override_exits_2(tmp_path, capsys, override):
 
 
 def test_removed_deterministic_key_exits_2(tmp_path, capsys):
+    # every key the config has lost is an unknown key now
+    removed = {"deterministic": True, "alice_radius": 0.1, "cache_dir": "cache",
+               "output_dir": "out", "threads": 2}
     config = tmp_path / "old.json"
-    config.write_text(json.dumps({**CONFIG, "deterministic": True}))
-    code = cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "deterministic" in capsys.readouterr().err
+    for key, value in removed.items():
+        config.write_text(json.dumps({**CONFIG, key: value}))
+        code = cli.main(["sweep", "--config", str(config), "--out",
+                         str(tmp_path / "out")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [["sweep", "--recipe", "fig5", "--cache", "c"],
+                                  ["sweep", "--recipe", "fig5", "--scale", "0.5"],
+                                  ["cache", "inspect", "--cache", "c"]],
+                         ids=" ".join)
+def test_removed_flag_exits_2(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(args)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _run_cli(tmp_path, monkeypatch, command, config, out, *extra):
@@ -339,6 +378,18 @@ def test_optimal_distance_before_bob_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["optimal-distance", "optimize-d"])
+def test_geometry_search_over_another_parameter_exits_2(tmp_path, capsys, command):
+    # the sweep range of a search is a range of Bob-Eve distances
+    config = tmp_path / "mu.json"
+    config.write_text(json.dumps({**CONFIG, "sweep_parameter": "mu",
+                                  "sweep_min": 1e-3, "sweep_max": 10.0}))
+    code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "sweep_parameter" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_optimal_distance_reports_the_offset_it_used(tmp_path, monkeypatch):
     config = {**DISTANCE_SEARCH, "eve_offset": 0.05}
     out = _run_cli(tmp_path, monkeypatch, "optimal-distance", config, tmp_path / "out")
@@ -407,3 +458,28 @@ def test_optimal_distance_scores_the_optimized_power(tmp_path, monkeypatch):
                    tmp_path / "out")
     best = float(_rows(out / "grid__run.csv")[0]["parameter"])
     assert 10_000.0 < best < 400_000.0
+
+
+def test_optimize_d_scores_its_rows_on_the_search_profile(tmp_path, monkeypatch):
+    config = {**RATE_OPT, "sweep_min": 1_000.0, "sweep_max": 2_000.0,
+              "sweep_count": 2}
+    distances = []
+    propagate = sweeps.propagate_profile
+
+    def counted(src, distance, disk_hint):
+        distances.append(distance)
+        return propagate(src, distance, disk_hint)
+
+    monkeypatch.setattr(sweeps, "propagate_profile", counted)
+    out = _run_cli(tmp_path, monkeypatch, "optimize-d", config, tmp_path / "out")
+    spec = RunConfig.from_json(json.dumps(config)).sweep_spec()
+    assert distances == spec.grid().tolist()  # one propagation per distance
+    for row in _rows(out / "grid__run.csv"):
+        geom = replace(spec.geometry, bob_eve_distance=float(row["parameter"]))
+        d_star, value = sweeps.optimize_eve_offset(
+            geom, spec.beam, spec.rates, spec.noise, objective=spec.objective,
+            optimize_power=True)
+        assert float(row["D_opt"]) == d_star > 0.0
+        ch = ChannelParams(float(row["eta"]), float(row["kappa"]), spec.noise,
+                           float(row["P_Bob"]), float(row["P_Eve"]))
+        assert sweeps._geometry_score(ch, spec.rates, spec.objective, True) == value
