@@ -22,11 +22,11 @@ from .beams import BeamParams, PlaneField, encircled_power, field_amplitude, pla
 from .channel import (ChannelConsistencyError, ChannelParams, Geometry,
                       Scenario, channel_params, default_noise,
                       thermal_occupation)
-from .diffraction import (CoverageError, DiskSpec, FieldProfile, SourceAnnulus,
+from .diffraction import (CoverageError, DiskSpec, FieldProfile,
+                          QuadratureError, SourceAnnulus,
                           arago_relative_amplitude, deserialize_profile,
-                          disk_power, fresnel_valid, profile_key,
-                          propagate_profile, rs_field_direct, serialize_profile)
-from .quadrature import QuadratureError
+                          disk_power, profile_key, propagate_profile,
+                          serialize_profile)
 from .rates import (MuOptimum, RateInputs, RateReport, eve_spectra, g_entropy,
                     lb_direct, lb_reverse, optimize_mu, rate_report,
                     skr_cv_ccq, skr_ds_bb84, upper_bound)

@@ -32,9 +32,10 @@ def _filename(key: tuple) -> str:
 
 
 class ProfileDiskCache:
+    """The cache in one directory, which the first write creates."""
+
     def __init__(self, directory: str | os.PathLike):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
 
     def get_or_compute(self, src: SourceAnnulus, distance: float,
                        disk_hint: DiskSpec) -> FieldProfile:
@@ -55,6 +56,7 @@ class ProfileDiskCache:
         return profile
 
     def _write_atomic(self, path: Path, blob: bytes):
+        self.directory.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:

@@ -7,7 +7,7 @@ produce byte-identical files regardless of thread count.
 The config says what is computed; ``--out``, ``--threads`` and the
 environment say where and how.  ``FSOQKD_CACHE`` is the profile cache's only
 switch: naming a directory keeps profiles there across runs, and ``cache
-inspect|clear`` lists or deletes them.
+inspect|clear`` lists or deletes them (exit 2 if the directory is missing).
 
 Parallelism: the sweep row pool (``--threads``, default 1) is the only one.
 Importing ``fsoqkd`` pins OpenBLAS, MKL and OpenMP to one thread each, so
@@ -224,6 +224,8 @@ def cmd_cache(args) -> int:
     disk = env_cache()
     if disk is None:
         raise ConfigError(f"no profile cache: {CACHE_ENV_VAR} is not set")
+    if not disk.directory.is_dir():
+        raise ConfigError(f"no profile cache: {disk.directory} is not a directory")
     if args.cache_action == "clear":
         removed = disk.clear()
         print(f"removed {removed} cached profiles")

@@ -1,28 +1,55 @@
 """Propagation of the cropped / blocked Gaussian beam past an absorbing edge.
 
-Two evaluators are provided for the diffracted field behind a circular
-absorbing aperture or obstacle:
-
-* :func:`rs_field_direct` — direct two-dimensional Rayleigh–Sommerfeld
-  integral in polar coordinates.  Slow by design; it is the validation oracle
-  and no production path depends on it.
-* :func:`propagate_profile` — the cylindrically symmetric Fresnel reduction,
-  a single radial integral with a J0 kernel, sampled on a radial grid.  This
-  is what sweeps, geometry searches and channel parameters use; the field at
-  one radius l is the outer node of a profile whose disk reaches l.
+:func:`propagate_profile` evaluates the cylindrically symmetric Fresnel
+reduction, a single radial integral with a J0 kernel, on a radial grid.  This
+is what sweeps, geometry searches and channel parameters use; the field at
+one radius l is the outer node of a profile whose disk reaches l.
 
 The Fresnel source is the beam outside a disk of radius ``a`` (Bob's aperture,
-or Eve's obstacle before Bob), so the radial integral runs over [a, inf).  It
-is evaluated as a Babinet complement: the whole beam over [0, inf) is a
-Gaussian Hankel transform with a closed form (Gradshteyn & Ryzhik 6.631.4),
+or Eve's obstacle before Bob), so the radial integral runs over [a, inf).  The
+source envelope times the kernel phase is ``A exp(alpha r^2)`` with
+``alpha = -1/W^2 + i (k/2)(1/L - 1/R)``, and the kernel is J0(s r) with
+``s = k l / L``; W and R are the spot size and curvature radius at the source
+plane, L the propagation distance and l the observation radius.  It is
+evaluated as a Babinet complement: the whole beam over [0, inf) is a Gaussian
+Hankel transform with a closed form (Gradshteyn & Ryzhik 6.631.4),
 
     int_0^inf exp(alpha r^2) J0(s r) r dr = -exp(s^2 / 4 alpha) / (2 alpha),
 
-valid for Re alpha < 0, and only the disk [0, a] is integrated by Gauss-panel
-quadrature and subtracted.  Here ``alpha = -1/W^2 + i (k/2)(1/L - 1/R)`` and
-``s = k l / L``, with W and R the spot size and curvature radius at the source
-plane, L the propagation distance and l the observation radius.  Nothing is
+valid for Re alpha < 0, and the disk [0, a] is subtracted.  Nothing is
 truncated, so the Gaussian tail is exact.
+
+The disk term is exact too.  With ``c = alpha a^2`` and ``v = s a``,
+
+    int_0^a exp(alpha r^2) J0(s r) r dr = a^2 J(c, v),
+
+and repeated integration by parts with (x^n J_n(x))' = x^n J_{n-1}(x) gives
+two convergent series, the Lommel functions of Born & Wolf, *Principles of
+Optics*, section 8.8, at a complex argument:
+
+* U form, used where 2|c| < v:
+  ``J = e^c sum_{n>=1} (-2c/v)^(n-1) J_n(v) / v``;
+* V form, used elsewhere:
+  ``J = -e^(v^2/4c) / (2c) + (e^c / 2c) sum_{n>=0} (v/2c)^n J_n(v)``.
+
+The first term of the V form is the closed form of the whole beam over a^2,
+so there the Babinet difference cancels exactly and the field is the series
+alone, ``-A a^2 (e^c / 2c) sum_{n>=0} (v/2c)^n J_n(v)``.  Either way the
+ratio t of the series has |t| <= 1.
+
+J_0(v) ... J_M(v) come from Miller's backward recurrence
+``J_{n-1} = (2n/v) J_n - J_{n+1}``, started at J_M = 1 and J_{M+1} = 0 and
+normalised by ``J_0 + 2 sum_k J_{2k} = 1`` (Abramowitz & Stegun 9.12;
+Numerical Recipes section 6.5).  One vectorised loop runs it for every
+observation point at once and carries the Horner sum of the series along; it
+rescales by powers of two wherever the unnormalised values could overflow,
+and calls no special function.  The orders follow the bound
+|t^n J_n(v)| <= x^n / n! with x = max(v) / 2 (A&S 9.1.62): the series is
+summed to the first order N whose tail bound ``2 x^(N+1) / (N+1)!`` is at
+most ``SERIES_EPS``, and M lies a Miller margin of sqrt(40 N) above N.  The
+achieved error of a profile is the tail bound beyond M, in units of
+``|A a^2 e^c / 2c|``: that is the integral's magnitude on the axis, so the
+bound is also relative to the largest value on the profile.
 
 Sign convention (not settled, see ROADMAP item 1): the source
 carries the curvature phase ``exp(-i k r^2 / 2R)`` of
@@ -50,6 +77,7 @@ that determine it; the in-memory and the on-disk profile caches key on it.
 
 from __future__ import annotations
 
+import cmath
 import math
 import struct
 from collections.abc import Sequence
@@ -60,18 +88,24 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import get_lapack_funcs
 
 from .beams import BeamParams, encircled_power, plane_params, total_power
-from .bessel import bessel_j0
-from .quadrature import QuadratureError, bisect_edges, gauss_nodes, phase_panels
 
 # Bump when node-placement or source-integration policy changes; cached
 # profiles are keyed on it.
-GRID_POLICY_VERSION = 2
+GRID_POLICY_VERSION = 3
 
 # Field-profile construction: nodes per half oscillation of the observation
-# phase, and sup-norm relative tolerance of the two-level quadrature check.
+# phase, and the relative tolerance on the achieved error.
 PROFILE_NODES_PER_HALF_PERIOD = 8
 PROFILE_FIELD_RTOL = 1e-6
 PROFILE_MAX_NODES = 60_000
+
+# Lommel series: the tail bound at each point's truncation, half an ulp of the
+# value on the axis, and the budget on the orders of the Bessel recurrence.
+SERIES_EPS = 2.0 ** -53
+SERIES_MAX_TERMS = 200_000
+# Bessel arguments are raised to this floor: below it every order past J0 and
+# every O(v^2) part of the sums is under their rounding, and 2n/v stays finite.
+BESSEL_ARG_FLOOR = 1e-20
 
 SERIALIZATION_VERSION = 4
 
@@ -85,6 +119,17 @@ DISK_POWER_CHUNK_NODES = 512
 
 # Complex tridiagonal solver, the routine solve_banded((1, 1), ...) calls.
 _GTSV, = get_lapack_funcs(("gtsv",), dtype=np.complex128)
+
+
+class QuadratureError(RuntimeError):
+    """A field evaluation did not reach its tolerance within its budget.
+
+    Carries the achieved relative error estimate in ``estimate``.
+    """
+
+    def __init__(self, message: str, estimate: float):
+        super().__init__(f"{message} (achieved error estimate {estimate:.3e})")
+        self.estimate = estimate
 
 
 class CoverageError(ValueError):
@@ -141,7 +186,12 @@ class DiskSpec:
 
 @dataclass(frozen=True)
 class QuadratureBudget:
-    """Error-control metadata recorded by profile construction."""
+    """Error-control metadata recorded by profile construction.
+
+    ``achieved`` is the Lommel series' tail bound (see the module docstring)
+    and ``source_nodes`` the number of Bessel orders it summed, 0 for a
+    source without a disk.
+    """
 
     rel_tol: float
     achieved: float
@@ -257,20 +307,6 @@ def _cubic(c, u, u2):
     return out
 
 
-def fresnel_valid(src: SourceAnnulus, distance: float, factor: float = 10.0):
-    """Fresnel condition Delta^3 >> (81*pi/(4*lambda)) * W^4(source plane).
-
-    Returns ``(ok, margin)`` where ``margin`` is the ratio of the two sides
-    and ``ok`` demands margin >= ``factor``.
-    """
-    if distance <= 0:
-        return False, 0.0
-    w = plane_params(src.beam, src.plane_distance).spot_size
-    bound = 81.0 * math.pi / (4.0 * src.beam.wavelength) * w ** 4
-    margin = distance ** 3 / bound
-    return margin >= factor, margin
-
-
 def _source_gaussian(src: SourceAnnulus) -> tuple[complex, complex]:
     """Source field ``A exp(c r^2)`` with the constant phase k*L_src factored out.
 
@@ -300,38 +336,85 @@ def _gaussian_hankel(alpha: complex, s):
     return -np.exp(np.asarray(s, dtype=float) ** 2 / (4.0 * alpha)) / (2.0 * alpha)
 
 
-def _fresnel_integral(src: SourceAnnulus, distance: float, l_values: np.ndarray):
+def _fresnel_integral(src: SourceAnnulus, distance: float, l_values: np.ndarray,
+                      rel_tol: float = PROFILE_FIELD_RTOL):
     """Radial J0 integral of the Fresnel reduction, for a batch of offsets.
 
-    The source envelope times the kernel phase is ``A exp(alpha r^2)`` (see
-    the module docstring), integrated over [a, inf) as the closed form over
-    [0, inf) minus a Gauss-panel quadrature over the disk [0, a].  Returns
-    (coarse, fine, source_nodes): the two levels differ in the disk quadrature
-    only, the fine level uses bisected panels and is the one callers should
-    keep, and ``source_nodes`` is its node count.
+    The source envelope times the kernel phase is ``A exp(alpha r^2)``,
+    integrated over [a, inf) as the closed form over [0, inf) less the disk
+    term, in the U or V form of the module docstring.  Returns (integral,
+    terms, achieved): the Bessel orders summed (0 without a disk) and the
+    achieved error of the module docstring.
     """
     k = src.beam.wavenumber
-    amp, c = _source_gaussian(src)
-    alpha = c + 0.5j * k / distance
+    amp, c_src = _source_gaussian(src)
+    alpha = c_src + 0.5j * k / distance
     s = k * np.asarray(l_values, dtype=float) / distance
-    whole = amp * _gaussian_hankel(alpha, s)
     a = src.inner_radius
     if a == 0.0:
-        return whole, whole, 0
+        return amp * _gaussian_hankel(alpha, s), 0, 0.0
+    c = alpha * a * a
+    v = np.maximum(s * a, BESSEL_ARG_FLOOR)
+    u_form = v > 2.0 * abs(c)
+    t = np.where(u_form, -2.0 * c / v, v / (2.0 * c))
+    j0, tail, terms, achieved = _bessel_sums(v, t, rel_tol)
+    scale = amp * a * a * cmath.exp(c)
+    with np.errstate(under="ignore"):  # a Gaussian factor below the smallest double is 0
+        whole = amp * _gaussian_hankel(alpha, s)
+    out = np.where(u_form, whole - scale * tail / v, -scale / (2.0 * c) * (j0 + t * tail))
+    return out, terms, achieved
 
-    def disk(nodes, weights):
-        base = amp * np.exp(alpha * nodes ** 2) * nodes * weights
-        out = np.empty(s.shape, dtype=complex)
-        step = max(1, int(2_000_000 / max(nodes.size, 1)))
-        for i0 in range(0, s.size, step):
-            out[i0:i0 + step] = bessel_j0(np.outer(s[i0:i0 + step], nodes)) @ base
-        return out
 
-    edges = phase_panels(0.0, a, abs(alpha.imag), float(s.max(initial=0.0)),
-                         plane_params(src.beam, src.plane_distance).spot_size)
-    coarse = whole - disk(*gauss_nodes(edges))
-    fine_nodes, fine_weights = gauss_nodes(bisect_edges(edges))
-    return coarse, whole - disk(fine_nodes, fine_weights), fine_nodes.size
+def _bessel_sums(v: np.ndarray, t: np.ndarray, rel_tol: float = PROFILE_FIELD_RTOL):
+    """J0(v) and ``sum_{n>=1} t^(n-1) J_n(v)`` by Miller's recurrence.
+
+    ``v`` holds nonnegative arguments and ``t`` a ratio with |t| <= 1 for
+    each, so every term is bounded by x^n / n! with x = max(v) / 2.  The
+    recurrence starts at order M, the margin sqrt(40 N) above the first
+    order N whose tail bound ``2 x^(N+1) / (N+1)!`` is at most
+    ``SERIES_EPS``, and at most at ``SERIES_MAX_TERMS``.  Returns (J0, sum,
+    terms, achieved): the M + 1 orders summed and the tail bound beyond M.
+    Raises :class:`QuadratureError`, before the recurrence, when that bound
+    exceeds ``rel_tol``.
+    """
+    v = np.maximum(v, BESSEL_ARG_FLOOR)
+    x = 0.5 * float(v.max(initial=BESSEL_ARG_FLOOR))
+    log_x = math.log(x)
+    # 2 x^(m+1) / (m+1)! bounds the tail beyond order m once x < (m + 2) / 2
+    m, log_term = 0, log_x
+    while m < SERIES_MAX_TERMS and (log_term + math.log(2.0) > math.log(SERIES_EPS)
+                                    or x >= 0.5 * (m + 2)):
+        m += 1
+        log_term += log_x - math.log(m + 1)
+    top = min(m + math.ceil(math.sqrt(40.0 * m)), SERIES_MAX_TERMS)
+    if x < 0.5 * (top + 2):
+        log_tail = math.log(2.0) + (top + 1) * log_x - math.lgamma(top + 2)
+    else:  # cut short by the budget while the terms still grow
+        log_tail = x  # the whole series is at most e^x
+    achieved = math.exp(log_tail) if log_tail < 709.0 else math.inf
+    if achieved > rel_tol:
+        raise QuadratureError(f"Bessel recurrence needs more than its budget of "
+                              f"{SERIES_MAX_TERMS} orders", achieved)
+
+    widest = max(math.log2(2.0 / float(v.min(initial=1.0))), 0.0)
+    j_n, j_up = np.ones(v.shape), np.zeros(v.shape)
+    horner = np.zeros(v.shape, dtype=complex)
+    even = np.zeros(v.shape)
+    room = 0.0  # log2 bound on the largest unnormalised value
+    for n in range(top, 0, -1):
+        growth = max(math.log2(n) + widest, 0.0) + 1.0  # >= log2(2n/v + 1)
+        if room + growth > 960.0:
+            _, exp2 = np.frexp(np.maximum(np.abs(j_n), np.abs(j_up)))
+            factor = np.ldexp(1.0, -exp2)
+            j_n, j_up, horner, even = j_n * factor, j_up * factor, horner * factor, even * factor
+            room = 0.0
+        room += growth
+        horner = horner * t + j_n
+        if n % 2 == 0:
+            even += j_n
+        j_n, j_up = 2.0 * n / v * j_n - j_up, j_n
+    norm = j_n + 2.0 * even
+    return j_n / norm, horner / norm, top + 1, achieved
 
 
 def _fresnel_prefactor(src: SourceAnnulus, distance: float, l_values):
@@ -340,72 +423,6 @@ def _fresnel_prefactor(src: SourceAnnulus, distance: float, l_values):
     return (2.0 * math.pi * np.exp(1j * k * distance) / (1j * lam * distance)
             * _source_phase(src)
             * np.exp(1j * k * np.asarray(l_values, dtype=float) ** 2 / (2.0 * distance)))
-
-
-def rs_field_direct(src: SourceAnnulus, distance: float, l: float, phi: float = 0.0,
-                    rel_tol: float = 1e-5) -> complex:
-    """Direct 2-D Rayleigh–Sommerfeld integral (validation oracle).
-
-    The kernel is ``(distance / (i lambda)) * exp(i k r12) / r12**2`` over the
-    annulus.  The azimuth integral depends only on theta - phi for a
-    cylindrically symmetric source, so phi is folded out by substitution and
-    the result is phi-independent by construction.
-
-    The 2-D kernel has no closed form for the Gaussian tail, so the source is
-    cut at 3 W, three spot sizes of the source plane.  The tail beyond carries
-    e^-18 of the power; dropping it moves the field by 1e-4 to 4e-4 of its
-    maximum.
-    """
-    if distance <= 0:
-        raise ValueError("propagation distance must be positive")
-    if l < 0:
-        raise ValueError("radial offset must be nonnegative")
-    del phi  # result is independent of the observation azimuth
-
-    beam = src.beam
-    k = beam.wavenumber
-    plane = plane_params(beam, src.plane_distance)
-    a = src.inner_radius
-    b = 3.0 * plane.spot_size
-    if b <= a:
-        raise ValueError("annulus is empty inside the oracle's outer cut")
-    curv = 0.0 if math.isinf(plane.curvature_radius) else 1.0 / plane.curvature_radius
-    # radial phase rate: quadratic from r12 ~ (r^2 - 2 r l cos)/2D plus the
-    # source curvature term
-    q = k / 2.0 * (1.0 / distance + curv)
-    lin = k * l / distance
-    r_edges = phase_panels(a, b, q, lin, plane.spot_size)
-    theta_span = k * 2.0 * b * l / distance
-    n_theta = max(12, int(math.ceil(theta_span / math.pi)) + 4)
-    t_edges = np.linspace(0.0, math.pi, n_theta + 1)
-
-    amp, c = _source_gaussian(src)
-
-    def level(re, te):
-        rn, rw = gauss_nodes(re)
-        tn, tw = gauss_nodes(te)
-        src_amp = amp * np.exp(c * rn ** 2) * rn * rw
-        acc = 0.0 + 0.0j
-        step = max(1, int(2_000_000 / max(rn.size, 1)))
-        for i0 in range(0, tn.size, step):
-            t = tn[i0:i0 + step, None]
-            w = tw[i0:i0 + step, None]
-            excess = (l ** 2 + rn[None, :] ** 2
-                      - 2.0 * rn[None, :] * l * np.cos(t))
-            r12 = np.sqrt(distance ** 2 + excess)
-            # phase written as k*distance + k*(r12 - distance), the small
-            # part computed by difference of squares to keep full precision
-            acc += np.sum(w * np.exp(1j * k * (excess / (r12 + distance)))
-                          / r12 ** 2 * src_amp[None, :])
-        return 2.0 * acc  # integrand is even in theta about 0
-
-    coarse = level(r_edges, t_edges)
-    fine = level(bisect_edges(r_edges), np.linspace(0.0, math.pi, 2 * n_theta + 1))
-    est = abs(fine - coarse) / max(abs(fine), 1e-300)
-    if est > rel_tol and abs(fine) > 1e-12:
-        raise QuadratureError("rs_field_direct did not converge", est)
-    return complex(distance / (1j * beam.wavelength)
-                   * np.exp(1j * k * distance) * _source_phase(src) * fine)
 
 
 def _profile_nodes(src: SourceAnnulus, distance: float, coverage: float) -> np.ndarray:
@@ -452,23 +469,18 @@ def propagate_profile(src: SourceAnnulus, distance: float, disk_hint: DiskSpec,
                       rel_tol: float = PROFILE_FIELD_RTOL) -> FieldProfile:
     """Sample the diffracted field on a grid covering the hinted disk.
 
-    The achieved error is the sup-norm difference of the two quadrature
-    levels of the Babinet-subtracted field, relative to its maximum.
+    The budget records the achieved error and the series terms of
+    :func:`_fresnel_integral`; :class:`QuadratureError` is raised when the
+    error would exceed ``rel_tol``.
     """
     if distance <= 0:
         raise ValueError("propagation distance must be positive")
     coverage = disk_hint.center_offset + disk_hint.radius
     nodes = _profile_nodes(src, distance, coverage)
-
-    coarse, fine, source_nodes = _fresnel_integral(src, distance, nodes)
-    scale = float(np.abs(fine).max())
-    est = float(np.abs(fine - coarse).max()) / max(scale, 1e-300)
-    if est > rel_tol and scale > 1e-12:
-        raise QuadratureError("propagate_profile did not converge", est)
-    amplitudes = _fresnel_prefactor(src, distance, nodes) * fine
-    budget = QuadratureBudget(rel_tol=rel_tol, achieved=est,
-                              source_nodes=source_nodes,
-                              profile_nodes=len(nodes))
+    field, terms, achieved = _fresnel_integral(src, distance, nodes, rel_tol)
+    amplitudes = _fresnel_prefactor(src, distance, nodes) * field
+    budget = QuadratureBudget(rel_tol=rel_tol, achieved=achieved,
+                              source_nodes=terms, profile_nodes=len(nodes))
     return FieldProfile(src, distance, nodes, amplitudes, budget)
 
 
@@ -601,16 +613,18 @@ def arago_relative_amplitude(obstacle_radius: float, distance: float, l,
                              wavelength: float):
     """Bright-spot relative amplitude behind a circular obstacle.
 
-    Point-source result: ``sqrt(D^2/(D^2+r_b^2)) * |J0(2 pi r_b l / (lambda D))|``.
-    Multiplying the undisturbed field magnitude by this factor predicts the
-    shadow-region field of a nearly collimated beam.
+    Point-source result: ``sqrt(D^2/(D^2+r_b^2)) * |J0(2 pi r_b l / (lambda D))|``,
+    with J0 from the recurrence of the Lommel series.  Multiplying the
+    undisturbed field magnitude by this factor predicts the shadow-region
+    field of a nearly collimated beam.
     """
     if distance <= 0:
         raise ValueError("propagation distance must be positive")
-    l = np.asarray(l, dtype=float)
+    x = (2.0 * math.pi * obstacle_radius * np.asarray(l, dtype=float)
+         / (wavelength * distance))
     pref = math.sqrt(distance ** 2 / (distance ** 2 + obstacle_radius ** 2))
-    out = pref * np.abs(bessel_j0(2.0 * math.pi * obstacle_radius * l
-                                  / (wavelength * distance)))
+    j0 = _bessel_sums(np.abs(x).ravel(), np.zeros(x.size, dtype=complex))[0]
+    out = pref * np.abs(j0).reshape(x.shape)
     return float(out) if out.ndim == 0 else out
 
 

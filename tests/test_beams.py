@@ -117,7 +117,7 @@ def test_closed_form_matches_quadrature(beam, ratio):
 
 def test_closed_form_high_accuracy(beam):
     # Gauss panels instead of trapezoid reach the 1e-10 contract
-    from fsoqkd.quadrature import gauss_nodes
+    from diffraction_reference import gauss_nodes
 
     L, radius = 20e3, 0.15
     edges = np.linspace(0.0, radius, 600)

@@ -128,6 +128,16 @@ def test_cache_command_without_the_variable_exits_2(monkeypatch, capsys, action)
     assert CACHE_ENV_VAR in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("action", ["inspect", "clear"])
+def test_cache_command_on_a_missing_directory_exits_2(tmp_path, monkeypatch, capsys,
+                                                      action):
+    missing = tmp_path / "typo" / "cache"
+    monkeypatch.setenv(CACHE_ENV_VAR, str(missing))
+    assert cli.main(["cache", action]) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "typo").exists()
+
+
 @pytest.mark.parametrize("override", [
     {"mu": -2},
     {"eve_offset": -1},
@@ -292,6 +302,10 @@ def test_cli_import_leaves_scipy_interpolate_unloaded():
 
 def test_cli_import_leaves_scipy_constants_unloaded():
     assert not _loaded_by_cli_import("scipy.constants")
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    assert not _loaded_by_cli_import("scipy.special")
 
 
 BLAS_REPORT = f"""

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -10,17 +11,17 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.special import j0
 
+from diffraction_reference import (disk_quadrature_integral, fresnel_valid,
+                                   phase_panels, rs_field_direct)
 from fsoqkd import diffraction
 from fsoqkd.beams import BeamParams, field_amplitude, plane_params, total_power
 from fsoqkd.diffraction import (CoverageError, DiskSpec, FieldProfile,
-                                QuadratureBudget, SourceAnnulus,
+                                QuadratureBudget, QuadratureError, SourceAnnulus,
                                 arago_relative_amplitude, deserialize_profile,
-                                disk_power, fresnel_valid,
-                                profile_power, propagate_profile,
-                                rs_field_direct, serialize_profile,
+                                disk_power, profile_power, propagate_profile,
+                                serialize_profile, _bessel_sums,
                                 _fresnel_integral, _fresnel_prefactor,
                                 _gaussian_hankel, _overlap_halfwidth)
-from fsoqkd.quadrature import QuadratureError, phase_panels
 
 LAM = 1550e-9
 
@@ -283,6 +284,106 @@ def test_quadrature_budget_error_carries_estimate(beam, monkeypatch):
         propagate_profile(src, 2e3, DiskSpec(0.1, 0.5))
 
 
+# ------------------------------------------------------------ Lommel series
+
+def annulus_field_mpmath(src, distance, l):
+    """``A int_a^inf exp(alpha r^2) J0(s r) r dr`` at the code's alpha and s:
+    the closed form of the whole beam less the disk by 20-digit Gauss
+    quadrature, split at every third of a Bessel period or pi of phase."""
+    k = src.beam.wavenumber
+    amp, c_src = diffraction._source_gaussian(src)
+    alpha = c_src + 0.5j * k / distance
+    s, a = k * l / distance, src.inner_radius
+    with mpmath.workdps(20):
+        al, ss = mpmath.mpc(alpha), mpmath.mpf(s)
+        splits = int(abs(alpha.imag) * a * a / 2 + s * a / 3) + 4
+        disk = mpmath.quad(lambda r: mpmath.exp(al * r * r) * mpmath.besselj(0, ss * r) * r,
+                           [a * mpmath.mpf(j) / splits for j in range(splits + 1)],
+                           method="gauss-legendre")
+        return complex(mpmath.mpc(amp) * (-mpmath.exp(ss ** 2 / (4 * al)) / (2 * al) - disk))
+
+
+SERIES_SOURCES = {"near": (40e3, 700.0, 0.1), "long": (40e3, 400e3, 0.1),
+                  "before": (35e3, 5e3, 0.1), "wide": (40e3, 2e3, 0.3),
+                  "short": (40e3, 100.0, 0.1)}
+
+
+@pytest.mark.parametrize("source,v", [
+    (source, v) for source in ("near", "long", "before", "wide")
+    for v in (0.0, 1e-9, 0.5, "below", "above", 30.0)] + [("near", 400.0), ("short", 1000.0)])
+def test_lommel_series_matches_mpmath(beam, source, v):
+    # v = s a and c = alpha a^2 as in _fresnel_integral; "below" and "above"
+    # put v a part in 1e9 on either side of the U/V boundary 2|c|
+    plane, distance, a = SERIES_SOURCES[source]
+    src = SourceAnnulus(beam, plane, a)
+    k = beam.wavenumber
+    c = (diffraction._source_gaussian(src)[1] + 0.5j * k / distance) * a * a
+    if isinstance(v, str):
+        v = 2.0 * abs(c) * (1.0 + (1e-9 if v == "above" else -1e-9))
+    l = v * distance / (k * a)
+    got = complex(_fresnel_integral(src, distance, np.array([l]))[0][0])
+    want = annulus_field_mpmath(src, distance, l)
+    assert abs(got - want) / abs(want) <= 1e-12
+
+
+# (Bob-Eve distance, coverage) of the compared profiles, behind Bob's
+# aperture 40 km from Alice
+QUADRATURE_NODE_SETS = [(100.0, 0.1), (700.0, 0.1), (500.0, 0.7), (5e3, 0.1),
+                        (40e3, 0.1), (400e3, 0.1), (1000e3, 0.1)]
+
+
+@pytest.mark.parametrize("distance,coverage", QUADRATURE_NODE_SETS)
+def test_lommel_series_matches_disk_quadrature(beam, distance, coverage):
+    src = SourceAnnulus(beam, 40e3, 0.1)
+    nodes = diffraction._profile_nodes(src, distance, coverage)
+    got, terms, achieved = _fresnel_integral(src, distance, nodes)
+    _, want, _ = disk_quadrature_integral(src, distance, nodes)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert achieved <= diffraction.SERIES_EPS and terms > 0
+
+
+def test_lommel_series_raises_no_floating_point_error(beam):
+    rng = np.random.default_rng(5)
+    v = np.concatenate([[0.0, 1e-300, 1e-30, 1e-20, 1e-9], np.geomspace(1e-6, 3e3, 60)])
+    t = rng.uniform(0.0, 1.0, v.size) * np.exp(2j * np.pi * rng.uniform(size=v.size))
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j0, tail, _, _ = _bessel_sums(v, t)
+        for plane, distance, a in SERIES_SOURCES.values():
+            src = SourceAnnulus(beam, plane, a)
+            nodes = np.concatenate([[0.0, 1e-300, 1e-12],
+                                    diffraction._profile_nodes(src, distance, 0.3)])
+            integral, _, _ = _fresnel_integral(src, distance, nodes)
+            assert np.all(np.isfinite(integral))
+        arago_relative_amplitude(0.1, 700.0, np.linspace(0.0, 0.3, 50), LAM)
+    assert np.all(np.isfinite(j0)) and np.all(np.isfinite(tail))
+
+
+def test_term_budget_error_carries_the_tail_bound(beam, monkeypatch):
+    # 12 km behind Bob the terms at the outer node fall below SERIES_EPS
+    # after about 22 orders; a budget below that cuts the series short
+    src = SourceAnnulus(beam, 40e3, 0.1)
+    full = propagate_profile(src, 12e3, DiskSpec(0.1))
+    assert full.budget.achieved <= diffraction.SERIES_EPS
+    x = beam.wavenumber * 0.1 * 0.1 / 12e3 / 2.0  # v / 2 at the outer node
+
+    def tail_bound(m):
+        return 2.0 * x ** (m + 1) / math.factorial(m + 1)
+
+    monkeypatch.setattr(diffraction, "SERIES_MAX_TERMS", 5)
+    with pytest.raises(QuadratureError, match="budget of 5") as err:
+        propagate_profile(src, 12e3, DiskSpec(0.1))
+    assert err.value.estimate == pytest.approx(tail_bound(5), rel=1e-12)
+    # a cut within the tolerance is recorded, not raised
+    monkeypatch.setattr(diffraction, "SERIES_MAX_TERMS", 15)
+    cut = propagate_profile(src, 12e3, DiskSpec(0.1))
+    assert cut.budget.source_nodes == 16
+    assert cut.budget.achieved == pytest.approx(tail_bound(15), rel=1e-12)
+    assert diffraction.SERIES_EPS < cut.budget.achieved <= cut.budget.rel_tol
+    assert np.abs(cut.complex_amplitudes - full.complex_amplitudes).max() \
+        <= cut.budget.achieved * np.abs(full.complex_amplitudes[0])
+
+
 # ------------------------------------------------------------ disk power
 
 def test_disk_power_vanishing_collector(profile_60):
@@ -419,8 +520,8 @@ def test_disk_power_spline_interpolation_error(plane, lbe_km):
     gx, gw = leggauss(16)
     half = 0.5 * np.diff(edges)[:, None]
     rho = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * gx).ravel()
-    _, fine, _ = _fresnel_integral(prof.source, prof.propagation_distance, rho)
-    field = _fresnel_prefactor(prof.source, prof.propagation_distance, rho) * fine
+    integral, _, _ = _fresnel_integral(prof.source, prof.propagation_distance, rho)
+    field = _fresnel_prefactor(prof.source, prof.propagation_distance, rho) * integral
     direct = np.sum(np.abs(field) ** 2 * 2.0 * math.pi * rho * (half * gw).ravel())
     assert abs(disk_power(prof, DiskSpec(0.1)) - direct) / direct <= 1e-6
 
