@@ -6,10 +6,13 @@ import os
 import sys
 import warnings
 
-# The sweep row pool is the one parallel layer: BLAS runs inline on the row
-# thread that calls it.  Set before any submodule loads numpy; exporting any
-# of these variables keeps the user's choice for all three.  BLAS reads them
-# when numpy loads it, so a numpy imported earlier keeps its thread pool.
+# One BLAS thread.  fsoqkd makes no BLAS call, but OpenBLAS starts its worker
+# threads when numpy loads it, and that start-up costs CPU in every process:
+# on two cores `import numpy` took 0.22 s of CPU pinned against 0.30 s at two
+# threads, and a rate_opt_sweep run 0.40 s against 0.51 s.  Set before any
+# submodule loads numpy; exporting any of these variables keeps the user's
+# choice for all three.  BLAS reads them when numpy loads it, so a numpy
+# imported earlier keeps its thread pool.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 if not any(var in os.environ for var in _BLAS_THREAD_VARS):
     if "numpy" in sys.modules:

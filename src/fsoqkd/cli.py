@@ -10,10 +10,11 @@ switch: naming a directory keeps profiles there across runs, and ``cache
 inspect|clear`` lists or deletes them (exit 2 if the directory is missing).
 
 Parallelism: the sweep row pool (``--threads``, default 1) is the only one.
-Importing ``fsoqkd`` pins OpenBLAS, MKL and OpenMP to one thread each, so
-every BLAS call runs inline on the row thread that made it; exporting any of
-``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` or ``OMP_NUM_THREADS`` before
-the import leaves all three to the user.
+Importing ``fsoqkd`` pins OpenBLAS, MKL and OpenMP to one thread each.  The
+package makes no BLAS call; the pin keeps OpenBLAS from starting worker
+threads when numpy loads, a start-up that costs CPU time in every process.
+Exporting any of ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` or
+``OMP_NUM_THREADS`` before the import leaves all three to the user.
 
 Exit codes: 0 on success, 1 when computational error rows were recorded, 2 on
 usage or configuration errors.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -156,8 +157,6 @@ def run_sweep(spec: SweepSpec, cache: ProfileCache | None = None,
     cache = cache or ProfileCache()
     grid = spec.grid()
     if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda v: _row(spec, v, cache), grid))
     return [_row(spec, v, cache) for v in grid]

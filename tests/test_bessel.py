@@ -1,6 +1,6 @@
-"""``scipy.special.j0``, the J0 kernel of ``fsoqkd.bessel`` and of the
-reference quadrature in ``diffraction_reference``, validated against a frozen
-high-precision table.
+"""``scipy.special.j0``, the J0 kernel of the reference quadrature in
+``diffraction_reference``, and ``fsoqkd.bessel.bessel_j0``, the J0 of the
+Lommel series' recurrence, validated against a frozen high-precision table.
 
 Reference values were computed with 40-digit arithmetic (mpmath 1.x,
 ``mp.besselj(0, x)``) and rounded to 22 significant digits; they are exact to
@@ -11,6 +11,8 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.special import j0 as bessel_j0
+
+from fsoqkd import bessel, diffraction
 
 # (argument, J0(argument) to 22 significant digits)
 ORACLE_TABLE = [
@@ -109,11 +111,22 @@ def test_vectorized_matches_scalar():
 def test_scipy_cross_check():
     # spot-check the kernel against mpmath between the table points, and the
     # J0 of the Bessel recurrence that the diffraction integrals use
-    from fsoqkd.diffraction import _bessel_sums
-
     xs = np.geomspace(1e-6, 1e5, 60)
     with mpmath.workdps(40):
         ref = np.array([float(mpmath.besselj(0, mpmath.mpf(float(x)))) for x in xs])
     assert np.max(np.abs(bessel_j0(xs) - ref)) < 5e-12
-    recurrence = _bessel_sums(xs, np.zeros(xs.size, dtype=complex))[0]
-    assert np.max(np.abs(recurrence - ref)) < 5e-12
+    assert bessel.bessel_j0 is diffraction.bessel_j0
+    assert np.max(np.abs(bessel.bessel_j0(xs) - ref)) < 5e-12
+    assert np.array_equal(bessel.bessel_j0(-xs), bessel.bessel_j0(xs))
+
+
+def test_recurrence_matches_oracle_table():
+    # the whole table in one call, whose orders follow its largest argument,
+    # and each point in a call of its own
+    xs, want = map(np.array, zip(*ORACLE_TABLE))
+    tol = 1e-12 * np.maximum(np.abs(want), 1e-2)
+    assert np.all(np.abs(bessel.bessel_j0(xs) - want) <= tol)
+    one_by_one = np.array([bessel.bessel_j0(x) for x in xs])
+    assert np.all(np.abs(one_by_one - want) <= tol)
+    assert bessel.bessel_j0(xs[:60].reshape(3, 20)).shape == (3, 20)
+    assert np.ndim(bessel.bessel_j0(1.0)) == 0

@@ -1,5 +1,6 @@
 import functools
 import math
+import struct
 import warnings
 from dataclasses import replace
 
@@ -8,7 +9,6 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 from scipy.special import j0
 
 from diffraction_reference import (disk_quadrature_integral, fresnel_valid,
@@ -326,6 +326,76 @@ def test_lommel_series_matches_mpmath(beam, source, v):
     assert abs(got - want) / abs(want) <= 1e-12
 
 
+def annulus_slope_mpmath(src, distance, l):
+    """dI/ds of :func:`annulus_field_mpmath`: mpmath's derivative of the
+    closed form, plus ``A int_0^a exp(alpha r^2) J1(s r) r^2 dr`` by the same
+    quadrature, since d J0(s r)/ds = -r J1(s r)."""
+    k = src.beam.wavenumber
+    amp, c_src = diffraction._source_gaussian(src)
+    alpha = c_src + 0.5j * k / distance
+    s, a = k * l / distance, src.inner_radius
+    with mpmath.workdps(20):
+        al, ss = mpmath.mpc(alpha), mpmath.mpf(s)
+        whole = mpmath.diff(lambda x: -mpmath.exp(x ** 2 / (4 * al)) / (2 * al), ss)
+        splits = int(abs(alpha.imag) * a * a / 2 + s * a / 3) + 4
+        disk = mpmath.quad(lambda r: mpmath.exp(al * r * r) * mpmath.besselj(1, ss * r) * r * r,
+                           [a * mpmath.mpf(j) / splits for j in range(splits + 1)],
+                           method="gauss-legendre") if a else 0
+        return complex(mpmath.mpc(amp) * (whole + disk))
+
+
+@pytest.mark.parametrize("source,v", [
+    (source, v) for source in ("near", "long", "before", "wide")
+    for v in (0.0, 1e-9, 0.5, "below", "above", 30.0)]
+    + [("near", 400.0), ("short", 1000.0)]
+    + [("open", v) for v in (0.0, 1e-9, 0.5, 30.0)])
+def test_lommel_series_slope_matches_mpmath(beam, source, v):
+    # dI/ds = (a e^(alpha a^2) J1(s a) + s I) / (2 alpha) in both forms of the
+    # series, on the axis, and without a disk (source "open", a = 0, where v
+    # is taken for a 10 cm disk); measured <= 4.8e-14 relative
+    plane, distance, a = {**SERIES_SOURCES, "open": (40e3, 5e3, 0.0)}[source]
+    src = SourceAnnulus(beam, plane, a)
+    k = beam.wavenumber
+    radius = a or 0.1
+    c = (diffraction._source_gaussian(src)[1] + 0.5j * k / distance) * radius ** 2
+    if isinstance(v, str):
+        v = 2.0 * abs(c) * (1.0 + (1e-9 if v == "above" else -1e-9))
+    l = v * distance / (k * radius)
+    got = complex(_fresnel_integral(src, distance, np.array([l]))[1][0])
+    want = annulus_slope_mpmath(src, distance, l)
+    if v == 0.0:  # the slope of an even function; a radius times |I(0)| scales it
+        axis = abs(complex(_fresnel_integral(src, distance, np.array([0.0]))[0][0]))
+        assert want == 0.0 and abs(got) <= 1e-17 * radius * axis
+    else:
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("plane,distance,a,coverage", [
+    (40e3, 700.0, 0.1, 0.1), (40e3, 400e3, 0.1, 0.1), (35e3, 5e3, 0.1, 0.1),
+    (40e3, 2e3, 0.3, 0.3), (40e3, 100.0, 0.1, 0.1), (40e3, 5e3, 0.0, 0.1),
+], ids=["near", "long", "before", "wide", "short", "open"])
+def test_profile_slopes_match_richardson_difference(beam, plane, distance, a, coverage):
+    # dU/dl at every node off the axis against a Richardson-extrapolated
+    # central difference of the series field, steps a tenth of the finest
+    # node spacing; measured 1.4e-12..6.4e-11 of max|dU/dl|
+    src = SourceAnnulus(beam, plane, a)
+    prof = propagate_profile(src, distance, DiskSpec(coverage))
+
+    def central(h):
+        x = prof.radial_nodes[1:]
+        up, down = (_fresnel_prefactor(src, distance, x + sign * h)
+                    * _fresnel_integral(src, distance, x + sign * h)[0]
+                    for sign in (1.0, -1.0))
+        return (up - down) / (2.0 * h)
+
+    h = 0.1 * np.diff(prof.radial_nodes).min()
+    richardson = (4.0 * central(h / 2.0) - central(h)) / 3.0
+    peak = np.abs(prof.slopes).max()
+    assert np.all(np.isfinite(prof.slopes))
+    assert np.abs(prof.slopes[1:] - richardson).max() <= 2e-10 * peak
+    assert abs(prof.slopes[0]) <= 1e-17 * peak  # U is even in l
+
+
 # (Bob-Eve distance, coverage) of the compared profiles, behind Bob's
 # aperture 40 km from Alice
 QUADRATURE_NODE_SETS = [(100.0, 0.1), (700.0, 0.1), (500.0, 0.7), (5e3, 0.1),
@@ -336,7 +406,7 @@ QUADRATURE_NODE_SETS = [(100.0, 0.1), (700.0, 0.1), (500.0, 0.7), (5e3, 0.1),
 def test_lommel_series_matches_disk_quadrature(beam, distance, coverage):
     src = SourceAnnulus(beam, 40e3, 0.1)
     nodes = diffraction._profile_nodes(src, distance, coverage)
-    got, terms, achieved = _fresnel_integral(src, distance, nodes)
+    got, _, terms, achieved = _fresnel_integral(src, distance, nodes)
     _, want, _ = disk_quadrature_integral(src, distance, nodes)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert achieved <= diffraction.SERIES_EPS and terms > 0
@@ -348,15 +418,15 @@ def test_lommel_series_raises_no_floating_point_error(beam):
     t = rng.uniform(0.0, 1.0, v.size) * np.exp(2j * np.pi * rng.uniform(size=v.size))
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        j0, tail, _, _ = _bessel_sums(v, t)
+        j0, j1, tail, _, _ = _bessel_sums(v, t)
         for plane, distance, a in SERIES_SOURCES.values():
             src = SourceAnnulus(beam, plane, a)
             nodes = np.concatenate([[0.0, 1e-300, 1e-12],
                                     diffraction._profile_nodes(src, distance, 0.3)])
-            integral, _, _ = _fresnel_integral(src, distance, nodes)
-            assert np.all(np.isfinite(integral))
+            integral, slope, _, _ = _fresnel_integral(src, distance, nodes)
+            assert np.all(np.isfinite(integral)) and np.all(np.isfinite(slope))
         arago_relative_amplitude(0.1, 700.0, np.linspace(0.0, 0.3, 50), LAM)
-    assert np.all(np.isfinite(j0)) and np.all(np.isfinite(tail))
+    assert np.all(np.isfinite(j0)) and np.all(np.isfinite(j1)) and np.all(np.isfinite(tail))
 
 
 def test_term_budget_error_carries_the_tail_bound(beam, monkeypatch):
@@ -430,7 +500,7 @@ def test_disk_power_disjoint_disk_is_zero(profile_60):
     assert val >= 0.0
 
 
-# ------------------------------------------------------------ spline profile
+# ------------------------------------------------------ profile interpolant
 
 @functools.cache
 def profile_at(plane, distance, offset=0.0):
@@ -439,38 +509,50 @@ def profile_at(plane, distance, offset=0.0):
     return propagate_profile(src, distance, DiskSpec(0.1, offset))
 
 
-def scipy_spline(nodes, amplitudes):
-    return CubicSpline(nodes, amplitudes, bc_type=((1, 0j), "not-a-knot"))
+# (L_AB, L_BE, Eve's radius, her offset, bound) behind a 10 cm Bob: the
+# interpolant's worst error at the node midpoints, relative to max|U|, was
+# measured 1.1e-8, 1.9e-8, 3.0e-9, 1.5e-8, 1.3e-7 and 1.0e-8; the not-a-knot
+# spline through the same nodes had 6.4e-8, 1.9e-7, 1.2e-8, 1.5e-7, 2.5e-7
+# and 1.0e-7.
+INTERPOLATION_ROWS = [(40e3, 0.5e3, 0.1, 0.0, 2e-8), (40e3, 5e3, 0.1, 0.0, 3e-8),
+                      (40e3, 40e3, 0.1, 0.0, 5e-9), (40e3, 1e3, 0.1, 0.13, 3e-8),
+                      (40e3, 40e3, 0.1, 0.15, 2e-7), (50e3, 1e3, 0.3, 0.0, 2e-8)]
 
 
-@pytest.mark.parametrize("plane,lbe_km", [
-    (40e3, 0.7), (40e3, 5.0), (40e3, 40.0), (40e3, 400.0), (35e3, 5.0),
-], ids=["behind-0.7km", "behind-5km", "behind-40km", "behind-400km", "before-5km"])
-def test_interpolator_equals_scipy_cubic_spline(plane, lbe_km):
-    prof = profile_at(plane, lbe_km * 1e3)
-    ours = prof.interpolator()
-    ref = scipy_spline(prof.radial_nodes, prof.complex_amplitudes)
-    rng = np.random.default_rng(7)
-    radii = np.concatenate([rng.uniform(0.0, prof.truncation_radius, 2000),
-                            prof.radial_nodes])
-    assert np.array_equal(ours(radii), ref(radii))
+@pytest.mark.parametrize("plane,distance,radius,offset,bound", INTERPOLATION_ROWS,
+                         ids=["0.5km", "5km", "40km", "1km-offset", "40km-offset",
+                              "1km-wide"])
+def test_interpolator_matches_series_at_node_midpoints(beam, plane, distance, radius,
+                                                       offset, bound):
+    src = SourceAnnulus(beam, plane, 0.1)
+    prof = propagate_profile(src, distance, DiskSpec(radius, offset))
+    x = prof.radial_nodes
+    mids = 0.5 * (x[:-1] + x[1:])
+    direct = _fresnel_prefactor(src, distance, mids) * _fresnel_integral(src, distance, mids)[0]
+    hermite = prof.interpolator()
+    peak = np.abs(prof.complex_amplitudes).max()
+    assert np.abs(hermite(mids) - direct).max() <= bound * peak
+    # each piece starts at its left node's sample
+    assert np.array_equal(hermite(x[:-1]), prof.complex_amplitudes[:-1])
+    assert abs(hermite(x[-1]) - prof.complex_amplitudes[-1]) <= 1e-12 * peak
     axis = np.linspace(-0.07, 0.07, 15)
     grid = np.hypot(*np.meshgrid(axis, axis))
-    assert ours(grid).shape == grid.shape
-    assert np.array_equal(ours(grid), ref(grid))
+    assert hermite(grid).shape == grid.shape
+    assert np.array_equal(hermite(grid).ravel(), hermite(grid.ravel()))
 
 
-@pytest.mark.parametrize("count", [3, 4])
-def test_interpolator_equals_scipy_on_few_nodes(beam, count):
+@pytest.mark.parametrize("count", [2, 4])
+def test_interpolator_reproduces_a_cubic(beam, count):
+    # the values and slopes of a cubic give back the cubic, extrapolated too
     rng = np.random.default_rng(count)
+    cubic = np.polynomial.Polynomial(rng.normal(size=4) + 1j * rng.normal(size=4))
     nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 0.2, count - 1))])
-    amps = rng.normal(size=count) + 1j * rng.normal(size=count)
-    prof = FieldProfile(cropped(beam), 10e3, nodes, amps,
+    prof = FieldProfile(cropped(beam), 10e3, nodes, cubic(nodes), cubic.deriv()(nodes),
                         QuadratureBudget(1e-6, 0.0, 0, count))
     radii = np.concatenate([rng.uniform(-0.01, 0.25, 500), nodes])
-    ref = scipy_spline(nodes, amps)
-    assert np.array_equal(prof.interpolator()(radii), ref(radii))
-    assert np.array_equal(prof.interpolator()(0.05), ref(0.05))
+    hermite = prof.interpolator()
+    assert np.abs(hermite(radii) - cubic(radii)).max() <= 1e-12
+    assert np.ndim(hermite(0.05)) == 0 and hermite(0.05) == hermite(np.array([0.05]))[0]
 
 
 def quad_disk_power(prof, disk):
@@ -499,11 +581,12 @@ def quad_disk_power(prof, disk):
 @pytest.mark.parametrize("lbe_km", [5.0, 40.0])
 def test_disk_power_quadrature_error(lbe_km):
     # 8-point Gauss per interval is exact on axis.  Off axis the arccos
-    # overlap weight has square-root edges; measured 8e-9..1.4e-7 at 5 km and
-    # 7e-9..1.3e-5 (D = 0.15 m) at 40 km, where the nodes are sparse.
+    # overlap weight has square-root edges, and the panels ending there are
+    # integrated in t = sqrt(|rho - edge|); measured at most 1.1e-11 at 5 km
+    # and 4.2e-9 (D = 0.1 m) at 40 km, where the nodes are sparse.
     prof = profile_at(40e3, lbe_km * 1e3, 0.2)
-    for offset, bound in [(0.0, 1e-14), (0.02, 3e-5), (0.05, 3e-5), (0.1, 3e-5),
-                          (0.15, 3e-5), (0.2, 3e-5)]:
+    for offset, bound in [(0.0, 1e-14), (0.02, 1e-8), (0.05, 1e-8), (0.1, 1e-8),
+                          (0.15, 1e-8), (0.2, 1e-8)]:
         disk = DiskSpec(0.1, offset)
         want = quad_disk_power(prof, disk)
         assert abs(disk_power(prof, disk) - want) / want <= bound
@@ -513,14 +596,14 @@ def test_disk_power_quadrature_error(lbe_km):
     (40e3, 0.7), (40e3, 5.0), (40e3, 40.0), (40e3, 400.0), (20e3, 2.0),
 ])
 def test_disk_power_spline_interpolation_error(plane, lbe_km):
-    # On-axis power from the spline against |U|^2 of the Babinet field itself,
-    # 16-point Gauss on 800 panels; measured 4e-12..5.3e-8.
+    # On-axis power from the interpolant against |U|^2 of the Babinet field
+    # itself, 16-point Gauss on 800 panels; measured 5.5e-12..4.4e-8.
     prof = profile_at(plane, lbe_km * 1e3)
     edges = np.linspace(0.0, 0.1, 801)
     gx, gw = leggauss(16)
     half = 0.5 * np.diff(edges)[:, None]
     rho = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * gx).ravel()
-    integral, _, _ = _fresnel_integral(prof.source, prof.propagation_distance, rho)
+    integral, _, _, _ = _fresnel_integral(prof.source, prof.propagation_distance, rho)
     field = _fresnel_prefactor(prof.source, prof.propagation_distance, rho) * integral
     direct = np.sum(np.abs(field) ** 2 * 2.0 * math.pi * rho * (half * gw).ravel())
     assert abs(disk_power(prof, DiskSpec(0.1)) - direct) / direct <= 1e-6
@@ -530,25 +613,37 @@ def test_disk_power_spline_interpolation_error(plane, lbe_km):
 
 def reference_disk_power(prof, disk):
     """disk_power of one profile, written out from its interpolator: the
-    integration cuts, 8 Gauss points per cut interval, |U|^2 of the spline
-    and one pairwise np.sum, in the arithmetic the batched pass must keep."""
-    spline = prof.interpolator()
+    integration cuts, 8 Gauss points per cut interval (in t = sqrt(|rho -
+    edge|) on the intervals ending at a square-root edge of an offset disk),
+    |U|^2 of the interpolant and one pairwise np.sum, in the arithmetic the
+    batched pass must keep."""
+    hermite = prof.interpolator()
     nodes = prof.radial_nodes
-    lo = max(0.0, disk.center_offset - disk.radius)
-    hi = min(disk.center_offset + disk.radius, prof.truncation_radius)
+    d, r = disk.center_offset, disk.radius
+    lo = max(0.0, d - r)
+    hi = min(d + r, prof.truncation_radius)
     breaks = {lo, hi}
-    if disk.center_offset < disk.radius:
-        breaks.add(disk.radius - disk.center_offset)
+    if d < r:
+        breaks.add(r - d)
+    if d > 0.0:
+        breaks.add(0.5 * (abs(d - r) + hi))
     cuts = np.unique(np.concatenate([nodes[(nodes > lo) & (nodes < hi)],
                                      [b for b in breaks if lo <= b <= hi]]))
     if cuts.size < 2:
         return 0.0
     gx, gw = leggauss(8)
-    half = 0.5 * np.diff(cuts)
-    mid = 0.5 * (cuts[:-1] + cuts[1:])
-    pts = (mid[:, None] + half[:, None] * gx).ravel()
-    wts = (half[:, None] * gw).ravel()
-    vals = spline(pts)
+    a, b = cuts[:-1], cuts[1:]
+    half = 0.5 * (b - a)
+    pts = 0.5 * (a + b)[:, None] + half[:, None] * gx
+    wts = half[:, None] * gw
+    if d > 0.0:
+        for at_edge, edge, sign in ((a == abs(d - r), a, 1.0), (b == hi, b, -1.0)):
+            span = np.sqrt(b[at_edge] - a[at_edge])[:, None]
+            t = 0.5 * span * (1.0 + gx)
+            pts[at_edge] = edge[at_edge][:, None] + sign * t * t
+            wts[at_edge] = span * gw * t
+    pts, wts = pts.ravel(), wts.ravel()
+    vals = hermite(pts)
     intensity = vals.real ** 2 + vals.imag ** 2
     weight = 2.0 * _overlap_halfwidth(pts, disk)
     return float(np.sum(intensity * weight * pts * wts))
@@ -556,19 +651,20 @@ def reference_disk_power(prof, disk):
 
 def few_node_profile(beam, nodes, seed):
     rng = np.random.default_rng(seed)
-    amps = rng.normal(size=len(nodes)) + 1j * rng.normal(size=len(nodes))
-    return FieldProfile(cropped(beam), 10e3, np.array(nodes), amps,
+    amps, slopes = rng.normal(size=(2, len(nodes))) + 1j * rng.normal(size=(2, len(nodes)))
+    return FieldProfile(cropped(beam), 10e3, np.array(nodes), amps, slopes,
                         QuadratureBudget(1e-6, 0.0, 0, len(nodes)))
 
 
 @pytest.fixture(scope="module")
 def profile_mix(beam):
     """Behind-Bob profiles from 0.7 to 400 km (64 to ~1,000 nodes), one
-    covering an offset disk, one before Bob, and 3- and 4-node profiles."""
+    covering an offset disk, one before Bob, and 2-, 3- and 4-node profiles."""
     return [profile_at(40e3, 0.7e3), few_node_profile(beam, [0.0, 0.07, 0.15], 3),
             profile_at(40e3, 5e3), profile_at(40e3, 40e3), profile_at(40e3, 400e3),
             few_node_profile(beam, [0.0, 0.03, 0.1, 0.16], 4),
-            profile_at(40e3, 5e3, 0.2), profile_at(35e3, 5e3)]
+            profile_at(40e3, 5e3, 0.2), profile_at(35e3, 5e3),
+            few_node_profile(beam, [0.0, 0.12], 2)]
 
 
 @pytest.mark.parametrize("chunk", [diffraction.DISK_POWER_CHUNK_NODES, 100])
@@ -593,12 +689,9 @@ def test_disk_power_of_no_profiles_is_empty():
     assert disk_power([], DiskSpec(0.1)).shape == (0,)
 
 
-def test_two_node_profile_is_rejected(beam, profile_mix):
-    two = few_node_profile(beam, [0.0, 0.15], 2)
-    with pytest.raises(ValueError, match="at least 3 nodes"):
-        two.interpolator()
-    with pytest.raises(ValueError, match="at least 3 nodes"):
-        disk_power(profile_mix[1:2] + [two], DiskSpec(0.1))
+def test_one_node_profile_is_rejected(beam):
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        few_node_profile(beam, [0.0], 1)
 
 
 def test_disk_power_sequence_raises_for_the_first_uncovered_profile(profile_mix):
@@ -655,6 +748,7 @@ def test_profile_roundtrip_bit_exact(profile_60):
     back = deserialize_profile(blob)
     assert np.array_equal(back.radial_nodes, profile_60.radial_nodes)
     assert np.array_equal(back.complex_amplitudes, profile_60.complex_amplitudes)
+    assert np.array_equal(back.slopes, profile_60.slopes)
     assert back.source.inner_radius == profile_60.source.inner_radius
     assert back.key == profile_60.key
     assert back.propagation_distance == profile_60.propagation_distance
@@ -670,15 +764,22 @@ def test_truncated_record_rejected(profile_60):
         deserialize_profile(blob[:10])
 
 
-def test_record_with_fewer_than_three_nodes_rejected(profile_60):
-    # the not-a-knot end of the spline needs three nodes
-    short = replace(profile_60, radial_nodes=profile_60.radial_nodes[:2],
-                    complex_amplitudes=profile_60.complex_amplitudes[:2])
+def one_node_record(profile):
+    """The record of ``profile`` cut to its first node, count included."""
+    blob = serialize_profile(profile)
+    head = bytearray(blob[:diffraction._HEADER.size])
+    head[-16:-8] = struct.pack("<Q", 1)
+    return bytes(head) + blob[diffraction._HEADER.size:diffraction._HEADER.size + 40]
+
+
+def test_record_with_fewer_than_two_nodes_rejected(profile_60):
+    # a cubic Hermite piece needs the two nodes that bound it
     with pytest.raises(ValueError, match="corrupt"):
-        deserialize_profile(serialize_profile(short))
-    three = replace(short, radial_nodes=profile_60.radial_nodes[:3],
-                    complex_amplitudes=profile_60.complex_amplitudes[:3])
-    assert deserialize_profile(serialize_profile(three)).radial_nodes.size == 3
+        deserialize_profile(one_node_record(profile_60))
+    two = replace(profile_60, radial_nodes=profile_60.radial_nodes[:2],
+                  complex_amplitudes=profile_60.complex_amplitudes[:2],
+                  slopes=profile_60.slopes[:2])
+    assert deserialize_profile(serialize_profile(two)).radial_nodes.size == 2
 
 
 def test_wrong_version_rejected(profile_60):
