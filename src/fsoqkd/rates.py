@@ -290,7 +290,9 @@ def _bb84(ch: ChannelParams, inputs: RateInputs, signal: float, leak: float) -> 
     gain = y0 + signal
     if not gain > 0.0:
         return 0.0  # nothing detected
-    err = (0.5 * y0 + inputs.misalignment * signal) / gain
+    # halved after the division, so a subnormal y0 is not lost to underflow;
+    # for normal operands this rounds exactly as (y0/2 + e_d signal) / gain
+    err = (y0 + 2.0 * inputs.misalignment * signal) / gain * 0.5
     value = gain * (1.0 - inputs.f_L * binary_entropy(err)) - leak
     return inputs.pulse_rate * max(value, 0.0)
 

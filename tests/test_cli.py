@@ -2,6 +2,7 @@
 every command on tiny grids."""
 
 import csv
+import functools
 import json
 import os
 import struct
@@ -295,9 +296,26 @@ def _fresh_python(*args, **env_vars):
     return done.stdout
 
 
+@functools.lru_cache(maxsize=None)
+def _scipy_loaded_by_cli_import():
+    code = "import sys, fsoqkd.cli; print(*(m for m in sys.modules if m.startswith('scipy')))"
+    return frozenset(_fresh_python("-c", code).split())
+
+
 def test_cli_import_loads_no_scipy():
-    code = "import sys, fsoqkd.cli; print([m for m in sys.modules if m.startswith('scipy')])"
-    assert _fresh_python("-c", code).strip() == "[]"
+    assert not _scipy_loaded_by_cli_import()
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    assert "scipy.interpolate" not in _scipy_loaded_by_cli_import()
+
+
+def test_cli_import_leaves_scipy_constants_unloaded():
+    assert "scipy.constants" not in _scipy_loaded_by_cli_import()
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    assert "scipy.special" not in _scipy_loaded_by_cli_import()
 
 
 BLAS_REPORT = f"""

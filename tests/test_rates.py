@@ -4,7 +4,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsoqkd import rates
@@ -335,6 +335,7 @@ def test_bb84_misalignment_costs_rate():
 @given(eta=st.floats(0.0, 1.0), kappa=st.floats(0.0, 1.0),
        n_e=st.floats(0.0, 0.1), mu=st.floats(1e-4, 1e8),
        misalignment=st.floats(0.0, 0.5))
+@example(eta=0.0, kappa=0.0, n_e=5e-324, mu=1.0, misalignment=0.0)  # subnormal y0
 def test_bb84_matches_mpmath_at_finite_mu(eta, kappa, n_e, mu, misalignment):
     # the decoy-state formula in 40 digits; the float rate rounds each of
     # gain, f_L h(err) gain and leak, so its error scales with their sum
