@@ -9,10 +9,14 @@ environment say where and how.  ``FSOQKD_CACHE`` is the profile cache's only
 switch: naming a directory keeps profiles there across runs, and ``cache
 inspect|clear`` lists or deletes them (exit 2 if the directory is missing).
 
-Parallelism: the sweep row pool (``--threads``, default 1) is the only one.
-Importing ``fsoqkd`` pins OpenBLAS, MKL and OpenMP to one thread each.  The
-package makes no BLAS call; the pin keeps OpenBLAS from starting worker
-threads when numpy loads, a start-up that costs CPU time in every process.
+Parallelism: the sweep pool (``--threads``, default 1) is the only one.  A
+sweep is scored by row group, a run of rows whose geometries differ in the
+Bob-Eve distance only: each group's channels come from one batched call.
+The pool's threads take whole groups, so an L_BE, L_AE or mu sweep, one
+group, runs in the calling thread at any thread count.  Importing
+``fsoqkd`` pins OpenBLAS, MKL and OpenMP to one thread each.  The package
+makes no BLAS call; the pin keeps OpenBLAS from starting worker threads
+when numpy loads, a start-up that costs CPU time in every process.
 Exporting any of ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` before the import leaves all three to the user.
 
@@ -315,8 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".",
                        help="output directory (default: the current one)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sweep rows, the only parallel "
-                            "layer: BLAS is pinned to one thread unless "
+                       help="worker threads for sweep row groups, the only "
+                            "parallel layer; an L_BE, L_AE or mu sweep is one "
+                            "group and runs in one thread.  BLAS is pinned to "
+                            "one thread unless "
                             "OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or "
                             "OMP_NUM_THREADS is exported (default: 1)")
         p.add_argument("--max-points", type=int, default=0,

@@ -8,8 +8,10 @@ The mode is single-mode and phase-insensitive, alone and conditioned on
 Bob's heterodyne outcome, so each of its two symplectic spectra is one
 scalar with a closed form (``eve_spectra``).  Each finite-power body of the
 bounds and rates (``_lb_direct``, ``_skr_cv``, ...) takes one float ``mu``
-and works in ``math``; ``optimize_mu`` calls it once per grid point and per
-golden-section point.
+and works in ``math``.  ``optimize_mu`` scores an objective at the 61 powers
+of its grid, then at its golden-section points; given several objectives, it
+scores the grid once for all of them, so that Eve's entropy pair at a grid
+power is computed once and shared.
 
 ``mu = math.inf`` is a supported sentinel: the bounds are then evaluated from
 their analytic large-power limits instead of a huge finite value, which would
@@ -26,6 +28,7 @@ published formula, is fixed here.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,8 +39,9 @@ from .optimize import grid_then_golden_max
 LN2 = math.log(2.0)
 LOG2_E = math.log2(math.e)
 MU_GRID_LO, MU_GRID_HI = 1e-4, 1e8
-# log powers of optimize_mu's coarse grid
+# log powers of optimize_mu's coarse grid, and the powers it scores there
 _LOG_MU_GRID = np.log(np.geomspace(MU_GRID_LO, MU_GRID_HI, 61)).tolist()
+_MU_GRID = [math.exp(t) for t in _LOG_MU_GRID]
 
 LB_OBJECTIVES = ("lb_direct", "lb_reverse", "lb_max")
 OBJECTIVES = LB_OBJECTIVES + ("skr_cv", "skr_bb84")
@@ -114,6 +118,9 @@ def g_entropy(x: float) -> float:
     return (math.log1p(x) + x * math.log1p(1.0 / x)) / LN2
 
 
+_G_MU_GRID = [g_entropy(mu) for mu in _MU_GRID]
+
+
 def binary_entropy(p: float) -> float:
     """Binary entropy in bits; 0 outside (0, 1)."""
     if not 0.0 < p < 1.0:
@@ -159,6 +166,13 @@ def _eve_entropy_terms(channel: ChannelParams, mu: float) -> tuple[float, float]
     return g_entropy((nu - 1.0) / 2.0), g_entropy((nu_cond - 1.0) / 2.0)
 
 
+def _noise_entropies(channel: ChannelParams) -> tuple[float, float]:
+    """The entropies of the direct bound that do not depend on the power:
+    g(n_e (1-eta)) and g(n_e (1-eta kappa))."""
+    eta, kappa, n_e = channel.eta, channel.kappa, channel.n_e
+    return g_entropy(n_e * (1.0 - eta)), g_entropy(n_e * (1.0 - eta * kappa))
+
+
 def _loss_to_eve(channel: ChannelParams) -> float:
     return channel.kappa * (1.0 - channel.eta)
 
@@ -174,15 +188,21 @@ def _eve_conditional_limit(channel: ChannelParams) -> float:
                     + 2.0 * (1.0 - eta) * n_e + eta * n_e)
 
 
+# Every finite-power body takes (ch, inputs, mu, terms, g_mu, g_noise): the
+# last three are Eve's entropy pair at mu, g(mu) and ``_noise_entropies(ch)``,
+# which a caller scoring several objectives computes once for all.  A body
+# computes what it needs and is given as None.
+
 def _lb_direct(ch: ChannelParams, inputs: RateInputs, mu: float,
-               terms: tuple[float, float] | None = None) -> float:
-    eta, kappa, n_e = ch.eta, ch.kappa, ch.n_e
+               terms=None, g_mu=None, g_noise=None) -> float:
+    eta, n_e = ch.eta, ch.n_e
     beta = inputs.beta
     s_e, _ = terms or _eve_entropy_terms(ch, mu)
+    g_lost, g_collected = g_noise or _noise_entropies(ch)
     value = (beta * g_entropy(n_e * (1.0 - eta) + eta * mu)
              - s_e
-             - beta * g_entropy(n_e * (1.0 - eta))
-             + g_entropy(n_e * (1.0 - eta * kappa)))
+             - beta * g_lost
+             + g_collected)
     return max(value, 0.0)
 
 
@@ -205,14 +225,14 @@ def lb_direct(ch: ChannelParams, inputs: RateInputs) -> float:
 
 
 def _lb_reverse(ch: ChannelParams, inputs: RateInputs, mu: float,
-                terms: tuple[float, float] | None = None) -> float:
+                terms=None, g_mu=None, g_noise=None) -> float:
     eta, n_e = ch.eta, ch.n_e
     beta = inputs.beta
     s_e, s_e_cond = terms or _eve_entropy_terms(ch, mu)
     # Alice's mean photon number given Bob's heterodyne outcome, written so
     # that nothing cancels at large mu
     cond_alice = mu * (1.0 - eta) * (1.0 + n_e) / (1.0 + eta * mu + (1.0 - eta) * n_e)
-    value = (beta * g_entropy(mu)
+    value = (beta * (g_entropy(mu) if g_mu is None else g_mu)
              - s_e
              - beta * g_entropy(cond_alice)
              + s_e_cond)
@@ -255,8 +275,9 @@ def upper_bound(channel: ChannelParams) -> float:
     return max(0.0, value)
 
 
-def _skr_cv(ch: ChannelParams, inputs: RateInputs, mu: float) -> float:
-    s_e, s_e_cond = _eve_entropy_terms(ch, mu)
+def _skr_cv(ch: ChannelParams, inputs: RateInputs, mu: float,
+            terms=None, g_mu=None, g_noise=None) -> float:
+    s_e, s_e_cond = terms or _eve_entropy_terms(ch, mu)
     holevo = s_e - s_e_cond
     floor = 1.0 + (1.0 - ch.eta) * ch.n_e
     mutual = inputs.beta * math.log2((floor + ch.eta * mu) / floor)
@@ -297,7 +318,8 @@ def _bb84(ch: ChannelParams, inputs: RateInputs, signal: float, leak: float) -> 
     return inputs.pulse_rate * max(value, 0.0)
 
 
-def _skr_bb84(ch: ChannelParams, inputs: RateInputs, mu: float) -> float:
+def _skr_bb84(ch: ChannelParams, inputs: RateInputs, mu: float,
+              terms=None, g_mu=None, g_noise=None) -> float:
     signal = -math.expm1(-ch.eta * mu)
     leak = -math.expm1(-_loss_to_eve(ch) * mu)
     return _bb84(ch, inputs, signal, leak)
@@ -316,9 +338,11 @@ def skr_ds_bb84(ch: ChannelParams, inputs: RateInputs) -> float:
     return _bb84(ch, inputs, 1.0, leak)
 
 
-def _lb_max(ch: ChannelParams, inputs: RateInputs, mu: float) -> float:
-    terms = _eve_entropy_terms(ch, mu)
-    return max(_lb_direct(ch, inputs, mu, terms), _lb_reverse(ch, inputs, mu, terms))
+def _lb_max(ch: ChannelParams, inputs: RateInputs, mu: float,
+            terms=None, g_mu=None, g_noise=None) -> float:
+    terms = terms or _eve_entropy_terms(ch, mu)
+    return max(_lb_direct(ch, inputs, mu, terms, g_mu, g_noise),
+               _lb_reverse(ch, inputs, mu, terms, g_mu, g_noise))
 
 
 # objective -> (value at inputs.mu, value at a finite power)
@@ -331,18 +355,27 @@ _OBJECTIVE_FUNCS = {
 }
 
 
-def evaluate_objective(ch: ChannelParams, inputs: RateInputs, objective: str) -> float:
-    """Objective at ``inputs.mu``."""
+def _objective_funcs(objective: str):
     try:
-        at_own_mu, _ = _OBJECTIVE_FUNCS[objective]
+        return _OBJECTIVE_FUNCS[objective]
     except KeyError:
         raise ValueError(f"unknown objective {objective!r}") from None
-    return at_own_mu(ch, inputs)
+
+
+def evaluate_objective(ch: ChannelParams, inputs: RateInputs, objective: str) -> float:
+    """Objective at ``inputs.mu``."""
+    return _objective_funcs(objective)[0](ch, inputs)
 
 
 def optimize_mu(ch: ChannelParams, inputs: RateInputs,
-                objective: str = "lb_max", rel_tol: float = 1e-4) -> MuOptimum:
+                objective: str | Sequence[str] = "lb_max",
+                rel_tol: float = 1e-4) -> MuOptimum | list[MuOptimum]:
     """Input power maximizing an objective.
+
+    ``objective`` names one objective, which gives one :class:`MuOptimum`,
+    or is a sequence of names, which gives a list in the same order: the grid
+    is then scored once for all of them, with Eve's entropy pair computed
+    once per grid power, and each optimum is that of one call per objective.
 
     With perfect reconciliation the continuous lower bounds increase without
     bound in mu, so the infinite sentinel and its analytic value are returned
@@ -350,20 +383,33 @@ def optimize_mu(ch: ChannelParams, inputs: RateInputs,
     [1e-4, 1e8] and refined by golden section to ``rel_tol`` in mu; grid and
     golden points alike are scored at ``math.exp`` of their log power.
     """
-    if objective in LB_OBJECTIVES and inputs.beta == 1.0:
-        sent = replace(inputs, mu=math.inf)
-        return MuOptimum(mu=math.inf, value=evaluate_objective(ch, sent, objective))
-    finite = _OBJECTIVE_FUNCS[objective][1]
+    single = isinstance(objective, str)
+    names = [objective] if single else list(objective)
+    bodies = [_objective_funcs(name)[1] for name in names]
+    # grid values of each objective that is not at its infinite sentinel
+    columns = {i: [] for i, name in enumerate(names)
+               if not (name in LB_OBJECTIVES and inputs.beta == 1.0)}
+    needs_spectra = any(bodies[i] is not _skr_bb84 for i in columns)
+    g_noise = _noise_entropies(ch)
+    for mu, g_mu in zip(_MU_GRID, _G_MU_GRID):
+        terms = _eve_entropy_terms(ch, mu) if needs_spectra else None
+        for i, values in columns.items():
+            values.append(bodies[i](ch, inputs, mu, terms, g_mu, g_noise))
 
-    def obj_log(t: float) -> float:
-        return finite(ch, inputs, math.exp(t))
+    def optimum(i: int) -> MuOptimum:
+        if i not in columns:
+            sent = replace(inputs, mu=math.inf)
+            return MuOptimum(mu=math.inf, value=evaluate_objective(ch, sent, names[i]))
+        values = columns[i]
+        if max(values) <= 0.0:
+            return MuOptimum(mu=MU_GRID_LO, value=0.0, degenerate=True)
+        t_best, v_best = grid_then_golden_max(
+            lambda t: bodies[i](ch, inputs, math.exp(t), None, None, g_noise),
+            _LOG_MU_GRID, tol=math.log1p(rel_tol), values=values)
+        return MuOptimum(mu=math.exp(t_best), value=v_best)
 
-    values = [obj_log(t) for t in _LOG_MU_GRID]
-    if max(values) <= 0.0:
-        return MuOptimum(mu=MU_GRID_LO, value=0.0, degenerate=True)
-    t_best, v_best = grid_then_golden_max(obj_log, _LOG_MU_GRID,
-                                          tol=math.log1p(rel_tol), values=values)
-    return MuOptimum(mu=math.exp(t_best), value=v_best)
+    optima = [optimum(i) for i in range(len(names))]
+    return optima[0] if single else optima
 
 
 def rate_report(ch: ChannelParams, inputs: RateInputs, optimize: bool = False,
@@ -376,10 +422,8 @@ def rate_report(ch: ChannelParams, inputs: RateInputs, optimize: bool = False,
     """
     ub = upper_bound(ch)
     if optimize:
-        primary = optimize_mu(ch, inputs, objective)
+        primary, cv, bb = optimize_mu(ch, inputs, (objective, "skr_cv", "skr_bb84"))
         at_primary = replace(inputs, mu=primary.mu)
-        cv = optimize_mu(ch, inputs, "skr_cv")
-        bb = optimize_mu(ch, inputs, "skr_bb84")
         d = lb_direct(ch, at_primary)
         r = lb_reverse(ch, at_primary)
         return RateReport(

@@ -1,10 +1,13 @@
 """Parameter sweeps and geometry optimizations.
 
 Sweeps evaluate the channel and rate pipeline over a grid of one varied
-parameter, capturing per-row errors without aborting.  Geometry searches
-(eavesdropper distance, off-axis offset) always scan a coarse dense grid
-before local refinement: the objectives carry interference ripples with
-multiple local optima, so a pure local search is forbidden.
+parameter, capturing per-row errors without aborting.  A sweep runs by
+stage: the channels of each row group (consecutive rows whose geometries
+differ in the Bob-Eve distance only) come from one batched call, then the
+rates of its rows from a plain loop.  Geometry searches (eavesdropper
+distance, off-axis offset) always scan a coarse dense grid before local
+refinement: the objectives carry interference ripples with multiple local
+optima, so a pure local search is forbidden.
 """
 
 from __future__ import annotations
@@ -13,12 +16,13 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
 
 from .beams import BeamParams, encircled_power, plane_params, total_power
-from .channel import ChannelParams, Geometry, Scenario, channel_params
+from .channel import ChannelParams, Geometry, Scenario, _layout, channel_params
 from .diffraction import (DiskSpec, FieldProfile, SourceAnnulus,
                           arago_relative_amplitude, profile_key,
                           propagate_profile)
@@ -132,34 +136,72 @@ def _apply_parameter(spec: SweepSpec, value: float):
 
 
 def geometry_row(spec: SweepSpec, value: float, geom: Geometry,
-                 beam: BeamParams, rates: RateInputs,
-                 profile_provider) -> SweepRow:
+                 beam: BeamParams, rates: RateInputs, profile_provider,
+                 channel: ChannelParams | None = None) -> SweepRow:
     """Channel and rate report of one geometry under the spec's noise and
-    power setting; ``d_opt`` is the offset the geometry places Eve at."""
-    ch = channel_params(geom, beam, spec.noise, profile_provider=profile_provider)
-    report = rate_report(ch, rates, optimize=spec.optimize_power,
+    power setting; ``d_opt`` is the offset the geometry places Eve at.
+    ``channel``, when given, is the geometry's channel, computed before."""
+    if channel is None:
+        channel = channel_params(geom, beam, spec.noise,
+                                 profile_provider=profile_provider)
+    report = rate_report(channel, rates, optimize=spec.optimize_power,
                          objective=spec.objective)
-    return SweepRow(value=value, channel=ch, report=report,
+    return SweepRow(value=value, channel=channel, report=report,
                     d_opt=geom.eve_offset)
 
 
-def _row(spec: SweepSpec, value: float, cache: ProfileCache) -> SweepRow:
+def _row(spec: SweepSpec, value: float, cache: ProfileCache,
+         channel: ChannelParams | None = None) -> SweepRow:
     try:
         return geometry_row(spec, value, *_apply_parameter(spec, value),
-                            cache.get_or_compute)
+                            cache.get_or_compute, channel)
     except Exception as exc:  # row errors are recorded, not raised
         return SweepRow.failed(value, exc)
 
 
+def _group_key(spec: SweepSpec, value: float):
+    """What the rows of one group share: the beam and everything of the
+    geometry but its Bob-Eve distance, so that one :func:`channel_params`
+    call takes the group's geometries.  A row whose setting is invalid gets
+    a key of its own."""
+    try:
+        geom, beam, _ = _apply_parameter(spec, value)
+    except Exception:  # recorded as the row's error when it is scored
+        return object()
+    return beam, _layout(geom)
+
+
+def _group_rows(spec: SweepSpec, values: list[float],
+                cache: ProfileCache) -> list[SweepRow]:
+    """Rows of one group: the channels from one batched call, then the rates
+    row by row.  If the batched call raises, every row is scored on its own,
+    so that only a bad row carries the error."""
+    try:
+        settings = [_apply_parameter(spec, v) for v in values]
+        channels = channel_params([geom for geom, _, _ in settings],
+                                  settings[0][1], spec.noise,
+                                  profile_provider=cache.get_or_compute)
+    except Exception:  # re-scored row by row below
+        channels = [None] * len(values)
+    return [_row(spec, v, cache, ch) for v, ch in zip(values, channels)]
+
+
 def run_sweep(spec: SweepSpec, cache: ProfileCache | None = None,
               threads: int = 1) -> list[SweepRow]:
-    """Evaluate a sweep; rows are independent and ordered by grid position."""
+    """Evaluate a sweep; rows are ordered by grid position.
+
+    With ``threads`` above 1, row groups are scored on a pool of that many
+    threads; a sweep of one group, such as an L_BE, L_AE or mu sweep, runs
+    in the calling thread.
+    """
     cache = cache or ProfileCache()
-    grid = spec.grid()
-    if threads > 1:
+    groups = [list(g) for _, g in groupby(spec.grid(), lambda v: _group_key(spec, v))]
+    if threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda v: _row(spec, v, cache), grid))
-    return [_row(spec, v, cache) for v in grid]
+            scored = list(pool.map(lambda g: _group_rows(spec, g, cache), groups))
+    else:
+        scored = [_group_rows(spec, g, cache) for g in groups]
+    return [row for rows in scored for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -188,8 +188,8 @@ def test_objective_grid_equals_scalar_calls(objective, eta, kappa, n_e, beta,
     at_own_mu, finite = rates._OBJECTIVE_FUNCS[objective]
     scored = []
 
-    def recording(ch, inputs, mu):
-        value = finite(ch, inputs, mu)
+    def recording(ch, inputs, mu, *shared):
+        value = finite(ch, inputs, mu, *shared)
         scored.append((mu, value))
         return value
 
@@ -409,6 +409,56 @@ def test_optimize_mu_equals_golden_loop_over_rate_inputs():
         assert got == golden_loop_reference(ch, inp, objective), (i, objective)
         degenerate += got.degenerate
     assert degenerate < 250
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.9])
+def test_unknown_objective_raises_value_error(beta):
+    ch, inp = inputs(0.6, 0.5, mu=1.0, beta=beta)
+    for call in (evaluate_objective, optimize_mu):
+        with pytest.raises(ValueError, match="unknown objective 'banana'"):
+            call(ch, inp, "banana")
+
+
+def test_optimized_rate_report_equals_three_golden_loops():
+    # the report's three optima share one grid pass; each equals its own
+    # golden loop through the public API
+    rng = np.random.default_rng(2012)
+    edges = [(0.05, 1.0), (0.0, 0.5), (0.5, 0.0), (0.999, 1.0)]  # degenerate and extreme
+    degenerate = 0
+    for i in range(520):
+        eta, kappa = edges[i] if i < len(edges) else rng.uniform(0.0, 1.0, 2)
+        n_e = (0.0, 5e-324, rng.uniform(0.0, 1e-2), rng.uniform(0.0, 1.0))[i % 4]
+        ch, inp = inputs(eta, kappa, mu=1.0, beta=rng.uniform(0.5, 1.0), n_e=n_e,
+                         misalignment=rng.uniform(0.0, 0.1))
+        objective = OBJECTIVES[i % len(OBJECTIVES)]
+        rep = rate_report(ch, inp, optimize=True, objective=objective)
+        primary, cv, bb = (golden_loop_reference(ch, inp, o)
+                           for o in (objective, "skr_cv", "skr_bb84"))
+        at_primary = replace(inp, mu=primary.mu)
+        assert (rep.optimal_mu, rep.lb_direct, rep.lb_reverse) == (
+            primary.mu, lb_direct(ch, at_primary), lb_reverse(ch, at_primary)), i
+        assert (rep.optimal_mu_cv, rep.skr_cv) == (cv.mu, cv.value), i
+        assert (rep.optimal_mu_bb84, rep.skr_bb84) == (bb.mu, bb.value), i
+        degenerate += primary.degenerate + cv.degenerate + bb.degenerate
+    assert degenerate > 0
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.95])
+def test_optimized_rate_report_computes_eve_spectra_once_per_grid_power(
+        monkeypatch, beta):
+    ch, inp = inputs(0.3, 0.2, mu=1.0, beta=beta, n_e=1e-7)
+    spectra = rates.eve_spectra
+    powers = []
+
+    def counted(channel, mu):
+        powers.append(mu)
+        return spectra(channel, mu)
+
+    monkeypatch.setattr(rates, "eve_spectra", counted)
+    rate_report(ch, inp, optimize=True)
+    grid = [math.exp(t) for t in np.log(np.geomspace(MU_GRID_LO, MU_GRID_HI, 61))]
+    assert powers[:61] == grid
+    assert not set(powers[61:]) & set(grid)  # the rest are golden steps
 
 
 def test_optimize_mu_degenerate_channel():

@@ -4,14 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fsoqkd import sweeps
+from fsoqkd import channel, sweeps
 from fsoqkd.beams import BeamParams
 from fsoqkd.channel import Geometry, Scenario, channel_params
+from fsoqkd.diffraction import QuadratureError, propagate_profile
 from fsoqkd.rates import RateInputs
 from fsoqkd.sweeps import (AnalyticPredictor, DegenerateGeometryError,
-                           ProfileCache, SweepSpec, analytic_f1_f2,
-                           arago_prediction_curve, optimize_eve_offset,
-                           run_sweep)
+                           ProfileCache, SweepSpec, _apply_parameter,
+                           analytic_f1_f2, arago_prediction_curve,
+                           geometry_row, optimize_eve_offset, run_sweep)
 
 LAM = 1550e-9
 
@@ -57,29 +58,86 @@ def test_sweep_rows_deterministic_and_cache_reusable():
         assert a.report.lb == b.report.lb
 
 
+# one spec per sweep parameter: L_BE, L_AE and mu sweeps are one row group,
+# the others a group per row
+EVERY_PARAMETER = [
+    dict(parameter="L_BE"),
+    dict(parameter="L_AE", minimum=2e3, maximum=18e3,
+         geometry=Geometry(Scenario.BEFORE_BOB, 20e3, 10e3)),
+    dict(parameter="mu", minimum=0.1, maximum=100.0,
+         rates=RateInputs(mu=1.0, beta=0.95), optimize_power=False),
+    dict(parameter="D", minimum=0.0, maximum=0.2, spacing="linear"),
+    dict(parameter="L_AB", minimum=10e3, maximum=60e3),
+    dict(parameter="W0", minimum=0.05, maximum=0.2),
+    dict(parameter="r_e", minimum=0.05, maximum=0.3),
+]
+
+
 def test_sweep_threaded_matches_serial():
-    spec = make_spec(count=8)
-    serial = run_sweep(spec, threads=1)
-    threaded = run_sweep(spec, threads=4)
-    for a, b in zip(serial, threaded):
-        assert a.channel.kappa == b.channel.kappa
-        assert a.report.lb == b.report.lb
+    for kw in EVERY_PARAMETER:
+        spec = make_spec(**{"count": 4, "noise": 1e-7, "optimize_power": True,
+                            "rates": RateInputs(mu=1.0, beta=0.95), **kw})
+        serial = run_sweep(spec, threads=1)
+        threaded = run_sweep(spec, threads=4)
+        assert all(r.error is None for r in serial), kw["parameter"]
+        assert threaded == serial, kw["parameter"]  # every channel and report field
+
+
+@pytest.mark.parametrize("kw", EVERY_PARAMETER[:2], ids=lambda kw: kw["parameter"])
+def test_batch_fault_errors_its_row_only(kw):
+    # the batched channel call of the group fails; its rows are re-scored
+    # one by one, and only the row at the bad distance fails
+    spec = make_spec(count=5, **kw)
+    bad = spec.grid()[2]
+    bad_distance = _apply_parameter(spec, bad)[0].bob_eve_distance
+
+    def faulty(src, distance, disk_hint):
+        if distance == bad_distance:
+            raise QuadratureError("injected fault", 1.0)
+        return propagate_profile(src, distance, disk_hint)
+
+    rows = run_sweep(spec, cache=ProfileCache(compute=faulty))
+    assert rows[2].error == ("QuadratureError: injected fault "
+                             "(achieved error estimate 1.000e+00)")
+    for row in rows[:2] + rows[3:]:
+        assert row == geometry_row(spec, row.value, *_apply_parameter(spec, row.value),
+                                   ProfileCache().get_or_compute)
+
+
+def test_distance_sweep_computes_its_channels_in_one_disk_power_call(monkeypatch):
+    disk_power_calls, distances = [], []
+    disk_power = channel.disk_power
+
+    def counted_disk_power(profiles, disk):
+        disk_power_calls.append(len(profiles))
+        return disk_power(profiles, disk)
+
+    def counted_propagation(src, distance, disk_hint):
+        distances.append(distance)
+        return propagate_profile(src, distance, disk_hint)
+
+    monkeypatch.setattr(channel, "disk_power", counted_disk_power)
+    spec = make_spec(count=6)
+    run_sweep(spec, cache=ProfileCache(compute=counted_propagation))
+    assert disk_power_calls == [6]
+    assert distances == spec.grid().tolist()
 
 
 def test_sweep_records_row_errors_without_aborting(monkeypatch):
     import fsoqkd.sweeps as sweeps_mod
 
-    calls = {"n": 0}
     original = sweeps_mod.channel_params
+    spec = make_spec(count=4)
+    bad = spec.grid()[1]
 
     def flaky(geom, beam, noise, profile_provider=None):
-        calls["n"] += 1
-        if calls["n"] == 2:
+        geoms = [geom] if isinstance(geom, Geometry) else geom
+        if any(g.bob_eve_distance == bad for g in geoms):
             raise RuntimeError("injected fault")
         return original(geom, beam, noise, profile_provider=profile_provider)
 
     monkeypatch.setattr(sweeps_mod, "channel_params", flaky)
-    rows = run_sweep(make_spec(count=4))
+    rows = run_sweep(spec)
     assert sum(r.error is not None for r in rows) == 1
     assert "injected fault" in [r.error for r in rows if r.error][0]
     assert sum(r.error is None for r in rows) == 3
