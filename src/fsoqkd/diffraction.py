@@ -45,8 +45,12 @@ observation point at once and carries the Horner sum of the series along; it
 rescales by powers of two wherever the unnormalised values could overflow,
 and calls no special function.  The orders follow the bound
 |t^n J_n(v)| <= x^n / n! with x = max(v) / 2 (A&S 9.1.62): the series is
-summed to the first order N whose tail bound ``2 x^(N+1) / (N+1)!`` is at
-most ``SERIES_EPS``, and M lies a Miller margin of sqrt(40 N) above N.  The
+summed to the first order N past the turning point x < (N + 2) / 2 whose
+tail bound ``2 x^(N+1) / (N+1)!`` is at most ``SERIES_EPS``, and the
+recurrence starts there, M = N.  No margin above N is needed: the error of
+the backward recurrence at order n is set by the ratio of the minimal to the
+dominant solution at the start order (Gautschi, SIAM Rev. 9, 24 (1967)), and
+at N the minimal solution J_N is already below the tail bound.  The
 achieved error of a profile is the tail bound beyond M, in units of
 ``|A a^2 e^c / 2c|``: that is the integral's magnitude on the axis, so the
 bound is also relative to the largest value on the profile.
@@ -91,7 +95,7 @@ from .beams import BeamParams, encircled_power, plane_params, total_power
 
 # Bump when node-placement or source-integration policy changes; cached
 # profiles are keyed on it.
-GRID_POLICY_VERSION = 3
+GRID_POLICY_VERSION = 4
 
 # Field-profile construction: nodes per half oscillation of the observation
 # phase, and the relative tolerance on the achieved error.
@@ -323,10 +327,13 @@ def _bessel_sums(v: np.ndarray, t: np.ndarray, rel_tol: float = PROFILE_FIELD_RT
 
     ``v`` holds nonnegative arguments and ``t`` a ratio with |t| <= 1 for
     each, so every term is bounded by x^n / n! with x = max(v) / 2.  The
-    recurrence starts at order M, the margin sqrt(40 N) above the first
-    order N whose tail bound ``2 x^(N+1) / (N+1)!`` is at most
-    ``SERIES_EPS``, and at most at ``SERIES_MAX_TERMS``.  Returns (J0, J1,
-    sum, terms, achieved): the M + 1 orders summed and the tail bound beyond M.
+    recurrence starts at the first order N past x < (N + 2) / 2 whose tail
+    bound ``2 x^(N+1) / (N+1)!`` is at most ``SERIES_EPS``, or at
+    ``SERIES_MAX_TERMS`` if that is lower.  It needs no margin above N: its
+    error is set by the ratio of the minimal solution J_N to the dominant
+    one at the start (Gautschi, SIAM Rev. 9, 24 (1967)), and J_N is already
+    below the tail bound.  Returns (J0, J1, sum, terms, achieved): the
+    N + 1 orders summed and the tail bound beyond N.
     Raises :class:`QuadratureError`, before the recurrence, when that bound
     exceeds ``rel_tol``.
     """
@@ -339,9 +346,8 @@ def _bessel_sums(v: np.ndarray, t: np.ndarray, rel_tol: float = PROFILE_FIELD_RT
                                     or x >= 0.5 * (m + 2)):
         m += 1
         log_term += log_x - math.log(m + 1)
-    top = min(m + math.ceil(math.sqrt(40.0 * m)), SERIES_MAX_TERMS)
-    if x < 0.5 * (top + 2):
-        log_tail = math.log(2.0) + (top + 1) * log_x - math.lgamma(top + 2)
+    if x < 0.5 * (m + 2):
+        log_tail = math.log(2.0) + (m + 1) * log_x - math.lgamma(m + 2)
     else:  # cut short by the budget while the terms still grow
         log_tail = x  # the whole series is at most e^x
     achieved = math.exp(log_tail) if log_tail < 709.0 else math.inf
@@ -354,7 +360,7 @@ def _bessel_sums(v: np.ndarray, t: np.ndarray, rel_tol: float = PROFILE_FIELD_RT
     horner = np.zeros(v.shape, dtype=complex)
     even = np.zeros(v.shape)
     room = 0.0  # log2 bound on the largest unnormalised value
-    for n in range(top, 0, -1):
+    for n in range(m, 0, -1):
         growth = max(math.log2(n) + widest, 0.0) + 1.0  # >= log2(2n/v + 1)
         if room + growth > 960.0:
             _, exp2 = np.frexp(np.maximum(np.abs(j_n), np.abs(j_up)))
@@ -367,7 +373,7 @@ def _bessel_sums(v: np.ndarray, t: np.ndarray, rel_tol: float = PROFILE_FIELD_RT
             even += j_n
         j_n, j_up = 2.0 * n / v * j_n - j_up, j_n
     norm = j_n + 2.0 * even
-    return j_n / norm, j_up / norm, horner / norm, top + 1, achieved
+    return j_n / norm, j_up / norm, horner / norm, m + 1, achieved
 
 
 def _fresnel_prefactor(src: SourceAnnulus, distance: float, l_values):

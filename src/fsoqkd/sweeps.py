@@ -173,14 +173,16 @@ def _group_key(spec: SweepSpec, value: float):
 
 def _group_rows(spec: SweepSpec, values: list[float],
                 cache: ProfileCache) -> list[SweepRow]:
-    """Rows of one group: the channels from one batched call, then the rates
-    row by row.  If the batched call raises, every row is scored on its own,
-    so that only a bad row carries the error."""
+    """Rows of one group: the channels from one batched call over its
+    distinct geometries, then the rates row by row.  If the batched call
+    raises, every row is scored on its own, so that only a bad row carries
+    the error."""
     try:
         settings = [_apply_parameter(spec, v) for v in values]
-        channels = channel_params([geom for geom, _, _ in settings],
-                                  settings[0][1], spec.noise,
-                                  profile_provider=cache.get_or_compute)
+        geoms = list(dict.fromkeys(geom for geom, _, _ in settings))
+        by_geom = dict(zip(geoms, channel_params(geoms, settings[0][1], spec.noise,
+                                                 profile_provider=cache.get_or_compute)))
+        channels = [by_geom[geom] for geom, _, _ in settings]
     except Exception:  # re-scored row by row below
         channels = [None] * len(values)
     return [_row(spec, v, cache, ch) for v, ch in zip(values, channels)]

@@ -81,6 +81,26 @@ def test_old_record_version_is_recomputed(sweep):
     assert entry.read_bytes() == blob
 
 
+def test_record_of_an_older_grid_policy_is_never_read(sweep, monkeypatch):
+    # policy 3 recurrences started a margin above the tail order; a record of
+    # the entry's key stored under it, with its amplitudes doubled so that a
+    # read would show, is left alone and the profile is computed again
+    _, cold = sweep()
+    entry = sorted(sweep.cache_dir.glob("*.profile"))[0]
+    profile = diffraction.deserialize_profile(entry.read_bytes())
+    old = replace(profile, complex_amplitudes=2.0 * profile.complex_amplitudes)
+    entry.unlink()
+    with monkeypatch.context() as policy:
+        policy.setattr(cache, "GRID_POLICY_VERSION", 3)
+        old_entry = sweep.cache_dir / cache._filename(profile.key)
+        old_entry.write_bytes(diffraction.serialize_profile(old))
+    assert cache.GRID_POLICY_VERSION == diffraction.GRID_POLICY_VERSION > 3
+    computed, again = sweep()
+    assert computed == 1
+    assert again == cold
+    assert old_entry.read_bytes() == diffraction.serialize_profile(old)
+
+
 def test_one_node_cache_entry_is_recomputed(sweep):
     _, cold = sweep()
     entry = sorted(sweep.cache_dir.glob("*.profile"))[2]

@@ -454,6 +454,67 @@ def test_term_budget_error_carries_the_tail_bound(beam, monkeypatch):
         <= cut.budget.achieved * np.abs(full.complex_amplitudes[0])
 
 
+def series_start_order(x):
+    """First order N past the turning point x < (N + 2) / 2 whose tail bound
+    2 x^(N+1) / (N+1)! is at most SERIES_EPS."""
+    n = 0
+    while (math.log(2.0) + (n + 1) * math.log(x) - math.lgamma(n + 2)
+           > math.log(diffraction.SERIES_EPS) or x >= 0.5 * (n + 2)):
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("x", [1e-3, 0.05, 1.0, 29.0, 142.0, 5e4])
+def test_recurrence_starts_at_the_tail_order(x):
+    # the orders summed are 0..N, with no margin above the tail order N
+    v = np.array([0.5 * x, 2.0 * x])
+    terms = _bessel_sums(v, np.array([0.3, -1.0 + 0j]))[3]
+    assert terms == series_start_order(x) + 1
+
+
+def besselj_orders(v, top):
+    """J_0(v) .. J_top(v) at the current mpmath precision: mpmath's J_top
+    and J_(top+1), then the three-term recurrence down, which is stable
+    for the minimal solution in that direction."""
+    j = [mpmath.besselj(top + 1, v), mpmath.besselj(top, v)]
+    for n in range(top, 0, -1):
+        j.append(2 * n / v * j[-1] - j[-2])
+    return j[:0:-1]
+
+
+def test_recurrence_is_accurate_where_its_start_is_tightest():
+    # for each start order N, x just below the threshold where the order
+    # steps to N + 1, so that the tail bound at N is nearly SERIES_EPS; the
+    # sums in the U form, sum_{n>=1} t^(n-1) J_n, and the V form,
+    # sum_{n>=0} t^n J_n = J0 + t (U form), against 30-digit mpmath;
+    # measured <= 1.1e-14 of the largest term
+    ts = np.array([0.3, -0.3, 0.3 * np.exp(2j), 1.0, -1.0, np.exp(2j)])
+    worst = 0.0
+    for order in range(5, 201):
+        x = math.exp((math.log(diffraction.SERIES_EPS / 2.0) + math.lgamma(order + 2))
+                     / (order + 1)) * (1.0 - 1e-12)
+        j0, j1, u_form, terms, _ = _bessel_sums(np.full(ts.size, 2.0 * x), ts)
+        assert terms == order + 1
+        with mpmath.workdps(30):
+            v = mpmath.mpf(2.0 * x)
+            j = besselj_orders(v, order + 30)
+            assert abs(j[0] - mpmath.besselj(0, v)) < 1e-25
+            assert abs(j[1] - mpmath.besselj(1, v)) < 1e-25
+            magnitude = np.abs(np.array(j, dtype=float))
+            worst = max(worst, abs(j0[0] - float(j[0])) / magnitude.max(),
+                        abs(j1[0] - float(j[1])) / magnitude.max())
+            for k, t in enumerate(ts):
+                want_u, tm = mpmath.mpf(0), mpmath.mpc(t)
+                for jn in j[:0:-1]:
+                    want_u = want_u * tm + jn
+                want_v = j[0] + tm * want_u
+                terms_u = abs(t) ** np.arange(len(j) - 1) * magnitude[1:]
+                largest_v = max(magnitude[0], abs(t) * terms_u.max())
+                worst = max(worst, abs(u_form[k] - complex(want_u)) / terms_u.max(),
+                            abs(j0[k] + t * u_form[k] - complex(want_v)) / largest_v)
+    assert worst <= 1e-13
+
+
 # ------------------------------------------------------------ disk power
 
 def test_disk_power_vanishing_collector(profile_60):

@@ -123,6 +123,25 @@ def test_distance_sweep_computes_its_channels_in_one_disk_power_call(monkeypatch
     assert distances == spec.grid().tolist()
 
 
+def test_mu_sweep_computes_its_one_channel_once(monkeypatch):
+    # every row of a mu sweep has the same geometry: one profile goes to
+    # disk_power, not one per row, and each row carries that channel
+    disk_power_calls = []
+    disk_power = channel.disk_power
+
+    def counted_disk_power(profiles, disk):
+        disk_power_calls.append(len(profiles))
+        return disk_power(profiles, disk)
+
+    monkeypatch.setattr(channel, "disk_power", counted_disk_power)
+    spec = make_spec(parameter="mu", minimum=0.1, maximum=100.0, count=60,
+                     rates=RateInputs(mu=1.0, beta=0.95))
+    rows = run_sweep(spec)
+    assert disk_power_calls == [1]
+    one = channel_params(spec.geometry, spec.beam, spec.noise)
+    assert all(r.error is None and r.channel == one for r in rows)
+
+
 def test_sweep_records_row_errors_without_aborting(monkeypatch):
     import fsoqkd.sweeps as sweeps_mod
 
