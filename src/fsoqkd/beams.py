@@ -8,7 +8,7 @@ power computed downstream is directly a fraction of the transmitted power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -31,16 +31,16 @@ class BeamParams:
     field_peak: float | None = None
 
     def __post_init__(self):
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
-        if self.waist_radius <= 0:
-            raise ValueError("waist_radius must be positive")
+        if not 0 < self.wavelength < math.inf:
+            raise ValueError("wavelength must be positive and finite")
+        if not 0 < self.waist_radius < math.inf:
+            raise ValueError("waist_radius must be positive and finite")
         if self.field_peak is None:
             object.__setattr__(
                 self, "field_peak",
                 math.sqrt(2.0 / (math.pi * self.waist_radius ** 2)))
-        if self.field_peak <= 0:
-            raise ValueError("field_peak must be positive")
+        if not 0 < self.field_peak < math.inf:
+            raise ValueError("field_peak must be positive and finite")
 
     @property
     def wavenumber(self) -> float:

@@ -55,11 +55,11 @@ class Geometry:
     eve_radius: float = 0.1
 
     def __post_init__(self):
-        if min(self.alice_bob_distance, self.bob_eve_distance,
-               self.bob_radius, self.eve_radius) <= 0:
-            raise ValueError("all distances and radii must be positive")
-        if self.eve_offset < 0:
-            raise ValueError("eve_offset must be nonnegative")
+        for name in ("alice_bob_distance", "bob_eve_distance", "bob_radius", "eve_radius"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.eve_offset < math.inf:
+            raise ValueError("eve_offset must be nonnegative and finite")
         if self.scenario is Scenario.BEFORE_BOB:
             if self.eve_offset != 0.0:
                 raise ValueError("before-Bob geometry is on-axis only")
@@ -94,8 +94,8 @@ def thermal_occupation(frequency: float, temperature: float) -> float:
     cold-space temperatures the result degrades gracefully to 0 instead of
     underflowing noisily.
     """
-    if frequency <= 0 or temperature <= 0:
-        raise ValueError("frequency and temperature must be positive")
+    if not (0 < frequency < math.inf and 0 < temperature < math.inf):
+        raise ValueError("frequency and temperature must be positive and finite")
     x = PLANCK * frequency / (BOLTZMANN * temperature)
     if x > 700.0:
         return math.exp(-x)  # underflows smoothly to 0.0

@@ -21,7 +21,9 @@ Exporting any of ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` before the import leaves all three to the user.
 
 Exit codes: 0 on success, 1 when computational error rows were recorded, 2 on
-usage or configuration errors.
+usage or configuration errors, which include a NaN or infinite value in any
+numeric field (``mu`` may be "inf") and a field of the wrong JSON type.  A
+config is checked in full before anything is written.
 """
 
 from __future__ import annotations
@@ -243,11 +245,10 @@ def cmd_cache(args) -> int:
 
 
 def _capped(config: RunConfig, max_points: int) -> RunConfig:
-    """Cap the sweep grid at ``max_points`` (0: keep the config's), and
-    validate the result."""
+    """Cap the sweep grid at ``max_points`` (0: keep the config's)."""
     if max_points:
-        config = replace(config, sweep_count=min(config.sweep_count, max_points))
-    return config.validate()
+        return replace(config, sweep_count=min(config.sweep_count, max_points))
+    return config
 
 
 def _load_items(args) -> tuple[str, str, list[RecipeItem]]:

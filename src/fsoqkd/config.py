@@ -11,20 +11,32 @@ object of ``WavefrontSettings`` fields) plus an optional ``version``; an
 unknown key is an error.  ``mu`` serializes as the string "inf" for the
 infinite-power sentinel since JSON has no infinity literal; everything else
 round-trips losslessly (floats via repr).
+
+A ``RunConfig`` that exists is valid: construction checks that each bool,
+str and int field holds that type, then builds the domain objects, and each
+value's rule lives in the object that uses it, as a range that NaN and
+±inf fail.  ``BeamParams`` checks the wavelength and waist; ``Geometry``
+the distances, radii and offset; ``RateInputs`` mu (``inf`` allowed), beta,
+f_L and the pulse rate; ``thermal_occupation`` the temperature;
+``SweepSpec`` the grid, the noise and the objective, and that both grid ends
+give valid settings; ``WavefrontSettings`` the wavefront grid.  Their
+``ValueError`` or ``TypeError`` becomes a :class:`ConfigError`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .beams import BeamParams
 from .channel import Geometry, Scenario, default_noise
-from .rates import OBJECTIVES, RateInputs
-from .sweeps import SWEEP_PARAMETERS, SWEEP_SPACINGS, SweepSpec, _apply_parameter
+from .rates import RateInputs
+from .sweeps import SweepSpec
 
 CONFIG_VERSION = 1
+# the field types that ``validate`` checks; the domain objects check the rest
+_CHECKED_TYPES = {"bool": bool, "int": int, "str": str}
 
 
 class ConfigError(ValueError):
@@ -36,6 +48,15 @@ class WavefrontSettings:
     half_width: float = 0.35
     pixels: int = 201
     distances: tuple = (60_000.0,)
+
+    def __post_init__(self):
+        if not (type(self.pixels) is int and self.pixels >= 1
+                and 0 < self.half_width < math.inf):
+            raise ValueError("wavefront grid must have a positive, finite half_width "
+                             "and a positive integer number of pixels")
+        if not self.distances or not all(0 < d < math.inf for d in self.distances):
+            raise ValueError(f"wavefront distances must be positive and finite, "
+                             f"got {list(self.distances)!r}")
 
 
 @dataclass(frozen=True)
@@ -65,61 +86,22 @@ class RunConfig:
     emit_arago_overlay: bool = False
     wavefront: WavefrontSettings = field(default_factory=WavefrontSettings)
 
-    def validate(self):
-        if self.scenario not in ("behind_bob", "before_bob"):
-            raise ConfigError(f"unknown scenario {self.scenario!r}")
-        positives = dict(wavelength=self.wavelength, waist_radius=self.waist_radius,
-                         alice_bob_distance=self.alice_bob_distance,
-                         bob_eve_distance=self.bob_eve_distance,
-                         bob_radius=self.bob_radius,
-                         eve_radius=self.eve_radius, beta=self.beta,
-                         pulse_rate=self.pulse_rate, temperature=self.temperature)
-        for name, value in positives.items():
-            if not value > 0:
-                raise ConfigError(f"{name} must be positive, got {value!r}")
-        if not self.beta <= 1:
-            raise ConfigError(f"beta must lie in (0, 1], got {self.beta!r}")
-        if not self.f_L >= 1:
-            raise ConfigError(f"f_L must be >= 1, got {self.f_L!r}")
-        if not self.mu > 0:
-            raise ConfigError(f"mu must be positive (\"inf\" allowed), got {self.mu!r}")
-        if self.noise_override is not None and not self.noise_override >= 0:
-            raise ConfigError(
-                f"noise_override must be nonnegative, got {self.noise_override!r}")
-        if self.sweep_parameter not in SWEEP_PARAMETERS:
-            raise ConfigError(f"unknown sweep_parameter {self.sweep_parameter!r}")
-        if self.sweep_spacing not in SWEEP_SPACINGS:
-            raise ConfigError(f"unknown sweep_spacing {self.sweep_spacing!r}")
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> "RunConfig":
+        """Check the field types, then build the domain objects, which check
+        the values; raises :class:`ConfigError`."""
+        for f in fields(self):
+            kind = _CHECKED_TYPES.get(f.type)
+            value = getattr(self, f.name)
+            if kind is not None and type(value) is not kind:
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         try:
-            self.geometry()  # offset sign, before-Bob placement
-        except ValueError as exc:
+            self.sweep_spec()
+            default_noise(self.beam(), self.temperature)  # also under noise_override
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        if not (isinstance(self.sweep_count, int) and self.sweep_count >= 2):
-            raise ConfigError(f"sweep_count must be an integer >= 2, "
-                              f"got {self.sweep_count!r}")
-        if not self.sweep_min < self.sweep_max:
-            raise ConfigError("sweep_min must be below sweep_max")
-        if self.sweep_spacing == "log" and not self.sweep_min > 0:
-            raise ConfigError(f"a log sweep needs sweep_min > 0, "
-                              f"got {self.sweep_min!r}")
-        # each parameter's valid values form an interval and every grid is
-        # monotone, so a grid is valid when both of its ends are
-        spec = self.sweep_spec()
-        for value in (self.sweep_min, self.sweep_max):
-            try:
-                _apply_parameter(spec, value)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"sweep {self.sweep_parameter} = {value!r}: {exc}") from exc
-        if self.objective not in OBJECTIVES:
-            raise ConfigError(f"unknown objective {self.objective!r}")
-        wf = self.wavefront
-        if not (isinstance(wf.pixels, int) and wf.pixels >= 1 and wf.half_width > 0):
-            raise ConfigError("wavefront grid must have a positive half_width and "
-                              "a positive integer number of pixels")
-        if not wf.distances or not all(d > 0 for d in wf.distances):
-            raise ConfigError(f"wavefront distances must be positive, got "
-                              f"{list(wf.distances)!r}")
         return self
 
     # -- domain object builders ------------------------------------------
@@ -192,6 +174,6 @@ class RunConfig:
                 if "distances" in wf:
                     wf = {**wf, "distances": tuple(wf["distances"])}
                 data["wavefront"] = WavefrontSettings(**wf)
-            return cls(**data).validate()
-        except TypeError as exc:
+            return cls(**data)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc

@@ -91,7 +91,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .beams import BeamParams, encircled_power, plane_params, total_power
+from .beams import BeamParams, plane_params
 
 # Bump when node-placement or source-integration policy changes; cached
 # profiles are keyed on it.
@@ -111,7 +111,7 @@ SERIES_MAX_TERMS = 200_000
 # every O(v^2) part of the sums is under their rounding, and 2n/v stays finite.
 BESSEL_ARG_FLOOR = 1e-20
 
-SERIALIZATION_VERSION = 5
+SERIALIZATION_VERSION = 6
 
 # Gauss-Legendre rule of disk_power, per interval between profile nodes.
 _DISK_GX, _DISK_GW = leggauss(8)
@@ -152,15 +152,10 @@ class SourceAnnulus:
     inner_radius: float
 
     def __post_init__(self):
-        if self.plane_distance < 0:
-            raise ValueError("plane_distance must be nonnegative")
+        if not 0 <= self.plane_distance < math.inf:
+            raise ValueError("plane_distance must be finite and nonnegative")
         if not 0 <= self.inner_radius < math.inf:
             raise ValueError("inner_radius must be finite and nonnegative")
-
-    def power(self) -> float:
-        """Exact power carried by the annulus."""
-        return (total_power(self.beam)
-                - encircled_power(self.beam, self.plane_distance, self.inner_radius))
 
 
 def profile_key(src: SourceAnnulus, distance: float, coverage: float) -> tuple:
@@ -179,10 +174,10 @@ class DiskSpec:
     center_offset: float = 0.0
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("disk radius must be positive")
-        if self.center_offset < 0:
-            raise ValueError("center offset must be nonnegative")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("disk radius must be positive and finite")
+        if not 0 <= self.center_offset < math.inf:
+            raise ValueError("center offset must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -194,7 +189,6 @@ class QuadratureBudget:
     source without a disk.
     """
 
-    rel_tol: float
     achieved: float
     source_nodes: int
     profile_nodes: int
@@ -291,8 +285,7 @@ def _gaussian_hankel(alpha: complex, s):
     return -np.exp(np.asarray(s, dtype=float) ** 2 / (4.0 * alpha)) / (2.0 * alpha)
 
 
-def _fresnel_integral(src: SourceAnnulus, distance: float, l_values: np.ndarray,
-                      rel_tol: float = PROFILE_FIELD_RTOL):
+def _fresnel_integral(src: SourceAnnulus, distance: float, l_values: np.ndarray):
     """Radial J0 integral of the Fresnel reduction, for a batch of offsets.
 
     The source envelope times the kernel phase is ``A exp(alpha r^2)``,
@@ -313,7 +306,7 @@ def _fresnel_integral(src: SourceAnnulus, distance: float, l_values: np.ndarray,
     v = np.maximum(s * a, BESSEL_ARG_FLOOR)
     u_form = v > 2.0 * abs(c)
     t = np.where(u_form, -2.0 * c / v, v / (2.0 * c))
-    j0, j1, tail, terms, achieved = _bessel_sums(v, t, rel_tol)
+    j0, j1, tail, terms, achieved = _bessel_sums(v, t)
     scale = amp * a * a * cmath.exp(c)
     with np.errstate(under="ignore"):  # a Gaussian factor below the smallest double is 0
         whole = amp * _gaussian_hankel(alpha, s)
@@ -322,7 +315,7 @@ def _fresnel_integral(src: SourceAnnulus, distance: float, l_values: np.ndarray,
     return out, slope, terms, achieved
 
 
-def _bessel_sums(v: np.ndarray, t: np.ndarray, rel_tol: float = PROFILE_FIELD_RTOL):
+def _bessel_sums(v: np.ndarray, t: np.ndarray):
     """J0(v), J1(v) and ``sum_{n>=1} t^(n-1) J_n(v)`` by Miller's recurrence.
 
     ``v`` holds nonnegative arguments and ``t`` a ratio with |t| <= 1 for
@@ -335,7 +328,7 @@ def _bessel_sums(v: np.ndarray, t: np.ndarray, rel_tol: float = PROFILE_FIELD_RT
     below the tail bound.  Returns (J0, J1, sum, terms, achieved): the
     N + 1 orders summed and the tail bound beyond N.
     Raises :class:`QuadratureError`, before the recurrence, when that bound
-    exceeds ``rel_tol``.
+    exceeds ``PROFILE_FIELD_RTOL``.
     """
     v = np.maximum(v, BESSEL_ARG_FLOOR)
     x = 0.5 * float(v.max(initial=BESSEL_ARG_FLOOR))
@@ -351,7 +344,7 @@ def _bessel_sums(v: np.ndarray, t: np.ndarray, rel_tol: float = PROFILE_FIELD_RT
     else:  # cut short by the budget while the terms still grow
         log_tail = x  # the whole series is at most e^x
     achieved = math.exp(log_tail) if log_tail < 709.0 else math.inf
-    if achieved > rel_tol:
+    if achieved > PROFILE_FIELD_RTOL:
         raise QuadratureError(f"Bessel recurrence needs more than its budget of "
                               f"{SERIES_MAX_TERMS} orders", achieved)
 
@@ -424,27 +417,27 @@ def _profile_nodes(src: SourceAnnulus, distance: float, coverage: float) -> np.n
     return out
 
 
-def propagate_profile(src: SourceAnnulus, distance: float, disk_hint: DiskSpec,
-                      rel_tol: float = PROFILE_FIELD_RTOL) -> FieldProfile:
+def propagate_profile(src: SourceAnnulus, distance: float,
+                      disk_hint: DiskSpec) -> FieldProfile:
     """Sample the diffracted field and its radial slope on a grid covering
     the hinted disk.
 
     The budget records the achieved error and the series terms of
     :func:`_fresnel_integral`; :class:`QuadratureError` is raised when the
-    error would exceed ``rel_tol``.
+    error would exceed ``PROFILE_FIELD_RTOL``.
     """
     if distance <= 0:
         raise ValueError("propagation distance must be positive")
     coverage = disk_hint.center_offset + disk_hint.radius
     nodes = _profile_nodes(src, distance, coverage)
-    field, slope, terms, achieved = _fresnel_integral(src, distance, nodes, rel_tol)
+    field, slope, terms, achieved = _fresnel_integral(src, distance, nodes)
     prefactor = _fresnel_prefactor(src, distance, nodes)
     amplitudes = prefactor * field
     # d/dl of prefactor * I(k l / L): the kernel phase exp(i k l^2 / 2L)
     # gives i k l / L, the argument s = k l / L gives k / L
     slopes = prefactor * (src.beam.wavenumber / distance) * (1j * nodes * field + slope)
-    budget = QuadratureBudget(rel_tol=rel_tol, achieved=achieved,
-                              source_nodes=terms, profile_nodes=len(nodes))
+    budget = QuadratureBudget(achieved=achieved, source_nodes=terms,
+                              profile_nodes=len(nodes))
     return FieldProfile(src, distance, nodes, amplitudes, slopes, budget)
 
 
@@ -574,12 +567,6 @@ def _keys(owner, radius):
     return keys
 
 
-def profile_power(profile: FieldProfile, radius: float | None = None) -> float:
-    """Integrated power of the profile out to ``radius`` (default: full grid)."""
-    r = profile.truncation_radius if radius is None else radius
-    return disk_power(profile, DiskSpec(radius=r, center_offset=0.0))
-
-
 def arago_relative_amplitude(obstacle_radius: float, distance: float, l,
                              wavelength: float):
     """Bright-spot relative amplitude behind a circular obstacle.
@@ -608,22 +595,22 @@ def bessel_j0(x):
 
 # ---------------------------------------------------------------------------
 # Serialization: versioned little-endian binary record.
-# Header: uint32 version; 8 float64 fields: the profile key less its coverage
+# Header: uint32 version; 7 float64 fields: the profile key less its coverage
 # (wavelength, waist radius, field peak, source plane distance, inner radius,
-# propagation distance), then budget rel_tol and budget achieved error;
+# propagation distance), then the budget's achieved error;
 # uint64 node count (the budget's profile_nodes); uint64 budget source_nodes.
 # Body: (node, re, im, slope re, slope im) float64 rows; the last node is the
 # coverage.
 # ---------------------------------------------------------------------------
 
-_HEADER = struct.Struct("<I8d2Q")
+_HEADER = struct.Struct("<I7d2Q")
 
 
 def serialize_profile(profile: FieldProfile) -> bytes:
     budget = profile.budget
     n = profile.radial_nodes.size
     head = _HEADER.pack(SERIALIZATION_VERSION, *profile.key[:-1],
-                        budget.rel_tol, budget.achieved, n, budget.source_nodes)
+                        budget.achieved, n, budget.source_nodes)
     body = np.empty((n, 5))
     body[:, 0] = profile.radial_nodes
     body[:, 1] = profile.complex_amplitudes.real
@@ -636,7 +623,7 @@ def serialize_profile(profile: FieldProfile) -> bytes:
 def deserialize_profile(blob: bytes) -> FieldProfile:
     if len(blob) < _HEADER.size:
         raise ValueError("profile record truncated: missing header")
-    version, *key, rel_tol, achieved, count, source_nodes = _HEADER.unpack_from(blob)
+    version, *key, achieved, count, source_nodes = _HEADER.unpack_from(blob)
     if version != SERIALIZATION_VERSION:
         raise ValueError(f"unsupported profile record version {version}")
     expect = _HEADER.size + count * 40
@@ -650,6 +637,6 @@ def deserialize_profile(blob: bytes) -> FieldProfile:
         raise ValueError("profile record corrupt: bad radial grid")
     # profile_key's order: three beam fields, two annulus fields, the distance
     src = SourceAnnulus(BeamParams(*key[:3]), *key[3:5])
-    budget = QuadratureBudget(rel_tol=rel_tol, achieved=achieved,
-                              source_nodes=int(source_nodes), profile_nodes=int(count))
+    budget = QuadratureBudget(achieved=achieved, source_nodes=int(source_nodes),
+                              profile_nodes=int(count))
     return FieldProfile(src, key[5], nodes, amps, slopes, budget)

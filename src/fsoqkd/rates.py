@@ -68,10 +68,10 @@ class RateInputs:
             raise ValueError("mu must be positive (math.inf allowed)")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must lie in (0, 1]")
-        if self.f_L < 1.0:
-            raise ValueError("f_L must be >= 1")
-        if self.pulse_rate <= 0:
-            raise ValueError("pulse_rate must be positive")
+        if not 1.0 <= self.f_L < math.inf:
+            raise ValueError("f_L must be finite and >= 1")
+        if not 0 < self.pulse_rate < math.inf:
+            raise ValueError("pulse_rate must be positive and finite")
         if not 0.0 <= self.misalignment <= 0.5:
             raise ValueError("misalignment must lie in [0, 0.5]")
 

@@ -10,7 +10,6 @@ smoke tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .config import RunConfig, WavefrontSettings
@@ -31,10 +30,6 @@ class Recipe:
     items: tuple
 
 
-def _base(**kw) -> RunConfig:
-    return RunConfig(**kw).validate()
-
-
 def build_recipe(name: str) -> Recipe:
     try:
         builder = _RECIPES[name]
@@ -50,28 +45,28 @@ def recipe_names() -> list[str]:
 def _power_sweep(beta: float) -> Recipe:
     items = []
     for lbe_km in (2, 20, 80):
-        cfg = _base(alice_bob_distance=20 * KM, bob_eve_distance=lbe_km * KM,
-                    beta=beta, mu=1.0,
-                    sweep_parameter="mu", sweep_min=1e-2, sweep_max=1e6,
-                    sweep_count=60, sweep_spacing="log")
+        cfg = RunConfig(alice_bob_distance=20 * KM, bob_eve_distance=lbe_km * KM,
+                        beta=beta, mu=1.0,
+                        sweep_parameter="mu", sweep_min=1e-2, sweep_max=1e6,
+                        sweep_count=60, sweep_spacing="log")
         items.append(RecipeItem(f"lbe{lbe_km}km", cfg))
     name = "fig2" if beta == 1.0 else "fig3"
     return Recipe(name, "sweep", tuple(items))
 
 
 def _fig4() -> Recipe:
-    cfg = _base(alice_bob_distance=60 * KM,
-                wavefront=WavefrontSettings(half_width=0.35, pixels=201,
-                                            distances=(1 * KM, 20 * KM, 60 * KM, 120 * KM)))
+    panels = WavefrontSettings(half_width=0.35, pixels=201,
+                               distances=(1 * KM, 20 * KM, 60 * KM, 120 * KM))
+    cfg = RunConfig(alice_bob_distance=60 * KM, wavefront=panels)
     return Recipe("fig4", "wavefront", (RecipeItem("panels", cfg),))
 
 
 def _distance_sweep(name, lab_values_km, count=160, lo=0.5, hi=400.0, **kw) -> Recipe:
     items = []
     for lab in lab_values_km:
-        cfg = _base(alice_bob_distance=lab * KM,
-                    sweep_parameter="L_BE", sweep_min=lo * KM, sweep_max=hi * KM,
-                    sweep_count=count, sweep_spacing="log", **kw)
+        cfg = RunConfig(alice_bob_distance=lab * KM,
+                        sweep_parameter="L_BE", sweep_min=lo * KM, sweep_max=hi * KM,
+                        sweep_count=count, sweep_spacing="log", **kw)
         items.append(RecipeItem(f"lab{lab}km", cfg))
     return Recipe(name, "sweep", tuple(items))
 
@@ -87,10 +82,10 @@ def _fig8() -> Recipe:
 def _fig9() -> Recipe:
     items = []
     for w0_cm in (5, 10, 30):
-        cfg = _base(waist_radius=w0_cm / 100.0,
-                    sweep_parameter="L_AB", sweep_min=5 * KM, sweep_max=200 * KM,
-                    sweep_count=60, sweep_spacing="log",
-                    tie_bob_eve_to_link=True)
+        cfg = RunConfig(waist_radius=w0_cm / 100.0,
+                        sweep_parameter="L_AB", sweep_min=5 * KM, sweep_max=200 * KM,
+                        sweep_count=60, sweep_spacing="log",
+                        tie_bob_eve_to_link=True)
         items.append(RecipeItem(f"w0{w0_cm}cm", cfg))
     return Recipe("fig9", "sweep", tuple(items))
 
@@ -99,10 +94,10 @@ def _fig10() -> Recipe:
     # bright-spot comparison regime: short link, varied waist
     items = []
     for w0_cm in (5, 10, 30):
-        cfg = _base(alice_bob_distance=15 * KM, waist_radius=w0_cm / 100.0,
-                    emit_arago_overlay=True,
-                    sweep_parameter="L_BE", sweep_min=0.5 * KM, sweep_max=150 * KM,
-                    sweep_count=120, sweep_spacing="log")
+        cfg = RunConfig(alice_bob_distance=15 * KM, waist_radius=w0_cm / 100.0,
+                        emit_arago_overlay=True,
+                        sweep_parameter="L_BE", sweep_min=0.5 * KM, sweep_max=150 * KM,
+                        sweep_count=120, sweep_spacing="log")
         items.append(RecipeItem(f"w0{w0_cm}cm", cfg))
     return Recipe("fig10", "sweep", tuple(items))
 
@@ -110,9 +105,9 @@ def _fig10() -> Recipe:
 def _fig11() -> Recipe:
     items = []
     for re_cm in (5, 10, 20, 30):
-        cfg = _base(alice_bob_distance=50 * KM, eve_radius=re_cm / 100.0,
-                    sweep_parameter="L_BE", sweep_min=0.5 * KM, sweep_max=400 * KM,
-                    sweep_count=120, sweep_spacing="log")
+        cfg = RunConfig(alice_bob_distance=50 * KM, eve_radius=re_cm / 100.0,
+                        sweep_parameter="L_BE", sweep_min=0.5 * KM, sweep_max=400 * KM,
+                        sweep_count=120, sweep_spacing="log")
         items.append(RecipeItem(f"re{re_cm}cm", cfg))
     return Recipe("fig11", "sweep", tuple(items))
 
@@ -120,43 +115,43 @@ def _fig11() -> Recipe:
 def _fig12() -> Recipe:
     items = []
     for w0_cm in (5, 10, 20, 30):
-        cfg = _base(alice_bob_distance=50 * KM, waist_radius=w0_cm / 100.0,
-                    sweep_parameter="L_BE", sweep_min=0.5 * KM, sweep_max=400 * KM,
-                    sweep_count=120, sweep_spacing="log")
+        cfg = RunConfig(alice_bob_distance=50 * KM, waist_radius=w0_cm / 100.0,
+                        sweep_parameter="L_BE", sweep_min=0.5 * KM, sweep_max=400 * KM,
+                        sweep_count=120, sweep_spacing="log")
         items.append(RecipeItem(f"w0{w0_cm}cm", cfg))
     return Recipe("fig12", "sweep", tuple(items))
 
 
 def _fig13() -> Recipe:
-    cfg = _base(alice_bob_distance=50 * KM, beta=0.95, optimize_mu=True,
-                sweep_parameter="L_BE", sweep_min=0.5 * KM, sweep_max=400 * KM,
-                sweep_count=120, sweep_spacing="log")
+    cfg = RunConfig(alice_bob_distance=50 * KM, beta=0.95, optimize_mu=True,
+                    sweep_parameter="L_BE", sweep_min=0.5 * KM, sweep_max=400 * KM,
+                    sweep_count=120, sweep_spacing="log")
     return Recipe("fig13", "sweep", (RecipeItem("lab50km", cfg),))
 
 
 def _fig14() -> Recipe:
-    cfg = _base(alice_bob_distance=40 * KM,
-                sweep_parameter="L_BE", sweep_min=1 * KM, sweep_max=200 * KM,
-                sweep_count=40, sweep_spacing="log")
+    cfg = RunConfig(alice_bob_distance=40 * KM,
+                    sweep_parameter="L_BE", sweep_min=1 * KM, sweep_max=200 * KM,
+                    sweep_count=40, sweep_spacing="log")
     return Recipe("fig14", "optimize_d", (RecipeItem("lab40km", cfg),))
 
 
 def _fig15() -> Recipe:
-    cfg = _base(alice_bob_distance=50 * KM, beta=0.95, optimize_mu=True,
-                sweep_parameter="L_BE", sweep_min=1 * KM, sweep_max=200 * KM,
-                sweep_count=40, sweep_spacing="log")
+    cfg = RunConfig(alice_bob_distance=50 * KM, beta=0.95, optimize_mu=True,
+                    sweep_parameter="L_BE", sweep_min=1 * KM, sweep_max=200 * KM,
+                    sweep_count=40, sweep_spacing="log")
     return Recipe("fig15", "optimize_d", (RecipeItem("lab50km", cfg),))
 
 
 def _before(name, lab_values_km, beta=1.0, optimize=False, count=90) -> Recipe:
     items = []
     for lab in lab_values_km:
-        cfg = _base(scenario="before_bob", alice_bob_distance=lab * KM,
-                    bob_eve_distance=lab * KM / 2.0, beta=beta,
-                    optimize_mu=optimize,
-                    sweep_parameter="L_AE", sweep_min=0.05 * lab * KM,
-                    sweep_max=0.99 * lab * KM, sweep_count=count,
-                    sweep_spacing="linear")
+        cfg = RunConfig(scenario="before_bob", alice_bob_distance=lab * KM,
+                        bob_eve_distance=lab * KM / 2.0, beta=beta,
+                        optimize_mu=optimize,
+                        sweep_parameter="L_AE", sweep_min=0.05 * lab * KM,
+                        sweep_max=0.99 * lab * KM, sweep_count=count,
+                        sweep_spacing="linear")
         items.append(RecipeItem(f"lab{lab}km", cfg))
     return Recipe(name, "before_bob", tuple(items))
 
@@ -169,15 +164,15 @@ def _fig19() -> Recipe:
     # combined signed axis: before-Bob rows (negative L_BE) plus behind-Bob rows
     items = []
     for lab in (20, 40, 80):
-        before = _base(scenario="before_bob", alice_bob_distance=lab * KM,
-                       bob_eve_distance=lab * KM / 2.0,
-                       sweep_parameter="L_AE", sweep_min=0.05 * lab * KM,
-                       sweep_max=0.99 * lab * KM, sweep_count=60,
-                       sweep_spacing="linear")
-        behind = _base(alice_bob_distance=lab * KM,
-                       sweep_parameter="L_BE", sweep_min=0.5 * KM,
-                       sweep_max=4 * lab * KM, sweep_count=60,
-                       sweep_spacing="log")
+        before = RunConfig(scenario="before_bob", alice_bob_distance=lab * KM,
+                           bob_eve_distance=lab * KM / 2.0,
+                           sweep_parameter="L_AE", sweep_min=0.05 * lab * KM,
+                           sweep_max=0.99 * lab * KM, sweep_count=60,
+                           sweep_spacing="linear")
+        behind = RunConfig(alice_bob_distance=lab * KM,
+                           sweep_parameter="L_BE", sweep_min=0.5 * KM,
+                           sweep_max=4 * lab * KM, sweep_count=60,
+                           sweep_spacing="log")
         items.append(RecipeItem(f"lab{lab}km_before", before))
         items.append(RecipeItem(f"lab{lab}km_behind", behind))
     return Recipe("fig19", "combined_axis", tuple(items))

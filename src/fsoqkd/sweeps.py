@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import groupby
-from typing import Callable
 
 import numpy as np
 
@@ -26,9 +25,9 @@ from .channel import ChannelParams, Geometry, Scenario, _layout, channel_params
 from .diffraction import (DiskSpec, FieldProfile, SourceAnnulus,
                           arago_relative_amplitude, profile_key,
                           propagate_profile)
-from .optimize import golden_section_max, grid_then_golden_max
-from .rates import (RateInputs, RateReport, evaluate_objective, optimize_mu,
-                    rate_report)
+from .optimize import golden_section_max
+from .rates import (OBJECTIVES, RateInputs, RateReport, evaluate_objective,
+                    optimize_mu, rate_report)
 
 SWEEP_PARAMETERS = ("L_BE", "L_AE", "mu", "D", "L_AB", "W0", "r_e")
 SWEEP_SPACINGS = ("log", "linear")
@@ -65,17 +64,19 @@ class SweepSpec:
     ``rates`` holds the protocol settings and ``noise`` the background
     occupation n_e; every row computes its own channel from them.  With
     ``optimize_power`` each row reports the rates at the optimal mu for
-    ``objective``.
+    ``objective``.  Every setting on a spec's grid is valid: each
+    parameter's valid values form an interval and every grid is monotone,
+    so checking the two ends checks the grid.
     """
 
     parameter: str
     minimum: float
     maximum: float
     count: int
+    geometry: Geometry
+    beam: BeamParams
+    rates: RateInputs
     spacing: str = "log"  # or "linear"
-    geometry: Geometry | None = None
-    beam: BeamParams | None = None
-    rates: RateInputs | None = None
     noise: float = 0.0
     optimize_power: bool = False
     objective: str = "lb_max"
@@ -84,12 +85,23 @@ class SweepSpec:
     def __post_init__(self):
         if self.parameter not in SWEEP_PARAMETERS:
             raise ValueError(f"unknown sweep parameter {self.parameter!r}")
-        if self.count < 2:
-            raise ValueError("grid needs at least 2 points")
-        if not self.minimum < self.maximum:
-            raise ValueError("grid minimum must be below maximum")
         if self.spacing not in SWEEP_SPACINGS:
             raise ValueError("spacing must be 'log' or 'linear'")
+        if not (isinstance(self.count, int) and self.count >= 2):
+            raise ValueError(f"grid needs an integer count >= 2, got {self.count!r}")
+        if not -math.inf < self.minimum < self.maximum < math.inf:
+            raise ValueError("grid ends must be finite, the minimum below the maximum")
+        if self.spacing == "log" and not self.minimum > 0:
+            raise ValueError(f"a log grid needs a positive minimum, got {self.minimum!r}")
+        if not 0 <= self.noise < math.inf:
+            raise ValueError(f"noise must be finite and nonnegative, got {self.noise!r}")
+        if self.objective not in OBJECTIVES:
+            raise ValueError(f"unknown objective {self.objective!r}")
+        for value in (self.minimum, self.maximum):
+            try:
+                _apply_parameter(self, value)
+            except ValueError as exc:
+                raise ValueError(f"sweep {self.parameter} = {value!r}: {exc}") from exc
 
     def grid(self) -> np.ndarray:
         if self.spacing == "log":
@@ -162,12 +174,8 @@ def _row(spec: SweepSpec, value: float, cache: ProfileCache,
 def _group_key(spec: SweepSpec, value: float):
     """What the rows of one group share: the beam and everything of the
     geometry but its Bob-Eve distance, so that one :func:`channel_params`
-    call takes the group's geometries.  A row whose setting is invalid gets
-    a key of its own."""
-    try:
-        geom, beam, _ = _apply_parameter(spec, value)
-    except Exception:  # recorded as the row's error when it is scored
-        return object()
+    call takes the group's geometries."""
+    geom, beam, _ = _apply_parameter(spec, value)
     return beam, _layout(geom)
 
 
@@ -292,8 +300,9 @@ def optimize_eve_offset(geom: Geometry, beam: BeamParams, rates: RateInputs,
     """Offset D minimizing the rate at the geometry's distance behind Bob.
 
     One profile covers the whole offset range, so the search only re-weights
-    the stored intensity.  Multistart golden section (axis, shadow edge, two
-    interior points); ties break toward the smaller offset.
+    the stored intensity.  Golden section on each interval between the
+    axis, the shadow edge, two interior points and the largest offset;
+    ties break toward the smaller offset.
     """
     if geom.scenario is not Scenario.BEHIND_BOB:
         raise ValueError("offset optimization applies behind Bob")
@@ -309,7 +318,7 @@ def optimize_eve_offset(geom: Geometry, beam: BeamParams, rates: RateInputs,
         return _geometry_score(ch, rates, objective, optimize_power)
 
     starts = sorted({0.0, min(geom.bob_radius, d_max), d_max / 3.0,
-                     2.0 * d_max / 3.0})
+                     2.0 * d_max / 3.0, d_max})
     on_axis = rate_at(0.0)
     best_d, best_v = 0.0, on_axis
     for lo, hi in zip(starts[:-1], starts[1:]):
@@ -321,72 +330,6 @@ def optimize_eve_offset(geom: Geometry, beam: BeamParams, rates: RateInputs,
     if on_axis <= best_v + 1e-12:
         best_d, best_v = 0.0, on_axis
     return best_d, best_v
-
-
-# ---------------------------------------------------------------------------
-# Closed-form predictor for the optimal eavesdropping distance
-# ---------------------------------------------------------------------------
-
-class DegenerateGeometryError(ValueError):
-    """Integration-limit constant does not exceed the crop radius squared."""
-
-
-@dataclass(frozen=True)
-class AnalyticPredictor:
-    """Constants of the small-offset field magnitude factorization.
-
-    For small radial offsets the on-axis diffracted magnitude factors as
-    ``E0 (W0/W) f1 f2`` with ``f1 = 1/sqrt((A/B)^2 + (1 - C/B)^2)`` and
-    ``f2 = |exp((A + i(B-C)) Dc) - exp((A + i(B-C)) rb^2)|`` where
-    A = -1/W^2(L_AB), B = k/(2 L_BE), C = k/(2 R(L_AB)), Dc = 9 W^2(L_AB).
-    """
-
-    link_distance: float
-    beam: BeamParams
-    crop_radius: float
-
-    def constants(self, bob_eve_distance: float):
-        plane = plane_params(self.beam, self.link_distance)
-        k = self.beam.wavenumber
-        a = -1.0 / plane.spot_size ** 2
-        b = k / (2.0 * bob_eve_distance)
-        c = k / (2.0 * plane.curvature_radius)
-        dc = 9.0 * plane.spot_size ** 2
-        return a, b, c, dc
-
-    def magnitude(self, bob_eve_distance: float) -> float:
-        """Predicted on-axis |field| at the observation plane."""
-        a, b, c, dc = self.constants(bob_eve_distance)
-        plane = plane_params(self.beam, self.link_distance)
-        f1 = 1.0 / math.sqrt((a / b) ** 2 + (1.0 - c / b) ** 2)
-        z = complex(a, b - c)
-        f2 = abs(np.exp(z * dc) - np.exp(z * self.crop_radius ** 2))
-        return (self.beam.field_peak * self.beam.waist_radius
-                / plane.spot_size * f1 * f2)
-
-
-def analytic_f1_f2(pred: AnalyticPredictor, branch: int = 0):
-    """Closed-form argmax distances of the two magnitude factors.
-
-    Returns ``(argmax f1, argmax f2 at the given branch, predicted optimal
-    distance)`` where the prediction maximizes the f1*f2 product numerically
-    over its closed form (no diffraction integrals involved).
-    """
-    l_ab = pred.link_distance
-    a, _, c, dc = pred.constants(l_ab)
-    if dc <= pred.crop_radius ** 2:
-        raise DegenerateGeometryError(
-            "9 W^2(L_AB) must exceed the crop radius squared")
-    lam = pred.beam.wavelength
-    f1_argmax = l_ab
-    # B* = C + (2n+1) pi / (Dc - rb^2), translated back to a distance
-    denom = (1.0 / plane_params(pred.beam, l_ab).curvature_radius
-             + lam * (2 * branch + 1) / (dc - pred.crop_radius ** 2))
-    f2_argmax = 1.0 / denom
-
-    grid = np.geomspace(0.05 * l_ab, 20.0 * l_ab, 2000)
-    x, _ = grid_then_golden_max(pred.magnitude, grid, tol=max(1.0, 1e-6 * l_ab))
-    return f1_argmax, f2_argmax, float(x)
 
 
 def arago_prediction_curve(geom: Geometry, beam: BeamParams, rates: RateInputs,

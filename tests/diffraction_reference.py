@@ -8,7 +8,9 @@ checked here against two independent quadratures of the same physics:
 * :func:`rs_field_direct` — the direct two-dimensional Rayleigh–Sommerfeld
   integral in polar coordinates.
 
-:func:`fresnel_valid` states the Fresnel condition of the reduction.
+:func:`fresnel_valid` states the Fresnel condition of the reduction, and
+:func:`annulus_power` and :func:`profile_power` give the power a source
+annulus carries and the power a profile collects, for energy checks.
 
 Panels are chosen so that no panel spans more than half a local period of
 the combined phase (a quadratic phase ``q * r**2``, a Bessel factor
@@ -26,8 +28,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import j0
 
-from fsoqkd.beams import plane_params
-from fsoqkd.diffraction import (QuadratureError, SourceAnnulus, _gaussian_hankel,
+from fsoqkd.beams import encircled_power, plane_params, total_power
+from fsoqkd.diffraction import (DiskSpec, FieldProfile, QuadratureError,
+                                SourceAnnulus, _gaussian_hankel, disk_power,
                                 _source_gaussian, _source_phase)
 
 GAUSS_ORDER = 10
@@ -202,3 +205,15 @@ def rs_field_direct(src: SourceAnnulus, distance: float, l: float, phi: float = 
         raise QuadratureError("rs_field_direct did not converge", est)
     return complex(distance / (1j * beam.wavelength)
                    * np.exp(1j * k * distance) * _source_phase(src) * fine)
+
+
+def annulus_power(src: SourceAnnulus) -> float:
+    """Exact power carried by the annulus."""
+    return (total_power(src.beam)
+            - encircled_power(src.beam, src.plane_distance, src.inner_radius))
+
+
+def profile_power(profile: FieldProfile, radius: float | None = None) -> float:
+    """Integrated power of the profile out to ``radius`` (default: full grid)."""
+    r = profile.truncation_radius if radius is None else radius
+    return disk_power(profile, DiskSpec(radius=r, center_offset=0.0))

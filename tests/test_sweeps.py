@@ -9,10 +9,11 @@ from fsoqkd.beams import BeamParams
 from fsoqkd.channel import Geometry, Scenario, channel_params
 from fsoqkd.diffraction import QuadratureError, propagate_profile
 from fsoqkd.rates import RateInputs
-from fsoqkd.sweeps import (AnalyticPredictor, DegenerateGeometryError,
-                           ProfileCache, SweepSpec, _apply_parameter,
-                           analytic_f1_f2, arago_prediction_curve,
-                           geometry_row, optimize_eve_offset, run_sweep)
+from fsoqkd.sweeps import (ProfileCache, SweepSpec, _apply_parameter,
+                           arago_prediction_curve, geometry_row,
+                           optimize_eve_offset, run_sweep)
+from predictor_reference import (AnalyticPredictor, DegenerateGeometryError,
+                                 analytic_f1_f2)
 
 LAM = 1550e-9
 
@@ -254,6 +255,22 @@ def test_offset_returns_zero_past_reconvergence(monkeypatch):
     assert d_star == 0.0
     assert rate > 0.0
     assert offsets.count(0.0) == 1  # the on-axis rate is computed once
+
+
+def test_offset_search_reaches_the_largest_offset(monkeypatch):
+    # a score whose one minimum lies between 2 d_max / 3 and d_max, the
+    # largest offset the search tries: the last golden bracket must hold it
+    beam = BeamParams(LAM, 0.1)
+    geom = Geometry(Scenario.BEHIND_BOB, 40e3, 5e3)
+    d_max = sweeps.offset_search_disk(geom, beam).center_offset
+    target = 0.9 * d_max
+    monkeypatch.setattr(sweeps, "channel_params", lambda g, *a, **k: g.eve_offset)
+    monkeypatch.setattr(sweeps, "_geometry_score", lambda d, *a: 1.0 + (d - target) ** 2)
+    cache = ProfileCache(compute=lambda *args: None)
+    d_star, rate = optimize_eve_offset(geom, beam, RateInputs(), 0.0, cache=cache)
+    assert 2.0 * d_max / 3.0 < d_star < d_max
+    assert d_star == pytest.approx(target, abs=1e-3)
+    assert rate == pytest.approx(1.0, abs=1e-6)
 
 
 # ------------------------------------------------------ bright-spot curve
