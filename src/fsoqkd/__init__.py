@@ -33,8 +33,8 @@ from .diffraction import (CoverageError, DiskSpec, FieldProfile,
 from .rates import (MuOptimum, RateInputs, RateReport, eve_spectra, g_entropy,
                     lb_direct, lb_reverse, optimize_mu, rate_report,
                     skr_cv_ccq, skr_ds_bb84, upper_bound)
-from .sweeps import (EveDistanceResult, ProfileCache, SweepRow, SweepSpec,
-                     arago_prediction_curve, optimal_eve_distance,
+from .sweeps import (ProfileCache, SweepRow, SweepSpec, arago_prediction_curve,
+                     optimal_eve_distance, optimal_eve_offsets,
                      optimize_eve_offset, run_sweep)
 
 __version__ = "0.1.0"

@@ -33,8 +33,10 @@ class BeamParams:
     def __post_init__(self):
         if not 0 < self.wavelength < math.inf:
             raise ValueError("wavelength must be positive and finite")
-        if not 0 < self.waist_radius < math.inf:
-            raise ValueError("waist_radius must be positive and finite")
+        w = self.waist_radius
+        if not (0 < w and 0 < w * w < math.inf):
+            raise ValueError(f"waist_radius must be positive with a finite, nonzero "
+                             f"square, got {w!r}")
         if self.field_peak is None:
             object.__setattr__(
                 self, "field_peak",

@@ -55,9 +55,14 @@ class Geometry:
     eve_radius: float = 0.1
 
     def __post_init__(self):
-        for name in ("alice_bob_distance", "bob_eve_distance", "bob_radius", "eve_radius"):
+        for name in ("alice_bob_distance", "bob_eve_distance"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        for name in ("bob_radius", "eve_radius"):
+            r = getattr(self, name)
+            if not (0 < r and 0 < r * r < math.inf):
+                raise ValueError(f"{name} must be positive with a finite, nonzero square, "
+                                 f"got {r!r}")
         if not 0 <= self.eve_offset < math.inf:
             raise ValueError("eve_offset must be nonnegative and finite")
         if self.scenario is Scenario.BEFORE_BOB:
@@ -94,9 +99,11 @@ def thermal_occupation(frequency: float, temperature: float) -> float:
     cold-space temperatures the result degrades gracefully to 0 instead of
     underflowing noisily.
     """
-    if not (0 < frequency < math.inf and 0 < temperature < math.inf):
-        raise ValueError("frequency and temperature must be positive and finite")
-    x = PLANCK * frequency / (BOLTZMANN * temperature)
+    kt = BOLTZMANN * temperature
+    x = PLANCK * frequency / kt if 0 < kt < math.inf else math.nan
+    if not (0 < frequency < math.inf and x > 0):
+        raise ValueError(f"frequency and temperature must be positive and finite, with "
+                         f"h f / (k T) above 0, got {frequency!r} Hz and {temperature!r} K")
     if x > 700.0:
         return math.exp(-x)  # underflows smoothly to 0.0
     return 1.0 / math.expm1(x)

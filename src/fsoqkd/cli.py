@@ -1,8 +1,15 @@
 """Command-line front end.
 
-Subcommands: ``sweep``, ``wavefront``, ``optimal-distance``, ``optimize-d``,
-``before-bob``, ``cache``.  All outputs are deterministic: identical configs
-produce byte-identical files regardless of thread count.
+Each command builds the config's :class:`~fsoqkd.sweeps.SweepSpec`, gets
+its rows from one call in :mod:`fsoqkd.sweeps` and writes them as CSV:
+``sweep`` (:func:`run_sweep`, plus the bright-spot overlay on request),
+``optimal-distance`` (:func:`optimal_eve_distance`), ``optimize-d``
+(:func:`optimal_eve_offsets`, a D* file and an on-axis ``_d0`` file) and
+``before-bob`` (:func:`run_sweep` on a signed Bob-to-Eve axis, the segments
+of one label in one file).  ``wavefront`` computes every map's profile, then
+writes the maps; ``cache`` lists or clears the profile cache.  All outputs
+are deterministic: identical configs produce byte-identical files regardless
+of thread count.
 
 The config says what is computed; ``--out``, ``--threads`` and the
 environment say where and how.  ``FSOQKD_CACHE`` is the profile cache's only
@@ -22,8 +29,9 @@ Exporting any of ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` or
 
 Exit codes: 0 on success, 1 when computational error rows were recorded, 2 on
 usage or configuration errors, which include a NaN or infinite value in any
-numeric field (``mu`` may be "inf") and a field of the wrong JSON type.  A
-config is checked in full before anything is written.
+numeric field (``mu`` may be "inf"), a field of the wrong JSON type and a
+wavefront map too wide for the profile grid's node budget.  A config is
+checked in full before anything is written.
 """
 
 from __future__ import annotations
@@ -39,11 +47,10 @@ import numpy as np
 
 from .cache import CACHE_ENV_VAR, env_cache
 from .config import ConfigError, RunConfig
-from .diffraction import DiskSpec, SourceAnnulus
+from .diffraction import DiskSpec, QuadratureError, SourceAnnulus
 from .recipes import RecipeItem, build_recipe, recipe_names
 from .sweeps import (ProfileCache, SweepRow, SweepSpec, arago_prediction_curve,
-                     geometry_row, offset_search_disk, optimal_eve_distance,
-                     optimize_eve_offset, run_sweep)
+                     optimal_eve_distance, optimal_eve_offsets, run_sweep)
 
 CACHE_HELP = (f"Field profiles are cached on disk when the {CACHE_ENV_VAR} "
               f"environment variable names a directory, and only then.")
@@ -92,46 +99,31 @@ def _out_path(out_dir: str, name: str, label: str, suffix: str = ".csv") -> Path
 def cmd_sweep(config: RunConfig, out_dir: str, name: str, label: str,
               cache: ProfileCache, threads: int) -> int:
     spec = config.sweep_spec()
-    rows = run_sweep(spec, cache=cache, threads=threads)
-    errors = write_rows_csv(_out_path(out_dir, name, label), rows)
+    errors = write_rows_csv(_out_path(out_dir, name, label),
+                            run_sweep(spec, cache=cache, threads=threads))
     if config.emit_arago_overlay and spec.parameter == "L_BE" \
             and config.scenario == "behind_bob" and config.eve_offset == 0.0:
-        overlay = arago_prediction_curve(spec.geometry, spec.beam, spec.rates,
-                                         spec.noise, spec.grid())
-        errors += write_rows_csv(_out_path(out_dir, name, f"{label}_arago"), overlay)
+        errors += write_rows_csv(_out_path(out_dir, name, f"{label}_arago"),
+                                 arago_prediction_curve(spec))
     return errors
 
 
-def cmd_before_bob(config: RunConfig, out_dir: str, name: str, label: str,
-                   cache: ProfileCache, threads: int) -> int:
-    """Sweep Eve's plane between Alice and Bob; the parameter column is the
-    signed Bob-to-Eve distance (negative when Eve is before Bob)."""
-    if config.scenario != "before_bob":
-        raise ConfigError("before-bob command needs scenario = before_bob")
-    spec = config.sweep_spec()
-    rows = run_sweep(spec, cache=cache, threads=threads)
-    lab = config.alice_bob_distance
-    signed = [replace(r, value=-(lab - r.value)) for r in rows]
-    signed.sort(key=lambda r: r.value)
-    return write_rows_csv(_out_path(out_dir, name, label), signed)
-
-
-def cmd_combined_axis(items, out_dir: str, name: str, cache: ProfileCache,
-                      threads: int) -> int:
-    """Merge before-Bob (negative axis) and behind-Bob (positive) segments."""
+def cmd_signed_axis(items, out_dir: str, name: str, cache: ProfileCache,
+                    threads: int) -> int:
+    """Sweep Eve's plane along the axis; the parameter column is the signed
+    Bob-to-Eve distance, negative for a before-Bob config.  The items of one
+    label share a file, their rows sorted by that distance."""
     merged: dict[str, list[SweepRow]] = {}
     for item in items:
-        spec = item.config.sweep_spec()
-        rows = run_sweep(spec, cache=cache, threads=threads)
-        base, _, side = item.label.rpartition("_")
-        if side == "before":
+        rows = run_sweep(item.config.sweep_spec(), cache=cache, threads=threads)
+        if item.config.scenario == "before_bob":
             lab = item.config.alice_bob_distance
             rows = [replace(r, value=-(lab - r.value)) for r in rows]
-        merged.setdefault(base, []).extend(rows)
+        merged.setdefault(item.label, []).extend(rows)
     errors = 0
-    for base, rows in sorted(merged.items()):
+    for label, rows in sorted(merged.items()):
         rows.sort(key=lambda r: r.value)
-        errors += write_rows_csv(_out_path(out_dir, name, base), rows)
+        errors += write_rows_csv(_out_path(out_dir, name, label), rows)
     return errors
 
 
@@ -146,57 +138,31 @@ def _search_spec(config: RunConfig, search: str) -> SweepSpec:
 def cmd_optimal_distance(config: RunConfig, out_dir: str, name: str, label: str,
                          cache: ProfileCache) -> int:
     spec = _search_spec(config, "eavesdropper-distance search")
-    geom = spec.geometry
-    result = optimal_eve_distance(geom, spec.beam, spec.rates, spec.noise,
-                                  search_range=(spec.minimum, spec.maximum),
-                                  n_coarse=max(200, spec.count), cache=cache,
-                                  objective=spec.objective,
-                                  optimize_power=spec.optimize_power)
-    lbes = [result.distance] + [x for x, _ in result.secondary_minima]
-    rows = [geometry_row(spec, lbe, replace(geom, bob_eve_distance=lbe),
-                         spec.beam, spec.rates, cache.get_or_compute) for lbe in lbes]
-    return write_rows_csv(_out_path(out_dir, name, label), rows)
+    return write_rows_csv(_out_path(out_dir, name, label),
+                          optimal_eve_distance(spec, cache))
 
 
 def cmd_optimize_d(config: RunConfig, out_dir: str, name: str, label: str,
                    cache: ProfileCache) -> int:
     spec = _search_spec(config, "offset optimization")
-    rows_opt, rows_axis = [], []
-    for lbe in spec.grid():
-        try:
-            geom = replace(spec.geometry, bob_eve_distance=lbe)
-            d_star, _ = optimize_eve_offset(geom, spec.beam, spec.rates, spec.noise,
-                                            cache=cache, objective=spec.objective,
-                                            optimize_power=spec.optimize_power)
-            # both rows are scored on the profile the search scored
-            disk = offset_search_disk(geom, spec.beam)
-
-            def searched(src, distance, _hint):
-                return cache.get_or_compute(src, distance, disk)
-
-            row = geometry_row(spec, lbe, replace(geom, eve_offset=d_star),
-                               spec.beam, spec.rates, searched)
-            row0 = geometry_row(spec, lbe, replace(geom, eve_offset=0.0),
-                                spec.beam, spec.rates, searched)
-        except Exception as exc:
-            row = row0 = SweepRow.failed(lbe, exc)
-        rows_opt.append(row)
-        rows_axis.append(row0)
-    errors = write_rows_csv(_out_path(out_dir, name, label), rows_opt)
-    errors += write_rows_csv(_out_path(out_dir, name, f"{label}_d0"), rows_axis)
-    return errors
+    rows_opt, rows_axis = optimal_eve_offsets(spec, cache)
+    return (write_rows_csv(_out_path(out_dir, name, label), rows_opt)
+            + write_rows_csv(_out_path(out_dir, name, f"{label}_d0"), rows_axis))
 
 
 def cmd_wavefront(config: RunConfig, out_dir: str, name: str, label: str,
                   cache: ProfileCache) -> int:
     if config.scenario != "behind_bob" or config.eve_offset != 0.0:
         raise ConfigError("wavefront maps are on-axis, behind-Bob only")
-    beam = config.beam()
-    src = SourceAnnulus(beam, config.alice_bob_distance, config.bob_radius)
+    src = SourceAnnulus(config.beam(), config.alice_bob_distance, config.bob_radius)
     wf = config.wavefront
-    for dist in wf.distances:
-        coverage = wf.half_width * math.sqrt(2.0) * 1.0001
-        profile = cache.get_or_compute(src, dist, DiskSpec(coverage, 0.0))
+    coverage = wf.half_width * math.sqrt(2.0) * 1.0001
+    try:
+        profiles = [cache.get_or_compute(src, dist, DiskSpec(coverage, 0.0))
+                    for dist in wf.distances]
+    except (QuadratureError, ValueError) as exc:
+        raise ConfigError(f"wavefront map of half_width {wf.half_width!r} m: {exc}") from exc
+    for dist, profile in zip(wf.distances, profiles):
         spline = profile.interpolator()
         axis = (np.linspace(-wf.half_width, wf.half_width, wf.pixels)
                 if wf.pixels > 1 else np.array([0.0]))
@@ -284,8 +250,10 @@ def _run_command(args) -> int:
     disk = env_cache()
     cache = ProfileCache(compute=disk.get_or_compute if disk else None)
     errors = 0
-    if kind == "combined_axis":
-        errors += cmd_combined_axis(items, out_dir, name, cache, threads)
+    if args.command == "before-bob":
+        if kind == "before_bob" and any(i.config.scenario != "before_bob" for i in items):
+            raise ConfigError("before-bob command needs scenario = before_bob")
+        errors += cmd_signed_axis(items, out_dir, name, cache, threads)
     else:
         for item in items:
             cfg = item.config
@@ -297,8 +265,6 @@ def _run_command(args) -> int:
                 errors += cmd_optimal_distance(cfg, out_dir, name, item.label, cache)
             elif args.command == "optimize-d":
                 errors += cmd_optimize_d(cfg, out_dir, name, item.label, cache)
-            elif args.command == "before-bob":
-                errors += cmd_before_bob(cfg, out_dir, name, item.label, cache, threads)
     if errors:
         print(f"{errors} error rows recorded", file=sys.stderr)
         return 1

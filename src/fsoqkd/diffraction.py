@@ -387,9 +387,12 @@ def _profile_nodes(src: SourceAnnulus, distance: float, coverage: float) -> np.n
     """
     k = src.beam.wavenumber
     r_out = 3.0 * plane_params(src.beam, src.plane_distance).spot_size
-    n = max(64, int(math.ceil(PROFILE_NODES_PER_HALF_PERIOD
-                              * (k * (coverage ** 2 / 2.0 + r_out * coverage)
-                                 / distance) / math.pi)))
+    try:
+        n = max(64, int(math.ceil(PROFILE_NODES_PER_HALF_PERIOD
+                                  * (k * (coverage ** 2 / 2.0 + r_out * coverage)
+                                     / distance) / math.pi)))
+    except OverflowError:  # the phase count is past the largest double
+        n = math.inf
     if n > PROFILE_MAX_NODES:
         raise QuadratureError(
             f"profile grid needs {n} nodes, budget is {PROFILE_MAX_NODES}",

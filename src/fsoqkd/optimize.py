@@ -12,9 +12,8 @@ def golden_section_max(f, lo: float, hi: float, tol: float,
     """Maximize ``f`` on [lo, hi] by golden-section search.
 
     ``tol`` is the absolute interval width at which the search stops.  The
-    function is assumed unimodal on the bracket; callers locate the bracket
-    with a coarse grid first because the objectives here carry interference
-    ripples and a pure local search is not trustworthy on its own.
+    function is assumed unimodal on the bracket, which
+    :func:`refine_grid_point` takes from a coarse grid.
     """
     a, b = float(lo), float(hi)
     c = b - _INV_PHI * (b - a)
@@ -36,21 +35,19 @@ def golden_section_max(f, lo: float, hi: float, tol: float,
     return d, fd
 
 
-def grid_then_golden_max(f, grid, tol: float, values=None):
-    """Coarse grid argmax refined by golden section between its neighbors.
+def refine_grid_point(f, grid, i: int, value: float, tol: float):
+    """Refine the grid point ``grid[i]``, where ``f`` is ``value``, by golden
+    section between its neighbors.
 
-    ``values`` are ``f`` on ``grid``, when the caller already has them (for
-    instance from one vectorized evaluation).  Ties go to the first grid
-    point, and the grid point wins if the refinement does not beat it.
+    The grid point wins if it beats the golden point.  The callers pick
+    ``i`` from a coarse scan of ``grid``: the objectives here carry
+    interference ripples, so a pure local search is not trustworthy alone.
     """
-    if values is None:
-        values = [f(x) for x in grid]
-    i = max(range(len(grid)), key=values.__getitem__)
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
     if hi <= lo:
-        return grid[i], values[i]
+        return grid[i], value
     x, fx = golden_section_max(f, lo, hi, tol)
-    if values[i] > fx:
-        return grid[i], values[i]
+    if value > fx:
+        return grid[i], value
     return x, fx

@@ -28,13 +28,14 @@ published formula, is fixed here.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import ChannelParams
-from .optimize import grid_then_golden_max
+from .optimize import refine_grid_point
 
 LN2 = math.log(2.0)
 LOG2_E = math.log2(math.e)
@@ -312,8 +313,10 @@ def _bb84(ch: ChannelParams, inputs: RateInputs, signal: float, leak: float) -> 
     if not gain > 0.0:
         return 0.0  # nothing detected
     # halved after the division, so a subnormal y0 is not lost to underflow;
-    # for normal operands this rounds exactly as (y0/2 + e_d signal) / gain
-    err = (y0 + 2.0 * inputs.misalignment * signal) / gain * 0.5
+    # for normal operands this rounds exactly as (y0/2 + e_d signal) / gain.
+    # A subnormal gain scales its operands up by 2^600, which is exact.
+    s = 2.0 ** 600 if gain < sys.float_info.min else 1.0
+    err = (y0 * s + 2.0 * inputs.misalignment * (signal * s)) / (gain * s) * 0.5
     value = gain * (1.0 - inputs.f_L * binary_entropy(err)) - leak
     return inputs.pulse_rate * max(value, 0.0)
 
@@ -403,9 +406,10 @@ def optimize_mu(ch: ChannelParams, inputs: RateInputs,
         values = columns[i]
         if max(values) <= 0.0:
             return MuOptimum(mu=MU_GRID_LO, value=0.0, degenerate=True)
-        t_best, v_best = grid_then_golden_max(
+        best = max(range(len(values)), key=values.__getitem__)
+        t_best, v_best = refine_grid_point(
             lambda t: bodies[i](ch, inputs, math.exp(t), None, None, g_noise),
-            _LOG_MU_GRID, tol=math.log1p(rel_tol), values=values)
+            _LOG_MU_GRID, best, values[best], tol=math.log1p(rel_tol))
         return MuOptimum(mu=math.exp(t_best), value=v_best)
 
     optima = [optimum(i) for i in range(len(names))]

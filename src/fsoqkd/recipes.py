@@ -26,7 +26,7 @@ class RecipeItem:
 @dataclass(frozen=True)
 class Recipe:
     name: str
-    kind: str  # sweep | wavefront | optimize_d | before_bob
+    kind: str  # sweep | wavefront | optimize_d | before_bob | combined_axis
     items: tuple
 
 
@@ -173,8 +173,8 @@ def _fig19() -> Recipe:
                            sweep_parameter="L_BE", sweep_min=0.5 * KM,
                            sweep_max=4 * lab * KM, sweep_count=60,
                            sweep_spacing="log")
-        items.append(RecipeItem(f"lab{lab}km_before", before))
-        items.append(RecipeItem(f"lab{lab}km_behind", behind))
+        items.append(RecipeItem(f"lab{lab}km", before))
+        items.append(RecipeItem(f"lab{lab}km", behind))
     return Recipe("fig19", "combined_axis", tuple(items))
 
 

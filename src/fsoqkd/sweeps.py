@@ -1,13 +1,20 @@
-"""Parameter sweeps and geometry optimizations.
+"""Parameter sweeps and geometry searches.
 
-Sweeps evaluate the channel and rate pipeline over a grid of one varied
-parameter, capturing per-row errors without aborting.  A sweep runs by
-stage: the channels of each row group (consecutive rows whose geometries
-differ in the Bob-Eve distance only) come from one batched call, then the
-rates of its rows from a plain loop.  Geometry searches (eavesdropper
-distance, off-axis offset) always scan a coarse dense grid before local
-refinement: the objectives carry interference ripples with multiple local
-optima, so a pure local search is forbidden.
+Every producer of CSV rows takes a :class:`SweepSpec` and returns
+:class:`SweepRow` objects: :func:`run_sweep`, the distance search
+:func:`optimal_eve_distance`, the offset search :func:`optimal_eve_offsets`
+(:func:`optimize_eve_offset` at each grid distance) and the bright-spot
+curve :func:`arago_prediction_curve`.
+
+A sweep evaluates the channel and rate pipeline over a grid of one varied
+parameter, capturing per-row errors without aborting.  It runs by stage: the
+channels of each row group (consecutive rows whose geometries differ in the
+Bob-Eve distance only) come from one batched call, then the rates of its
+rows from a plain loop.  The geometry searches scan a coarse grid before
+local refinement, because the objectives carry interference ripples with
+multiple local optima: the distance search scans a log grid of max(200,
+count) points over the spec's L_BE range, and the offset search brackets
+golden sections between five fixed offsets.
 """
 
 from __future__ import annotations
@@ -20,12 +27,13 @@ from itertools import groupby
 
 import numpy as np
 
-from .beams import BeamParams, encircled_power, plane_params, total_power
+from .beams import (BeamParams, encircled_power, field_amplitude, plane_params,
+                    total_power)
 from .channel import ChannelParams, Geometry, Scenario, _layout, channel_params
 from .diffraction import (DiskSpec, FieldProfile, SourceAnnulus,
                           arago_relative_amplitude, profile_key,
                           propagate_profile)
-from .optimize import golden_section_max
+from .optimize import golden_section_max, refine_grid_point
 from .rates import (OBJECTIVES, RateInputs, RateReport, evaluate_objective,
                     optimize_mu, rate_report)
 
@@ -218,137 +226,144 @@ def run_sweep(spec: SweepSpec, cache: ProfileCache | None = None,
 # Eavesdropper geometry optimization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EveDistanceResult:
-    distance: float
-    rate: float
-    at_boundary: bool
-    secondary_minima: tuple = ()
+def _geometry_score(ch: ChannelParams, spec: SweepSpec) -> float:
+    """What a geometry search minimizes: the spec's objective at its fixed
+    mu, or under ``optimize_power`` its value at the mu that maximizes it."""
+    if spec.optimize_power:
+        return optimize_mu(ch, spec.rates, spec.objective).value
+    return evaluate_objective(ch, spec.rates, spec.objective)
 
 
-def _geometry_score(ch: ChannelParams, rates: RateInputs, objective: str,
-                    optimize_power: bool) -> float:
-    """What a geometry search minimizes: the objective at the fixed mu, or
-    under ``optimize_power`` its value at the mu that maximizes it."""
-    if optimize_power:
-        return optimize_mu(ch, rates, objective).value
-    return evaluate_objective(ch, rates, objective)
+def _search_geometry(spec: SweepSpec, search: str) -> Geometry:
+    if spec.geometry.scenario is not Scenario.BEHIND_BOB or spec.parameter != "L_BE":
+        raise ValueError(f"{search} scans Bob-Eve distances behind Bob")
+    return spec.geometry
 
 
-def optimal_eve_distance(geom: Geometry, beam: BeamParams, rates: RateInputs,
-                         noise: float, search_range=(1e3, 5e5),
-                         n_coarse: int = 200, cache: ProfileCache | None = None,
-                         objective: str = "lb_max",
-                         optimize_power: bool = False) -> EveDistanceResult:
-    """Distance behind Bob minimizing the achievable rate.
+def optimal_eve_distance(spec: SweepSpec,
+                         cache: ProfileCache | None = None) -> list[SweepRow]:
+    """Rows at the distances behind Bob that minimize the rate: the global
+    minimum first, then each interior dip within 1.05x of it, in grid order.
 
-    Coarse log grid (>= 200 points), its channels from one batched
-    :func:`channel_params` call, plus golden refinement around the global
-    minimum; interference dips below 1.05x the global minimum are reported as
-    secondary minima.
+    The coarse grid is a log grid of max(200, ``spec.count``) points over
+    [``spec.minimum``, ``spec.maximum``], its channels from one batched
+    :func:`channel_params` call; :func:`refine_grid_point` refines the
+    global minimum and each dip between its grid neighbors.
     """
-    if geom.scenario is not Scenario.BEHIND_BOB:
-        raise ValueError("eavesdropper-distance search applies behind Bob")
+    geom, beam = _search_geometry(spec, "eavesdropper-distance search"), spec.beam
     cache = cache or ProfileCache()
 
-    def rate_at(lbe: float) -> float:
-        ch = channel_params(replace(geom, bob_eve_distance=lbe), beam, noise,
+    def neg_rate_at(lbe: float) -> float:
+        ch = channel_params(replace(geom, bob_eve_distance=lbe), beam, spec.noise,
                             profile_provider=cache.get_or_compute)
-        return _geometry_score(ch, rates, objective, optimize_power)
+        return -_geometry_score(ch, spec)
 
-    n_coarse = max(n_coarse, 200)
-    grid = np.geomspace(search_range[0], search_range[1], n_coarse)
+    grid = np.geomspace(spec.minimum, spec.maximum, max(200, spec.count))
     coarse = channel_params([replace(geom, bob_eve_distance=l) for l in grid],
-                            beam, noise, profile_provider=cache.get_or_compute)
-    vals = np.array([_geometry_score(ch, rates, objective, optimize_power)
-                     for ch in coarse])
+                            beam, spec.noise, profile_provider=cache.get_or_compute)
+    vals = np.array([_geometry_score(ch, spec) for ch in coarse])
 
-    def refine(i):
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, len(grid) - 1)]
-        x, fneg = golden_section_max(lambda l: -rate_at(l), lo, hi,
-                                     tol=max(1.0, 1e-3 * grid[i]))
-        return x, -fneg
+    def refine(i: int) -> tuple[float, float]:
+        x, fneg = refine_grid_point(neg_rate_at, grid, i, -vals[i],
+                                    tol=max(1.0, 1e-3 * grid[i]))
+        return float(x), -fneg
 
     i_min = int(np.argmin(vals))
-    best_x, best_v = refine(i_min)
-    if vals[i_min] < best_v:
-        best_x, best_v = grid[i_min], vals[i_min]
-
-    secondary = []
+    best, best_v = refine(i_min)
+    found = [best]
     for i in range(1, len(grid) - 1):
         if vals[i] < vals[i - 1] and vals[i] < vals[i + 1] and i != i_min:
             x, v = refine(i)
             if v <= 1.05 * best_v:
-                secondary.append((float(x), float(v)))
-    at_boundary = i_min in (0, len(grid) - 1)
-    return EveDistanceResult(distance=float(best_x), rate=float(best_v),
-                             at_boundary=at_boundary,
-                             secondary_minima=tuple(secondary))
+                found.append(x)
+    return [geometry_row(spec, lbe, replace(geom, bob_eve_distance=lbe), beam,
+                         spec.rates, cache.get_or_compute) for lbe in found]
 
 
-def offset_search_disk(geom: Geometry, beam: BeamParams) -> DiskSpec:
+def _offset_search_disk(geom: Geometry, beam: BeamParams) -> DiskSpec:
     """Eve's disk at the largest offset a search tries, r_b + 3 W(L_AB)."""
     w_src = plane_params(beam, geom.alice_bob_distance).spot_size
     return DiskSpec(geom.eve_radius, geom.bob_radius + 3.0 * w_src)
 
 
-def optimize_eve_offset(geom: Geometry, beam: BeamParams, rates: RateInputs,
-                        noise: float, cache: ProfileCache | None = None,
-                        objective: str = "lb_max", optimize_power: bool = False,
-                        offset_tol: float = 1e-3):
-    """Offset D minimizing the rate at the geometry's distance behind Bob.
+def optimize_eve_offset(spec: SweepSpec, distance: float,
+                        cache: ProfileCache | None = None,
+                        offset_tol: float = 1e-3) -> tuple[SweepRow, SweepRow]:
+    """Rows at Eve's rate-minimizing offset D* and on the axis, at one
+    Bob-Eve ``distance`` behind Bob; the first row's ``d_opt`` is D*.
 
     One profile covers the whole offset range, so the search only re-weights
-    the stored intensity.  Golden section on each interval between the
-    axis, the shadow edge, two interior points and the largest offset;
-    ties break toward the smaller offset.
+    the stored intensity, and both rows are scored on it.  Golden section on
+    each interval between the axis, the shadow edge, two interior points and
+    the largest offset; ties break toward the smaller offset.
     """
-    if geom.scenario is not Scenario.BEHIND_BOB:
-        raise ValueError("offset optimization applies behind Bob")
+    geom = replace(_search_geometry(spec, "offset optimization"),
+                   bob_eve_distance=distance)
+    beam = spec.beam
     cache = cache or ProfileCache()
-    hint = offset_search_disk(geom, beam)
+    hint = _offset_search_disk(geom, beam)
     d_max = hint.center_offset
     src = SourceAnnulus(beam, geom.alice_bob_distance, geom.bob_radius)
-    profile = cache.get_or_compute(src, geom.bob_eve_distance, hint)
+    profile = cache.get_or_compute(src, distance, hint)
 
-    def rate_at(d: float) -> float:
-        ch = channel_params(replace(geom, eve_offset=d), beam, noise,
-                            profile_provider=lambda *_: profile)
-        return _geometry_score(ch, rates, objective, optimize_power)
+    def searched(*_):
+        return profile
+
+    def channel_at(d: float) -> ChannelParams:
+        return channel_params(replace(geom, eve_offset=d), beam, spec.noise,
+                              profile_provider=searched)
 
     starts = sorted({0.0, min(geom.bob_radius, d_max), d_max / 3.0,
                      2.0 * d_max / 3.0, d_max})
-    on_axis = rate_at(0.0)
+    axis = channel_at(0.0)
+    on_axis = _geometry_score(axis, spec)
     best_d, best_v = 0.0, on_axis
     for lo, hi in zip(starts[:-1], starts[1:]):
-        x, fneg = golden_section_max(lambda d: -rate_at(d), lo, hi,
-                                     tol=offset_tol)
+        x, fneg = golden_section_max(lambda d: -_geometry_score(channel_at(d), spec),
+                                     lo, hi, tol=offset_tol)
         v = -fneg
         if v < best_v - 1e-12 or (abs(v - best_v) <= 1e-12 and x < best_d):
             best_d, best_v = x, v
     if on_axis <= best_v + 1e-12:
-        best_d, best_v = 0.0, on_axis
-    return best_d, best_v
+        best_d = 0.0
+    return tuple(geometry_row(spec, distance, replace(geom, eve_offset=d), beam,
+                              spec.rates, searched, axis if d == 0.0 else None)
+                 for d in (best_d, 0.0))
 
 
-def arago_prediction_curve(geom: Geometry, beam: BeamParams, rates: RateInputs,
-                           noise: float, lbe_grid) -> list[SweepRow]:
-    """Rates with Eve's power predicted from the bright-spot factor.
+def optimal_eve_offsets(spec: SweepSpec, cache: ProfileCache | None = None
+                        ) -> tuple[list[SweepRow], list[SweepRow]]:
+    """Per grid distance behind Bob, the rows of :func:`optimize_eve_offset`:
+    those at Eve's best offset, then those on the axis.  A distance whose
+    search raises gives an error row in both lists."""
+    _search_geometry(spec, "offset optimization")
+    cache = cache or ProfileCache()
+    pairs = []
+    for lbe in spec.grid():
+        try:
+            pairs.append(optimize_eve_offset(spec, lbe, cache))
+        except Exception as exc:  # row errors are recorded, not raised
+            pairs.append((SweepRow.failed(lbe, exc),) * 2)
+    rows_opt, rows_axis = zip(*pairs)
+    return list(rows_opt), list(rows_axis)
+
+
+def arago_prediction_curve(spec: SweepSpec) -> list[SweepRow]:
+    """Rates over the spec's L_BE grid with Eve's power predicted from the
+    bright-spot factor, at the spec's fixed mu.
 
     The undisturbed beam at ``L_AB + L_BE`` is scaled by the point-source
     relative amplitude of the obstruction of radius r_b; this tracks the full
     diffraction result when the transmitted beam is nearly collimated.
     """
-    if geom.scenario is not Scenario.BEHIND_BOB or geom.eve_offset != 0.0:
-        raise ValueError("bright-spot prediction applies on axis behind Bob")
-    from .beams import field_amplitude
-
+    geom, beam = _search_geometry(spec, "bright-spot prediction"), spec.beam
+    if geom.eve_offset != 0.0:
+        raise ValueError("bright-spot prediction applies on axis")
     p_tot = total_power(beam)
     p_bob = encircled_power(beam, geom.alice_bob_distance, geom.bob_radius)
     eta = p_bob / p_tot
     rows = []
-    for lbe in np.asarray(lbe_grid, dtype=float):
+    for lbe in spec.grid():
         ls = np.linspace(0.0, geom.eve_radius, 2001)
         undisturbed = np.abs(field_amplitude(beam, ls, geom.alice_bob_distance + lbe))
         factor = arago_relative_amplitude(geom.bob_radius, lbe, ls, beam.wavelength)
@@ -356,8 +371,8 @@ def arago_prediction_curve(geom: Geometry, beam: BeamParams, rates: RateInputs,
         p_eve = float(np.trapezoid(intensity * 2.0 * np.pi * ls, ls))
         p_eve = min(p_eve, (1.0 - eta) * p_tot)  # prediction can overshoot
         ch = ChannelParams(eta=eta, kappa=p_eve / ((1.0 - eta) * p_tot),
-                           n_e=noise, p_bob=p_bob / p_tot, p_eve=p_eve / p_tot)
-        report = rate_report(ch, rates)
+                           n_e=spec.noise, p_bob=p_bob / p_tot, p_eve=p_eve / p_tot)
+        report = rate_report(ch, spec.rates)
         rows.append(SweepRow(value=float(lbe), channel=ch, report=report,
                              d_opt=0.0))
     return rows

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fsoqkd.beams import BeamParams, plane_params
-from fsoqkd.optimize import grid_then_golden_max
+from fsoqkd.optimize import refine_grid_point
 
 
 class DegenerateGeometryError(ValueError):
@@ -86,5 +86,8 @@ def analytic_f1_f2(pred: AnalyticPredictor, branch: int = 0):
     f2_argmax = 1.0 / denom
 
     grid = np.geomspace(0.05 * l_ab, 20.0 * l_ab, 2000)
-    x, _ = grid_then_golden_max(pred.magnitude, grid, tol=max(1.0, 1e-6 * l_ab))
+    values = [pred.magnitude(x) for x in grid]
+    best = max(range(len(grid)), key=values.__getitem__)
+    x, _ = refine_grid_point(pred.magnitude, grid, best, values[best],
+                             tol=max(1.0, 1e-6 * l_ab))
     return f1_argmax, f2_argmax, float(x)

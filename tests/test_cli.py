@@ -434,6 +434,22 @@ def test_geometry_search_over_another_parameter_exits_2(tmp_path, capsys, comman
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("args, config", [
+    (["sweep", "--recipe", "fig14"], None),  # an optimize_d recipe
+    (["before-bob"], CONFIG),  # a behind-Bob config
+    (["wavefront"], {**CONFIG, "eve_offset": 0.05}),
+], ids=["sweep-optimize_d-recipe", "before-bob-behind-config", "wavefront-off-axis"])
+def test_command_that_does_not_fit_the_config_exits_2(tmp_path, capsys, args, config):
+    if config is not None:
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(config))
+        args = [*args, "--config", str(path)]
+    code = cli.main([*args, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_optimal_distance_reports_the_offset_it_used(tmp_path, monkeypatch):
     config = {**DISTANCE_SEARCH, "eve_offset": 0.05}
     out = _run_cli(tmp_path, monkeypatch, "optimal-distance", config, tmp_path / "out")
@@ -518,12 +534,18 @@ def test_optimize_d_scores_its_rows_on_the_search_profile(tmp_path, monkeypatch)
     out = _run_cli(tmp_path, monkeypatch, "optimize-d", config, tmp_path / "out")
     spec = RunConfig.from_json(json.dumps(config)).sweep_spec()
     assert distances == spec.grid().tolist()  # one propagation per distance
+    score = sweeps._geometry_score
     for row in _rows(out / "grid__run.csv"):
-        geom = replace(spec.geometry, bob_eve_distance=float(row["parameter"]))
-        d_star, value = sweeps.optimize_eve_offset(
-            geom, spec.beam, spec.rates, spec.noise, objective=spec.objective,
-            optimize_power=True)
-        assert float(row["D_opt"]) == d_star > 0.0
+        scored = {}
+
+        def spy(ch, *args):
+            scored[ch] = score(ch, *args)
+            return scored[ch]
+
+        monkeypatch.setattr(sweeps, "_geometry_score", spy)
+        best, _ = sweeps.optimize_eve_offset(spec, float(row["parameter"]))
+        assert float(row["D_opt"]) == best.d_opt > 0.0
         ch = ChannelParams(float(row["eta"]), float(row["kappa"]), spec.noise,
                            float(row["P_Bob"]), float(row["P_Eve"]))
-        assert sweeps._geometry_score(ch, spec.rates, spec.objective, True) == value
+        # the written channel is the best one the search scored
+        assert scored[ch] == min(scored.values())

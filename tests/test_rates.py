@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fsoqkd import rates
 from fsoqkd.channel import ChannelParams
-from fsoqkd.optimize import grid_then_golden_max
+from fsoqkd.optimize import refine_grid_point
 from fsoqkd.rates import (MU_GRID_HI, MU_GRID_LO, OBJECTIVES, MuOptimum, RateInputs,
                           binary_entropy, evaluate_objective, eve_spectra, g_entropy,
                           lb_direct, lb_reverse, optimize_mu, rate_report,
@@ -336,6 +336,8 @@ def test_bb84_misalignment_costs_rate():
        n_e=st.floats(0.0, 0.1), mu=st.floats(1e-4, 1e8),
        misalignment=st.floats(0.0, 0.5))
 @example(eta=0.0, kappa=0.0, n_e=5e-324, mu=1.0, misalignment=0.0)  # subnormal y0
+@example(eta=2.225073858507e-311, kappa=0.0, n_e=0.0, mu=1.0,
+         misalignment=0.125)  # subnormal gain
 def test_bb84_matches_mpmath_at_finite_mu(eta, kappa, n_e, mu, misalignment):
     # the decoy-state formula in 40 digits; the float rate rounds each of
     # gain, f_L h(err) gain and leak, so its error scales with their sum
@@ -392,7 +394,8 @@ def golden_loop_reference(ch, inp, objective, rel_tol=1e-4):
     values = [score(t) for t in grid]
     if max(values) <= 0.0:
         return MuOptimum(mu=MU_GRID_LO, value=0.0, degenerate=True)
-    t, v = grid_then_golden_max(score, grid, tol=math.log1p(rel_tol), values=values)
+    best = max(range(len(values)), key=values.__getitem__)
+    t, v = refine_grid_point(score, grid, best, values[best], tol=math.log1p(rel_tol))
     return MuOptimum(mu=math.exp(t), value=v)
 
 

@@ -226,15 +226,46 @@ def test_distance_search_coarse_grid_equals_per_point_channels(
         return seen[-1][1]
 
     monkeypatch.setattr(sweeps, "_geometry_score", spy)
-    sweeps.optimal_eve_distance(geom, beam, rates, 1e-7, search_range=(50e3, 400e3),
-                                n_coarse=200, cache=cache,
-                                optimize_power=optimize_power)
+    spec = make_spec(geometry=geom, beam=beam, rates=rates, noise=1e-7, minimum=50e3,
+                     maximum=400e3, count=200, optimize_power=optimize_power)
+    sweeps.optimal_eve_distance(spec, cache)
     want = [channel_params(replace(geom, bob_eve_distance=lbe), beam, 1e-7,
                            profile_provider=cache.get_or_compute)
             for lbe in np.geomspace(50e3, 400e3, 200)]
     assert [ch for ch, _ in seen[:200]] == want
     assert [v for _, v in seen[:200]] == [
-        score(ch, rates, "lb_max", optimize_power) for ch in want]
+        score(ch, spec) for ch in want]
+
+
+def test_distance_search_rows_are_the_minimum_then_its_near_dips(monkeypatch):
+    # a score of log L_BE with the global minimum (1.0), one smooth dip at
+    # 1.03, one dip at 1.2 (above 1.05x the minimum) and one dip at 1.04 that
+    # exists at its grid point alone, so the golden point cannot beat it
+    spec = make_spec(minimum=1e3, maximum=1e5, count=200)
+    grid = np.geomspace(1e3, 1e5, 200)
+    needle = float(grid[40])
+    centers = {100.3: 1.0, 150.6: 1.03, 170.4: 1.2}  # at fractional grid indices
+    step = math.log(grid[1] / grid[0])
+
+    def score(lbe, *args, **kwargs):
+        if lbe == needle:
+            return 1.04
+        t = math.log(lbe / grid[0]) / step
+        return min([2.0] + [v + 0.01 * (t - c) ** 2 for c, v in centers.items()])
+
+    def distances(g, *args, **kwargs):
+        return [x.bob_eve_distance for x in g] if isinstance(g, list) else g.bob_eve_distance
+
+    monkeypatch.setattr(sweeps, "channel_params", distances)
+    monkeypatch.setattr(sweeps, "_geometry_score", score)
+    monkeypatch.setattr(sweeps, "rate_report", score)
+    rows = sweeps.optimal_eve_distance(spec, ProfileCache(compute=lambda *args: None))
+    assert [r.value for r in rows] == [
+        pytest.approx(grid[0] * math.exp(100.3 * step), rel=1e-3), needle,
+        pytest.approx(grid[0] * math.exp(150.6 * step), rel=1e-3)]
+    assert [r.report for r in rows] == [pytest.approx(1.0, abs=1e-4), 1.04,
+                                        pytest.approx(1.03, abs=1e-4)]
+    assert all(r.channel == r.value and r.d_opt == 0.0 for r in rows)
 
 
 # ------------------------------------------------------ offset optimization
@@ -251,9 +282,11 @@ def test_offset_returns_zero_past_reconvergence(monkeypatch):
         return real(g, *args, **kwargs)
 
     monkeypatch.setattr(sweeps, "channel_params", spy)
-    d_star, rate = optimize_eve_offset(geom, beam, rates, 0.0)
-    assert d_star == 0.0
-    assert rate > 0.0
+    spec = make_spec(geometry=geom, beam=beam, rates=rates)
+    row, on_axis = optimize_eve_offset(spec, geom.bob_eve_distance)
+    assert row.d_opt == 0.0
+    assert row.report.lb > 0.0
+    assert row == on_axis
     assert offsets.count(0.0) == 1  # the on-axis rate is computed once
 
 
@@ -262,12 +295,19 @@ def test_offset_search_reaches_the_largest_offset(monkeypatch):
     # largest offset the search tries: the last golden bracket must hold it
     beam = BeamParams(LAM, 0.1)
     geom = Geometry(Scenario.BEHIND_BOB, 40e3, 5e3)
-    d_max = sweeps.offset_search_disk(geom, beam).center_offset
+    d_max = sweeps._offset_search_disk(geom, beam).center_offset
     target = 0.9 * d_max
+
+    def score(d, *args, **kwargs):
+        return 1.0 + (d - target) ** 2
+
     monkeypatch.setattr(sweeps, "channel_params", lambda g, *a, **k: g.eve_offset)
-    monkeypatch.setattr(sweeps, "_geometry_score", lambda d, *a: 1.0 + (d - target) ** 2)
+    monkeypatch.setattr(sweeps, "_geometry_score", score)
+    monkeypatch.setattr(sweeps, "rate_report", score)
     cache = ProfileCache(compute=lambda *args: None)
-    d_star, rate = optimize_eve_offset(geom, beam, RateInputs(), 0.0, cache=cache)
+    spec = make_spec(geometry=geom, beam=beam, rates=RateInputs())
+    row, _ = optimize_eve_offset(spec, geom.bob_eve_distance, cache)
+    d_star, rate = row.d_opt, row.report
     assert 2.0 * d_max / 3.0 < d_star < d_max
     assert d_star == pytest.approx(target, abs=1e-3)
     assert rate == pytest.approx(1.0, abs=1e-6)
@@ -279,7 +319,10 @@ def test_arago_curve_tiny_obstacle_reduces_to_plain_beam():
     beam = BeamParams(LAM, 0.1)
     geom = Geometry(Scenario.BEHIND_BOB, 15e3, 10e3, bob_radius=1e-4)
     rates = RateInputs(mu=math.inf, beta=1.0)
-    rows = arago_prediction_curve(geom, beam, rates, 0.0, [10e3])
+    spec = make_spec(geometry=geom, beam=beam, rates=rates, minimum=10e3,
+                     maximum=20e3, count=2)
+    rows = arago_prediction_curve(spec)
+    assert rows[0].value == 10e3
     from fsoqkd.beams import encircled_power
 
     want = encircled_power(beam, 25e3, 0.1)
@@ -291,4 +334,5 @@ def test_arago_curve_requires_on_axis():
     geom = Geometry(Scenario.BEHIND_BOB, 15e3, 10e3, eve_offset=0.05)
     rates = RateInputs(mu=math.inf, beta=1.0)
     with pytest.raises(ValueError):
-        arago_prediction_curve(geom, beam, rates, 0.0, [10e3])
+        arago_prediction_curve(make_spec(geometry=geom, beam=beam, rates=rates,
+                                         minimum=10e3, maximum=20e3, count=2))

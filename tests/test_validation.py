@@ -86,8 +86,8 @@ def _config_cases():
     for value in MISTYPED["int"]:
         yield pytest.param("wavefront", {"wavefront": {"pixels": value}},
                            id=f"wavefront.pixels={value!r}")
-    # settings that once ended in a traceback, in error rows, or in inf or
-    # nan rates
+    # settings that once ended in a traceback, in error rows, in inf or nan
+    # rates, or in a RuntimeWarning
     for override in ({"waist_radius": math.inf},
                      {"temperature": math.inf},
                      {"temperature": math.inf, "noise_override": None},
@@ -98,9 +98,16 @@ def _config_cases():
                      {"sweep_max": math.inf},
                      {"noise_override": math.inf},
                      {"pulse_rate": math.inf},
-                     {"optimize_mu": math.nan}):
+                     {"optimize_mu": math.nan},
+                     {"waist_radius": 1e-200},
+                     {"waist_radius": 1e200},
+                     {"wavelength": 1e300},
+                     {"temperature": 1e-320, "noise_override": None},
+                     {"bob_radius": 1e-300}):
         yield pytest.param("sweep", override, id="regression:" + ",".join(
             f"{k}={v}" for k, v in override.items()))
+    yield pytest.param("wavefront", {"wavefront": {"half_width": 1e300}},
+                       id="regression:wavefront.half_width=1e300")
 
 
 @pytest.mark.parametrize("command, override", _config_cases())
