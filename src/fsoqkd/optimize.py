@@ -40,8 +40,9 @@ def refine_grid_point(f, grid, i: int, value: float, tol: float):
     section between its neighbors.
 
     The grid point wins if it beats the golden point.  The callers pick
-    ``i`` from a coarse scan of ``grid``: the objectives here carry
-    interference ripples, so a pure local search is not trustworthy alone.
+    ``i`` from a coarse scan of ``grid``: Eve's collected share kappa
+    carries interference ripples over her position, so a pure local search
+    is not trustworthy alone.
     """
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]

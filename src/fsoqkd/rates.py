@@ -307,25 +307,32 @@ def skr_cv_ccq(ch: ChannelParams, inputs: RateInputs) -> float:
     return inputs.pulse_rate * max(0.0, value)
 
 
-def _bb84(ch: ChannelParams, inputs: RateInputs, signal: float, leak: float) -> float:
-    y0 = ch.n_e
+def _bb84(ch: ChannelParams, inputs: RateInputs, signal: float, leak: float,
+          scale: float = 1.0) -> float:
+    # signal and leak come times ``scale``, a power of 2 that lifts subnormal
+    # operands to full precision; the rate is rounded once, at the end
+    y0 = ch.n_e * scale
     gain = y0 + signal
     if not gain > 0.0:
         return 0.0  # nothing detected
     # halved after the division, so a subnormal y0 is not lost to underflow;
-    # for normal operands this rounds exactly as (y0/2 + e_d signal) / gain.
-    # A subnormal gain scales its operands up by 2^600, which is exact.
-    s = 2.0 ** 600 if gain < sys.float_info.min else 1.0
-    err = (y0 * s + 2.0 * inputs.misalignment * (signal * s)) / (gain * s) * 0.5
+    # for normal operands this rounds exactly as (y0/2 + e_d signal) / gain
+    err = (y0 + 2.0 * inputs.misalignment * signal) / gain * 0.5
     value = gain * (1.0 - inputs.f_L * binary_entropy(err)) - leak
-    return inputs.pulse_rate * max(value, 0.0)
+    return inputs.pulse_rate * max(value, 0.0) / scale
 
 
 def _skr_bb84(ch: ChannelParams, inputs: RateInputs, mu: float,
               terms=None, g_mu=None, g_noise=None) -> float:
-    signal = -math.expm1(-ch.eta * mu)
-    leak = -math.expm1(-_loss_to_eve(ch) * mu)
-    return _bb84(ch, inputs, signal, leak)
+    lte_mu = _loss_to_eve(ch) * mu
+    if ch.eta * mu >= sys.float_info.min:
+        return _bb84(ch, inputs, -math.expm1(-ch.eta * mu), -math.expm1(-lte_mu))
+    # a subnormal eta mu, where 1 - e^-x is x to full precision: every
+    # operand is scaled up by 2^600, which is exact
+    s = 2.0 ** 600
+    leak = (-math.expm1(-lte_mu) * s if lte_mu >= sys.float_info.min
+            else ch.kappa * s * (1.0 - ch.eta) * mu)
+    return _bb84(ch, inputs, ch.eta * s * mu, leak, s)
 
 
 def skr_ds_bb84(ch: ChannelParams, inputs: RateInputs) -> float:

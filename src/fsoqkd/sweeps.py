@@ -10,11 +10,18 @@ A sweep evaluates the channel and rate pipeline over a grid of one varied
 parameter, capturing per-row errors without aborting.  It runs by stage: the
 channels of each row group (consecutive rows whose geometries differ in the
 Bob-Eve distance only) come from one batched call, then the rates of its
-rows from a plain loop.  The geometry searches scan a coarse grid before
-local refinement, because the objectives carry interference ripples with
-multiple local optima: the distance search scans a log grid of max(200,
-count) points over the spec's L_BE range, and the offset search brackets
-golden sections between five fixed offsets.
+rows from a plain loop.
+
+The geometry searches place Eve where she collects the largest share kappa
+of the light Bob loses.  Behind Bob, eta and n_e are fixed over a search and
+no objective rises with kappa, so the position with the largest kappa
+gives the lowest rates: a search needs the optics alone, and rates are computed only for
+the rows it writes and, in the distance search, for the candidate peaks
+that the dip rule compares.  Kappa carries interference ripples with
+multiple local maxima, so the searches scan a coarse grid before local
+refinement: the distance search scans a log grid of max(200, count) points
+over the spec's L_BE range, and the offset search brackets golden sections
+between five fixed offsets.
 """
 
 from __future__ import annotations
@@ -34,8 +41,7 @@ from .diffraction import (DiskSpec, FieldProfile, SourceAnnulus,
                           arago_relative_amplitude, profile_key,
                           propagate_profile)
 from .optimize import golden_section_max, refine_grid_point
-from .rates import (OBJECTIVES, RateInputs, RateReport, evaluate_objective,
-                    optimize_mu, rate_report)
+from .rates import OBJECTIVES, RateInputs, RateReport, rate_report
 
 SWEEP_PARAMETERS = ("L_BE", "L_AE", "mu", "D", "L_AB", "W0", "r_e")
 SWEEP_SPACINGS = ("log", "linear")
@@ -72,9 +78,12 @@ class SweepSpec:
     ``rates`` holds the protocol settings and ``noise`` the background
     occupation n_e; every row computes its own channel from them.  With
     ``optimize_power`` each row reports the rates at the optimal mu for
-    ``objective``.  Every setting on a spec's grid is valid: each
-    parameter's valid values form an interval and every grid is monotone,
-    so checking the two ends checks the grid.
+    ``objective``.  ``objective`` and ``optimize_power`` shape the rows'
+    rates, not where a geometry search places Eve; the distance search's
+    dip rule compares ``objective`` across its candidate rows.  Every
+    setting on a spec's grid is valid: each parameter's valid values form
+    an interval and every grid is monotone, so checking the two ends checks
+    the grid.
     """
 
     parameter: str
@@ -226,14 +235,6 @@ def run_sweep(spec: SweepSpec, cache: ProfileCache | None = None,
 # Eavesdropper geometry optimization
 # ---------------------------------------------------------------------------
 
-def _geometry_score(ch: ChannelParams, spec: SweepSpec) -> float:
-    """What a geometry search minimizes: the spec's objective at its fixed
-    mu, or under ``optimize_power`` its value at the mu that maximizes it."""
-    if spec.optimize_power:
-        return optimize_mu(ch, spec.rates, spec.objective).value
-    return evaluate_objective(ch, spec.rates, spec.objective)
-
-
 def _search_geometry(spec: SweepSpec, search: str) -> Geometry:
     if spec.geometry.scenario is not Scenario.BEHIND_BOB or spec.parameter != "L_BE":
         raise ValueError(f"{search} scans Bob-Eve distances behind Bob")
@@ -242,42 +243,39 @@ def _search_geometry(spec: SweepSpec, search: str) -> Geometry:
 
 def optimal_eve_distance(spec: SweepSpec,
                          cache: ProfileCache | None = None) -> list[SweepRow]:
-    """Rows at the distances behind Bob that minimize the rate: the global
-    minimum first, then each interior dip within 1.05x of it, in grid order.
+    """Rows at the distances behind Bob where Eve collects the largest share
+    kappa: the global maximum first, then each interior peak of kappa whose
+    row's ``spec.objective`` is at most 1.05x the first row's, in grid order.
 
     The coarse grid is a log grid of max(200, ``spec.count``) points over
     [``spec.minimum``, ``spec.maximum``], its channels from one batched
     :func:`channel_params` call; :func:`refine_grid_point` refines the
-    global minimum and each dip between its grid neighbors.
+    global maximum and each peak between its grid neighbors.  Each of those
+    candidates' rows is built once, and only they compute rates.
     """
     geom, beam = _search_geometry(spec, "eavesdropper-distance search"), spec.beam
     cache = cache or ProfileCache()
 
-    def neg_rate_at(lbe: float) -> float:
-        ch = channel_params(replace(geom, bob_eve_distance=lbe), beam, spec.noise,
-                            profile_provider=cache.get_or_compute)
-        return -_geometry_score(ch, spec)
+    def kappa_at(lbe: float) -> float:
+        return channel_params(replace(geom, bob_eve_distance=lbe), beam, spec.noise,
+                              profile_provider=cache.get_or_compute).kappa
 
     grid = np.geomspace(spec.minimum, spec.maximum, max(200, spec.count))
-    coarse = channel_params([replace(geom, bob_eve_distance=l) for l in grid],
-                            beam, spec.noise, profile_provider=cache.get_or_compute)
-    vals = np.array([_geometry_score(ch, spec) for ch in coarse])
-
-    def refine(i: int) -> tuple[float, float]:
-        x, fneg = refine_grid_point(neg_rate_at, grid, i, -vals[i],
-                                    tol=max(1.0, 1e-3 * grid[i]))
-        return float(x), -fneg
-
-    i_min = int(np.argmin(vals))
-    best, best_v = refine(i_min)
-    found = [best]
-    for i in range(1, len(grid) - 1):
-        if vals[i] < vals[i - 1] and vals[i] < vals[i + 1] and i != i_min:
-            x, v = refine(i)
-            if v <= 1.05 * best_v:
-                found.append(x)
-    return [geometry_row(spec, lbe, replace(geom, bob_eve_distance=lbe), beam,
-                         spec.rates, cache.get_or_compute) for lbe in found]
+    kappa = [ch.kappa for ch in channel_params(
+        [replace(geom, bob_eve_distance=l) for l in grid], beam, spec.noise,
+        profile_provider=cache.get_or_compute)]
+    i_max = int(np.argmax(kappa))
+    peaks = [i for i in range(1, len(grid) - 1)
+             if kappa[i - 1] < kappa[i] > kappa[i + 1] and i != i_max]
+    rows = []
+    for i in [i_max] + peaks:
+        lbe = float(refine_grid_point(kappa_at, grid, i, kappa[i],
+                                      tol=max(1.0, 1e-3 * grid[i]))[0])
+        rows.append(geometry_row(spec, lbe, replace(geom, bob_eve_distance=lbe),
+                                 beam, spec.rates, cache.get_or_compute))
+    field = "lb" if spec.objective == "lb_max" else spec.objective
+    best = getattr(rows[0].report, field)
+    return rows[:1] + [r for r in rows[1:] if getattr(r.report, field) <= 1.05 * best]
 
 
 def _offset_search_disk(geom: Geometry, beam: BeamParams) -> DiskSpec:
@@ -289,13 +287,15 @@ def _offset_search_disk(geom: Geometry, beam: BeamParams) -> DiskSpec:
 def optimize_eve_offset(spec: SweepSpec, distance: float,
                         cache: ProfileCache | None = None,
                         offset_tol: float = 1e-3) -> tuple[SweepRow, SweepRow]:
-    """Rows at Eve's rate-minimizing offset D* and on the axis, at one
-    Bob-Eve ``distance`` behind Bob; the first row's ``d_opt`` is D*.
+    """Rows at the offset D* where Eve collects the largest share kappa, and
+    on the axis, at one Bob-Eve ``distance`` behind Bob; the first row's
+    ``d_opt`` is D*.
 
     One profile covers the whole offset range, so the search only re-weights
     the stored intensity, and both rows are scored on it.  Golden section on
-    each interval between the axis, the shadow edge, two interior points and
-    the largest offset; ties break toward the smaller offset.
+    kappa over each interval between the axis, the shadow edge, two interior
+    points and the largest offset; ties break toward the smaller offset, and
+    toward the axis.  Rates are computed for the two rows only.
     """
     geom = replace(_search_geometry(spec, "offset optimization"),
                    bob_eve_distance=distance)
@@ -316,15 +316,12 @@ def optimize_eve_offset(spec: SweepSpec, distance: float,
     starts = sorted({0.0, min(geom.bob_radius, d_max), d_max / 3.0,
                      2.0 * d_max / 3.0, d_max})
     axis = channel_at(0.0)
-    on_axis = _geometry_score(axis, spec)
-    best_d, best_v = 0.0, on_axis
+    best_d, best_k = 0.0, axis.kappa
     for lo, hi in zip(starts[:-1], starts[1:]):
-        x, fneg = golden_section_max(lambda d: -_geometry_score(channel_at(d), spec),
-                                     lo, hi, tol=offset_tol)
-        v = -fneg
-        if v < best_v - 1e-12 or (abs(v - best_v) <= 1e-12 and x < best_d):
-            best_d, best_v = x, v
-    if on_axis <= best_v + 1e-12:
+        x, k = golden_section_max(lambda d: channel_at(d).kappa, lo, hi, tol=offset_tol)
+        if k > best_k + 1e-12 or (abs(k - best_k) <= 1e-12 and x < best_d):
+            best_d, best_k = x, k
+    if axis.kappa >= best_k - 1e-12:
         best_d = 0.0
     return tuple(geometry_row(spec, distance, replace(geom, eve_offset=d), beam,
                               spec.rates, searched, axis if d == 0.0 else None)

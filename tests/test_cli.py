@@ -18,7 +18,7 @@ from fsoqkd import cache, cli, diffraction, sweeps
 from fsoqkd.cache import CACHE_ENV_VAR
 from fsoqkd.channel import ChannelParams
 from fsoqkd.config import RunConfig
-from fsoqkd.rates import upper_bound
+from fsoqkd.rates import OBJECTIVES, upper_bound
 
 CONFIG = {"scenario": "behind_bob", "alice_bob_distance": 40_000.0,
           "sweep_parameter": "L_BE", "sweep_min": 20_000.0,
@@ -485,8 +485,8 @@ def test_noise_reaches_every_command(tmp_path, monkeypatch, command, config, fil
             assert repr(upper_bound(ch)) == r["ub"]
 
 
-# beta < 1 makes every bound 0 at mu = inf, so the searches only see the
-# geometry through the mu-optimized rate
+# beta < 1 makes every bound 0 at mu = inf, so only the mu-optimized rates of
+# the rows are nonzero; the searches rank geometries by kappa alone
 RATE_OPT = {**CONFIG, "alice_bob_distance": 50_000.0, "beta": 0.95,
             "optimize_mu": True}
 
@@ -520,6 +520,54 @@ def test_optimal_distance_scores_the_optimized_power(tmp_path, monkeypatch):
     assert 10_000.0 < best < 400_000.0
 
 
+# beta < 1 at mu = inf: every rate is 0 wherever Eve sits, and the searches
+# still place her where she collects the largest share kappa
+ZERO_RATE = {**CONFIG, "alice_bob_distance": 50_000.0, "beta": 0.95,
+             "sweep_min": 1_000.0, "sweep_max": 60_000.0, "sweep_count": 4}
+RATE_COLUMNS = ("lb_direct", "lb_reverse", "lb", "skr_cv", "skr_bb84")
+
+
+def _every_rate_setting(spec):
+    return [replace(spec, optimize_power=optimize, objective=objective)
+            for optimize in (False, True) for objective in OBJECTIVES]
+
+
+def test_optimize_d_places_eve_at_the_largest_kappa_where_every_rate_is_0(
+        tmp_path, monkeypatch):
+    out = _run_cli(tmp_path, monkeypatch, "optimize-d", ZERO_RATE, tmp_path / "out")
+    rows, on_axis = _rows(out / "grid__run.csv"), _rows(out / "grid__run_d0.csv")
+    assert all(float(r[c]) == 0.0 for r in rows + on_axis for c in RATE_COLUMNS)
+    assert [float(r["D_opt"]) for r in rows] == [
+        pytest.approx(d, rel=1e-3) for d in (0.14533, 0.13421, 0.067687)] + [0.0]
+    assert float(rows[0]["kappa"]) == pytest.approx(0.14492, rel=1e-3)
+    assert float(on_axis[0]["kappa"]) == pytest.approx(0.027197, rel=1e-3)
+    # the offsets depend on the optics alone, not on the rates
+    spec = RunConfig.from_json(json.dumps(ZERO_RATE)).sweep_spec()
+    cache = sweeps.ProfileCache()
+    for setting in _every_rate_setting(spec):
+        rows_opt, _ = sweeps.optimal_eve_offsets(setting, cache)
+        assert [r.d_opt for r in rows_opt] == [float(r["D_opt"]) for r in rows]
+
+
+def test_optimal_distance_places_eve_at_the_largest_kappa_where_every_rate_is_0(
+        tmp_path, monkeypatch):
+    out = _run_cli(tmp_path, monkeypatch, "optimal-distance", ZERO_RATE,
+                   tmp_path / "out")
+    rows = _rows(out / "grid__run.csv")
+    assert all(float(r[c]) == 0.0 for r in rows for c in RATE_COLUMNS)
+    assert float(rows[0]["parameter"]) == pytest.approx(52_832.0, rel=1e-3)
+    assert float(rows[0]["kappa"]) == pytest.approx(0.75224, rel=1e-3)
+    assert len(rows) == 6 and max(float(r["kappa"]) for r in rows) == float(rows[0]["kappa"])
+    # the global row depends on the optics alone; a setting whose rates are
+    # not 0 may keep fewer of the peaks, never others
+    spec = RunConfig.from_json(json.dumps(ZERO_RATE)).sweep_spec()
+    cache = sweeps.ProfileCache()
+    written = [float(r["parameter"]) for r in rows]
+    for setting in _every_rate_setting(spec):
+        found = [r.value for r in sweeps.optimal_eve_distance(setting, cache)]
+        assert found[0] == written[0] and set(found) <= set(written)
+
+
 def test_optimize_d_scores_its_rows_on_the_search_profile(tmp_path, monkeypatch):
     config = {**RATE_OPT, "sweep_min": 1_000.0, "sweep_max": 2_000.0,
               "sweep_count": 2}
@@ -534,18 +582,18 @@ def test_optimize_d_scores_its_rows_on_the_search_profile(tmp_path, monkeypatch)
     out = _run_cli(tmp_path, monkeypatch, "optimize-d", config, tmp_path / "out")
     spec = RunConfig.from_json(json.dumps(config)).sweep_spec()
     assert distances == spec.grid().tolist()  # one propagation per distance
-    score = sweeps._geometry_score
+    channel_params = sweeps.channel_params
     for row in _rows(out / "grid__run.csv"):
-        scored = {}
+        scored = []
 
-        def spy(ch, *args):
-            scored[ch] = score(ch, *args)
-            return scored[ch]
+        def spy(*args, **kwargs):
+            scored.append(channel_params(*args, **kwargs))
+            return scored[-1]
 
-        monkeypatch.setattr(sweeps, "_geometry_score", spy)
+        monkeypatch.setattr(sweeps, "channel_params", spy)
         best, _ = sweeps.optimize_eve_offset(spec, float(row["parameter"]))
         assert float(row["D_opt"]) == best.d_opt > 0.0
         ch = ChannelParams(float(row["eta"]), float(row["kappa"]), spec.noise,
                            float(row["P_Bob"]), float(row["P_Eve"]))
-        # the written channel is the best one the search scored
-        assert scored[ch] == min(scored.values())
+        # the written channel is the one the search scored with the largest kappa
+        assert ch in scored and ch.kappa == max(c.kappa for c in scored)

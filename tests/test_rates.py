@@ -273,6 +273,29 @@ def test_protocol_rates_nonincreasing_in_kappa(eta, n_e, mu, beta, k1, k2):
         assert rate(*inputs(eta, hi, **args)) <= rate(*inputs(eta, lo, **args)) + 1e-9
 
 
+@settings(max_examples=100, deadline=None)
+@given(eta=st.floats(0.0, 1.0),
+       n_e=st.one_of(st.just(0.0), st.floats(-12.0, 0.0).map(lambda t: 10.0 ** t)),
+       beta=st.sampled_from([1.0, 0.95, 0.8]),
+       mu=st.floats(-4.0, 8.0).map(lambda t: 10.0 ** t),
+       k1=st.floats(0.0, 1.0), k2=st.floats(0.0, 1.0))
+@example(eta=1.380649e-23, n_e=0.0, beta=1.0, mu=1.0, k1=0.0,
+         k2=0.8984375)  # skr_cv's Holevo terms cancel to rounding at optimal mu
+def test_every_objective_is_nonincreasing_in_kappa(eta, n_e, beta, mu, k1, k2):
+    # what lets the geometry searches rank Eve's positions by kappa alone: at
+    # fixed eta and n_e no objective rises with kappa, at mu = inf, at a finite
+    # mu or at the mu that maximizes it.  Rises of rounding size only, in bits
+    # per pulse: the rates' entropy terms reach tens of bits and cancel
+    lo, hi = (channel(eta, k, n_e) for k in sorted((k1, k2)))
+    at = [RateInputs(mu=power, beta=beta, pulse_rate=1.0) for power in (math.inf, mu)]
+    for objective in OBJECTIVES:
+        values = [(evaluate_objective(lo, s, objective), evaluate_objective(hi, s, objective))
+                  for s in at]
+        values.append(tuple(optimize_mu(ch, at[1], objective).value for ch in (lo, hi)))
+        for at_lo, at_hi in values:
+            assert at_hi <= at_lo + 1e-12 * max(1.0, abs(at_lo)), objective
+
+
 # ------------------------------------------------------------- upper bound
 
 def test_upper_bound_pure_loss_edge():
@@ -338,6 +361,10 @@ def test_bb84_misalignment_costs_rate():
 @example(eta=0.0, kappa=0.0, n_e=5e-324, mu=1.0, misalignment=0.0)  # subnormal y0
 @example(eta=2.225073858507e-311, kappa=0.0, n_e=0.0, mu=1.0,
          misalignment=0.125)  # subnormal gain
+@example(eta=5e-324, kappa=0.0, n_e=5e-324, mu=4.5,
+         misalignment=0.0)  # subnormal eta mu
+@example(eta=2.24989950311201e-309, kappa=2.5e-323, n_e=0.0, mu=0.015625,
+         misalignment=0.0)  # subnormal eta mu and leak
 def test_bb84_matches_mpmath_at_finite_mu(eta, kappa, n_e, mu, misalignment):
     # the decoy-state formula in 40 digits; the float rate rounds each of
     # gain, f_L h(err) gain and leak, so its error scales with their sum

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from fsoqkd import channel, sweeps
 from fsoqkd.beams import BeamParams
 from fsoqkd.channel import Geometry, Scenario, channel_params
 from fsoqkd.diffraction import QuadratureError, propagate_profile
-from fsoqkd.rates import RateInputs
+from fsoqkd.rates import OBJECTIVES, RateInputs, RateReport
 from fsoqkd.sweeps import (ProfileCache, SweepSpec, _apply_parameter,
                            arago_prediction_curve, geometry_row,
                            optimize_eve_offset, run_sweep)
@@ -213,59 +214,73 @@ def distance_search_cache():
 @pytest.mark.parametrize("optimize_power", [False, True])
 def test_distance_search_coarse_grid_equals_per_point_channels(
         monkeypatch, distance_search_cache, optimize_power):
-    # the search's first 200 scores are its coarse grid, batched
+    # the search's first channel call is its coarse grid, batched, and the
+    # global row lies at the largest kappa of those channels
     geom = Geometry(Scenario.BEHIND_BOB, 40e3, 50e3)
     beam = BeamParams(LAM, 0.1)
     rates = RateInputs(mu=math.inf, beta=0.95)
     cache = distance_search_cache
-    score = sweeps._geometry_score
+    real = sweeps.channel_params
     seen = []
 
-    def spy(ch, *args):
-        seen.append((ch, score(ch, *args)))
-        return seen[-1][1]
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
 
-    monkeypatch.setattr(sweeps, "_geometry_score", spy)
+    monkeypatch.setattr(sweeps, "channel_params", spy)
     spec = make_spec(geometry=geom, beam=beam, rates=rates, noise=1e-7, minimum=50e3,
                      maximum=400e3, count=200, optimize_power=optimize_power)
-    sweeps.optimal_eve_distance(spec, cache)
-    want = [channel_params(replace(geom, bob_eve_distance=lbe), beam, 1e-7,
-                           profile_provider=cache.get_or_compute)
-            for lbe in np.geomspace(50e3, 400e3, 200)]
-    assert [ch for ch, _ in seen[:200]] == want
-    assert [v for _, v in seen[:200]] == [
-        score(ch, spec) for ch in want]
+    rows = sweeps.optimal_eve_distance(spec, cache)
+    grid = np.geomspace(50e3, 400e3, 200)
+    want = [real(replace(geom, bob_eve_distance=lbe), beam, 1e-7,
+                 profile_provider=cache.get_or_compute) for lbe in grid]
+    assert seen[0] == want
+    i = int(np.argmax([ch.kappa for ch in want]))
+    assert grid[max(i - 1, 0)] <= rows[0].value <= grid[min(i + 1, 199)]
+    assert rows[0].channel.kappa >= want[i].kappa
 
 
 def test_distance_search_rows_are_the_minimum_then_its_near_dips(monkeypatch):
-    # a score of log L_BE with the global minimum (1.0), one smooth dip at
-    # 1.03, one dip at 1.2 (above 1.05x the minimum) and one dip at 1.04 that
-    # exists at its grid point alone, so the golden point cannot beat it
+    # a kappa of log L_BE with the global maximum (rate 1.0), one smooth peak
+    # at rate 1.03, one peak at 1.2 (above 1.05x the minimum) and one peak at
+    # 1.04 that exists at its grid point alone, so the golden point cannot
+    # beat it; the rate falls as kappa rises, as every objective does
     spec = make_spec(minimum=1e3, maximum=1e5, count=200)
     grid = np.geomspace(1e3, 1e5, 200)
     needle = float(grid[40])
     centers = {100.3: 1.0, 150.6: 1.03, 170.4: 1.2}  # at fractional grid indices
     step = math.log(grid[1] / grid[0])
 
-    def score(lbe, *args, **kwargs):
+    def rate(lbe):
         if lbe == needle:
             return 1.04
         t = math.log(lbe / grid[0]) / step
         return min([2.0] + [v + 0.01 * (t - c) ** 2 for c, v in centers.items()])
 
-    def distances(g, *args, **kwargs):
-        return [x.bob_eve_distance for x in g] if isinstance(g, list) else g.bob_eve_distance
+    def channels(g, *args, **kwargs):
+        if isinstance(g, list):
+            return [channels(x) for x in g]
+        return SimpleNamespace(lbe=g.bob_eve_distance, kappa=2.0 - rate(g.bob_eve_distance))
 
-    monkeypatch.setattr(sweeps, "channel_params", distances)
-    monkeypatch.setattr(sweeps, "_geometry_score", score)
-    monkeypatch.setattr(sweeps, "rate_report", score)
-    rows = sweeps.optimal_eve_distance(spec, ProfileCache(compute=lambda *args: None))
-    assert [r.value for r in rows] == [
-        pytest.approx(grid[0] * math.exp(100.3 * step), rel=1e-3), needle,
-        pytest.approx(grid[0] * math.exp(150.6 * step), rel=1e-3)]
-    assert [r.report for r in rows] == [pytest.approx(1.0, abs=1e-4), 1.04,
-                                        pytest.approx(1.03, abs=1e-4)]
-    assert all(r.channel == r.value and r.d_opt == 0.0 for r in rows)
+    monkeypatch.setattr(sweeps, "channel_params", channels)
+    for objective in OBJECTIVES:
+        # the objective's own report field holds the rate; the others would
+        # keep every peak
+        field = "lb" if objective == "lb_max" else objective
+
+        def report(ch, *args, **kwargs):
+            fields = dict.fromkeys(RateReport.__dataclass_fields__, 0.0)
+            return SimpleNamespace(**{**fields, field: rate(ch.lbe)})
+
+        monkeypatch.setattr(sweeps, "rate_report", report)
+        rows = sweeps.optimal_eve_distance(replace(spec, objective=objective),
+                                           ProfileCache(compute=lambda *args: None))
+        assert [r.value for r in rows] == [
+            pytest.approx(grid[0] * math.exp(100.3 * step), rel=1e-3), needle,
+            pytest.approx(grid[0] * math.exp(150.6 * step), rel=1e-3)]
+        assert [getattr(r.report, field) for r in rows] == [
+            pytest.approx(1.0, abs=1e-4), 1.04, pytest.approx(1.03, abs=1e-4)]
+        assert all(r.channel.lbe == r.value and r.d_opt == 0.0 for r in rows)
 
 
 # ------------------------------------------------------ offset optimization
@@ -291,23 +306,23 @@ def test_offset_returns_zero_past_reconvergence(monkeypatch):
 
 
 def test_offset_search_reaches_the_largest_offset(monkeypatch):
-    # a score whose one minimum lies between 2 d_max / 3 and d_max, the
+    # a kappa whose one maximum lies between 2 d_max / 3 and d_max, the
     # largest offset the search tries: the last golden bracket must hold it
     beam = BeamParams(LAM, 0.1)
     geom = Geometry(Scenario.BEHIND_BOB, 40e3, 5e3)
     d_max = sweeps._offset_search_disk(geom, beam).center_offset
     target = 0.9 * d_max
 
-    def score(d, *args, **kwargs):
-        return 1.0 + (d - target) ** 2
+    def channel_at(g, *args, **kwargs):
+        return SimpleNamespace(d=g.eve_offset, kappa=0.5 - (g.eve_offset - target) ** 2)
 
-    monkeypatch.setattr(sweeps, "channel_params", lambda g, *a, **k: g.eve_offset)
-    monkeypatch.setattr(sweeps, "_geometry_score", score)
-    monkeypatch.setattr(sweeps, "rate_report", score)
+    monkeypatch.setattr(sweeps, "channel_params", channel_at)
+    monkeypatch.setattr(sweeps, "rate_report", lambda ch, *a, **k: 1.5 - ch.kappa)
     cache = ProfileCache(compute=lambda *args: None)
     spec = make_spec(geometry=geom, beam=beam, rates=RateInputs())
     row, _ = optimize_eve_offset(spec, geom.bob_eve_distance, cache)
     d_star, rate = row.d_opt, row.report
+    assert row.channel.d == d_star
     assert 2.0 * d_max / 3.0 < d_star < d_max
     assert d_star == pytest.approx(target, abs=1e-3)
     assert rate == pytest.approx(1.0, abs=1e-6)
