@@ -136,8 +136,8 @@ def channel_params(geom: Geometry | Sequence[Geometry], beam: BeamParams,
     sequence then come from one :func:`disk_power` call, and the values are
     those of one call per geometry.  ``profile_provider`` optionally replaces
     direct profile construction with a caching callable of signature
-    ``(source, distance, disk_hint) -> FieldProfile``; sweeps and the CLI use
-    it to share propagations.
+    ``(source, distance, disk_hint) -> FieldProfile``; the CLI passes one
+    through the sweeps to read and fill its profile cache.
     """
     single = isinstance(geom, Geometry)
     geoms = [geom] if single else list(geom)

@@ -15,6 +15,9 @@ The config says what is computed; ``--out``, ``--threads`` and the
 environment say where and how.  ``FSOQKD_CACHE`` is the profile cache's only
 switch: naming a directory keeps profiles there across runs, and ``cache
 inspect|clear`` lists or deletes them (exit 2 if the directory is missing).
+A run wraps its one profile source, the disk cache or else propagation, in
+a :class:`~fsoqkd.sweeps.ProfileCache` whose ``get_or_compute`` every
+producer takes as its ``profile_provider``.
 
 Parallelism: the sweep pool (``--threads``, default 1) is the only one.  A
 sweep is scored by row group, a run of rows whose geometries differ in the
@@ -29,9 +32,10 @@ Exporting any of ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` or
 
 Exit codes: 0 on success, 1 when computational error rows were recorded, 2 on
 usage or configuration errors, which include a NaN or infinite value in any
-numeric field (``mu`` may be "inf"), a field of the wrong JSON type and a
-wavefront map too wide for the profile grid's node budget.  A config is
-checked in full before anything is written.
+numeric field (``mu`` may be "inf"), a field of the wrong JSON type, a
+bright-spot overlay asked of a sweep that has none and a wavefront map too
+wide for the profile grid's node budget.  A config is checked in full before
+anything is written.
 """
 
 from __future__ import annotations
@@ -97,25 +101,24 @@ def _out_path(out_dir: str, name: str, label: str, suffix: str = ".csv") -> Path
 
 
 def cmd_sweep(config: RunConfig, out_dir: str, name: str, label: str,
-              cache: ProfileCache, threads: int) -> int:
+              profile_provider, threads: int) -> int:
     spec = config.sweep_spec()
     errors = write_rows_csv(_out_path(out_dir, name, label),
-                            run_sweep(spec, cache=cache, threads=threads))
-    if config.emit_arago_overlay and spec.parameter == "L_BE" \
-            and config.scenario == "behind_bob" and config.eve_offset == 0.0:
+                            run_sweep(spec, profile_provider, threads))
+    if config.emit_arago_overlay:
         errors += write_rows_csv(_out_path(out_dir, name, f"{label}_arago"),
                                  arago_prediction_curve(spec))
     return errors
 
 
-def cmd_signed_axis(items, out_dir: str, name: str, cache: ProfileCache,
+def cmd_signed_axis(items, out_dir: str, name: str, profile_provider,
                     threads: int) -> int:
     """Sweep Eve's plane along the axis; the parameter column is the signed
     Bob-to-Eve distance, negative for a before-Bob config.  The items of one
     label share a file, their rows sorted by that distance."""
     merged: dict[str, list[SweepRow]] = {}
     for item in items:
-        rows = run_sweep(item.config.sweep_spec(), cache=cache, threads=threads)
+        rows = run_sweep(item.config.sweep_spec(), profile_provider, threads)
         if item.config.scenario == "before_bob":
             lab = item.config.alice_bob_distance
             rows = [replace(r, value=-(lab - r.value)) for r in rows]
@@ -136,29 +139,29 @@ def _search_spec(config: RunConfig, search: str) -> SweepSpec:
 
 
 def cmd_optimal_distance(config: RunConfig, out_dir: str, name: str, label: str,
-                         cache: ProfileCache) -> int:
+                         profile_provider) -> int:
     spec = _search_spec(config, "eavesdropper-distance search")
     return write_rows_csv(_out_path(out_dir, name, label),
-                          optimal_eve_distance(spec, cache))
+                          optimal_eve_distance(spec, profile_provider))
 
 
 def cmd_optimize_d(config: RunConfig, out_dir: str, name: str, label: str,
-                   cache: ProfileCache) -> int:
+                   profile_provider) -> int:
     spec = _search_spec(config, "offset optimization")
-    rows_opt, rows_axis = optimal_eve_offsets(spec, cache)
+    rows_opt, rows_axis = optimal_eve_offsets(spec, profile_provider)
     return (write_rows_csv(_out_path(out_dir, name, label), rows_opt)
             + write_rows_csv(_out_path(out_dir, name, f"{label}_d0"), rows_axis))
 
 
 def cmd_wavefront(config: RunConfig, out_dir: str, name: str, label: str,
-                  cache: ProfileCache) -> int:
+                  profile_provider) -> int:
     if config.scenario != "behind_bob" or config.eve_offset != 0.0:
         raise ConfigError("wavefront maps are on-axis, behind-Bob only")
     src = SourceAnnulus(config.beam(), config.alice_bob_distance, config.bob_radius)
     wf = config.wavefront
     coverage = wf.half_width * math.sqrt(2.0) * 1.0001
     try:
-        profiles = [cache.get_or_compute(src, dist, DiskSpec(coverage, 0.0))
+        profiles = [profile_provider(src, dist, DiskSpec(coverage, 0.0))
                     for dist in wf.distances]
     except (QuadratureError, ValueError) as exc:
         raise ConfigError(f"wavefront map of half_width {wf.half_width!r} m: {exc}") from exc
@@ -233,7 +236,7 @@ def _load_items(args) -> tuple[str, str, list[RecipeItem]]:
 _KIND_FOR_COMMAND = {
     "sweep": ("sweep",),
     "wavefront": ("wavefront",),
-    "optimal-distance": ("optimal_distance", "sweep"),
+    "optimal-distance": ("sweep",),
     "optimize-d": ("optimize_d",),
     "before-bob": ("before_bob", "combined_axis"),
 }
@@ -248,23 +251,23 @@ def _run_command(args) -> int:
             f"recipe {name!r} is of kind {kind!r}, not usable with '{args.command}'")
     out_dir, threads = args.out, args.threads
     disk = env_cache()
-    cache = ProfileCache(compute=disk.get_or_compute if disk else None)
+    provider = ProfileCache(compute=disk.get_or_compute if disk else None).get_or_compute
     errors = 0
     if args.command == "before-bob":
         if kind == "before_bob" and any(i.config.scenario != "before_bob" for i in items):
             raise ConfigError("before-bob command needs scenario = before_bob")
-        errors += cmd_signed_axis(items, out_dir, name, cache, threads)
+        errors += cmd_signed_axis(items, out_dir, name, provider, threads)
     else:
         for item in items:
             cfg = item.config
             if args.command == "sweep":
-                errors += cmd_sweep(cfg, out_dir, name, item.label, cache, threads)
+                errors += cmd_sweep(cfg, out_dir, name, item.label, provider, threads)
             elif args.command == "wavefront":
-                errors += cmd_wavefront(cfg, out_dir, name, item.label, cache)
+                errors += cmd_wavefront(cfg, out_dir, name, item.label, provider)
             elif args.command == "optimal-distance":
-                errors += cmd_optimal_distance(cfg, out_dir, name, item.label, cache)
+                errors += cmd_optimal_distance(cfg, out_dir, name, item.label, provider)
             elif args.command == "optimize-d":
-                errors += cmd_optimize_d(cfg, out_dir, name, item.label, cache)
+                errors += cmd_optimize_d(cfg, out_dir, name, item.label, provider)
     if errors:
         print(f"{errors} error rows recorded", file=sys.stderr)
         return 1

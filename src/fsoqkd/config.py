@@ -19,8 +19,9 @@ value's rule lives in the object that uses it, as a range that NaN and
 the distances, radii and offset; ``RateInputs`` mu (``inf`` allowed), beta,
 f_L and the pulse rate; ``thermal_occupation`` the temperature;
 ``SweepSpec`` the grid, the noise and the objective, and that both grid ends
-give valid settings; ``WavefrontSettings`` the wavefront grid.  Their
-``ValueError`` or ``TypeError`` becomes a :class:`ConfigError`.
+give valid settings; ``arago_geometry``, under ``emit_arago_overlay``, that
+the sweep has a bright-spot curve; ``WavefrontSettings`` the wavefront grid.
+Their ``ValueError`` or ``TypeError`` becomes a :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import asdict, dataclass, field, fields
 from .beams import BeamParams
 from .channel import Geometry, Scenario, default_noise
 from .rates import RateInputs
-from .sweeps import SweepSpec
+from .sweeps import SweepSpec, arago_geometry
 
 CONFIG_VERSION = 1
 # the field types that ``validate`` checks; the domain objects check the rest
@@ -98,7 +99,9 @@ class RunConfig:
             if kind is not None and type(value) is not kind:
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         try:
-            self.sweep_spec()
+            spec = self.sweep_spec()
+            if self.emit_arago_overlay:
+                arago_geometry(spec)
             default_noise(self.beam(), self.temperature)  # also under noise_override
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc

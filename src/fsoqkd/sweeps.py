@@ -4,7 +4,8 @@ Every producer of CSV rows takes a :class:`SweepSpec` and returns
 :class:`SweepRow` objects: :func:`run_sweep`, the distance search
 :func:`optimal_eve_distance`, the offset search :func:`optimal_eve_offsets`
 (:func:`optimize_eve_offset` at each grid distance) and the bright-spot
-curve :func:`arago_prediction_curve`.
+curve :func:`arago_prediction_curve`.  All but the last pass their
+``profile_provider`` on to :func:`~fsoqkd.channel.channel_params`.
 
 A sweep evaluates the channel and rate pipeline over a grid of one varied
 parameter, capturing per-row errors without aborting.  It runs by stage: the
@@ -21,7 +22,8 @@ that the dip rule compares.  Kappa carries interference ripples with
 multiple local maxima, so the searches scan a coarse grid before local
 refinement: the distance search scans a log grid of max(200, count) points
 over the spec's L_BE range, and the offset search brackets golden sections
-between five fixed offsets.
+between five fixed offsets.  A search scores each position it tries once,
+keeps those channels by position, and its rows carry the channels it scored.
 """
 
 from __future__ import annotations
@@ -45,13 +47,17 @@ from .rates import OBJECTIVES, RateInputs, RateReport, rate_report
 
 SWEEP_PARAMETERS = ("L_BE", "L_AE", "mu", "D", "L_AB", "W0", "r_e")
 SWEEP_SPACINGS = ("log", "linear")
+OFFSET_TOL = 1e-3  # m, the bracket width at which an offset search stops
 
 
 class ProfileCache:
     """Read-mostly in-memory map of field profiles, insert-if-absent.
 
-    Profiles are deterministic functions of their physical inputs, so
-    concurrent duplicate computation is harmless: all writers agree.
+    The CLI's wrapper around the disk cache (or plain propagation); its
+    :meth:`get_or_compute` is the producers' ``profile_provider``.  As each
+    search position is scored once, it records 0 hits on every recipe and
+    benchmark workload (measured).  It stays while the benchmark traces it.
+    Concurrent duplicate computation is harmless: all writers agree.
     """
 
     def __init__(self, compute=None):
@@ -165,27 +171,13 @@ def _apply_parameter(spec: SweepSpec, value: float):
 
 
 def geometry_row(spec: SweepSpec, value: float, geom: Geometry,
-                 beam: BeamParams, rates: RateInputs, profile_provider,
-                 channel: ChannelParams | None = None) -> SweepRow:
-    """Channel and rate report of one geometry under the spec's noise and
-    power setting; ``d_opt`` is the offset the geometry places Eve at.
-    ``channel``, when given, is the geometry's channel, computed before."""
-    if channel is None:
-        channel = channel_params(geom, beam, spec.noise,
-                                 profile_provider=profile_provider)
+                 rates: RateInputs, channel: ChannelParams) -> SweepRow:
+    """Rate report of one geometry's ``channel`` under the spec's power
+    setting; ``d_opt`` is the offset the geometry places Eve at."""
     report = rate_report(channel, rates, optimize=spec.optimize_power,
                          objective=spec.objective)
     return SweepRow(value=value, channel=channel, report=report,
                     d_opt=geom.eve_offset)
-
-
-def _row(spec: SweepSpec, value: float, cache: ProfileCache,
-         channel: ChannelParams | None = None) -> SweepRow:
-    try:
-        return geometry_row(spec, value, *_apply_parameter(spec, value),
-                            cache.get_or_compute, channel)
-    except Exception as exc:  # row errors are recorded, not raised
-        return SweepRow.failed(value, exc)
 
 
 def _group_key(spec: SweepSpec, value: float):
@@ -197,23 +189,24 @@ def _group_key(spec: SweepSpec, value: float):
 
 
 def _group_rows(spec: SweepSpec, values: list[float],
-                cache: ProfileCache) -> list[SweepRow]:
+                profile_provider) -> list[SweepRow]:
     """Rows of one group: the channels from one batched call over its
-    distinct geometries, then the rates row by row.  If the batched call
-    raises, every row is scored on its own, so that only a bad row carries
-    the error."""
+    distinct geometries, then the rates row by row.  If any of it raises,
+    each row is scored on its own, so that only a bad row carries the error."""
+    settings = [_apply_parameter(spec, v) for v in values]
+    geoms = list(dict.fromkeys(geom for geom, _, _ in settings))
     try:
-        settings = [_apply_parameter(spec, v) for v in values]
-        geoms = list(dict.fromkeys(geom for geom, _, _ in settings))
         by_geom = dict(zip(geoms, channel_params(geoms, settings[0][1], spec.noise,
-                                                 profile_provider=cache.get_or_compute)))
-        channels = [by_geom[geom] for geom, _, _ in settings]
-    except Exception:  # re-scored row by row below
-        channels = [None] * len(values)
-    return [_row(spec, v, cache, ch) for v, ch in zip(values, channels)]
+                                                 profile_provider=profile_provider)))
+        return [geometry_row(spec, value, geom, rates, by_geom[geom])
+                for value, (geom, _, rates) in zip(values, settings)]
+    except Exception as exc:  # row errors are recorded, not raised
+        if len(values) == 1:
+            return [SweepRow.failed(values[0], exc)]
+        return [row for v in values for row in _group_rows(spec, [v], profile_provider)]
 
 
-def run_sweep(spec: SweepSpec, cache: ProfileCache | None = None,
+def run_sweep(spec: SweepSpec, profile_provider=None,
               threads: int = 1) -> list[SweepRow]:
     """Evaluate a sweep; rows are ordered by grid position.
 
@@ -221,13 +214,13 @@ def run_sweep(spec: SweepSpec, cache: ProfileCache | None = None,
     threads; a sweep of one group, such as an L_BE, L_AE or mu sweep, runs
     in the calling thread.
     """
-    cache = cache or ProfileCache()
     groups = [list(g) for _, g in groupby(spec.grid(), lambda v: _group_key(spec, v))]
     if threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            scored = list(pool.map(lambda g: _group_rows(spec, g, cache), groups))
+            scored = list(pool.map(lambda g: _group_rows(spec, g, profile_provider),
+                                   groups))
     else:
-        scored = [_group_rows(spec, g, cache) for g in groups]
+        scored = [_group_rows(spec, g, profile_provider) for g in groups]
     return [row for rows in scored for row in rows]
 
 
@@ -241,8 +234,7 @@ def _search_geometry(spec: SweepSpec, search: str) -> Geometry:
     return spec.geometry
 
 
-def optimal_eve_distance(spec: SweepSpec,
-                         cache: ProfileCache | None = None) -> list[SweepRow]:
+def optimal_eve_distance(spec: SweepSpec, profile_provider=None) -> list[SweepRow]:
     """Rows at the distances behind Bob where Eve collects the largest share
     kappa: the global maximum first, then each interior peak of kappa whose
     row's ``spec.objective`` is at most 1.05x the first row's, in grid order.
@@ -250,20 +242,21 @@ def optimal_eve_distance(spec: SweepSpec,
     The coarse grid is a log grid of max(200, ``spec.count``) points over
     [``spec.minimum``, ``spec.maximum``], its channels from one batched
     :func:`channel_params` call; :func:`refine_grid_point` refines the
-    global maximum and each peak between its grid neighbors.  Each of those
-    candidates' rows is built once, and only they compute rates.
+    global maximum and each peak between its grid neighbors.  Each distance
+    is scored once; only the candidates' rows, on those channels, compute rates.
     """
     geom, beam = _search_geometry(spec, "eavesdropper-distance search"), spec.beam
-    cache = cache or ProfileCache()
+    grid = np.geomspace(spec.minimum, spec.maximum, max(200, spec.count))
+    channels = channel_params([replace(geom, bob_eve_distance=l) for l in grid],
+                              beam, spec.noise, profile_provider=profile_provider)
+    scored = dict(zip(grid.tolist(), channels))
 
     def kappa_at(lbe: float) -> float:
-        return channel_params(replace(geom, bob_eve_distance=lbe), beam, spec.noise,
-                              profile_provider=cache.get_or_compute).kappa
+        scored[lbe] = channel_params(replace(geom, bob_eve_distance=lbe), beam,
+                                     spec.noise, profile_provider=profile_provider)
+        return scored[lbe].kappa
 
-    grid = np.geomspace(spec.minimum, spec.maximum, max(200, spec.count))
-    kappa = [ch.kappa for ch in channel_params(
-        [replace(geom, bob_eve_distance=l) for l in grid], beam, spec.noise,
-        profile_provider=cache.get_or_compute)]
+    kappa = [ch.kappa for ch in channels]
     i_max = int(np.argmax(kappa))
     peaks = [i for i in range(1, len(grid) - 1)
              if kappa[i - 1] < kappa[i] > kappa[i + 1] and i != i_max]
@@ -272,7 +265,7 @@ def optimal_eve_distance(spec: SweepSpec,
         lbe = float(refine_grid_point(kappa_at, grid, i, kappa[i],
                                       tol=max(1.0, 1e-3 * grid[i]))[0])
         rows.append(geometry_row(spec, lbe, replace(geom, bob_eve_distance=lbe),
-                                 beam, spec.rates, cache.get_or_compute))
+                                 spec.rates, scored[lbe]))
     field = "lb" if spec.objective == "lb_max" else spec.objective
     best = getattr(rows[0].report, field)
     return rows[:1] + [r for r in rows[1:] if getattr(r.report, field) <= 1.05 * best]
@@ -285,64 +278,66 @@ def _offset_search_disk(geom: Geometry, beam: BeamParams) -> DiskSpec:
 
 
 def optimize_eve_offset(spec: SweepSpec, distance: float,
-                        cache: ProfileCache | None = None,
-                        offset_tol: float = 1e-3) -> tuple[SweepRow, SweepRow]:
+                        profile_provider=None) -> tuple[SweepRow, SweepRow]:
     """Rows at the offset D* where Eve collects the largest share kappa, and
     on the axis, at one Bob-Eve ``distance`` behind Bob; the first row's
     ``d_opt`` is D*.
 
     One profile covers the whole offset range, so the search only re-weights
-    the stored intensity, and both rows are scored on it.  Golden section on
-    kappa over each interval between the axis, the shadow edge, two interior
-    points and the largest offset; ties break toward the smaller offset, and
-    toward the axis.  Rates are computed for the two rows only.
+    the stored intensity.  Golden section on kappa over each interval
+    between the axis, the shadow edge, two interior points and the largest
+    offset, in that order; a point wins only by more than 1e-12, so ties go
+    to the smaller offset and to the axis.  Each offset is scored once;
+    only the two rows, on those channels, compute rates.
     """
     geom = replace(_search_geometry(spec, "offset optimization"),
                    bob_eve_distance=distance)
     beam = spec.beam
-    cache = cache or ProfileCache()
     hint = _offset_search_disk(geom, beam)
     d_max = hint.center_offset
     src = SourceAnnulus(beam, geom.alice_bob_distance, geom.bob_radius)
-    profile = cache.get_or_compute(src, distance, hint)
+    profile = (profile_provider or propagate_profile)(src, distance, hint)
+    scored = {}
 
-    def searched(*_):
-        return profile
-
-    def channel_at(d: float) -> ChannelParams:
-        return channel_params(replace(geom, eve_offset=d), beam, spec.noise,
-                              profile_provider=searched)
+    def kappa_at(d: float) -> float:
+        scored[d] = channel_params(replace(geom, eve_offset=d), beam, spec.noise,
+                                   profile_provider=lambda *_: profile)
+        return scored[d].kappa
 
     starts = sorted({0.0, min(geom.bob_radius, d_max), d_max / 3.0,
                      2.0 * d_max / 3.0, d_max})
-    axis = channel_at(0.0)
-    best_d, best_k = 0.0, axis.kappa
+    best_d, best_k = 0.0, kappa_at(0.0)
     for lo, hi in zip(starts[:-1], starts[1:]):
-        x, k = golden_section_max(lambda d: channel_at(d).kappa, lo, hi, tol=offset_tol)
-        if k > best_k + 1e-12 or (abs(k - best_k) <= 1e-12 and x < best_d):
+        x, k = golden_section_max(kappa_at, lo, hi, tol=OFFSET_TOL)
+        if k > best_k + 1e-12:
             best_d, best_k = x, k
-    if axis.kappa >= best_k - 1e-12:
-        best_d = 0.0
-    return tuple(geometry_row(spec, distance, replace(geom, eve_offset=d), beam,
-                              spec.rates, searched, axis if d == 0.0 else None)
-                 for d in (best_d, 0.0))
+    return tuple(geometry_row(spec, distance, replace(geom, eve_offset=d),
+                              spec.rates, scored[d]) for d in (best_d, 0.0))
 
 
-def optimal_eve_offsets(spec: SweepSpec, cache: ProfileCache | None = None
+def optimal_eve_offsets(spec: SweepSpec, profile_provider=None
                         ) -> tuple[list[SweepRow], list[SweepRow]]:
     """Per grid distance behind Bob, the rows of :func:`optimize_eve_offset`:
     those at Eve's best offset, then those on the axis.  A distance whose
     search raises gives an error row in both lists."""
     _search_geometry(spec, "offset optimization")
-    cache = cache or ProfileCache()
     pairs = []
     for lbe in spec.grid():
         try:
-            pairs.append(optimize_eve_offset(spec, lbe, cache))
+            pairs.append(optimize_eve_offset(spec, lbe, profile_provider))
         except Exception as exc:  # row errors are recorded, not raised
             pairs.append((SweepRow.failed(lbe, exc),) * 2)
     rows_opt, rows_axis = zip(*pairs)
     return list(rows_opt), list(rows_axis)
+
+
+def arago_geometry(spec: SweepSpec) -> Geometry:
+    """The geometry of an L_BE sweep on the axis behind Bob, the only
+    sweep with a bright-spot curve; any other spec raises ValueError."""
+    geom = _search_geometry(spec, "bright-spot prediction")
+    if geom.eve_offset != 0.0:
+        raise ValueError("bright-spot prediction applies on axis")
+    return geom
 
 
 def arago_prediction_curve(spec: SweepSpec) -> list[SweepRow]:
@@ -353,9 +348,7 @@ def arago_prediction_curve(spec: SweepSpec) -> list[SweepRow]:
     relative amplitude of the obstruction of radius r_b; this tracks the full
     diffraction result when the transmitted beam is nearly collimated.
     """
-    geom, beam = _search_geometry(spec, "bright-spot prediction"), spec.beam
-    if geom.eve_offset != 0.0:
-        raise ValueError("bright-spot prediction applies on axis")
+    geom, beam = arago_geometry(spec), spec.beam
     p_tot = total_power(beam)
     p_bob = encircled_power(beam, geom.alice_bob_distance, geom.bob_radius)
     eta = p_bob / p_tot

@@ -59,6 +59,32 @@ def test_warm_cache_run_is_identical_and_computes_nothing(sweep):
     assert warm == cold
 
 
+@pytest.mark.parametrize("command,config,files", [
+    ("optimal-distance", {**CONFIG, "sweep_min": 50_000.0}, ["grid__run.csv"]),
+    ("optimize-d", {**CONFIG, "sweep_count": 2}, ["grid__run.csv", "grid__run_d0.csv"]),
+], ids=["optimal-distance", "optimize-d"])
+def test_warm_search_run_is_identical_and_computes_nothing(tmp_path, monkeypatch,
+                                                           command, config, files):
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(config))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return diffraction.propagate_profile(*args, **kwargs)
+
+    monkeypatch.setattr(cache, "propagate_profile", counted)
+    computed = []
+    for run in ("cold", "warm"):
+        calls.clear()
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / run)]) == 0
+        computed.append(len(calls))
+    assert computed[0] > 0 and computed[1] == 0
+    for name in files:
+        assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
+
+
 def test_truncated_cache_entry_is_recomputed(sweep):
     _, cold = sweep()
     entry = sorted(sweep.cache_dir.glob("*.profile"))[1]
@@ -402,6 +428,15 @@ def test_before_bob_runs_on_a_tiny_grid(tmp_path, monkeypatch):
     assert all(r["error"] == "" and float(r["lb"]) <= float(r["ub"]) for r in rows)
 
 
+def test_sweep_writes_the_bright_spot_overlay_on_request(tmp_path, monkeypatch):
+    out = _run_cli(tmp_path, monkeypatch, "sweep", {**CONFIG, "emit_arago_overlay": True},
+                   tmp_path / "out")
+    rows = _rows(out / "grid__run_arago.csv")
+    assert [float(r["parameter"]) for r in rows] == \
+        [float(r["parameter"]) for r in _rows(out / "grid__run.csv")]
+    assert all(r["error"] == "" and float(r["D_opt"]) == 0.0 for r in rows)
+
+
 def test_optimal_distance_runs_on_a_tiny_grid(tmp_path, monkeypatch):
     out = _run_cli(tmp_path, monkeypatch, "optimal-distance", DISTANCE_SEARCH,
                    tmp_path / "out")
@@ -545,7 +580,7 @@ def test_optimize_d_places_eve_at_the_largest_kappa_where_every_rate_is_0(
     spec = RunConfig.from_json(json.dumps(ZERO_RATE)).sweep_spec()
     cache = sweeps.ProfileCache()
     for setting in _every_rate_setting(spec):
-        rows_opt, _ = sweeps.optimal_eve_offsets(setting, cache)
+        rows_opt, _ = sweeps.optimal_eve_offsets(setting, cache.get_or_compute)
         assert [r.d_opt for r in rows_opt] == [float(r["D_opt"]) for r in rows]
 
 
@@ -564,7 +599,7 @@ def test_optimal_distance_places_eve_at_the_largest_kappa_where_every_rate_is_0(
     cache = sweeps.ProfileCache()
     written = [float(r["parameter"]) for r in rows]
     for setting in _every_rate_setting(spec):
-        found = [r.value for r in sweeps.optimal_eve_distance(setting, cache)]
+        found = [r.value for r in sweeps.optimal_eve_distance(setting, cache.get_or_compute)]
         assert found[0] == written[0] and set(found) <= set(written)
 
 

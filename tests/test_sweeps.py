@@ -52,8 +52,8 @@ def test_distance_sweep_dips_then_recovers():
 def test_sweep_rows_deterministic_and_cache_reusable():
     cache = ProfileCache()
     spec = make_spec(count=6)
-    rows_a = run_sweep(spec, cache=cache)
-    rows_b = run_sweep(spec, cache=cache)  # warm cache
+    rows_a = run_sweep(spec, cache.get_or_compute)
+    rows_b = run_sweep(spec, cache.get_or_compute)  # warm cache
     for a, b in zip(rows_a, rows_b):
         assert a.channel.eta == b.channel.eta
         assert a.channel.kappa == b.channel.kappa
@@ -98,12 +98,13 @@ def test_batch_fault_errors_its_row_only(kw):
             raise QuadratureError("injected fault", 1.0)
         return propagate_profile(src, distance, disk_hint)
 
-    rows = run_sweep(spec, cache=ProfileCache(compute=faulty))
+    rows = run_sweep(spec, ProfileCache(compute=faulty).get_or_compute)
     assert rows[2].error == ("QuadratureError: injected fault "
                              "(achieved error estimate 1.000e+00)")
     for row in rows[:2] + rows[3:]:
-        assert row == geometry_row(spec, row.value, *_apply_parameter(spec, row.value),
-                                   ProfileCache().get_or_compute)
+        geom, beam, rates = _apply_parameter(spec, row.value)
+        assert row == geometry_row(spec, row.value, geom, rates,
+                                   channel_params(geom, beam, spec.noise))
 
 
 def test_distance_sweep_computes_its_channels_in_one_disk_power_call(monkeypatch):
@@ -120,7 +121,7 @@ def test_distance_sweep_computes_its_channels_in_one_disk_power_call(monkeypatch
 
     monkeypatch.setattr(channel, "disk_power", counted_disk_power)
     spec = make_spec(count=6)
-    run_sweep(spec, cache=ProfileCache(compute=counted_propagation))
+    run_sweep(spec, ProfileCache(compute=counted_propagation).get_or_compute)
     assert disk_power_calls == [6]
     assert distances == spec.grid().tolist()
 
@@ -230,7 +231,7 @@ def test_distance_search_coarse_grid_equals_per_point_channels(
     monkeypatch.setattr(sweeps, "channel_params", spy)
     spec = make_spec(geometry=geom, beam=beam, rates=rates, noise=1e-7, minimum=50e3,
                      maximum=400e3, count=200, optimize_power=optimize_power)
-    rows = sweeps.optimal_eve_distance(spec, cache)
+    rows = sweeps.optimal_eve_distance(spec, cache.get_or_compute)
     grid = np.geomspace(50e3, 400e3, 200)
     want = [real(replace(geom, bob_eve_distance=lbe), beam, 1e-7,
                  profile_provider=cache.get_or_compute) for lbe in grid]
@@ -238,6 +239,36 @@ def test_distance_search_coarse_grid_equals_per_point_channels(
     i = int(np.argmax([ch.kappa for ch in want]))
     assert grid[max(i - 1, 0)] <= rows[0].value <= grid[min(i + 1, 199)]
     assert rows[0].channel.kappa >= want[i].kappa
+
+
+def _spy_channels(monkeypatch, position):
+    """Record the ``position`` of every geometry passed to
+    ``sweeps.channel_params`` and the channel object scored there."""
+    real = sweeps.channel_params
+    positions, channels = [], []
+
+    def spy(geom, *args, **kwargs):
+        out = real(geom, *args, **kwargs)
+        many = not isinstance(geom, Geometry)
+        positions.extend(position(g) for g in (geom if many else [geom]))
+        channels.extend(out if many else [out])
+        return out
+
+    monkeypatch.setattr(sweeps, "channel_params", spy)
+    return positions, channels
+
+
+def test_distance_search_scores_each_distance_once(monkeypatch, distance_search_cache):
+    # no L_BE goes to channel_params twice, and every row carries the
+    # channel object the search scored at its distance
+    distances, channels = _spy_channels(monkeypatch, lambda g: g.bob_eve_distance)
+    spec = make_spec(geometry=Geometry(Scenario.BEHIND_BOB, 40e3, 50e3),
+                     rates=RateInputs(mu=math.inf, beta=0.95), noise=1e-7,
+                     minimum=50e3, maximum=400e3, count=200)
+    rows = sweeps.optimal_eve_distance(spec, distance_search_cache.get_or_compute)
+    assert len(distances) == len(set(distances)) > 200
+    scored = dict(zip(distances, channels))
+    assert rows and all(r.channel is scored[r.value] for r in rows)
 
 
 def test_distance_search_rows_are_the_minimum_then_its_near_dips(monkeypatch):
@@ -273,8 +304,9 @@ def test_distance_search_rows_are_the_minimum_then_its_near_dips(monkeypatch):
             return SimpleNamespace(**{**fields, field: rate(ch.lbe)})
 
         monkeypatch.setattr(sweeps, "rate_report", report)
-        rows = sweeps.optimal_eve_distance(replace(spec, objective=objective),
-                                           ProfileCache(compute=lambda *args: None))
+        rows = sweeps.optimal_eve_distance(
+            replace(spec, objective=objective),
+            ProfileCache(compute=lambda *args: None).get_or_compute)
         assert [r.value for r in rows] == [
             pytest.approx(grid[0] * math.exp(100.3 * step), rel=1e-3), needle,
             pytest.approx(grid[0] * math.exp(150.6 * step), rel=1e-3)]
@@ -303,6 +335,20 @@ def test_offset_returns_zero_past_reconvergence(monkeypatch):
     assert row.report.lb > 0.0
     assert row == on_axis
     assert offsets.count(0.0) == 1  # the on-axis rate is computed once
+    assert len(offsets) == len(set(offsets))
+
+
+def test_offset_search_scores_each_offset_once(monkeypatch):
+    # 1 km behind a 50 km link Eve's best offset lies off axis; no offset
+    # goes to channel_params twice, and both rows carry the channel objects
+    # the search scored there
+    offsets, channels = _spy_channels(monkeypatch, lambda g: g.eve_offset)
+    geom = Geometry(Scenario.BEHIND_BOB, 50e3, 1e3)
+    row, on_axis = optimize_eve_offset(make_spec(geometry=geom), 1e3)
+    assert row.d_opt > 0.1
+    assert len(offsets) == len(set(offsets))
+    scored = dict(zip(offsets, channels))
+    assert row.channel is scored[row.d_opt] and on_axis.channel is scored[0.0]
 
 
 def test_offset_search_reaches_the_largest_offset(monkeypatch):
@@ -320,7 +366,7 @@ def test_offset_search_reaches_the_largest_offset(monkeypatch):
     monkeypatch.setattr(sweeps, "rate_report", lambda ch, *a, **k: 1.5 - ch.kappa)
     cache = ProfileCache(compute=lambda *args: None)
     spec = make_spec(geometry=geom, beam=beam, rates=RateInputs())
-    row, _ = optimize_eve_offset(spec, geom.bob_eve_distance, cache)
+    row, _ = optimize_eve_offset(spec, geom.bob_eve_distance, cache.get_or_compute)
     d_star, rate = row.d_opt, row.report
     assert row.channel.d == d_star
     assert 2.0 * d_max / 3.0 < d_star < d_max

@@ -108,6 +108,15 @@ def _config_cases():
             f"{k}={v}" for k, v in override.items()))
     yield pytest.param("wavefront", {"wavefront": {"half_width": 1e300}},
                        id="regression:wavefront.half_width=1e300")
+    # a bright-spot overlay asked of a sweep that has none, which once
+    # wrote the sweep alone and exited 0
+    for case, override in (
+            ("mu-sweep", {"sweep_parameter": "mu", "sweep_min": 0.1, "sweep_max": 10.0}),
+            ("off-axis", {"eve_offset": 0.05}),
+            ("before-bob", {"scenario": "before_bob", "bob_eve_distance": 20_000.0,
+                            "sweep_min": 1_000.0, "sweep_max": 20_000.0})):
+        yield pytest.param("sweep", {"emit_arago_overlay": True, **override},
+                           id=f"arago-overlay:{case}")
 
 
 @pytest.mark.parametrize("command, override", _config_cases())
