@@ -2,10 +2,14 @@
 
 An entry's file name is a 128-bit content hash of the profile key (see
 :func:`diffraction.profile_key`) together with the grid-policy version, and
-the file holds the versioned binary profile record.  A record is used only if
-it reads back with exactly the requested key.  Writes are atomic (temp file +
-rename); corrupt or mismatched entries are recomputed and overwritten with a
-warning.
+the file holds the versioned binary profile record.  A read joins the
+directory and that name with ``os.path.join``, reads the whole file with one
+``open``/``read`` and hands the bytes to :func:`diffraction.deserialize_profile`,
+whose arrays are views of them.  A record is used only if it deserializes
+(right version and length, a grid strictly increasing from 0, every value
+finite) and reads back with exactly the requested key.  Writes are atomic
+(temp file + rename); corrupt or mismatched entries are recomputed and
+overwritten with a warning.
 """
 
 from __future__ import annotations
@@ -40,22 +44,25 @@ class ProfileDiskCache:
     def get_or_compute(self, src: SourceAnnulus, distance: float,
                        disk_hint: DiskSpec) -> FieldProfile:
         key = profile_key(src, distance, disk_hint.center_offset + disk_hint.radius)
-        path = self.directory / _filename(key)
+        name = _filename(key)
+        path = os.path.join(self.directory, name)
         try:
-            profile = deserialize_profile(path.read_bytes())
+            with open(path, "rb") as handle:
+                blob = handle.read()
+            profile = deserialize_profile(blob)
         except FileNotFoundError:
             pass
         except (ValueError, struct.error) as exc:
-            log.warning("cache entry %s unreadable (%s); recomputing", path.name, exc)
+            log.warning("cache entry %s unreadable (%s); recomputing", name, exc)
         else:
             if profile.key == key:
                 return profile
-            log.warning("cache entry %s does not match its key; recomputing", path.name)
+            log.warning("cache entry %s does not match its key; recomputing", name)
         profile = propagate_profile(src, distance, disk_hint)
         self._write_atomic(path, serialize_profile(profile))
         return profile
 
-    def _write_atomic(self, path: Path, blob: bytes):
+    def _write_atomic(self, path: str, blob: bytes):
         self.directory.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:

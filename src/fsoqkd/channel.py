@@ -28,7 +28,8 @@ KAPPA_CLAMP_TOL = 1e-3
 
 
 class ChannelConsistencyError(RuntimeError):
-    """Eve's collected fraction exceeded 1 beyond quadrature tolerance."""
+    """Eve's collected fraction is not finite, or exceeds 1 beyond quadrature
+    tolerance."""
 
 
 class Scenario(enum.Enum):
@@ -116,6 +117,8 @@ def default_noise(beam: BeamParams, temperature: float = 3.0) -> float:
 
 def _kappa_from_powers(p_eve: float, eta: float, p_total: float) -> float:
     kappa = p_eve / ((1.0 - eta) * p_total)
+    if not math.isfinite(kappa):
+        raise ChannelConsistencyError(f"kappa = {kappa} is not finite")
     if kappa > 1.0 + KAPPA_CLAMP_TOL:
         raise ChannelConsistencyError(
             f"kappa = {kappa:.6f} exceeds 1 beyond tolerance; quadrature failure likely")

@@ -281,7 +281,7 @@ def _skr_cv(ch: ChannelParams, inputs: RateInputs, mu: float,
     s_e, s_e_cond = terms or _eve_entropy_terms(ch, mu)
     holevo = s_e - s_e_cond
     floor = 1.0 + (1.0 - ch.eta) * ch.n_e
-    mutual = inputs.beta * math.log2((floor + ch.eta * mu) / floor)
+    mutual = inputs.beta * math.log1p(ch.eta * mu / floor) / LN2
     return inputs.pulse_rate * max(mutual - holevo, 0.0)
 
 

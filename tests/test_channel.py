@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fsoqkd.beams import BeamParams
 from fsoqkd.channel import (ChannelConsistencyError, Geometry, Scenario,
                             channel_params, default_noise, thermal_occupation)
+from fsoqkd.diffraction import propagate_profile
 from fsoqkd.rates import RateInputs, lb_direct, lb_reverse, upper_bound
 
 LAM = 1550e-9
@@ -157,6 +158,21 @@ def test_subnormal_offset_is_the_axis_without_warnings(beam):
         warnings.simplefilter("error")
         ch = channel_params(Geometry(Scenario.BEHIND_BOB, 40e3, 40e3, 1e-310), beam, 0.0)
     assert ch == channel_params(Geometry(Scenario.BEHIND_BOB, 40e3, 40e3), beam, 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_collected_power_raises(beam, value):
+    # a profile with a non-finite amplitude gives Eve a non-finite power
+    def provider(src, distance, disk_hint):
+        prof = propagate_profile(src, distance, disk_hint)
+        amps = prof.complex_amplitudes.copy()
+        amps[3] = value
+        return replace(prof, complex_amplitudes=amps)
+
+    geom = Geometry(Scenario.BEHIND_BOB, 40e3, 5e3)
+    with np.errstate(invalid="ignore"), pytest.raises(ChannelConsistencyError,
+                                                      match="not finite"):
+        channel_params(geom, beam, 0.0, provider)
 
 
 @pytest.mark.parametrize("geom", [

@@ -141,6 +141,23 @@ def test_one_node_cache_entry_is_recomputed(sweep):
     assert entry.read_bytes() == blob
 
 
+@pytest.mark.parametrize("column,value", [(0, float("nan")), (1, float("inf")),
+                                          (4, float("nan"))],
+                         ids=["nan-node", "inf-amplitude", "nan-slope"])
+def test_non_finite_cache_entry_is_recomputed(sweep, caplog, column, value):
+    # read as it is, such a record gives a row with kappa nan and no error
+    _, cold = sweep()
+    entry = sorted(sweep.cache_dir.glob("*.profile"))[1]
+    blob = entry.read_bytes()
+    at = diffraction._HEADER.size + 40 * 5 + 8 * column
+    entry.write_bytes(blob[:at] + struct.pack("<d", value) + blob[at + 8:])
+    computed, again = sweep()
+    assert "unreadable" in caplog.text and "corrupt" in caplog.text
+    assert computed == 1
+    assert again == cold
+    assert entry.read_bytes() == blob
+
+
 def test_record_of_another_profile_is_recomputed(sweep, caplog):
     _, cold = sweep()
     first, second = sorted(sweep.cache_dir.glob("*.profile"))[:2]

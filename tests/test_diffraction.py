@@ -528,11 +528,14 @@ def test_disk_power_full_coverage_is_total(profile_60):
 
 
 def test_disk_power_onaxis_equals_alpha_branch(profile_60):
-    # D = 0 dispatch and the angular-overlap branch share panels and weights
-    on_axis = disk_power(profile_60, DiskSpec(0.08, 0.0))
+    # the closed form on axis against the angular-overlap weight at D = 0, pi
+    # inside the disk, by 8-point Gauss per interval: exact for the degree-7
+    # integrand, so the two differ by rounding
+    disk = DiskSpec(0.08, 0.0)
     rho = np.linspace(1e-4, 0.08, 7)
-    assert np.all(_overlap_halfwidth(rho, DiskSpec(0.08, 0.0)) == math.pi)
-    assert disk_power(profile_60, DiskSpec(0.08, center_offset=0.0)) == on_axis
+    assert np.all(_overlap_halfwidth(rho, disk) == math.pi)
+    want = reference_disk_power(profile_60, disk)
+    assert abs(disk_power(profile_60, disk) - want) <= 1e-13 * want
 
 
 def test_disk_power_offaxis_matches_cartesian_oracle(beam):
@@ -642,10 +645,10 @@ def quad_disk_power(prof, disk):
 
 @pytest.mark.parametrize("lbe_km", [5.0, 40.0])
 def test_disk_power_quadrature_error(lbe_km):
-    # 8-point Gauss per interval is exact on axis.  Off axis the arccos
-    # overlap weight has square-root edges, and the panels ending there are
-    # integrated in t = sqrt(|rho - edge|); measured at most 1.1e-11 at 5 km
-    # and 4.2e-9 (D = 0.1 m) at 40 km, where the nodes are sparse.
+    # The closed form is exact on axis.  Off axis the arccos overlap weight
+    # has square-root edges, and the panels ending there are integrated in
+    # t = sqrt(|rho - edge|); measured at most 1.1e-11 at 5 km and 4.2e-9
+    # (D = 0.1 m) at 40 km, where the nodes are sparse.
     prof = profile_at(40e3, lbe_km * 1e3, 0.2)
     for offset, bound in [(0.0, 1e-14), (0.02, 1e-8), (0.05, 1e-8), (0.1, 1e-8),
                           (0.15, 1e-8), (0.2, 1e-8)]:
@@ -674,11 +677,11 @@ def test_disk_power_spline_interpolation_error(plane, lbe_km):
 # ------------------------------------------------------ batched disk power
 
 def reference_disk_power(prof, disk):
-    """disk_power of one profile, written out from its interpolator: the
-    integration cuts, 8 Gauss points per cut interval (in t = sqrt(|rho -
-    edge|) on the intervals ending at a square-root edge of an offset disk),
-    |U|^2 of the interpolant and one pairwise np.sum, in the arithmetic the
-    batched pass must keep."""
+    """disk_power of one profile by the 8-point rule, written out from its
+    interpolator: the integration cuts, 8 Gauss points per cut interval (in
+    t = sqrt(|rho - edge|) on the intervals ending at a square-root edge of
+    an offset disk), |U|^2 of the interpolant and one pairwise np.sum, in the
+    arithmetic the batched off-axis pass must keep."""
     hermite = prof.interpolator()
     nodes = prof.radial_nodes
     d, r = disk.center_offset, disk.radius
@@ -729,13 +732,44 @@ def profile_mix(beam):
             few_node_profile(beam, [0.0, 0.12], 2)]
 
 
-@pytest.mark.parametrize("chunk", [diffraction.DISK_POWER_CHUNK_NODES, 100])
+def interpolant_disk_power(prof, radius):
+    """Centered disk_power from the interpolator alone: |U|^2 * 2 pi rho by
+    16-point Gauss on each node interval inside the disk, exact for the
+    degree-7 integrand, summed by math.fsum."""
+    hermite = prof.interpolator()
+    nodes = prof.radial_nodes
+    cuts = np.append(nodes[nodes < radius], min(radius, prof.truncation_radius))
+    gx, gw = leggauss(16)
+    half = 0.5 * np.diff(cuts)[:, None]
+    rho = (0.5 * (cuts[:-1] + cuts[1:])[:, None] + half * gx).ravel()
+    vals = hermite(rho)
+    return math.fsum((vals.real ** 2 + vals.imag ** 2) * 2.0 * math.pi * rho
+                     * (half * gw).ravel())
+
+
+@pytest.mark.parametrize("plane,distance", [
+    (40e3, 0.7e3), (40e3, 5e3), (40e3, 40e3), (40e3, 400e3), (35e3, 5e3),
+], ids=["0.7km", "5km", "40km", "400km", "before-Bob"])
+def test_centered_disk_power_is_the_integral_of_the_interpolant(plane, distance):
+    # the closed form against quadrature: over the whole coverage, on a disk
+    # narrower than it, and on one ending exactly on a node
+    prof = profile_at(plane, distance)
+    nodes = prof.radial_nodes
+    on_node = float(nodes[nodes.size // 2])
+    assert 0.05 not in nodes
+    for radius in (0.1, 0.05, on_node):
+        want = interpolant_disk_power(prof, radius)
+        assert abs(disk_power(prof, DiskSpec(radius)) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("chunk", [diffraction.DISK_POWER_CHUNK_NODES, 512, 100])
 @pytest.mark.parametrize("radius,offset", [
     (0.1, 0.0), (0.05, 0.0), (0.03, 0.02), (0.04, 0.05), (0.02, 0.08),
 ])
 def test_disk_power_sequence_equals_per_profile_calls(profile_mix, radius, offset,
                                                       chunk, monkeypatch):
-    # chunk 100 splits the sequence into runs of one or several profiles
+    # chunk 512 splits the sequence into runs of several profiles, chunk 100
+    # into runs of one or several
     monkeypatch.setattr(diffraction, "DISK_POWER_CHUNK_NODES", chunk)
     disk = DiskSpec(radius, offset)
     batched = disk_power(profile_mix, disk)
@@ -743,7 +777,11 @@ def test_disk_power_sequence_equals_per_profile_calls(profile_mix, radius, offse
     singles = [disk_power(p, disk) for p in profile_mix]
     assert all(type(v) is float for v in singles)
     assert np.array_equal(batched, singles)
-    assert np.array_equal(batched, [reference_disk_power(p, disk) for p in profile_mix])
+    if offset == 0.0:  # the closed form
+        want = [interpolant_disk_power(p, radius) for p in profile_mix]
+        assert np.allclose(batched, want, rtol=1e-13, atol=0.0)
+    else:  # the 8-point rule, whose arithmetic is kept
+        assert np.array_equal(batched, [reference_disk_power(p, disk) for p in profile_mix])
     assert disk_power(tuple(profile_mix[::-1]), disk).tolist() == singles[::-1]
 
 
@@ -816,6 +854,7 @@ def test_profile_roundtrip_bit_exact(profile_60):
     assert back.propagation_distance == profile_60.propagation_distance
     assert back.budget == profile_60.budget
     assert back.budget.source_nodes > 0 and back.budget.achieved < 1e-6
+    assert serialize_profile(back) == blob
 
 
 def test_truncated_record_rejected(profile_60):
@@ -842,6 +881,21 @@ def test_record_with_fewer_than_two_nodes_rejected(profile_60):
                   complex_amplitudes=profile_60.complex_amplitudes[:2],
                   slopes=profile_60.slopes[:2])
     assert deserialize_profile(serialize_profile(two)).radial_nodes.size == 2
+
+
+@pytest.mark.parametrize("row,column,value", [
+    (5, 0, math.nan), (0, 0, math.nan), (-1, 0, math.inf), (5, 1, math.inf),
+    (5, 2, math.nan), (7, 3, -math.inf), (7, 4, math.nan),
+], ids=["nan-node", "nan-axis-node", "inf-last-node", "inf-amplitude",
+        "nan-amplitude", "inf-slope", "nan-slope"])
+def test_record_with_a_nan_node_or_a_non_finite_value_rejected(profile_60, row,
+                                                                 column, value):
+    blob = bytearray(serialize_profile(profile_60))
+    n = profile_60.radial_nodes.size
+    at = diffraction._HEADER.size + 40 * (row % n) + 8 * column
+    blob[at:at + 8] = struct.pack("<d", value)
+    with pytest.raises(ValueError, match="corrupt"):
+        deserialize_profile(bytes(blob))
 
 
 def test_wrong_version_rejected(profile_60):

@@ -386,6 +386,21 @@ def test_bb84_matches_mpmath_at_finite_mu(eta, kappa, n_e, mu, misalignment):
     assert abs(got - want) <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("mu", [1.0, 1e4, 1e8])
+def test_cv_mutual_term_matches_mpmath_at_a_tiny_eta_mu(mu):
+    # beta log2(1 + eta mu / floor): at eta mu = 1.4e-15 a log2 of the sum
+    # rounded 1 + eta mu and was 3.5% low at mu 1e8.  The Holevo term is
+    # left out (terms = 0, 0).
+    eta, n_e = 1.38e-23, 0.0
+    ch, rate_inputs = inputs(eta, 0.898, mu=mu, beta=0.95, n_e=n_e)
+    with mpmath.workdps(40):
+        floor = 1 + (1 - mpmath.mpf(eta)) * n_e
+        want = float(rate_inputs.pulse_rate * mpmath.mpf(0.95)
+                     * mpmath.log(1 + mpmath.mpf(eta) * mu / floor, 2))
+    got = rates._skr_cv(ch, rate_inputs, mu, terms=(0.0, 0.0))
+    assert abs(got - want) <= 1e-14 * want
+
+
 # ------------------------------------------------------------ optimization
 
 def test_optimize_mu_sentinel_at_perfect_reconciliation():
