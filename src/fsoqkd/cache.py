@@ -4,12 +4,15 @@ An entry's file name is a 128-bit content hash of the profile key (see
 :func:`diffraction.profile_key`) together with the grid-policy version, and
 the file holds the versioned binary profile record.  A read joins the
 directory and that name with ``os.path.join``, reads the whole file with one
-``open``/``read`` and hands the bytes to :func:`diffraction.deserialize_profile`,
-whose arrays are views of them.  A record is used only if it deserializes
-(right version and length, a grid strictly increasing from 0, every value
-finite) and reads back with exactly the requested key.  Writes are atomic
-(temp file + rename); corrupt or mismatched entries are recomputed and
-overwritten with a warning.
+unbuffered ``os.read`` sized by ``os.fstat``, and hands the bytes, the
+requested key and the caller's source to
+:func:`diffraction.deserialize_profile`.  The record is used only if it
+deserializes (right version and length, a grid strictly increasing from 0,
+every value finite) and its header and last node equal the requested key;
+the profile's arrays are views of the bytes and its source is the caller's,
+so a read builds no beam or annulus.  Writes are atomic (temp file +
+rename); corrupt or mismatched entries are recomputed and overwritten with a
+warning.
 """
 
 from __future__ import annotations
@@ -47,15 +50,18 @@ class ProfileDiskCache:
         name = _filename(key)
         path = os.path.join(self.directory, name)
         try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-            profile = deserialize_profile(blob)
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                blob = os.read(fd, os.fstat(fd).st_size)
+            finally:
+                os.close(fd)
+            profile = deserialize_profile(blob, key, src)
         except FileNotFoundError:
             pass
-        except (ValueError, struct.error) as exc:
+        except ValueError as exc:
             log.warning("cache entry %s unreadable (%s); recomputing", name, exc)
         else:
-            if profile.key == key:
+            if profile is not None:
                 return profile
             log.warning("cache entry %s does not match its key; recomputing", name)
         profile = propagate_profile(src, distance, disk_hint)

@@ -248,12 +248,20 @@ def _hermite_coefficients(x, y, m):
     """Column j holds c0..c3 of ``c0 + c1 u + c2 u^2 + c3 u^3``, u = rho - x_j,
     the cubic with values ``y`` and slopes ``m`` at x_j and x_j+1.  A column
     uses its two nodes alone, so for profiles laid end to end the columns
-    that straddle two of them are simply never used."""
+    that straddle two of them are simply never used.
+
+    The columns are multiplied by the real reciprocals of dx and dx^2
+    rather than divided by them: numpy divides a complex by a real by
+    multiplying both parts by the reciprocal, so the bits are the same
+    (test_hermite_coefficients_equal_complex_division_bit_for_bit), and the
+    product costs less than the division.
+    """
     dx = np.diff(x)
-    slope = np.diff(y) / dx
+    inv, inv2 = 1.0 / dx, 1.0 / (dx * dx)
+    slope = np.diff(y) * inv
     m0, m1 = m[:-1], m[1:]
-    return np.stack((y[:-1], m0, (3.0 * slope - 2.0 * m0 - m1) / dx,
-                     (m0 + m1 - 2.0 * slope) / (dx * dx)))
+    return np.stack((y[:-1], m0, (3.0 * slope - 2.0 * m0 - m1) * inv,
+                     (m0 + m1 - 2.0 * slope) * inv2))
 
 
 def _cubic(c, u):
@@ -659,15 +667,25 @@ def serialize_profile(profile: FieldProfile) -> bytes:
     return head + body.tobytes()
 
 
-def deserialize_profile(blob: bytes) -> FieldProfile:
+def deserialize_profile(blob: bytes, key: tuple | None = None,
+                        src: SourceAnnulus | None = None) -> FieldProfile | None:
     """The profile of a record, its arrays read-only views of ``blob``.
 
     Raises ValueError for a short or long record, another version, a grid
     that is not strictly increasing from 0 over at least 2 nodes, or a value
-    that is not finite."""
+    that is not finite.  The last is one sum over the body, which is not
+    finite if any value is not; it would also reject a finite record whose
+    sum overflows, far above any field a profile holds.
+
+    With ``key``, the :func:`profile_key` of a request, and ``src``, the
+    annulus of that request, a valid record whose header and last node are
+    not that key gives None, and one that is gives a profile whose source is
+    ``src`` itself, so that no beam or annulus is built.  Without them the
+    source is built from the header.
+    """
     if len(blob) < _HEADER.size:
         raise ValueError("profile record truncated: missing header")
-    version, *key, achieved, count, source_nodes = _HEADER.unpack_from(blob)
+    version, *head, achieved, count, source_nodes = _HEADER.unpack_from(blob)
     if version != SERIALIZATION_VERSION:
         raise ValueError(f"unsupported profile record version {version}")
     expect = _HEADER.size + count * 40
@@ -678,11 +696,14 @@ def deserialize_profile(blob: bytes) -> FieldProfile:
     # written so that a NaN node fails it
     if count < 2 or nodes[0] != 0.0 or not (nodes[1:] > nodes[:-1]).all():
         raise ValueError("profile record corrupt: bad radial grid")
-    if not np.isfinite(body).all():
+    if not math.isfinite(body.sum()):
         raise ValueError("profile record corrupt: a value is not finite")
+    # profile_key's order: three beam fields, two annulus fields, the
+    # distance, then the coverage, which is the last node
+    if key is not None and (tuple(head) != key[:6] or nodes[-1] != key[6]):
+        return None
+    if src is None:
+        src = SourceAnnulus(BeamParams(*head[:3]), *head[3:5])
     waves = body[:, 1:].view("<c16")
-    # profile_key's order: three beam fields, two annulus fields, the distance
-    src = SourceAnnulus(BeamParams(*key[:3]), *key[3:5])
-    budget = QuadratureBudget(achieved=achieved, source_nodes=int(source_nodes),
-                              profile_nodes=int(count))
-    return FieldProfile(src, key[5], nodes, waves[:, 0], waves[:, 1], budget)
+    budget = QuadratureBudget(achieved, source_nodes, count)
+    return FieldProfile(src, head[5], nodes, waves[:, 0], waves[:, 1], budget)

@@ -119,6 +119,13 @@ def g_entropy(x: float) -> float:
     return (math.log1p(x) + x * math.log1p(1.0 / x)) / LN2
 
 
+def _g_slope(x: float) -> float:
+    """g'(x) = log2(1 + 1/x), in a form that neither cancels nor overflows."""
+    if x < 1.0:
+        return (math.log1p(x) - math.log(x)) / LN2
+    return math.log1p(1.0 / x) / LN2
+
+
 _G_MU_GRID = [g_entropy(mu) for mu in _MU_GRID]
 
 
@@ -280,6 +287,20 @@ def _skr_cv(ch: ChannelParams, inputs: RateInputs, mu: float,
             terms=None, g_mu=None, g_noise=None) -> float:
     s_e, s_e_cond = terms or _eve_entropy_terms(ch, mu)
     holevo = s_e - s_e_cond
+    # The Holevo term g(x) - g(y), x = (nu - 1)/2 and y = (nu|B - 1)/2 of
+    # eve_spectra, cancels where d = x - y is small beside y.  As g' falls,
+    # the term is at most (d/y) g(x), so the first test holds wherever
+    # d < 1e-4 y.  There it is the integral of g' over [y, x] by 2-point
+    # Gauss-Legendre, error O((d/y)^4), with d in a form that does not
+    # cancel: kappa eta (1-eta) (mu - n_e)^2 / (1 + eta mu + (1-eta) n_e).
+    if holevo < 1e-3 * s_e:
+        eta, kappa, n_e = ch.eta, ch.kappa, ch.n_e
+        x = kappa * ((1.0 - eta) * mu + eta * n_e)
+        d = (kappa * eta * (1.0 - eta) * (mu - n_e) ** 2
+             / (1.0 + eta * mu + (1.0 - eta) * n_e))
+        if d < 1e-4 * (x - d):
+            mid, half = x - 0.5 * d, 0.5 * d / math.sqrt(3.0)
+            holevo = 0.5 * d * (_g_slope(mid - half) + _g_slope(mid + half))
     floor = 1.0 + (1.0 - ch.eta) * ch.n_e
     mutual = inputs.beta * math.log1p(ch.eta * mu / floor) / LN2
     return inputs.pulse_rate * max(mutual - holevo, 0.0)

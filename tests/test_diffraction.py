@@ -7,6 +7,8 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import j0
@@ -672,6 +674,37 @@ def test_disk_power_spline_interpolation_error(plane, lbe_km):
     field = _fresnel_prefactor(prof.source, prof.propagation_distance, rho) * integral
     direct = np.sum(np.abs(field) ** 2 * 2.0 * math.pi * rho * (half * gw).ravel())
     assert abs(disk_power(prof, DiskSpec(0.1)) - direct) / direct <= 1e-6
+
+
+def complex_hermite_coefficients(x, y, m):
+    """The Hermite columns by complex division by dx and dx^2."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    m0, m1 = m[:-1], m[1:]
+    return np.stack((y[:-1], m0, (3.0 * slope - 2.0 * m0 - m1) / dx,
+                     (m0 + m1 - 2.0 * slope) / (dx * dx)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
+       lowest=st.floats(-9.0, 3.0), width=st.floats(0.0, 12.0))
+def test_hermite_coefficients_equal_complex_division_bit_for_bit(n, seed, lowest, width):
+    # Node spacings from 10^lowest to at most 1e3 m; amplitudes and slopes
+    # 1e-8 to 1e5 in size, of either sign in each part.  The domain stops
+    # well above where dx^2 underflows (dx below about 1e-154): there 1/dx^2
+    # is inf, and numpy's division takes its branch for a zero divisor.
+    rng = np.random.default_rng(seed)
+    spacings = 10.0 ** rng.uniform(lowest, min(lowest + width, 3.0), n - 1)
+    x = np.concatenate(([0.0], np.cumsum(spacings)))
+
+    def parts():
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 5.0, n)
+
+    y, m = parts() + 1j * parts(), parts() + 1j * parts()
+    got = diffraction._hermite_coefficients(x, y, m)
+    want = complex_hermite_coefficients(x, y, m)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ------------------------------------------------------ batched disk power

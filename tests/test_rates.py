@@ -401,6 +401,44 @@ def test_cv_mutual_term_matches_mpmath_at_a_tiny_eta_mu(mu):
     assert abs(got - want) <= 1e-14 * want
 
 
+def cv_rate_mpmath(eta, kappa, mu, n_e=0.0, beta=1.0, pulse_rate=1e9):
+    """skr_cv at a finite mu in 60 digits, from the spectra of eve_spectra."""
+    with mpmath.workdps(60):
+        e, k, m, n = (mpmath.mpf(v) for v in (eta, kappa, mu, n_e))
+        leaked = (1 - e) * m + e * n
+        x = k * leaked
+        y = k * (leaked + m * n) / (1 + e * m + (1 - e) * n)
+
+        def g(t):
+            return (t + 1) * mpmath.log(t + 1, 2) - t * mpmath.log(t, 2) if t > 0 else 0
+
+        mutual = beta * mpmath.log(1 + e * m / (1 + (1 - e) * n), 2)
+        return float(pulse_rate * max(mutual - (g(x) - g(y)), 0))
+
+
+def test_cv_holevo_term_matches_mpmath_where_it_cancels():
+    # g(x) - g(y) cancelled to rounding at x 9.9e6, d = x - y 1.5e-9: the
+    # rate read 2.19e-7 bits/s against 1.1085e-14
+    ch, rate_inputs = inputs(1.38e-23, 0.898, mu=1.1e7)
+    want = cv_rate_mpmath(1.38e-23, 0.898, 1.1e7)
+    assert want == pytest.approx(1.1085e-14, rel=1e-4)
+    assert rates._skr_cv(ch, rate_inputs, 1.1e7) == pytest.approx(want, rel=1e-6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_mu=st.floats(-4.0, 8.0), eta_decades=st.floats(0.0, 24.0),
+       kappa=st.floats(0.01, 1.0))
+def test_cv_rate_matches_mpmath_at_a_tiny_eta_mu(log_mu, eta_decades, kappa):
+    # eta mu <= 1e-6, where d < 1e-4 y and the Holevo term is a Gauss rule;
+    # the rate is mutual - Holevo, which cancels to about 1/(2x) of mutual,
+    # so the 1e-6 tolerance holds up to x ~ 1e9 (here x <= 1e8)
+    mu = 10.0 ** log_mu
+    eta = 1e-6 / mu * 10.0 ** -eta_decades
+    want = cv_rate_mpmath(eta, kappa, mu)
+    got = rates._skr_cv(*inputs(eta, kappa, mu=mu), mu)
+    assert got == pytest.approx(want, rel=1e-6)
+
+
 # ------------------------------------------------------------ optimization
 
 def test_optimize_mu_sentinel_at_perfect_reconciliation():
