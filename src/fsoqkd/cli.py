@@ -141,8 +141,12 @@ def _search_spec(config: RunConfig, search: str) -> SweepSpec:
 def cmd_optimal_distance(config: RunConfig, out_dir: str, name: str, label: str,
                          profile_provider) -> int:
     spec = _search_spec(config, "eavesdropper-distance search")
-    return write_rows_csv(_out_path(out_dir, name, label),
-                          optimal_eve_distance(spec, profile_provider))
+    try:
+        rows = optimal_eve_distance(spec, profile_provider)
+    except QuadratureError as exc:
+        raise ConfigError(f"eavesdropper-distance search over [{spec.minimum!r}, "
+                          f"{spec.maximum!r}] m: {exc}") from exc
+    return write_rows_csv(_out_path(out_dir, name, label), rows)
 
 
 def cmd_optimize_d(config: RunConfig, out_dir: str, name: str, label: str,

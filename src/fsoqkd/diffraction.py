@@ -77,7 +77,8 @@ sum of its monomials' integrals up to the disk's edge.  On a displaced disk
 the angular-overlap weight enters, and an 8-point Gauss rule runs between the
 profile nodes; the panels ending at the weight's square-root edges |D - r|
 and D + r substitute rho = edge +- t^2.  :func:`disk_power` takes one profile
-or a whole sequence of them.
+or a whole sequence of them.  Offset disks are integrated one profile at a
+time; only the centered closed form is batched over a sequence.
 
 A profile is identified by :func:`profile_key`, the one list of the inputs
 that determine it; the in-memory and the on-disk profile caches key on it.
@@ -119,11 +120,11 @@ SERIALIZATION_VERSION = 6
 # Gauss-Legendre rule of off-axis disk_power, per panel between its cuts.
 _DISK_GX, _DISK_GW = leggauss(8)
 
-# disk_power over a sequence of profiles works on runs of consecutive
-# profiles holding at most this many radial nodes (a larger profile is a run
-# of its own), so its temporaries stay a few hundred kB whatever the count.
-# On the 1,207 profiles (91,641 nodes) of a distance search, the centered
-# closed form took 18 ms at 4,096 against 46 ms at 512, where the fixed cost
+# disk_power's centered closed form over a sequence of profiles works on
+# runs of consecutive profiles holding at most this many radial nodes (a
+# larger profile is a run of its own), so its temporaries stay a few hundred
+# kB whatever the count.  On the 1,207 profiles (91,641 nodes) of a distance
+# search, it took 18 ms at 4,096 against 46 ms at 512, where the fixed cost
 # of each run dominates, and 19-21 ms at 8,192 and 16,384 (2 cores).
 DISK_POWER_CHUNK_NODES = 4096
 
@@ -483,10 +484,11 @@ def disk_power(profile: FieldProfile | Sequence[FieldProfile],
     interpolant is exact: per node interval, the closed form of
     :func:`_centered_power`.  Offset disks weight the intensity by twice the
     angular half-width of the overlap arc, integrated by 8-point Gauss per
-    panel.  A single :class:`FieldProfile` gives a float; a sequence of
-    profiles gives an array of the same values, computed together.  A
-    profile that does not cover the disk raises :class:`CoverageError`, the
-    first such one in the sequence.
+    panel, one profile at a time (:func:`_offset_power`).  A single
+    :class:`FieldProfile` gives a float; a sequence of profiles gives an
+    array of the same values, the centered closed form computed for runs of
+    profiles together.  A profile that does not cover the disk raises
+    :class:`CoverageError`, the first such one in the sequence.
     """
     single = isinstance(profile, FieldProfile)
     profiles = [profile] if single else list(profile)
@@ -495,62 +497,45 @@ def disk_power(profile: FieldProfile | Sequence[FieldProfile],
         if outer > prof.truncation_radius * (1.0 + 1e-12):
             raise CoverageError(f"disk extends to {outer:.6g} m, profile covers "
                                 f"{prof.truncation_radius:.6g} m")
-    out = np.empty(len(profiles))
-    start = size = 0
-    for stop, prof in enumerate(profiles):
-        if stop > start and size + prof.radial_nodes.size > DISK_POWER_CHUNK_NODES:
-            _disk_power_run(profiles[start:stop], disk, out[start:stop])
-            start, size = stop, 0
-        size += prof.radial_nodes.size
-    if profiles:
-        _disk_power_run(profiles[start:], disk, out[start:])
+    if disk.center_offset > 0.0:
+        out = np.array([_offset_power(prof, disk) for prof in profiles])
+    else:
+        out = np.empty(len(profiles))
+        start = size = 0
+        for stop, prof in enumerate(profiles):
+            if stop > start and size + prof.radial_nodes.size > DISK_POWER_CHUNK_NODES:
+                _centered_power(profiles[start:stop], disk.radius, out[start:stop])
+                start, size = stop, 0
+            size += prof.radial_nodes.size
+        if profiles:
+            _centered_power(profiles[start:], disk.radius, out[start:])
     return float(out[0]) if single else out
 
 
-def _disk_power_run(profiles, disk: DiskSpec, out: np.ndarray):
-    """disk_power of consecutive profiles into ``out``, their nodes taken
-    end to end."""
-    counts = [p.radial_nodes.size for p in profiles]
-    x = np.concatenate([p.radial_nodes for p in profiles])
-    coeffs = _hermite_coefficients(x, np.concatenate([p.complex_amplitudes for p in profiles]),
-                                   np.concatenate([p.slopes for p in profiles]))
-    if disk.center_offset == 0.0:
-        _centered_power(x, coeffs, np.cumsum(counts), disk.radius, out)
-        return
+def _offset_power(prof: FieldProfile, disk: DiskSpec) -> float:
+    """disk_power of one profile on an offset disk, by 8-point Gauss per panel.
 
-    # Off axis.  The integration cuts of each profile: its nodes inside the
-    # disk's radial range, the range ends, the overlap edge and the middle of
-    # the overlap band, so that no panel ends at both of its square-root
-    # edges; sorted and distinct, as (profile, radius) keys.  Consecutive cuts
-    # of one profile bound a panel.
-    n = len(profiles)
-    pid = np.repeat(np.arange(n), counts)
+    The integration cuts are the profile's nodes inside the disk's radial
+    range, the range ends, the overlap edge and the middle of the overlap
+    band, so that no panel ends at both of its square-root edges.  The
+    arccos overlap weight goes like sqrt(rho - edge) at |D - r| and
+    sqrt(edge - rho) at D + r; rho = edge +- t^2 on the panels ending there
+    makes the integrand smooth in t (test_disk_power_quadrature_error).
+    """
     d, r = disk.center_offset, disk.radius
-    lo_lim = max(0.0, d - r)
-    hi_lim = np.minimum(d + r, x[np.cumsum(counts) - 1])
-    inside = (x > lo_lim) & (x < hi_lim[pid])
-    edges = [np.full(n, lo_lim), hi_lim]
-    if d < r:
-        edges.append(np.full(n, r - d))
-    edges.append(0.5 * (abs(d - r) + hi_lim))
-    breaks = np.concatenate(edges)
-    break_pid = np.tile(np.arange(n), len(edges))
-    keep = (lo_lim <= breaks) & (breaks <= hi_lim[break_pid])
-    cuts = _sorted_distinct(_keys(np.concatenate([pid[inside], break_pid[keep]]),
-                                  np.concatenate([x[inside], breaks[keep]])))
-    pair = cuts.real[1:] == cuts.real[:-1]
-    left, panel_pid = cuts[:-1][pair], cuts.real[1:][pair]
-    a, b = left.imag, cuts.imag[1:][pair]
-
-    # 8-point Gauss per panel.  The arccos overlap weight goes like
-    # sqrt(rho - edge) at |D - r| and sqrt(edge - rho) at D + r; rho = edge
-    # +- t^2 on the panels ending there makes the integrand smooth in t
-    # (test_disk_power_quadrature_error).
+    lo, hi = max(0.0, d - r), min(d + r, prof.truncation_radius)
+    nodes = prof.radial_nodes  # only the intervals that meet [lo, hi] count
+    part = slice(np.searchsorted(nodes, lo, side="right") - 1, np.searchsorted(nodes, hi) + 1)
+    x, y, m = nodes[part], prof.complex_amplitudes[part], prof.slopes[part]
+    # r - d, where the full circles end, is below lo unless d < r (= lo at d = r)
+    edges = np.array([lo, hi, r - d, 0.5 * (abs(d - r) + hi)])
+    cuts = _sorted_distinct(np.concatenate([x[(x > lo) & (x < hi)],
+                                            edges[(lo <= edges) & (edges <= hi)]]))
+    a, b = cuts[:-1], cuts[1:]
     half = 0.5 * (b - a)
     pts = 0.5 * (a + b)[:, None] + half[:, None] * _DISK_GX  # one row per panel
     wts = half[:, None] * _DISK_GW
-    for at_edge, edge, sign in ((a == abs(d - r), a, 1.0),
-                                (b == hi_lim[panel_pid.astype(int)], b, -1.0)):
+    for at_edge, edge, sign in ((a == abs(d - r), a, 1.0), (b == hi, b, -1.0)):
         span = np.sqrt(b[at_edge] - a[at_edge])[:, None]
         t = 0.5 * span * (1.0 + _DISK_GX)
         pts[at_edge] = edge[at_edge][:, None] + sign * t * t
@@ -559,26 +544,27 @@ def _disk_power_run(profiles, disk: DiskSpec, out: np.ndarray):
     # points take that interval's cubic, as the interpolator does, except for
     # a point rounded onto the panel's end node; that needs a panel a few ulps
     # wide, whose weight is far below the rounding of the sum.
-    i = np.searchsorted(_keys(pid, x), left, side="right")[:, None] - 1
-    u, c = pts - x[i], coeffs[:, i]
+    i = np.searchsorted(x, a, side="right")[:, None] - 1
+    c = _hermite_coefficients(x, y, m)[:, i]
+    u = pts - x[i]
     re, im = _cubic(c.real, u), _cubic(c.imag, u)
-    # |U|^2 * weight * rho * w, one pairwise sum per profile over its own
-    # slice, as for one profile
-    terms = ((re * re + im * im) * (2.0 * _overlap_halfwidth(pts, disk)) * pts * wts).ravel()
-    ends = _DISK_GX.size * np.searchsorted(panel_pid, np.arange(n + 1))
-    for k, (lo, hi) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist())):
-        out[k] = terms[lo:hi].sum()
+    # |U|^2 * weight * rho * w, one pairwise sum
+    return ((re * re + im * im) * (2.0 * _overlap_halfwidth(pts, disk)) * pts * wts).sum()
 
 
-def _centered_power(x, coeffs, ends: np.ndarray, radius: float, out: np.ndarray):
-    """disk_power on a centered disk of profiles laid end to end, ``ends``
-    their cumulative node counts: the exact integral of the interpolant.
+def _centered_power(profiles, radius: float, out: np.ndarray):
+    """disk_power of consecutive profiles on a centered disk into ``out``,
+    their nodes taken end to end: the exact integral of the interpolant.
 
     On node interval j the intensity of the cubic is the degree-6 polynomial
     ``sum_k a_k u^k``, u = rho - x_j, with a_k the sum over i + m = k of
     Re(c_i conj(c_m)).  With h the interval's part inside the disk,
     ``int_0^h a_k u^k (x_j + u) du = a_k h^(k+1) (x_j/(k+1) + h/(k+2))``.
     """
+    ends = np.cumsum([p.radial_nodes.size for p in profiles])
+    x = np.concatenate([p.radial_nodes for p in profiles])
+    coeffs = _hermite_coefficients(x, np.concatenate([p.complex_amplitudes for p in profiles]),
+                                   np.concatenate([p.slopes for p in profiles]))
     re, im = coeffs.real, coeffs.imag
     a = np.zeros((7, x.size - 1))
     for i in range(4):
@@ -605,14 +591,6 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     distinct = np.ones(values.size, dtype=bool)
     distinct[1:] = values[1:] != values[:-1]
     return values[distinct]
-
-
-def _keys(owner, radius):
-    """(owner, radius) pairs as complex numbers, which numpy sorts and
-    searches by real part, then imaginary part."""
-    keys = np.empty(len(radius), dtype=complex)
-    keys.real, keys.imag = owner, radius
-    return keys
 
 
 def arago_relative_amplitude(obstacle_radius: float, distance: float, l,

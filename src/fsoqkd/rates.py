@@ -95,8 +95,6 @@ class RateReport:
     skr_cv: float
     skr_bb84: float
     optimal_mu: float | None = None
-    optimal_mu_cv: float | None = None
-    optimal_mu_bb84: float | None = None
 
 
 def g_entropy(x: float) -> float:
@@ -452,25 +450,13 @@ def rate_report(ch: ChannelParams, inputs: RateInputs, optimize: bool = False,
     ``objective`` while each protocol rate is reported at its own optimum
     (the operational choice a transmitter would make per protocol).
     """
-    ub = upper_bound(ch)
     if optimize:
         primary, cv, bb = optimize_mu(ch, inputs, (objective, "skr_cv", "skr_bb84"))
-        at_primary = replace(inputs, mu=primary.mu)
-        d = lb_direct(ch, at_primary)
-        r = lb_reverse(ch, at_primary)
-        return RateReport(
-            lb_direct=d,
-            lb_reverse=r,
-            lb=max(d, r),
-            ub=ub,
-            skr_cv=cv.value,
-            skr_bb84=bb.value,
-            optimal_mu=primary.mu,
-            optimal_mu_cv=cv.mu,
-            optimal_mu_bb84=bb.mu,
-        )
-    d = lb_direct(ch, inputs)
-    r = lb_reverse(ch, inputs)
-    return RateReport(lb_direct=d, lb_reverse=r, lb=max(d, r), ub=ub,
-                      skr_cv=skr_cv_ccq(ch, inputs),
-                      skr_bb84=skr_ds_bb84(ch, inputs))
+        at, optimal_mu = replace(inputs, mu=primary.mu), primary.mu
+        skr_cv, skr_bb84 = cv.value, bb.value
+    else:
+        at, optimal_mu = inputs, None
+        skr_cv, skr_bb84 = skr_cv_ccq(ch, inputs), skr_ds_bb84(ch, inputs)
+    d, r = lb_direct(ch, at), lb_reverse(ch, at)
+    return RateReport(lb_direct=d, lb_reverse=r, lb=max(d, r), ub=upper_bound(ch),
+                      skr_cv=skr_cv, skr_bb84=skr_bb84, optimal_mu=optimal_mu)

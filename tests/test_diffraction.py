@@ -797,12 +797,16 @@ def test_centered_disk_power_is_the_integral_of_the_interpolant(plane, distance)
 
 @pytest.mark.parametrize("chunk", [diffraction.DISK_POWER_CHUNK_NODES, 512, 100])
 @pytest.mark.parametrize("radius,offset", [
-    (0.1, 0.0), (0.05, 0.0), (0.03, 0.02), (0.04, 0.05), (0.02, 0.08),
+    (0.1, 0.0), (0.05, 0.0), (0.03, 0.02), (0.04, 0.05), (0.02, 0.08), (0.05, 0.05),
+    (0.04, 0.06 + 5e-14),
 ])
 def test_disk_power_sequence_equals_per_profile_calls(profile_mix, radius, offset,
                                                       chunk, monkeypatch):
     # chunk 512 splits the sequence into runs of several profiles, chunk 100
-    # into runs of one or several
+    # into runs of one or several.  (0.02, 0.08) and (0.05, 0.05), D = r,
+    # end on the 0.1 m coverage of the behind-Bob profiles; the last disk
+    # ends past it within the coverage check's tolerance, so that its last
+    # cut is the coverage, not D + r
     monkeypatch.setattr(diffraction, "DISK_POWER_CHUNK_NODES", chunk)
     disk = DiskSpec(radius, offset)
     batched = disk_power(profile_mix, disk)

@@ -520,8 +520,7 @@ def test_optimized_rate_report_equals_three_golden_loops():
         at_primary = replace(inp, mu=primary.mu)
         assert (rep.optimal_mu, rep.lb_direct, rep.lb_reverse) == (
             primary.mu, lb_direct(ch, at_primary), lb_reverse(ch, at_primary)), i
-        assert (rep.optimal_mu_cv, rep.skr_cv) == (cv.mu, cv.value), i
-        assert (rep.optimal_mu_bb84, rep.skr_bb84) == (bb.mu, bb.value), i
+        assert (rep.skr_cv, rep.skr_bb84) == (cv.value, bb.value), i
         degenerate += primary.degenerate + cv.degenerate + bb.degenerate
     assert degenerate > 0
 
@@ -556,7 +555,6 @@ def test_rate_report_with_optimization():
     inp = inputs(0.6, 0.7, mu=1.0, beta=0.95)
     rep = rate_report(*inp, optimize=True)
     assert rep.optimal_mu is not None
-    assert rep.optimal_mu_cv is not None and rep.optimal_mu_bb84 is not None
     assert rep.lb <= rep.ub + 1e-9
     assert rep.skr_cv >= 0.0 and rep.skr_bb84 >= 0.0
 

@@ -108,6 +108,10 @@ def _config_cases():
             f"{k}={v}" for k, v in override.items()))
     yield pytest.param("wavefront", {"wavefront": {"half_width": 1e300}},
                        id="regression:wavefront.half_width=1e300")
+    # a search grid that needs more profile nodes than the budget, which
+    # once ended in a QuadratureError traceback
+    yield pytest.param("optimal-distance", {"sweep_min": 1.0},
+                       id="regression:optimal-distance.sweep_min=1.0")
     # a bright-spot overlay asked of a sweep that has none, which once
     # wrote the sweep alone and exited 0
     for case, override in (
@@ -127,3 +131,15 @@ def test_nonfinite_or_mistyped_config_exits_2(tmp_path, capsys, command, overrid
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_over_budget_row_is_an_error_row(tmp_path, capsys):
+    # the grid that makes optimal-distance exit 2 is one error row of a sweep
+    config = tmp_path / "budget.json"
+    config.write_text(json.dumps({**CONFIG, "sweep_min": 1.0}))
+    assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 1
+    rows = (tmp_path / "budget__run.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["1.0", "632.4555320336759", "400000.0"]
+    assert "QuadratureError: profile grid needs 736749 nodes" in rows[0]
+    assert not any("Error" in r for r in rows[1:])
+    assert "1 error rows recorded" in capsys.readouterr().err
