@@ -153,17 +153,14 @@ def channel_params(geom: Geometry | Sequence[Geometry], beam: BeamParams,
 
     if g0.scenario is Scenario.BEHIND_BOB:
         p_bob = encircled_power(beam, g0.alice_bob_distance, g0.bob_radius)
-        src = SourceAnnulus(beam, g0.alice_bob_distance, g0.bob_radius)
-        disk = DiskSpec(g0.eve_radius, g0.eve_offset)
+        src, _, disk = profile_request(g0, beam)
         profiles = [provider(src, g.bob_eve_distance, disk) for g in geoms]
         p_bobs, p_eves = [p_bob] * len(geoms), disk_power(profiles, disk).tolist()
     else:
         p_eves = [encircled_power(beam, g.alice_eve_distance, g.eve_radius)
                   for g in geoms]
-        disk = DiskSpec(g0.bob_radius, 0.0)
-        profiles = [provider(SourceAnnulus(beam, g.alice_eve_distance, g.eve_radius),
-                             g.bob_eve_distance, disk) for g in geoms]
-        p_bobs = disk_power(profiles, disk).tolist()
+        requests = [profile_request(g, beam) for g in geoms]
+        p_bobs = disk_power([provider(*r) for r in requests], requests[0][2]).tolist()
 
     out = []
     for p_bob, p_eve in zip(p_bobs, p_eves):
@@ -172,6 +169,18 @@ def channel_params(geom: Geometry | Sequence[Geometry], beam: BeamParams,
         out.append(ChannelParams(eta=eta, kappa=kappa, n_e=noise,
                                  p_bob=p_bob / p_tot, p_eve=p_eve / p_tot))
     return out[0] if single else out
+
+
+def profile_request(geom: Geometry, beam: BeamParams
+                    ) -> tuple[SourceAnnulus, float, DiskSpec]:
+    """The source, distance and disk of the one field profile a geometry's
+    channel needs: behind Bob, Bob's cropped beam onto Eve's disk; before
+    Bob, Eve's blocked beam onto Bob's."""
+    if geom.scenario is Scenario.BEHIND_BOB:
+        return (SourceAnnulus(beam, geom.alice_bob_distance, geom.bob_radius),
+                geom.bob_eve_distance, DiskSpec(geom.eve_radius, geom.eve_offset))
+    return (SourceAnnulus(beam, geom.alice_eve_distance, geom.eve_radius),
+            geom.bob_eve_distance, DiskSpec(geom.bob_radius, 0.0))
 
 
 def _layout(geom: Geometry) -> tuple:

@@ -6,8 +6,8 @@ its rows from one call in :mod:`fsoqkd.sweeps` and writes them as CSV:
 ``optimal-distance`` (:func:`optimal_eve_distance`), ``optimize-d``
 (:func:`optimal_eve_offsets`, a D* file and an on-axis ``_d0`` file) and
 ``before-bob`` (:func:`run_sweep` on a signed Bob-to-Eve axis, the segments
-of one label in one file).  ``wavefront`` computes every map's profile, then
-writes the maps; ``cache`` lists or clears the profile cache.  All outputs
+of one label in one file).  ``wavefront`` writes one map per profile of
+:func:`wavefront_profiles`; ``cache`` lists or clears the profile cache.  All outputs
 are deterministic: identical configs produce byte-identical files regardless
 of thread count.
 
@@ -30,19 +30,23 @@ when numpy loads, a start-up that costs CPU time in every process.
 Exporting any of ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` before the import leaves all three to the user.
 
-Exit codes: 0 on success, 1 when computational error rows were recorded, 2 on
-usage or configuration errors, which include a NaN or infinite value in any
-numeric field (``mu`` may be "inf"), a field of the wrong JSON type, a
-bright-spot overlay asked of a sweep that has none and a wavefront map too
-wide for the profile grid's node budget.  A config is checked in full before
-anything is written.
+Exit codes: 0 on success; 2 on usage or configuration errors, all found
+before anything is written: the config's own checks (:mod:`fsoqkd.config`),
+a recipe or scenario that does not fit the command, and
+:func:`~fsoqkd.sweeps.check_producer` on every item, which rejects a search
+off an L_BE sweep behind Bob, a wavefront off the axis, and a profile over
+its node or series budget where the command cannot give a row without it:
+the cheaper end of a sweep, the nearest distance of ``optimal-distance``,
+the farthest of ``optimize-d``, any wavefront map.  1 when error rows were
+recorded: any other row that fails, such as a sweep or offset-search row
+over the budget at a dearer grid point, is written as an error row and the
+run goes on.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -51,10 +55,10 @@ import numpy as np
 
 from .cache import CACHE_ENV_VAR, env_cache
 from .config import ConfigError, RunConfig
-from .diffraction import DiskSpec, QuadratureError, SourceAnnulus
 from .recipes import RecipeItem, build_recipe, recipe_names
-from .sweeps import (ProfileCache, SweepRow, SweepSpec, arago_prediction_curve,
-                     optimal_eve_distance, optimal_eve_offsets, run_sweep)
+from .sweeps import (ProfileCache, SweepRow, arago_prediction_curve, check_producer,
+                     optimal_eve_distance, optimal_eve_offsets, run_sweep,
+                     wavefront_profiles)
 
 CACHE_HELP = (f"Field profiles are cached on disk when the {CACHE_ENV_VAR} "
               f"environment variable names a directory, and only then.")
@@ -130,45 +134,23 @@ def cmd_signed_axis(items, out_dir: str, name: str, profile_provider,
     return errors
 
 
-def _search_spec(config: RunConfig, search: str) -> SweepSpec:
-    if config.scenario != "behind_bob" or config.sweep_parameter != "L_BE":
-        raise ConfigError(f"{search} scans Bob-Eve distances behind Bob and needs "
-                          f"scenario = behind_bob and sweep_parameter = L_BE, got "
-                          f"{config.scenario!r} and {config.sweep_parameter!r}")
-    return config.sweep_spec()
-
-
 def cmd_optimal_distance(config: RunConfig, out_dir: str, name: str, label: str,
                          profile_provider) -> int:
-    spec = _search_spec(config, "eavesdropper-distance search")
-    try:
-        rows = optimal_eve_distance(spec, profile_provider)
-    except QuadratureError as exc:
-        raise ConfigError(f"eavesdropper-distance search over [{spec.minimum!r}, "
-                          f"{spec.maximum!r}] m: {exc}") from exc
+    rows = optimal_eve_distance(config.sweep_spec(), profile_provider)
     return write_rows_csv(_out_path(out_dir, name, label), rows)
 
 
 def cmd_optimize_d(config: RunConfig, out_dir: str, name: str, label: str,
                    profile_provider) -> int:
-    spec = _search_spec(config, "offset optimization")
-    rows_opt, rows_axis = optimal_eve_offsets(spec, profile_provider)
+    rows_opt, rows_axis = optimal_eve_offsets(config.sweep_spec(), profile_provider)
     return (write_rows_csv(_out_path(out_dir, name, label), rows_opt)
             + write_rows_csv(_out_path(out_dir, name, f"{label}_d0"), rows_axis))
 
 
 def cmd_wavefront(config: RunConfig, out_dir: str, name: str, label: str,
                   profile_provider) -> int:
-    if config.scenario != "behind_bob" or config.eve_offset != 0.0:
-        raise ConfigError("wavefront maps are on-axis, behind-Bob only")
-    src = SourceAnnulus(config.beam(), config.alice_bob_distance, config.bob_radius)
     wf = config.wavefront
-    coverage = wf.half_width * math.sqrt(2.0) * 1.0001
-    try:
-        profiles = [profile_provider(src, dist, DiskSpec(coverage, 0.0))
-                    for dist in wf.distances]
-    except (QuadratureError, ValueError) as exc:
-        raise ConfigError(f"wavefront map of half_width {wf.half_width!r} m: {exc}") from exc
+    profiles = wavefront_profiles(config.sweep_spec(), wf, profile_provider)
     for dist, profile in zip(wf.distances, profiles):
         spline = profile.interpolator()
         axis = (np.linspace(-wf.half_width, wf.half_width, wf.pixels)
@@ -245,6 +227,14 @@ _KIND_FOR_COMMAND = {
     "before-bob": ("before_bob", "combined_axis"),
 }
 
+_PRODUCER_FOR_COMMAND = {
+    "sweep": run_sweep,
+    "wavefront": wavefront_profiles,
+    "optimal-distance": optimal_eve_distance,
+    "optimize-d": optimal_eve_offsets,
+    "before-bob": run_sweep,
+}
+
 
 def _run_command(args) -> int:
     if args.threads < 1:
@@ -253,6 +243,12 @@ def _run_command(args) -> int:
     if args.recipe and kind not in _KIND_FOR_COMMAND[args.command]:
         raise ConfigError(
             f"recipe {name!r} is of kind {kind!r}, not usable with '{args.command}'")
+    for item in items:
+        try:
+            check_producer(item.config.sweep_spec(), _PRODUCER_FOR_COMMAND[args.command],
+                           item.config.wavefront)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     out_dir, threads = args.out, args.threads
     disk = env_cache()
     provider = ProfileCache(compute=disk.get_or_compute if disk else None).get_or_compute

@@ -22,6 +22,10 @@ f_L and the pulse rate; ``thermal_occupation`` the temperature;
 give valid settings; ``arago_geometry``, under ``emit_arago_overlay``, that
 the sweep has a bright-spot curve; ``WavefrontSettings`` the wavefront grid.
 Their ``ValueError`` or ``TypeError`` becomes a :class:`ConfigError`.
+These checks hold for every command.  What depends on the command, whether
+its producer can give any row within the profile budget, is
+:func:`~fsoqkd.sweeps.check_producer`, which the CLI runs on every config
+before it writes anything; a row that fails at run time is an error row.
 """
 
 from __future__ import annotations

@@ -55,11 +55,15 @@ achieved error of a profile is the tail bound beyond M, in units of
 ``|A a^2 e^c / 2c|``: that is the integral's magnitude on the axis, so the
 bound is also relative to the largest value on the profile.
 
-Sign convention (not settled, see ROADMAP item 1): the source
-carries the curvature phase ``exp(-i k r^2 / 2R)`` of
-:func:`beams.field_amplitude`, while the Fresnel kernel is
-``exp(+i k r^2 / 2L)``.  The net quadratic phase is (k/2)(1/L - 1/R), so the
-diverging beam behaves as if converging and refocuses near L = R.
+Sign convention: the source carries the curvature phase
+``exp(-i k r^2 / 2R)`` of :func:`beams.field_amplitude`, while the Fresnel
+kernel is ``exp(+i k r^2 / 2L)``.  The net quadratic phase is
+(k/2)(1/L - 1/R), so the propagator propagates the phase-conjugated beam:
+with no disk, |U| at L past the source plane is |field_amplitude| at
+|L_src - L|, and the beam refocuses to its waist at L = L_src
+(test_propagator_carries_the_phase_conjugated_beam).  On the axis the
+series is exact, |U(0)|^2 = |A|^2 e^(-2 a^2/W^2) / ((2L/kW^2)^2 + (1 - L/R)^2)
+with W and R at the source plane.
 
 Field profiles sample the field U and its radial slope dU/dl on an adaptive
 grid and interpolate by the cubic Hermite piece through (U, dU/dl) at the two
@@ -91,9 +95,9 @@ import math
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .beams import BeamParams, plane_params
 
@@ -117,8 +121,15 @@ BESSEL_ARG_FLOOR = 1e-20
 
 SERIALIZATION_VERSION = 6
 
-# Gauss-Legendre rule of off-axis disk_power, per panel between its cuts.
-_DISK_GX, _DISK_GW = leggauss(8)
+# Gauss-Legendre rule of off-axis disk_power, per panel between its cuts:
+# numpy's leggauss(8) as literals, bit for bit, so that numpy.polynomial
+# stays unloaded.
+_DISK_GX = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                     -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                     0.7966664774136267, 0.9602898564975362])
+_DISK_GW = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                     0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                     0.22238103445337443, 0.10122853629037706])
 
 # disk_power's centered closed form over a sequence of profiles works on
 # runs of consecutive profiles holding at most this many radial nodes (a
@@ -341,27 +352,15 @@ def _bessel_sums(v: np.ndarray, t: np.ndarray):
     error is set by the ratio of the minimal solution J_N to the dominant
     one at the start (Gautschi, SIAM Rev. 9, 24 (1967)), and J_N is already
     below the tail bound.  Returns (J0, J1, sum, terms, achieved): the
-    N + 1 orders summed and the tail bound beyond N.
+    N + 1 orders summed and the tail bound beyond N (:func:`_series_order`).
     Raises :class:`QuadratureError`, before the recurrence, when that bound
     exceeds ``PROFILE_FIELD_RTOL``.
     """
     v = np.maximum(v, BESSEL_ARG_FLOOR)
-    x = 0.5 * float(v.max(initial=BESSEL_ARG_FLOOR))
-    log_x = math.log(x)
-    # 2 x^(m+1) / (m+1)! bounds the tail beyond order m once x < (m + 2) / 2
-    m, log_term = 0, log_x
-    while m < SERIES_MAX_TERMS and (log_term + math.log(2.0) > math.log(SERIES_EPS)
-                                    or x >= 0.5 * (m + 2)):
-        m += 1
-        log_term += log_x - math.log(m + 1)
-    if x < 0.5 * (m + 2):
-        log_tail = math.log(2.0) + (m + 1) * log_x - math.lgamma(m + 2)
-    else:  # cut short by the budget while the terms still grow
-        log_tail = x  # the whole series is at most e^x
-    achieved = math.exp(log_tail) if log_tail < 709.0 else math.inf
-    if achieved > PROFILE_FIELD_RTOL:
-        raise QuadratureError(f"Bessel recurrence needs more than its budget of "
-                              f"{SERIES_MAX_TERMS} orders", achieved)
+    m, achieved = _series_order(0.5 * float(v.max(initial=BESSEL_ARG_FLOOR)))
+    error = over_budget(0, achieved)
+    if error is not None:
+        raise error
 
     widest = max(math.log2(2.0 / float(v.min(initial=1.0))), 0.0)
     j_n, j_up = np.ones(v.shape), np.zeros(v.shape)
@@ -384,12 +383,82 @@ def _bessel_sums(v: np.ndarray, t: np.ndarray):
     return j_n / norm, j_up / norm, horner / norm, m + 1, achieved
 
 
+def _series_order(x: float) -> tuple[int, float]:
+    """The start order N of :func:`_bessel_sums` for x = max(v) / 2, capped
+    at ``SERIES_MAX_TERMS``, and the tail bound beyond it (inf past the
+    largest double)."""
+    log_x = math.log(x)
+    # 2 x^(m+1) / (m+1)! bounds the tail beyond order m once x < (m + 2) / 2
+    m, log_term = 0, log_x
+    if x >= 0.5 * (SERIES_MAX_TERMS + 2):  # the loop would run to the budget
+        m = SERIES_MAX_TERMS
+    while m < SERIES_MAX_TERMS and (log_term + math.log(2.0) > math.log(SERIES_EPS)
+                                    or x >= 0.5 * (m + 2)):
+        m += 1
+        log_term += log_x - math.log(m + 1)
+    if x < 0.5 * (m + 2):
+        log_tail = math.log(2.0) + (m + 1) * log_x - math.lgamma(m + 2)
+    else:  # cut short by the budget while the terms still grow
+        log_tail = x  # the whole series is at most e^x
+    return m, math.exp(log_tail) if log_tail < 709.0 else math.inf
+
+
 def _fresnel_prefactor(src: SourceAnnulus, distance: float, l_values):
     k = src.beam.wavenumber
     lam = src.beam.wavelength
     return (2.0 * math.pi * np.exp(1j * k * distance) / (1j * lam * distance)
             * _source_phase(src)
             * np.exp(1j * k * np.asarray(l_values, dtype=float) ** 2 / (2.0 * distance)))
+
+
+class ProfileWork(NamedTuple):
+    """What one field profile costs, from :func:`profile_work`."""
+
+    reach: float  # r_out = 3 W at the source plane
+    phase: float  # k (c^2 / 2 + r_out c) / L over the coverage c
+    nodes: int | float  # grid nodes before densifying
+    terms: int  # Bessel orders summed at the outer node, 0 without a disk
+    tail: float  # the series' tail bound there, 0.0 without a disk
+
+
+def source_reach(src: SourceAnnulus) -> float:
+    """r_out = 3 W at the source plane, the extent of the source that
+    matters; ``math.inf`` past the largest double."""
+    try:
+        return 3.0 * plane_params(src.beam, src.plane_distance).spot_size
+    except ArithmeticError:  # (L / z0)^2 past the largest double, or z0 = 0
+        return math.inf
+
+
+def profile_work(src: SourceAnnulus, distance: float, coverage: float) -> ProfileWork:
+    """The work of the profile of ``src`` at ``distance`` over [0,
+    ``coverage``] by float arithmetic alone: the grid of
+    :func:`_profile_nodes` before densifying, and the orders and tail bound
+    of :func:`_bessel_sums` at the largest argument v = k c a / L.  A value
+    past the largest double is ``math.inf``; nothing raises."""
+    k, a, reach = src.beam.wavenumber, src.inner_radius, source_reach(src)
+    try:
+        phase = k * (coverage ** 2 / 2.0 + reach * coverage) / distance
+    except OverflowError:
+        phase = math.inf
+    count = PROFILE_NODES_PER_HALF_PERIOD * phase / math.pi
+    nodes = max(64, math.ceil(count)) if count < math.inf else math.inf
+    if a == 0.0:
+        return ProfileWork(reach, phase, nodes, 0, 0.0)
+    m, tail = _series_order(0.5 * max(k * coverage / distance * a, BESSEL_ARG_FLOOR))
+    return ProfileWork(reach, phase, nodes, m + 1, tail)
+
+
+def over_budget(nodes: int | float, tail: float) -> QuadratureError | None:
+    """The error of a profile grid of ``nodes`` nodes or a Lommel series of
+    tail bound ``tail`` past its budget, or None within both."""
+    if nodes > PROFILE_MAX_NODES:
+        return QuadratureError(f"profile grid needs {nodes} nodes, budget is "
+                               f"{PROFILE_MAX_NODES}", estimate=float("nan"))
+    if tail > PROFILE_FIELD_RTOL:
+        return QuadratureError(f"Bessel recurrence needs more than its budget of "
+                               f"{SERIES_MAX_TERMS} orders", tail)
+    return None
 
 
 def _profile_nodes(src: SourceAnnulus, distance: float, coverage: float) -> np.ndarray:
@@ -400,22 +469,14 @@ def _profile_nodes(src: SourceAnnulus, distance: float, coverage: float) -> np.n
     with density doubled near the axis and near the geometric shadow edge at
     l = inner_radius where the field has the most curvature.
     """
-    k = src.beam.wavenumber
-    r_out = 3.0 * plane_params(src.beam, src.plane_distance).spot_size
-    try:
-        n = max(64, int(math.ceil(PROFILE_NODES_PER_HALF_PERIOD
-                                  * (k * (coverage ** 2 / 2.0 + r_out * coverage)
-                                     / distance) / math.pi)))
-    except OverflowError:  # the phase count is past the largest double
-        n = math.inf
-    if n > PROFILE_MAX_NODES:
-        raise QuadratureError(
-            f"profile grid needs {n} nodes, budget is {PROFILE_MAX_NODES}",
-            estimate=float("nan"))
+    work = profile_work(src, distance, coverage)
+    error = over_budget(work.nodes, work.tail)
+    if error is not None:
+        raise error
+    n, r_out = work.nodes, work.reach
     # invert cumulative phase k*(l^2/2 + r_out*l)/distance at uniform steps
-    targets = np.arange(1, n + 1) * (k * (coverage ** 2 / 2.0 + r_out * coverage)
-                                     / distance / n)
-    nodes = -r_out + np.sqrt(r_out ** 2 + 2.0 * distance * targets / k)
+    targets = np.arange(1, n + 1) * (work.phase / n)
+    nodes = -r_out + np.sqrt(r_out ** 2 + 2.0 * distance * targets / src.beam.wavenumber)
     nodes = np.concatenate([[0.0], nodes])
     nodes[-1] = coverage
 

@@ -5,7 +5,10 @@ Every producer of CSV rows takes a :class:`SweepSpec` and returns
 :func:`optimal_eve_distance`, the offset search :func:`optimal_eve_offsets`
 (:func:`optimize_eve_offset` at each grid distance) and the bright-spot
 curve :func:`arago_prediction_curve`.  All but the last pass their
-``profile_provider`` on to :func:`~fsoqkd.channel.channel_params`.
+``profile_provider`` on to :func:`~fsoqkd.channel.channel_params`;
+:func:`wavefront_profiles` gives the profiles of the wavefront maps.
+:func:`check_producer` tells, before a producer runs and from arithmetic
+alone, whether its profiles can give any row within their budget.
 
 A sweep evaluates the channel and rate pipeline over a grid of one varied
 parameter, capturing per-row errors without aborting.  It runs by stage: the
@@ -38,10 +41,11 @@ import numpy as np
 
 from .beams import (BeamParams, encircled_power, field_amplitude, plane_params,
                     total_power)
-from .channel import ChannelParams, Geometry, Scenario, _layout, channel_params
+from .channel import (ChannelParams, Geometry, Scenario, _layout, channel_params,
+                      profile_request)
 from .diffraction import (DiskSpec, FieldProfile, SourceAnnulus,
-                          arago_relative_amplitude, profile_key,
-                          propagate_profile)
+                          arago_relative_amplitude, over_budget, profile_key,
+                          profile_work, propagate_profile, source_reach)
 from .optimize import golden_section_max, refine_grid_point
 from .rates import OBJECTIVES, RateInputs, RateReport, rate_report
 
@@ -229,9 +233,57 @@ def run_sweep(spec: SweepSpec, profile_provider=None,
 # ---------------------------------------------------------------------------
 
 def _search_geometry(spec: SweepSpec, search: str) -> Geometry:
-    if spec.geometry.scenario is not Scenario.BEHIND_BOB or spec.parameter != "L_BE":
-        raise ValueError(f"{search} scans Bob-Eve distances behind Bob")
-    return spec.geometry
+    geom = spec.geometry
+    if geom.scenario is not Scenario.BEHIND_BOB or spec.parameter != "L_BE":
+        raise ValueError(f"{search} scans Bob-Eve distances behind Bob and needs "
+                         f"scenario = behind_bob and sweep_parameter = L_BE, got "
+                         f"{geom.scenario.value!r} and {spec.parameter!r}")
+    return geom
+
+
+def check_producer(spec: SweepSpec, producer, maps=None) -> None:
+    """Raise ValueError when ``producer`` (:func:`run_sweep`, a search, or
+    :func:`wavefront_profiles` with its ``maps``) can give no row: a search
+    off an L_BE sweep behind Bob, a wavefront off the axis, or a
+    :func:`profile_work` over budget at the point that decides.  For
+    run_sweep that is the cheaper grid end, as the work is monotone in each
+    swept parameter but W0, where W at the source plane is least at
+    W0^2 = L lambda / pi; for the distance search ``spec.minimum``, as it
+    needs every coarse point; for the offset search ``spec.maximum`` on the
+    disk of its largest offset; for a wavefront every map.  Other points
+    that fail give error rows.
+    """
+    if producer is wavefront_profiles:
+        src, coverage = _wavefront_source(spec, maps)
+        points = [(f"wavefront map at {d!r} m", src, d, coverage) for d in maps.distances]
+    elif producer is optimal_eve_offsets:
+        geom = _search_geometry(spec, "offset optimization")
+        src = SourceAnnulus(spec.beam, geom.alice_bob_distance, geom.bob_radius)
+        coverage = geom.bob_radius + source_reach(src) + geom.eve_radius
+        points = [(f"offset optimization at L_BE = {spec.maximum!r}", src,
+                   spec.maximum, coverage)]
+    else:
+        label, values = f"sweep {spec.parameter} =", [spec.minimum, spec.maximum]
+        if producer is optimal_eve_distance:
+            _search_geometry(spec, "eavesdropper-distance search")
+            label, values = "eavesdropper-distance search at L_BE =", values[:1]
+        elif spec.parameter == "W0":
+            plane = profile_request(spec.geometry, spec.beam)[0].plane_distance
+            least = math.sqrt(plane * spec.beam.wavelength / math.pi)
+            values.append(min(max(least, spec.minimum), spec.maximum))
+        points = []
+        for value in values:
+            src, distance, disk = profile_request(*_apply_parameter(spec, value)[:2])
+            points.append((f"{label} {value!r}", src, distance,
+                           disk.center_offset + disk.radius))
+    works = [(where, profile_work(src, distance, coverage))
+             for where, src, distance, coverage in points]
+    if producer is run_sweep:
+        works = [min(works, key=lambda w: (w[1].nodes, w[1].terms, w[1].tail))]
+    for where, work in works:
+        error = over_budget(work.nodes, work.tail)
+        if error is not None:
+            raise ValueError(f"{where}: {error}")
 
 
 def optimal_eve_distance(spec: SweepSpec, profile_provider=None) -> list[SweepRow]:
@@ -337,6 +389,25 @@ def optimal_eve_offsets(spec: SweepSpec, profile_provider=None
             pairs.append((SweepRow.failed(lbe, exc),) * 2)
     rows_opt, rows_axis = zip(*pairs)
     return list(rows_opt), list(rows_axis)
+
+
+def _wavefront_source(spec: SweepSpec, maps) -> tuple[SourceAnnulus, float]:
+    """Bob's cropped beam and the radius of the maps' corners, with a margin."""
+    geom = spec.geometry
+    if geom.scenario is not Scenario.BEHIND_BOB or geom.eve_offset != 0.0:
+        raise ValueError("wavefront maps are on-axis, behind-Bob only")
+    return (SourceAnnulus(spec.beam, geom.alice_bob_distance, geom.bob_radius),
+            maps.half_width * math.sqrt(2.0) * 1.0001)
+
+
+def wavefront_profiles(spec: SweepSpec, maps, profile_provider=None
+                       ) -> list[FieldProfile]:
+    """The field behind Bob, on the axis of ``spec``'s geometry, at each
+    distance of ``maps`` (:class:`~fsoqkd.config.WavefrontSettings`): one
+    profile per map, out to its corners."""
+    src, coverage = _wavefront_source(spec, maps)
+    return [(profile_provider or propagate_profile)(src, d, DiskSpec(coverage, 0.0))
+            for d in maps.distances]
 
 
 def arago_geometry(spec: SweepSpec) -> Geometry:

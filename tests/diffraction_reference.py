@@ -8,6 +8,10 @@ checked here against two independent quadratures of the same physics:
 * :func:`rs_field_direct` — the direct two-dimensional Rayleigh–Sommerfeld
   integral in polar coordinates.
 
+:func:`offset_disk_power_direct` integrates the series field itself over an
+offset disk in polar coordinates centered on the disk, with no profile, no
+interpolant and no angular-overlap weight.
+
 :func:`fresnel_valid` states the Fresnel condition of the reduction, and
 :func:`annulus_power` and :func:`profile_power` give the power a source
 annulus carries and the power a profile collects, for energy checks.
@@ -30,8 +34,9 @@ from scipy.special import j0
 
 from fsoqkd.beams import encircled_power, plane_params, total_power
 from fsoqkd.diffraction import (DiskSpec, FieldProfile, QuadratureError,
-                                SourceAnnulus, _gaussian_hankel, disk_power,
-                                _source_gaussian, _source_phase)
+                                SourceAnnulus, _fresnel_integral, _fresnel_prefactor,
+                                _gaussian_hankel, disk_power, _source_gaussian,
+                                _source_phase)
 
 GAUSS_ORDER = 10
 _GX, _GW = leggauss(GAUSS_ORDER)
@@ -217,3 +222,32 @@ def profile_power(profile: FieldProfile, radius: float | None = None) -> float:
     """Integrated power of the profile out to ``radius`` (default: full grid)."""
     r = profile.truncation_radius if radius is None else radius
     return disk_power(profile, DiskSpec(radius=r, center_offset=0.0))
+
+
+def offset_disk_power_direct(src: SourceAnnulus, distance: float, disk: DiskSpec,
+                             refine: int = 1) -> float:
+    """Power on a disk off the axis, from the field of the Lommel series
+    (``_fresnel_integral`` times ``_fresnel_prefactor``) at every point.
+
+    Polar coordinates (s, theta) centered on the disk, at distance
+    rho = sqrt(D^2 + s^2 + 2 D s cos theta) from the beam axis:
+    P = int_0^r int_0^2pi |U(rho)|^2 dtheta s ds.  In s, the 10-point Gauss
+    rule on panels of at most 2 pi of the ring phase k (D + r + a) r / L
+    (a the source's inner radius); in theta, the trapezoid rule on about one
+    point per radian of that phase, which converges geometrically for the
+    periodic integrand, on [0, pi] by its symmetry.  ``refine`` multiplies
+    both counts.  Against itself at ``refine=2`` it agrees to ~1e-11 on
+    L_AB 40 km, r 0.1 m, D up to 0.75 m, L_BE 1-40 km.
+    """
+    d, r = disk.center_offset, disk.radius
+    phase = src.beam.wavenumber * (d + r + src.inner_radius) * r / distance
+    edges = np.linspace(0.0, r, refine * max(4, math.ceil(phase / (2.0 * math.pi))) + 1)
+    s, ws = gauss_nodes(edges)
+    m = refine * (2 * math.ceil(phase / 2.0) + 16)  # points over 2 pi
+    theta = 2.0 * math.pi * np.arange(m // 2 + 1) / m
+    wt = np.full(theta.size, 4.0 * math.pi / m)
+    wt[0] = wt[-1] = 2.0 * math.pi / m  # the ends of [0, pi] count once
+    rho = np.sqrt(d * d + s[:, None] ** 2 + 2.0 * d * s[:, None] * np.cos(theta)).ravel()
+    field = _fresnel_integral(src, distance, rho)[0] * _fresnel_prefactor(src, distance, rho)
+    intensity = (field.real ** 2 + field.imag ** 2).reshape(s.size, theta.size)
+    return float(((intensity @ wt) * s * ws).sum())

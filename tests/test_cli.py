@@ -425,6 +425,15 @@ def test_cli_import_leaves_scipy_special_unloaded():
     assert "scipy.special" not in _scipy_loaded_by_cli_import()
 
 
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # plain `import numpy` does not load it; the package's one Gauss rule is
+    # written out as literals
+    code = "import sys, fsoqkd.cli; print(*(m for m in sys.modules if m.startswith('numpy.')))"
+    loaded = _fresh_python("-c", code).split()
+    assert "numpy.linalg" in loaded  # numpy's own imports are seen
+    assert not [m for m in loaded if m.startswith("numpy.polynomial")]
+
+
 BLAS_REPORT = f"""
 import os, sys, fsoqkd.cli
 print(*(os.environ.get(v) for v in {BLAS_THREAD_VARS!r}))

@@ -7,15 +7,15 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import j0
 
 from diffraction_reference import (annulus_power, disk_quadrature_integral,
-                                   fresnel_valid, phase_panels, profile_power,
-                                   rs_field_direct)
+                                   fresnel_valid, offset_disk_power_direct,
+                                   phase_panels, profile_power, rs_field_direct)
 from fsoqkd import diffraction
 from fsoqkd.beams import BeamParams, field_amplitude, plane_params, total_power
 from fsoqkd.diffraction import (CoverageError, DiskSpec, FieldProfile,
@@ -714,7 +714,8 @@ def reference_disk_power(prof, disk):
     interpolator: the integration cuts, 8 Gauss points per cut interval (in
     t = sqrt(|rho - edge|) on the intervals ending at a square-root edge of
     an offset disk), |U|^2 of the interpolant and one pairwise np.sum, in the
-    arithmetic the batched off-axis pass must keep."""
+    arithmetic that the off-axis integral of one profile, _offset_power,
+    must keep."""
     hermite = prof.interpolator()
     nodes = prof.radial_nodes
     d, r = disk.center_offset, disk.radius
@@ -841,9 +842,9 @@ def test_disk_power_sequence_raises_for_the_first_uncovered_profile(profile_mix)
 
 def test_disk_power_gauss_points_rounding_onto_a_node():
     # A cut one ulp below a node makes a panel whose Gauss points all round
-    # onto the node: the interpolator puts them on the next interval, the
-    # batched pass on the panel's own.  The panel weighs an ulp, so the sum
-    # is the same.
+    # onto the node: the interpolator puts them on the next interval,
+    # _offset_power on the panel's own.  The panel weighs an ulp, so the
+    # sum is the same.
     prof = profile_at(40e3, 5e3, 0.2)
     nodes = prof.radial_nodes
     node = next(x for x in nodes[(nodes > 0.02) & (nodes < 0.08)]
@@ -953,3 +954,121 @@ def test_phase_panels_cover_interval():
 def test_phase_panels_budget():
     with pytest.raises(QuadratureError):
         phase_panels(0.0, 1.0, 1e12, 0.0, 1.0, max_panels=100)
+
+
+# ------------------------------------------------------------ work estimate
+
+def test_disk_gauss_rule_is_leggauss_8():
+    gx, gw = leggauss(8)
+    assert np.array_equal(diffraction._DISK_GX.view(np.uint64), gx.view(np.uint64))
+    assert np.array_equal(diffraction._DISK_GW.view(np.uint64), gw.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(plane=st.floats(1e3, 200e3), inner=st.sampled_from([0.0, 0.02, 0.1, 0.3]),
+       distance=st.floats(300.0, 1e6), coverage=st.floats(0.01, 1.0),
+       cap=st.sampled_from([None, 5, 15]))
+def test_profile_work_is_the_grid_and_the_series_of_the_profile(
+        plane, inner, distance, coverage, cap):
+    # the node count before densifying, by the arithmetic _profile_nodes
+    # always used, and the orders and tail bound _bessel_sums picks on the
+    # profile's own grid, also under a capped series budget
+    beam = BeamParams(LAM, 0.1)
+    src = SourceAnnulus(beam, plane, inner)
+    work = diffraction.profile_work(src, distance, coverage)
+    r_out = 3.0 * plane_params(beam, plane).spot_size
+    assert work.reach == r_out
+    assert work.nodes == max(64, int(math.ceil(
+        diffraction.PROFILE_NODES_PER_HALF_PERIOD
+        * (beam.wavenumber * (coverage ** 2 / 2.0 + r_out * coverage) / distance)
+        / math.pi)))
+    assume(work.nodes <= 20_000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diffraction, "PROFILE_MAX_NODES", 63)  # below every grid
+        with pytest.raises(QuadratureError, match=f"grid needs {work.nodes} nodes"):
+            diffraction._profile_nodes(src, distance, coverage)
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(diffraction, "SERIES_MAX_TERMS", cap)
+        work = diffraction.profile_work(src, distance, coverage)
+        if work.tail > diffraction.PROFILE_FIELD_RTOL:
+            with pytest.raises(QuadratureError) as err:
+                diffraction._profile_nodes(src, distance, coverage)
+            assert err.value.estimate == work.tail
+            mp.setattr(diffraction, "PROFILE_FIELD_RTOL", math.inf)
+        nodes = diffraction._profile_nodes(src, distance, coverage)
+        with np.errstate(all="ignore"):
+            _, _, terms, achieved = _fresnel_integral(src, distance, nodes)
+    assert (terms, achieved) == (work.terms, work.tail)
+    assert (work.terms == 0) == (inner == 0.0)
+
+
+@pytest.mark.parametrize("wavelength, waist, plane, coverage", [
+    (LAM, 1e-150, 40e3, 0.1),  # (L / z0)^2 overflows in plane_params
+    (LAM, 0.1, 1e300, 0.1),  # so does a source plane this far
+    (1e30, 1e-150, 40e3, 0.1),  # z0 underflows to 0
+    (LAM, 0.1, 40e3, 1e300),  # coverage^2 overflows
+    (LAM, 0.1, 40e3, 1.5e308),  # and so does k c a / L
+], ids=["waist", "plane", "z0", "coverage", "series"])
+def test_profile_work_is_inf_rather_than_an_overflow(wavelength, waist, plane, coverage):
+    src = SourceAnnulus(BeamParams(wavelength, waist), plane, 0.1)
+    work = diffraction.profile_work(src, 20e3, coverage)
+    assert work.nodes == math.inf
+    assert str(diffraction.over_budget(work.nodes, work.tail)).startswith(
+        "profile grid needs inf nodes")
+    with pytest.raises(QuadratureError, match="needs inf nodes"):
+        propagate_profile(src, 20e3, DiskSpec(0.05, coverage - 0.05))
+    if coverage > 1e308:
+        assert (work.terms, work.tail) == (diffraction.SERIES_MAX_TERMS + 1, math.inf)
+
+
+# ------------------------------------------------- the conjugated beam
+
+@pytest.mark.parametrize("lab_km", [20, 40, 80])
+@pytest.mark.parametrize("lbe_km", [0.5, 5, 40, 400])
+def test_propagator_carries_the_phase_conjugated_beam(beam, lab_km, lbe_km):
+    # with no disk, |U| at L_BE past the source plane at L_AB is the beam's
+    # |U| at |L_AB - L_BE|: the beam refocuses to its waist at L_BE = L_AB.
+    # On the axis, |U(0)|^2 = |A|^2 e^(-2 a^2/W^2) / ((2L/kW^2)^2 + (1-L/R)^2)
+    # with W, R and |A| at L_AB, L = L_BE, without a disk and behind Bob's.
+    # Measured within 9e-16 (profile) and 1.3e-15 (axis) of these.
+    lab, lbe = lab_km * 1e3, lbe_km * 1e3
+    whole = propagate_profile(SourceAnnulus(beam, lab, 0.0), lbe, DiskSpec(0.3))
+    want = np.abs(field_amplitude(beam, whole.radial_nodes, abs(lab - lbe)))
+    assert np.abs(np.abs(whole.complex_amplitudes) - want).max() <= 1e-10 * want.max()
+    plane = plane_params(beam, lab)
+    w, k = plane.spot_size, beam.wavenumber
+    peak2 = (beam.field_peak * beam.waist_radius / w) ** 2
+    for a, prof in ((0.0, whole),
+                    (0.1, propagate_profile(SourceAnnulus(beam, lab, 0.1), lbe, DiskSpec(0.1)))):
+        axis2 = (peak2 * math.exp(-2.0 * a * a / w ** 2)
+                 / ((2.0 * lbe / (k * w * w)) ** 2 + (1.0 - lbe / plane.curvature_radius) ** 2))
+        assert abs(abs(prof.complex_amplitudes[0]) ** 2 - axis2) <= 1e-10 * axis2
+
+
+# ------------------------------------------------- off-axis disk power
+
+@pytest.mark.parametrize("lbe_km", [1, 5, 40])
+def test_offset_disk_power_against_the_polar_oracle(beam, lbe_km):
+    # Eve's 0.1 m disk behind Bob's, 40 km from Alice, at D = r, 0.3 m and
+    # the two largest of fig14's offsets (up to r_b + 3 W = 0.77 m), from the
+    # profile fig14 builds.  The error is the interpolant's, relative to the
+    # power collected, which falls to ~1e-5 of the beam at 0.75 m; measured
+    # 5e-10..3.5e-9 (1 km), 2.8e-9..2.5e-8 (5 km), 4.9e-8..5.7e-7 (40 km) at
+    # the first two offsets and 2.9e-6..6.0e-6 at the last two.
+    src = SourceAnnulus(beam, 40e3, 0.1)
+    d_max = 0.1 + 3.0 * plane_params(beam, 40e3).spot_size
+    prof = propagate_profile(src, lbe_km * 1e3, DiskSpec(0.1, d_max))
+    for offset, bound in ((0.1, 1e-6), (0.3, 1e-6), (0.6, 7e-6), (0.75, 7e-6)):
+        disk = DiskSpec(0.1, offset)
+        want = offset_disk_power_direct(src, lbe_km * 1e3, disk)
+        assert abs(disk_power(prof, disk) - want) <= bound * want
+
+
+def test_polar_oracle_converges(beam):
+    src = SourceAnnulus(beam, 40e3, 0.1)
+    for offset in (0.1, 0.75):
+        disk = DiskSpec(0.1, offset)
+        coarse = offset_disk_power_direct(src, 5e3, disk)
+        assert coarse == pytest.approx(offset_disk_power_direct(src, 5e3, disk, refine=2),
+                                       rel=1e-9, abs=0.0)

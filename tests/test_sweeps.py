@@ -4,15 +4,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsoqkd import channel, sweeps
 from fsoqkd.beams import BeamParams
-from fsoqkd.channel import Geometry, Scenario, channel_params
-from fsoqkd.diffraction import QuadratureError, propagate_profile
+from fsoqkd.channel import Geometry, Scenario, channel_params, profile_request
+from fsoqkd.diffraction import QuadratureError, profile_work, propagate_profile
 from fsoqkd.rates import OBJECTIVES, RateInputs, RateReport
 from fsoqkd.sweeps import (ProfileCache, SweepSpec, _apply_parameter,
-                           arago_prediction_curve, geometry_row,
-                           optimize_eve_offset, run_sweep)
+                           arago_prediction_curve, check_producer, geometry_row,
+                           optimal_eve_distance, optimal_eve_offsets,
+                           optimize_eve_offset, run_sweep, wavefront_profiles)
 from predictor_reference import (AnalyticPredictor, DegenerateGeometryError,
                                  analytic_f1_f2)
 
@@ -397,3 +400,112 @@ def test_arago_curve_requires_on_axis():
     with pytest.raises(ValueError):
         arago_prediction_curve(make_spec(geometry=geom, beam=beam, rates=rates,
                                          minimum=10e3, maximum=20e3, count=2))
+
+
+# ---------------------------------------------- the work a producer needs
+
+def work_at(spec, value):
+    src, distance, disk = profile_request(*_apply_parameter(spec, value)[:2])
+    return profile_work(src, distance, disk.center_offset + disk.radius)
+
+
+# (sweep parameter, spec settings, +1 if the work rises with the value):
+# each over the whole range of valid values behind or before Bob
+BEFORE = Geometry(Scenario.BEFORE_BOB, 40e3, 10e3)
+MONOTONE = {
+    "L_BE": (dict(minimum=1.0, maximum=1e7), -1),
+    "L_AE": (dict(minimum=1.0, maximum=40e3 - 1.0, geometry=BEFORE), 1),
+    "L_AE-behind": (dict(parameter="L_AE", minimum=1.0, maximum=20e3 - 1.0), 1),
+    "D": (dict(minimum=0.0, maximum=10.0, spacing="linear"), 1),
+    "L_AB": (dict(minimum=1.0, maximum=1e7), 1),
+    "L_AB-tied": (dict(parameter="L_AB", minimum=1.0, maximum=1e7,
+                       tie_bob_eve_to_link=True), -1),
+    "L_AB-before": (dict(parameter="L_AB", minimum=10e3 + 1.0, maximum=1e7,
+                         geometry=BEFORE), 1),
+    "r_e": (dict(minimum=1e-3, maximum=10.0), 1),
+    "r_e-before": (dict(parameter="r_e", minimum=1e-3, maximum=10.0, geometry=BEFORE), 1),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(sorted(MONOTONE)), shares=st.lists(
+    st.floats(0.0, 1.0), min_size=2, max_size=2), w0=st.floats(0.01, 0.5))
+def test_profile_work_is_monotone_in_each_swept_parameter(case, shares, w0):
+    # what check_producer relies on: so no grid point is cheaper than the
+    # cheaper end of a sweep.  The phase, which sets the node count, may
+    # step back by rounding where two factors move (L_AB tied to L_BE);
+    # the Bessel orders are exact.
+    kw, rise = MONOTONE[case]
+    kw = {"parameter": case.split("-")[0], **kw}
+    spec = make_spec(beam=BeamParams(LAM, w0), **kw)
+    lo, hi = sorted(spec.minimum + f * (spec.maximum - spec.minimum) for f in shares)
+    low, high = work_at(spec, lo), work_at(spec, hi)
+    if rise < 0:
+        low, high = high, low
+    assert low.phase <= high.phase * (1.0 + 1e-12)
+    assert low.terms <= high.terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(lab=st.floats(1e3, 1e6), w0=st.floats(1e-3, 10.0))
+def test_profile_work_is_least_at_the_waist_check_producer_tries(lab, w0):
+    spec = make_spec(parameter="W0", minimum=1e-3, maximum=10.0,
+                     geometry=Geometry(Scenario.BEHIND_BOB, lab, 5e3))
+    least = math.sqrt(lab * LAM / math.pi)
+    assert work_at(spec, least).reach <= work_at(spec, w0).reach * (1.0 + 1e-12)
+
+
+def test_w0_sweep_over_budget_at_both_ends_runs_at_its_middle():
+    # 500 m behind Bob, the waist W0 = 1 mm or 20 m spreads the beam at
+    # Bob's plane over too many nodes, while W0 = 0.14 m does not
+    spec = make_spec(parameter="W0", minimum=1e-3, maximum=20.0, count=3,
+                     geometry=Geometry(Scenario.BEHIND_BOB, 40e3, 500.0))
+    ends = [work_at(spec, v).nodes for v in (spec.minimum, spec.maximum)]
+    assert min(ends) > 60_000 > work_at(spec, spec.grid()[1]).nodes
+    check_producer(spec, run_sweep)
+    rows = run_sweep(spec)
+    assert [r.error is None for r in rows] == [False, True, False]
+    with pytest.raises(ValueError, match=r"sweep W0 = 0\.0015: profile grid needs \d+ nodes"):
+        check_producer(replace(spec, maximum=1.5e-3), run_sweep)
+
+
+@pytest.mark.parametrize("producer", [optimal_eve_distance, optimal_eve_offsets])
+def test_check_producer_names_what_a_search_needs(producer):
+    spec = make_spec(parameter="mu", minimum=0.1, maximum=10.0)
+    with pytest.raises(ValueError, match="behind_bob and sweep_parameter = L_BE"):
+        check_producer(spec, producer)
+    with pytest.raises(ValueError, match="scans Bob-Eve distances"):
+        producer(spec)
+
+
+def test_check_producer_decides_at_each_searchs_own_point():
+    # L_BE from 5 m: the distance search needs every coarse point, so it
+    # fails at 5 m; the offset search is decided at the farthest distance,
+    # and its nearest one is an error row
+    spec = make_spec(minimum=5.0, maximum=20e3, count=2)
+    with pytest.raises(ValueError, match="search at L_BE = 5.0: profile grid"):
+        check_producer(spec, optimal_eve_distance)
+    check_producer(spec, optimal_eve_offsets)
+    rows, _ = optimal_eve_offsets(spec)
+    assert "QuadratureError" in rows[0].error and rows[1].error is None
+    assert rows[1].d_opt > 0.0
+    check_producer(spec, run_sweep)
+    # 20-50 m: Eve's own disk fits the budget at 50 m, the disk of the
+    # offset search's largest offset (r_b + 3 W + r_e = 0.62 m) does not
+    near = make_spec(minimum=20.0, maximum=50.0, count=2)
+    check_producer(near, run_sweep)
+    with pytest.raises(ValueError, match="optimization at L_BE = 50.0: profile grid"):
+        check_producer(near, optimal_eve_offsets)
+
+
+def test_wavefront_check_covers_every_map():
+    maps = SimpleNamespace(half_width=0.35, distances=(60e3, 3.0))
+    spec = make_spec()
+    with pytest.raises(ValueError, match="wavefront map at 3.0 m: profile grid"):
+        check_producer(spec, wavefront_profiles, maps)
+    maps = SimpleNamespace(half_width=0.35, distances=(60e3,))
+    check_producer(spec, wavefront_profiles, maps)
+    assert len(wavefront_profiles(spec, maps)) == 1
+    with pytest.raises(ValueError, match="on-axis"):
+        check_producer(replace(spec, geometry=replace(spec.geometry, eve_offset=0.1)),
+                       wavefront_profiles, maps)

@@ -143,3 +143,49 @@ def test_sweep_over_budget_row_is_an_error_row(tmp_path, capsys):
     assert "QuadratureError: profile grid needs 736749 nodes" in rows[0]
     assert not any("Error" in r for r in rows[1:])
     assert "1 error rows recorded" in capsys.readouterr().err
+
+
+# finite settings whose every row once failed (exit 1, or a traceback from
+# beams.plane_params): the profile's work is over budget, or past the
+# largest double, at the one point that decides each command
+NO_ROW = {"waist_radius=1e-150": {"waist_radius": 1e-150},
+          "alice_bob_distance=1e300": {"alice_bob_distance": 1e300},
+          "waist_radius=1e-30": {"waist_radius": 1e-30},
+          "eve_offset=1e300": {"eve_offset": 1e300},
+          # z0 underflows to 0: a ZeroDivisionError traceback from plane_params
+          "wavelength=1e30,waist_radius=1e-150": {"wavelength": 1e30, "waist_radius": 1e-150}}
+
+
+def _no_row_cases():
+    for name, override in NO_ROW.items():
+        commands = ("sweep", "optimal-distance")
+        if name != "eve_offset=1e300":  # the offset search sets its own offsets
+            commands += ("optimize-d", "wavefront")
+        for command in commands:
+            yield pytest.param(command, override, id=f"{command}:{name}")
+
+
+@pytest.mark.parametrize("command, override", _no_row_cases())
+def test_config_that_can_give_no_row_exits_2(tmp_path, capsys, command, override):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({**CONFIG, **override}))
+    code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "budget is" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_offset_search_ignores_the_config_offset(tmp_path):
+    # eve_offset 1e300 makes no row of a sweep, but the offset search
+    # places Eve itself: the same files as on the axis, exit 0
+    outs = []
+    for i, offset in enumerate((1e300, 0.0)):
+        config = tmp_path / f"offset{i}.json"
+        config.write_text(json.dumps({**CONFIG, "sweep_count": 2, "eve_offset": offset}))
+        out = tmp_path / f"out{i}"
+        assert cli.main(["optimize-d", "--config", str(config), "--out", str(out)]) == 0
+        outs.append({p.name.replace(f"offset{i}", ""): p.read_bytes()
+                     for p in sorted(out.iterdir())})
+    assert outs[0] == outs[1] and len(outs[0]) == 2
