@@ -7,40 +7,42 @@ its rows from one call in :mod:`fsoqkd.sweeps` and writes them as CSV:
 (:func:`optimal_eve_offsets`, a D* file and an on-axis ``_d0`` file) and
 ``before-bob`` (:func:`run_sweep` on a signed Bob-to-Eve axis, the segments
 of one label in one file).  ``wavefront`` writes one map per profile of
-:func:`wavefront_profiles`; ``cache`` lists or clears the profile cache.  All outputs
-are deterministic: identical configs produce byte-identical files regardless
-of thread count.
+:func:`wavefront_profiles`; ``cache`` lists or clears the profile cache.
+:data:`COMMANDS` names, for each command but ``cache``, the recipe kinds it
+accepts, its producer and its writer.  All outputs are deterministic:
+identical configs produce byte-identical files.
 
-The config says what is computed; ``--out``, ``--threads`` and the
-environment say where and how.  ``FSOQKD_CACHE`` is the profile cache's only
-switch: naming a directory keeps profiles there across runs, and ``cache
-inspect|clear`` lists or deletes them (exit 2 if the directory is missing).
+The config says what is computed; ``--out`` and the environment say where
+and how.  ``FSOQKD_CACHE`` is the profile cache's only switch: naming a
+directory keeps profiles there across runs, and ``cache inspect|clear``
+lists or deletes them (exit 2 if the directory is missing).
 A run wraps its one profile source, the disk cache or else propagation, in
 a :class:`~fsoqkd.sweeps.ProfileCache` whose ``get_or_compute`` every
 producer takes as its ``profile_provider``.
 
-Parallelism: the sweep pool (``--threads``, default 1) is the only one.  A
-sweep is scored by row group, a run of rows whose geometries differ in the
-Bob-Eve distance only: each group's channels come from one batched call.
-The pool's threads take whole groups, so an L_BE, L_AE or mu sweep, one
-group, runs in the calling thread at any thread count.  Importing
-``fsoqkd`` pins OpenBLAS, MKL and OpenMP to one thread each.  The package
-makes no BLAS call; the pin keeps OpenBLAS from starting worker threads
-when numpy loads, a start-up that costs CPU time in every process.
-Exporting any of ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` or
-``OMP_NUM_THREADS`` before the import leaves all three to the user.
+Parallelism: none.  Every command runs in one thread.  A sweep is scored by
+row group, a run of rows whose geometries differ in the Bob-Eve distance
+only: each group's channels come from one batched call, and the groups run
+one after another.  ``--threads`` is accepted (at least 1) and has no effect;
+it stays only because the benchmark passes it, and goes once the benchmark
+no longer does.  Importing ``fsoqkd`` pins OpenBLAS, MKL and OpenMP to one
+thread each.  The package makes no BLAS call; the pin keeps OpenBLAS from
+starting worker threads when numpy loads, a start-up that costs CPU time in
+every process.  Exporting any of ``OPENBLAS_NUM_THREADS``,
+``MKL_NUM_THREADS`` or ``OMP_NUM_THREADS`` before the import leaves all
+three to the user.
 
 Exit codes: 0 on success; 2 on usage or configuration errors, all found
-before anything is written: the config's own checks (:mod:`fsoqkd.config`),
-a recipe or scenario that does not fit the command, and
-:func:`~fsoqkd.sweeps.check_producer` on every item, which rejects a search
-off an L_BE sweep behind Bob, a wavefront off the axis, and a profile over
-its node or series budget where the command cannot give a row without it:
-the cheaper end of a sweep, the nearest distance of ``optimal-distance``,
-the farthest of ``optimize-d``, any wavefront map.  1 when error rows were
-recorded: any other row that fails, such as a sweep or offset-search row
-over the budget at a dearer grid point, is written as an error row and the
-run goes on.
+before anything is written: a config file that cannot be read as UTF-8 text,
+the config's own checks (:mod:`fsoqkd.config`), a recipe or scenario that
+does not fit the command, and :func:`~fsoqkd.sweeps.check_producer` on every
+item, which rejects a search off an L_BE sweep behind Bob, a wavefront off
+the axis, and a profile over its node or series budget where the command
+cannot give a row without it: the cheaper end of a sweep, the nearest
+distance of ``optimal-distance``, the farthest of ``optimize-d``, any
+wavefront map.  1 when error rows were recorded: any other row that fails,
+such as a sweep or offset-search row over the budget at a dearer grid point,
+is written as an error row and the run goes on.
 """
 
 from __future__ import annotations
@@ -105,24 +107,23 @@ def _out_path(out_dir: str, name: str, label: str, suffix: str = ".csv") -> Path
 
 
 def cmd_sweep(config: RunConfig, out_dir: str, name: str, label: str,
-              profile_provider, threads: int) -> int:
+              profile_provider) -> int:
     spec = config.sweep_spec()
     errors = write_rows_csv(_out_path(out_dir, name, label),
-                            run_sweep(spec, profile_provider, threads))
+                            run_sweep(spec, profile_provider))
     if config.emit_arago_overlay:
         errors += write_rows_csv(_out_path(out_dir, name, f"{label}_arago"),
                                  arago_prediction_curve(spec))
     return errors
 
 
-def cmd_signed_axis(items, out_dir: str, name: str, profile_provider,
-                    threads: int) -> int:
+def cmd_signed_axis(items, out_dir: str, name: str, profile_provider) -> int:
     """Sweep Eve's plane along the axis; the parameter column is the signed
     Bob-to-Eve distance, negative for a before-Bob config.  The items of one
     label share a file, their rows sorted by that distance."""
     merged: dict[str, list[SweepRow]] = {}
     for item in items:
-        rows = run_sweep(item.config.sweep_spec(), profile_provider, threads)
+        rows = run_sweep(item.config.sweep_spec(), profile_provider)
         if item.config.scenario == "before_bob":
             lab = item.config.alice_bob_distance
             rows = [replace(r, value=-(lab - r.value)) for r in rows]
@@ -212,62 +213,52 @@ def _load_items(args) -> tuple[str, str, list[RecipeItem]]:
         name, kind, items = recipe.name, recipe.kind, recipe.items
     elif args.config:
         name, kind = Path(args.config).stem, args.command.replace("-", "_")
-        items = [RecipeItem("run", RunConfig.from_json(Path(args.config).read_text()))]
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"cannot read config {args.config}: {reason}") from exc
+        items = [RecipeItem("run", RunConfig.from_json(text))]
     else:
         raise ConfigError("either --config or --recipe is required")
     return name, kind, [RecipeItem(i.label, _capped(i.config, args.max_points))
                         for i in items]
 
 
-_KIND_FOR_COMMAND = {
-    "sweep": ("sweep",),
-    "wavefront": ("wavefront",),
-    "optimal-distance": ("sweep",),
-    "optimize-d": ("optimize_d",),
-    "before-bob": ("before_bob", "combined_axis"),
-}
-
-_PRODUCER_FOR_COMMAND = {
-    "sweep": run_sweep,
-    "wavefront": wavefront_profiles,
-    "optimal-distance": optimal_eve_distance,
-    "optimize-d": optimal_eve_offsets,
-    "before-bob": run_sweep,
+# command: (recipe kinds it accepts, producer for check_producer, writer).
+# A writer takes (config, out_dir, name, label, provider) and writes one
+# item; cmd_signed_axis takes (items, out_dir, name, provider), as the items
+# of one label share a file.
+COMMANDS = {
+    "sweep": (("sweep",), run_sweep, cmd_sweep),
+    "wavefront": (("wavefront",), wavefront_profiles, cmd_wavefront),
+    "optimal-distance": (("sweep",), optimal_eve_distance, cmd_optimal_distance),
+    "optimize-d": (("optimize_d",), optimal_eve_offsets, cmd_optimize_d),
+    "before-bob": (("before_bob", "combined_axis"), run_sweep, cmd_signed_axis),
 }
 
 
 def _run_command(args) -> int:
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+    kinds, producer, write = COMMANDS[args.command]
     name, kind, items = _load_items(args)
-    if args.recipe and kind not in _KIND_FOR_COMMAND[args.command]:
+    if args.recipe and kind not in kinds:
         raise ConfigError(
             f"recipe {name!r} is of kind {kind!r}, not usable with '{args.command}'")
     for item in items:
         try:
-            check_producer(item.config.sweep_spec(), _PRODUCER_FOR_COMMAND[args.command],
-                           item.config.wavefront)
+            check_producer(item.config.sweep_spec(), producer, item.config.wavefront)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    out_dir, threads = args.out, args.threads
+    if kind == "before_bob" and any(i.config.scenario != "before_bob" for i in items):
+        raise ConfigError("before-bob command needs scenario = before_bob")
     disk = env_cache()
     provider = ProfileCache(compute=disk.get_or_compute if disk else None).get_or_compute
-    errors = 0
-    if args.command == "before-bob":
-        if kind == "before_bob" and any(i.config.scenario != "before_bob" for i in items):
-            raise ConfigError("before-bob command needs scenario = before_bob")
-        errors += cmd_signed_axis(items, out_dir, name, provider, threads)
+    if write is cmd_signed_axis:
+        errors = write(items, args.out, name, provider)
     else:
-        for item in items:
-            cfg = item.config
-            if args.command == "sweep":
-                errors += cmd_sweep(cfg, out_dir, name, item.label, provider, threads)
-            elif args.command == "wavefront":
-                errors += cmd_wavefront(cfg, out_dir, name, item.label, provider)
-            elif args.command == "optimal-distance":
-                errors += cmd_optimal_distance(cfg, out_dir, name, item.label, provider)
-            elif args.command == "optimize-d":
-                errors += cmd_optimize_d(cfg, out_dir, name, item.label, provider)
+        errors = sum(write(i.config, args.out, name, i.label, provider) for i in items)
     if errors:
         print(f"{errors} error rows recorded", file=sys.stderr)
         return 1
@@ -289,17 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".",
                        help="output directory (default: the current one)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sweep row groups, the only "
-                            "parallel layer; an L_BE, L_AE or mu sweep is one "
-                            "group and runs in one thread.  BLAS is pinned to "
-                            "one thread unless "
+                       help="no effect: every command runs in one thread.  "
+                            "Kept, at least 1, only because the benchmark "
+                            "passes it.  BLAS is pinned to one thread unless "
                             "OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or "
                             "OMP_NUM_THREADS is exported (default: 1)")
         p.add_argument("--max-points", type=int, default=0,
                        help="cap sweep grid sizes, at least 2 (smoke testing)")
 
-    for cmd in ("sweep", "wavefront", "optimal-distance", "optimize-d",
-                "before-bob"):
+    for cmd in COMMANDS:
         add_common(sub.add_parser(cmd, epilog=CACHE_HELP))
 
     cache_p = sub.add_parser("cache", description="List or delete the profiles "

@@ -2,9 +2,9 @@
 
 The config holds what is computed: link, beam, protocol and grid.  Where
 and how a run happens comes from the command line and the environment alone:
-the output directory (``--out``), the worker threads (``--threads``, which
-take whole row groups of a sweep, so that an L_BE, L_AE or mu sweep, one
-group, runs in one thread) and the profile cache (``FSOQKD_CACHE``).
+the output directory (``--out``) and the profile cache (``FSOQKD_CACHE``).
+Every run is single-threaded; ``--threads`` is accepted and has no effect,
+kept only because the benchmark passes it.
 
 The schema is the set of ``RunConfig`` fields (``wavefront`` a nested
 object of ``WavefrontSettings`` fields) plus an optional ``version``; an

@@ -17,6 +17,14 @@ power is computed once and shared.
 their analytic large-power limits instead of a huge finite value, which would
 cancel catastrophically.
 
+Noise model: the lower bounds treat the background n_e as trusted noise
+that also degrades Eve's collected mode, so the direct bound gains the term
++g(n_e (1 - eta kappa)).  ``upper_bound`` is the pure-loss bound
+-log2(kappa (1 - eta)) with a thermal correction; it does not follow from
+that model, and with n_e > 0 it can fall below the lower bounds (at
+eta 0.9999974, kappa 0.335, mu = inf and n_e = 1e-4 it is 20.1294 against
+lb_direct 20.1318).  At n_e = 0 the ordering holds.
+
 Every bound and rate takes the channel first and the protocol settings
 (``RateInputs``) second, so one set of settings serves every geometry of a
 sweep.  The upper bound and the two protocol rates (heterodyne CV with a

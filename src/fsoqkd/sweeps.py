@@ -11,10 +11,10 @@ curve :func:`arago_prediction_curve`.  All but the last pass their
 alone, whether its profiles can give any row within their budget.
 
 A sweep evaluates the channel and rate pipeline over a grid of one varied
-parameter, capturing per-row errors without aborting.  It runs by stage: the
-channels of each row group (consecutive rows whose geometries differ in the
-Bob-Eve distance only) come from one batched call, then the rates of its
-rows from a plain loop.
+parameter, capturing per-row errors without aborting.  It runs by stage, in
+the calling thread: the channels of each row group (consecutive rows whose
+geometries differ in the Bob-Eve distance only) come from one batched call,
+then the rates of its rows from a plain loop.
 
 The geometry searches place Eve where she collects the largest share kappa
 of the light Bob loses.  Behind Bob, eta and n_e are fixed over a search and
@@ -32,8 +32,6 @@ keeps those channels by position, and its rows carry the channels it scored.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import groupby
 
@@ -55,30 +53,26 @@ OFFSET_TOL = 1e-3  # m, the bracket width at which an offset search stops
 
 
 class ProfileCache:
-    """Read-mostly in-memory map of field profiles, insert-if-absent.
+    """In-memory map of field profiles, computed on first request.
 
     The CLI's wrapper around the disk cache (or plain propagation); its
-    :meth:`get_or_compute` is the producers' ``profile_provider``.  As each
-    search position is scored once, it records 0 hits on every recipe and
+    :meth:`get_or_compute` is the producers' ``profile_provider``.  Every
+    producer runs in one thread, so the map needs no lock.  As each search
+    position is scored once, it records 0 hits on every recipe and
     benchmark workload (measured).  It stays while the benchmark traces it.
-    Concurrent duplicate computation is harmless: all writers agree.
     """
 
     def __init__(self, compute=None):
         self._store: dict = {}
-        self._lock = threading.Lock()
         self._compute = compute or propagate_profile
 
     def get_or_compute(self, src: SourceAnnulus, distance: float,
                        disk_hint: DiskSpec) -> FieldProfile:
         k = profile_key(src, distance, disk_hint.center_offset + disk_hint.radius)
-        with self._lock:
-            hit = self._store.get(k)
-        if hit is not None:
-            return hit
-        profile = self._compute(src, distance, disk_hint)
-        with self._lock:
-            return self._store.setdefault(k, profile)
+        profile = self._store.get(k)
+        if profile is None:
+            profile = self._store[k] = self._compute(src, distance, disk_hint)
+        return profile
 
 
 @dataclass(frozen=True)
@@ -210,22 +204,11 @@ def _group_rows(spec: SweepSpec, values: list[float],
         return [row for v in values for row in _group_rows(spec, [v], profile_provider)]
 
 
-def run_sweep(spec: SweepSpec, profile_provider=None,
-              threads: int = 1) -> list[SweepRow]:
-    """Evaluate a sweep; rows are ordered by grid position.
-
-    With ``threads`` above 1, row groups are scored on a pool of that many
-    threads; a sweep of one group, such as an L_BE, L_AE or mu sweep, runs
-    in the calling thread.
-    """
-    groups = [list(g) for _, g in groupby(spec.grid(), lambda v: _group_key(spec, v))]
-    if threads > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scored = list(pool.map(lambda g: _group_rows(spec, g, profile_provider),
-                                   groups))
-    else:
-        scored = [_group_rows(spec, g, profile_provider) for g in groups]
-    return [row for rows in scored for row in rows]
+def run_sweep(spec: SweepSpec, profile_provider=None) -> list[SweepRow]:
+    """Evaluate a sweep; rows are ordered by grid position.  Its row groups
+    are scored one after another in the calling thread."""
+    return [row for _, group in groupby(spec.grid(), lambda v: _group_key(spec, v))
+            for row in _group_rows(spec, list(group), profile_provider)]
 
 
 # ---------------------------------------------------------------------------

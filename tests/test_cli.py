@@ -309,6 +309,22 @@ def test_bad_cli_override_exits_2(tmp_path, capsys, override):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: None,  # missing
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b'{"scenario": "behind_bob\xff"}'),
+], ids=["missing", "directory", "not-utf8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, make):
+    config = tmp_path / "grid.json"
+    make(config)
+    code = cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(config) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_removed_deterministic_key_exits_2(tmp_path, capsys):
     # every key the config has lost is an unknown key now
     removed = {"deterministic": True, "alice_radius": 0.1, "cache_dir": "cache",
@@ -432,6 +448,12 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
     loaded = _fresh_python("-c", code).split()
     assert "numpy.linalg" in loaded  # numpy's own imports are seen
     assert not [m for m in loaded if m.startswith("numpy.polynomial")]
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # plain `import numpy` does not load it; every command runs in one thread
+    code = "import sys, fsoqkd.cli; print(*(m for m in sys.modules if m.startswith('concurrent')))"
+    assert _fresh_python("-c", code).split() == []
 
 
 BLAS_REPORT = f"""

@@ -321,6 +321,22 @@ def test_bound_ordering(eta, kappa, mu, beta):
     assert max(lb_direct(*inp), lb_reverse(*inp)) <= ub + 1e-9
 
 
+# A nearly lossless link at mu = inf: the direct bound counts n_e as noise
+# that also degrades Eve's mode, which the pure-loss upper bound with its
+# thermal correction does not, so with noise it falls below (at n_e 1e-4,
+# lb_direct 20.131839 against ub 20.129351; at 1e-2, 20.188541 against
+# 20.049887; at 0, 20.130820 <= 20.130824).
+NOISE_MODEL_GAP = pytest.mark.xfail(strict=True, reason="upper_bound is not a bound "
+                                    "under the lower bounds' noise model once n_e > 0")
+
+
+@pytest.mark.parametrize("n_e", [0.0, pytest.param(1e-4, marks=NOISE_MODEL_GAP),
+                                 pytest.param(1e-2, marks=NOISE_MODEL_GAP)])
+def test_direct_bound_below_upper_bound_on_a_nearly_lossless_link(n_e):
+    inp = inputs(0.9999974, 0.335, mu=math.inf, n_e=n_e)
+    assert lb_direct(*inp) <= upper_bound(inp[0])
+
+
 # ---------------------------------------------------------- protocol rates
 
 def test_ccq_without_eve():

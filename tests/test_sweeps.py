@@ -78,14 +78,19 @@ EVERY_PARAMETER = [
 ]
 
 
-def test_sweep_threaded_matches_serial():
+def test_sweep_rows_equal_per_row_channels():
+    # each group's batched channels give the rows one channel_params call
+    # per row gives, in every channel and report field
     for kw in EVERY_PARAMETER:
         spec = make_spec(**{"count": 4, "noise": 1e-7, "optimize_power": True,
                             "rates": RateInputs(mu=1.0, beta=0.95), **kw})
-        serial = run_sweep(spec, threads=1)
-        threaded = run_sweep(spec, threads=4)
-        assert all(r.error is None for r in serial), kw["parameter"]
-        assert threaded == serial, kw["parameter"]  # every channel and report field
+        rows = run_sweep(spec)
+        assert all(r.error is None for r in rows), kw["parameter"]
+        for row in rows:
+            geom, beam, rates = _apply_parameter(spec, row.value)
+            assert row == geometry_row(spec, row.value, geom, rates,
+                                       channel_params(geom, beam, spec.noise)), \
+                kw["parameter"]
 
 
 @pytest.mark.parametrize("kw", EVERY_PARAMETER[:2], ids=lambda kw: kw["parameter"])

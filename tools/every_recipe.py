@@ -21,7 +21,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from fsoqkd.cli import _KIND_FOR_COMMAND
+from fsoqkd.cli import COMMANDS
 from fsoqkd.recipes import build_recipe, recipe_names
 
 
@@ -30,7 +30,7 @@ def runs() -> list[tuple[str, str, str]]:
     out = []
     for name in recipe_names():
         kind = build_recipe(name).kind
-        command = next(c for c, kinds in _KIND_FOR_COMMAND.items() if kind in kinds)
+        command = next(c for c, (kinds, _, _) in COMMANDS.items() if kind in kinds)
         out.append((command, name, "recipes"))
     out.append(("optimal-distance", "fig11", "distance-search"))
     return out
