@@ -28,8 +28,8 @@ KAPPA_CLAMP_TOL = 1e-3
 
 
 class ChannelConsistencyError(RuntimeError):
-    """Eve's collected fraction is not finite, or exceeds 1 beyond quadrature
-    tolerance."""
+    """Eve's collected fraction is undefined (Bob collects the whole beam),
+    not finite, or exceeds 1 beyond quadrature tolerance."""
 
 
 class Scenario(enum.Enum):
@@ -116,6 +116,8 @@ def default_noise(beam: BeamParams, temperature: float = 3.0) -> float:
 
 
 def _kappa_from_powers(p_eve: float, eta: float, p_total: float) -> float:
+    if eta == 1.0:
+        raise ChannelConsistencyError("1 - eta is 0: Bob collects the whole beam")
     kappa = p_eve / ((1.0 - eta) * p_total)
     if not math.isfinite(kappa):
         raise ChannelConsistencyError(f"kappa = {kappa} is not finite")

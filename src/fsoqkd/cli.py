@@ -16,9 +16,8 @@ The config says what is computed; ``--out`` and the environment say where
 and how.  ``FSOQKD_CACHE`` is the profile cache's only switch: naming a
 directory keeps profiles there across runs, and ``cache inspect|clear``
 lists or deletes them (exit 2 if the directory is missing).
-A run wraps its one profile source, the disk cache or else propagation, in
-a :class:`~fsoqkd.sweeps.ProfileCache` whose ``get_or_compute`` every
-producer takes as its ``profile_provider``.
+Every producer takes its profiles from a :class:`~fsoqkd.sweeps.ProfileCache`
+over the disk cache or else propagation, which keeps none in memory.
 
 Parallelism: none.  Every command runs in one thread.  A sweep is scored by
 row group, a run of rows whose geometries differ in the Bob-Eve distance
@@ -153,12 +152,11 @@ def cmd_wavefront(config: RunConfig, out_dir: str, name: str, label: str,
     wf = config.wavefront
     profiles = wavefront_profiles(config.sweep_spec(), wf, profile_provider)
     for dist, profile in zip(wf.distances, profiles):
-        spline = profile.interpolator()
         axis = (np.linspace(-wf.half_width, wf.half_width, wf.pixels)
                 if wf.pixels > 1 else np.array([0.0]))
         xx, yy = np.meshgrid(axis, axis)
         rho = np.hypot(xx, yy)
-        mag = np.abs(spline(np.clip(rho, 0.0, profile.truncation_radius)))
+        mag = np.abs(profile.field(np.clip(rho, 0.0, profile.truncation_radius)))
         peak = float(mag.max())
         pixels = np.zeros_like(mag, dtype=">u2")
         if peak > 0:

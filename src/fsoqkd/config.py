@@ -13,14 +13,15 @@ infinite-power sentinel since JSON has no infinity literal; everything else
 round-trips losslessly (floats via repr).
 
 A ``RunConfig`` that exists is valid: construction checks that each bool,
-str and int field holds that type, then builds the domain objects, and each
-value's rule lives in the object that uses it, as a range that NaN and
-±inf fail.  ``BeamParams`` checks the wavelength and waist; ``Geometry``
-the distances, radii and offset; ``RateInputs`` mu (``inf`` allowed), beta,
-f_L and the pulse rate; ``thermal_occupation`` the temperature;
-``SweepSpec`` the grid, the noise and the objective, and that both grid ends
-give valid settings; ``arago_geometry``, under ``emit_arago_overlay``, that
-the sweep has a bright-spot curve; ``WavefrontSettings`` the wavefront grid.
+str and int field holds that type and no float field a bool, then builds the
+domain objects, each value's rule in the object that uses it, as a range
+that NaN and ±inf fail.  ``BeamParams`` checks the wavelength and waist;
+``Geometry`` the distances, radii and offset; ``RateInputs`` mu (``inf``
+allowed), beta, f_L and the pulse rate; ``thermal_occupation`` the
+temperature; ``SweepSpec`` the grid, the noise and the objective, and that
+both grid ends give valid settings; ``arago_geometry``, under
+``emit_arago_overlay``, that the sweep has a bright-spot curve;
+``WavefrontSettings`` the wavefront grid, where no number may be a bool.
 Their ``ValueError`` or ``TypeError`` becomes a :class:`ConfigError`.
 These checks hold for every command.  What depends on the command, whether
 its producer can give any row within the profile budget, is
@@ -40,7 +41,8 @@ from .rates import RateInputs
 from .sweeps import SweepSpec, arago_geometry
 
 CONFIG_VERSION = 1
-# the field types that ``validate`` checks; the domain objects check the rest
+# the field types that ``validate`` checks, besides a float field holding a
+# bool; the domain objects check the rest
 _CHECKED_TYPES = {"bool": bool, "int": int, "str": str}
 
 
@@ -56,10 +58,11 @@ class WavefrontSettings:
 
     def __post_init__(self):
         if not (type(self.pixels) is int and self.pixels >= 1
-                and 0 < self.half_width < math.inf):
+                and type(self.half_width) is not bool and 0 < self.half_width < math.inf):
             raise ValueError("wavefront grid must have a positive, finite half_width "
                              "and a positive integer number of pixels")
-        if not self.distances or not all(0 < d < math.inf for d in self.distances):
+        if not self.distances or not all(type(d) is not bool and 0 < d < math.inf
+                                         for d in self.distances):
             raise ValueError(f"wavefront distances must be positive and finite, "
                              f"got {list(self.distances)!r}")
 
@@ -100,7 +103,8 @@ class RunConfig:
         for f in fields(self):
             kind = _CHECKED_TYPES.get(f.type)
             value = getattr(self, f.name)
-            if kind is not None and type(value) is not kind:
+            if (type(value) is not kind if kind is not None
+                    else type(value) is bool and f.type in ("float", "float | None")):
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         try:
             spec = self.sweep_spec()

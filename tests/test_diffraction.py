@@ -544,7 +544,7 @@ def test_disk_power_offaxis_matches_cartesian_oracle(beam):
     src = SourceAnnulus(beam, 40e3, 0.1)
     prof = propagate_profile(src, 5e3, DiskSpec(0.1, 0.25))
     want = disk_power(prof, DiskSpec(0.1, 0.2))
-    spline = prof.interpolator()
+    spline = prof.field
     n = 1401
     xs = np.linspace(0.1, 0.3, n)
     ys = np.linspace(-0.1, 0.1, n)
@@ -596,7 +596,7 @@ def test_interpolator_matches_series_at_node_midpoints(beam, plane, distance, ra
     x = prof.radial_nodes
     mids = 0.5 * (x[:-1] + x[1:])
     direct = _fresnel_prefactor(src, distance, mids) * _fresnel_integral(src, distance, mids)[0]
-    hermite = prof.interpolator()
+    hermite = prof.field
     peak = np.abs(prof.complex_amplitudes).max()
     assert np.abs(hermite(mids) - direct).max() <= bound * peak
     # each piece starts at its left node's sample
@@ -617,7 +617,7 @@ def test_interpolator_reproduces_a_cubic(beam, count):
     prof = FieldProfile(cropped(beam), 10e3, nodes, cubic(nodes), cubic.deriv()(nodes),
                         QuadratureBudget(0.0, 0, count))
     radii = np.concatenate([rng.uniform(-0.01, 0.25, 500), nodes])
-    hermite = prof.interpolator()
+    hermite = prof.field
     assert np.abs(hermite(radii) - cubic(radii)).max() <= 1e-12
     assert np.ndim(hermite(0.05)) == 0 and hermite(0.05) == hermite(np.array([0.05]))[0]
 
@@ -629,7 +629,7 @@ def quad_disk_power(prof, disk):
     the profile nodes, so every square-root edge of the overlap weight sits
     at an interval end.
     """
-    spline = prof.interpolator()
+    spline = prof.field
     d, r = disk.center_offset, disk.radius
     lo, hi = max(0.0, d - r), d + r
     nodes = prof.radial_nodes
@@ -711,12 +711,12 @@ def test_hermite_coefficients_equal_complex_division_bit_for_bit(n, seed, lowest
 
 def reference_disk_power(prof, disk):
     """disk_power of one profile by the 8-point rule, written out from its
-    interpolator: the integration cuts, 8 Gauss points per cut interval (in
+    interpolant: the integration cuts, 8 Gauss points per cut interval (in
     t = sqrt(|rho - edge|) on the intervals ending at a square-root edge of
     an offset disk), |U|^2 of the interpolant and one pairwise np.sum, in the
     arithmetic that the off-axis integral of one profile, _offset_power,
     must keep."""
-    hermite = prof.interpolator()
+    hermite = prof.field
     nodes = prof.radial_nodes
     d, r = disk.center_offset, disk.radius
     lo = max(0.0, d - r)
@@ -767,10 +767,10 @@ def profile_mix(beam):
 
 
 def interpolant_disk_power(prof, radius):
-    """Centered disk_power from the interpolator alone: |U|^2 * 2 pi rho by
+    """Centered disk_power from the interpolant alone: |U|^2 * 2 pi rho by
     16-point Gauss on each node interval inside the disk, exact for the
     degree-7 integrand, summed by math.fsum."""
-    hermite = prof.interpolator()
+    hermite = prof.field
     nodes = prof.radial_nodes
     cuts = np.append(nodes[nodes < radius], min(radius, prof.truncation_radius))
     gx, gw = leggauss(16)
@@ -842,7 +842,7 @@ def test_disk_power_sequence_raises_for_the_first_uncovered_profile(profile_mix)
 
 def test_disk_power_gauss_points_rounding_onto_a_node():
     # A cut one ulp below a node makes a panel whose Gauss points all round
-    # onto the node: the interpolator puts them on the next interval,
+    # onto the node: FieldProfile.field puts them on the next interval,
     # _offset_power on the panel's own.  The panel weighs an ulp, so the
     # sum is the same.
     prof = profile_at(40e3, 5e3, 0.2)
@@ -1063,6 +1063,29 @@ def test_offset_disk_power_against_the_polar_oracle(beam, lbe_km):
         disk = DiskSpec(0.1, offset)
         want = offset_disk_power_direct(src, lbe_km * 1e3, disk)
         assert abs(disk_power(prof, disk) - want) <= bound * want
+
+
+PROFILE_GRID_SHORT_OF_TOLERANCE = pytest.mark.xfail(
+    strict=True, reason="the profile grid misses its 1e-6 field tolerance on short "
+                        "links; 3 of 135 scanned geometries exceed it")
+
+
+# (L_AB, W0, Eve's radius, L_BE) behind a 10 cm Bob; centered disk_power
+# was measured 5.06e-6 (127 nodes), 1.50e-6 and 1.9e-8 from the oracle,
+# which agrees with itself at refine 1 and 2 to 4e-16 at the first
+@pytest.mark.parametrize("lab,w0,radius,lbe", [
+    pytest.param(5e3, 0.05, 0.3, 10e3, marks=PROFILE_GRID_SHORT_OF_TOLERANCE, id="5km-re30cm"),
+    pytest.param(5e3, 0.05, 0.05, 0.5e3, marks=PROFILE_GRID_SHORT_OF_TOLERANCE,
+                 id="5km-lbe0.5km"),
+    pytest.param(40e3, 0.1, 0.1, 10e3, id="40km"),
+])
+def test_centered_disk_power_within_field_tolerance_of_the_polar_oracle(lab, w0, radius,
+                                                                       lbe):
+    src = SourceAnnulus(BeamParams(LAM, w0), lab, 0.1)
+    disk = DiskSpec(radius)
+    want = offset_disk_power_direct(src, lbe, disk, refine=2)
+    got = disk_power(propagate_profile(src, lbe, disk), disk)
+    assert abs(got - want) <= diffraction.PROFILE_FIELD_RTOL * want
 
 
 def test_polar_oracle_converges(beam):

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -53,10 +54,10 @@ def test_distance_sweep_dips_then_recovers():
 
 
 def test_sweep_rows_deterministic_and_cache_reusable():
-    cache = ProfileCache()
+    cache = functools.cache(propagate_profile)
     spec = make_spec(count=6)
-    rows_a = run_sweep(spec, cache.get_or_compute)
-    rows_b = run_sweep(spec, cache.get_or_compute)  # warm cache
+    rows_a = run_sweep(spec, cache)
+    rows_b = run_sweep(spec, cache)  # warm cache
     for a, b in zip(rows_a, rows_b):
         assert a.channel.eta == b.channel.eta
         assert a.channel.kappa == b.channel.kappa
@@ -217,7 +218,7 @@ def test_predictor_degenerate_geometry():
 
 @pytest.fixture(scope="module")
 def distance_search_cache():
-    return ProfileCache()
+    return functools.cache(propagate_profile)
 
 
 @pytest.mark.parametrize("optimize_power", [False, True])
@@ -239,10 +240,10 @@ def test_distance_search_coarse_grid_equals_per_point_channels(
     monkeypatch.setattr(sweeps, "channel_params", spy)
     spec = make_spec(geometry=geom, beam=beam, rates=rates, noise=1e-7, minimum=50e3,
                      maximum=400e3, count=200, optimize_power=optimize_power)
-    rows = sweeps.optimal_eve_distance(spec, cache.get_or_compute)
+    rows = sweeps.optimal_eve_distance(spec, cache)
     grid = np.geomspace(50e3, 400e3, 200)
     want = [real(replace(geom, bob_eve_distance=lbe), beam, 1e-7,
-                 profile_provider=cache.get_or_compute) for lbe in grid]
+                 profile_provider=cache) for lbe in grid]
     assert seen[0] == want
     i = int(np.argmax([ch.kappa for ch in want]))
     assert grid[max(i - 1, 0)] <= rows[0].value <= grid[min(i + 1, 199)]
@@ -273,7 +274,7 @@ def test_distance_search_scores_each_distance_once(monkeypatch, distance_search_
     spec = make_spec(geometry=Geometry(Scenario.BEHIND_BOB, 40e3, 50e3),
                      rates=RateInputs(mu=math.inf, beta=0.95), noise=1e-7,
                      minimum=50e3, maximum=400e3, count=200)
-    rows = sweeps.optimal_eve_distance(spec, distance_search_cache.get_or_compute)
+    rows = sweeps.optimal_eve_distance(spec, distance_search_cache)
     assert len(distances) == len(set(distances)) > 200
     scored = dict(zip(distances, channels))
     assert rows and all(r.channel is scored[r.value] for r in rows)

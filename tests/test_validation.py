@@ -65,7 +65,7 @@ def test_domain_objects_reject_nan_and_inf(build, valid, override):
 
 # JSON values of every type but the field's
 MISTYPED = {"bool": [1, "true", None, [True]], "str": [1, True, None, ["x"]],
-            "int": [2.5, "3", True, None, [3]]}
+            "int": [2.5, "3", True, None, [3]], "float": [True, False]}
 
 
 def _config_cases():
@@ -80,12 +80,19 @@ def _config_cases():
         yield pytest.param("wavefront", {"wavefront": {"distances": [1e3, value]}},
                            id=f"wavefront.distances={value}")
     for f in fields(RunConfig):
-        if f.type in ("bool", "str", "int"):
-            for value in MISTYPED[f.type]:
-                yield pytest.param("sweep", {f.name: value}, id=f"{f.name}={value!r}")
+        kind = "float" if f.type in ("float", "float | None") else f.type
+        for value in MISTYPED.get(kind, ()):
+            yield pytest.param("sweep", {f.name: value}, id=f"{f.name}={value!r}")
     for value in MISTYPED["int"]:
         yield pytest.param("wavefront", {"wavefront": {"pixels": value}},
                            id=f"wavefront.pixels={value!r}")
+    for value in MISTYPED["float"]:
+        yield pytest.param("wavefront", {"wavefront": {"half_width": value}},
+                           id=f"wavefront.half_width={value!r}")
+        # a half-width small enough that a map 1 m behind Bob is within budget
+        yield pytest.param("wavefront", {"wavefront": {"half_width": 0.001,
+                                                       "distances": [value]}},
+                           id=f"wavefront.distances={value!r}")
     # settings that once ended in a traceback, in error rows, in inf or nan
     # rates, or in a RuntimeWarning
     for override in ({"waist_radius": math.inf},
