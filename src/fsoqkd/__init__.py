@@ -27,13 +27,12 @@ from .channel import (ChannelConsistencyError, ChannelParams, Geometry,
                       thermal_occupation)
 from .diffraction import (CoverageError, DiskSpec, FieldProfile,
                           QuadratureError, SourceAnnulus,
-                          arago_relative_amplitude, deserialize_profile,
-                          disk_power, profile_key, propagate_profile,
-                          serialize_profile)
+                          arago_relative_amplitude, disk_power,
+                          propagate_profile)
 from .rates import (MuOptimum, RateInputs, RateReport, eve_spectra, g_entropy,
                     lb_direct, lb_reverse, optimize_mu, rate_report,
                     skr_cv_ccq, skr_ds_bb84, upper_bound)
-from .sweeps import (ProfileCache, SweepRow, SweepSpec, arago_prediction_curve,
+from .sweeps import (SweepRow, SweepSpec, arago_prediction_curve,
                      optimal_eve_distance, optimal_eve_offsets,
                      optimize_eve_offset, run_sweep)
 

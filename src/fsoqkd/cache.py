@@ -1,11 +1,14 @@
-"""Persistent field-profile cache.
+"""Persistent field-profile cache: the record store in one directory.
 
-An entry's file name is a 128-bit content hash of the profile key (see
-:func:`diffraction.profile_key`) together with the grid-policy version, and
-the file holds the versioned binary profile record.  A read joins the
-directory and that name with ``os.path.join``, reads the whole file with one
-unbuffered ``os.read`` sized by ``os.fstat``, and hands the bytes, the
-requested key and the caller's source to
+The store reads no environment; the CLI builds one when ``FSOQKD_CACHE``
+names a directory.  :meth:`ProfileDiskCache.get_or_compute` is its one
+entry point, and nothing here lists or deletes records: removing the
+directory empties the cache.  An entry's file name is a 128-bit content hash
+of the profile key (see :func:`diffraction.profile_key`) together with the
+grid-policy version, and the file holds the versioned binary profile record.
+A read joins the directory and that name with ``os.path.join``, reads the
+whole file with one unbuffered ``os.read`` sized by ``os.fstat``, and hands
+the bytes, the requested key and the caller's source to
 :func:`diffraction.deserialize_profile`.  The record is used only if it
 deserializes (right version and length, a grid strictly increasing from 0,
 every value finite) and its header and last node equal the requested key;
@@ -29,8 +32,6 @@ from .diffraction import (GRID_POLICY_VERSION, DiskSpec, FieldProfile,
                           propagate_profile, serialize_profile)
 
 log = logging.getLogger(__name__)
-
-CACHE_ENV_VAR = "FSOQKD_CACHE"
 
 
 def _filename(key: tuple) -> str:
@@ -79,19 +80,3 @@ class ProfileDiskCache:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-
-    def entries(self) -> list[Path]:
-        return sorted(self.directory.glob("*.profile"))
-
-    def clear(self) -> int:
-        entries = self.entries()
-        for entry in entries:
-            entry.unlink()
-        return len(entries)
-
-
-def env_cache() -> ProfileDiskCache | None:
-    """The cache in the directory ``FSOQKD_CACHE`` names, the one way to
-    turn a disk cache on; ``None`` when the variable is unset or empty."""
-    directory = os.environ.get(CACHE_ENV_VAR)
-    return ProfileDiskCache(directory) if directory else None

@@ -7,17 +7,18 @@ its rows from one call in :mod:`fsoqkd.sweeps` and writes them as CSV:
 (:func:`optimal_eve_offsets`, a D* file and an on-axis ``_d0`` file) and
 ``before-bob`` (:func:`run_sweep` on a signed Bob-to-Eve axis, the segments
 of one label in one file).  ``wavefront`` writes one map per profile of
-:func:`wavefront_profiles`; ``cache`` lists or clears the profile cache.
-:data:`COMMANDS` names, for each command but ``cache``, the recipe kinds it
-accepts, its producer and its writer.  All outputs are deterministic:
-identical configs produce byte-identical files.
+:func:`wavefront_profiles`.  :data:`COMMANDS` names, for each command, the
+recipe kinds it accepts, its producer and its writer.  All outputs are
+deterministic: identical configs produce byte-identical files.
 
-The config says what is computed; ``--out`` and the environment say where
-and how.  ``FSOQKD_CACHE`` is the profile cache's only switch: naming a
-directory keeps profiles there across runs, and ``cache inspect|clear``
-lists or deletes them (exit 2 if the directory is missing).
-Every producer takes its profiles from a :class:`~fsoqkd.sweeps.ProfileCache`
-over the disk cache or else propagation, which keeps none in memory.
+The config (``--config`` or ``--recipe``, exactly one) says what is
+computed; ``--out`` and the environment say where and how.
+``FSOQKD_CACHE`` is the profile cache's only switch: naming a directory
+keeps profiles there across runs, as records that
+:class:`~fsoqkd.cache.ProfileDiskCache` reads and writes; removing the
+directory empties the cache.  Every producer takes its profiles from a
+:class:`~fsoqkd.sweeps.ProfileCache` over the disk cache or else
+propagation, which keeps none in memory.
 
 Parallelism: none.  Every command runs in one thread.  A sweep is scored by
 row group, a run of rows whose geometries differ in the Bob-Eve distance
@@ -32,37 +33,41 @@ every process.  Exporting any of ``OPENBLAS_NUM_THREADS``,
 three to the user.
 
 Exit codes: 0 on success; 2 on usage or configuration errors, all found
-before anything is written: a config file that cannot be read as UTF-8 text,
-the config's own checks (:mod:`fsoqkd.config`), a recipe or scenario that
-does not fit the command, and :func:`~fsoqkd.sweeps.check_producer` on every
-item, which rejects a search off an L_BE sweep behind Bob, a wavefront off
-the axis, and a profile over its node or series budget where the command
-cannot give a row without it: the cheaper end of a sweep, the nearest
-distance of ``optimal-distance``, the farthest of ``optimize-d``, any
-wavefront map.  1 when error rows were recorded: any other row that fails,
-such as a sweep or offset-search row over the budget at a dearer grid point,
-is written as an error row and the run goes on.
+before anything is written: ``--config`` and ``--recipe`` both given or
+neither, a config file that cannot be read as UTF-8 text, the config's own
+checks (:mod:`fsoqkd.config`), a recipe or scenario that does not fit the
+command, :func:`~fsoqkd.sweeps.check_producer` on every item, and last an
+``--out`` that cannot be made a directory (it is made once, before any
+producer runs).  ``check_producer`` rejects a search off an L_BE sweep
+behind Bob, a wavefront off the axis, and a profile over its node or series
+budget where the command cannot give a row without it: the cheaper end of a
+sweep, the nearest distance of ``optimal-distance``, the farthest of
+``optimize-d``, any wavefront map.  1 when error rows were recorded: any
+other row that fails, such as a sweep or offset-search row over the budget
+at a dearer grid point, is written as an error row and the run goes on.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .cache import CACHE_ENV_VAR, env_cache
+from .cache import ProfileDiskCache
 from .config import ConfigError, RunConfig
 from .recipes import RecipeItem, build_recipe, recipe_names
 from .sweeps import (ProfileCache, SweepRow, arago_prediction_curve, check_producer,
                      optimal_eve_distance, optimal_eve_offsets, run_sweep,
                      wavefront_profiles)
 
-CACHE_HELP = (f"Field profiles are cached on disk when the {CACHE_ENV_VAR} "
-              f"environment variable names a directory, and only then.")
+CACHE_HELP = ("Field profiles are cached on disk when the FSOQKD_CACHE "
+              "environment variable names a directory, and only then; "
+              "removing the directory empties the cache.")
 
 CSV_HEADER = ["parameter", "eta", "kappa", "P_Bob", "P_Eve", "lb_direct",
               "lb_reverse", "lb", "ub", "skr_cv", "skr_bb84", "optimal_mu",
@@ -89,7 +94,6 @@ def _row_cells(row: SweepRow) -> list[str]:
 
 def write_rows_csv(path: Path, rows) -> int:
     """Write sweep rows; returns the number of error rows."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     errors = 0
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -162,9 +166,7 @@ def cmd_wavefront(config: RunConfig, out_dir: str, name: str, label: str,
         if peak > 0:
             pixels = np.round(mag / peak * 65535.0).astype(">u2")
         tag = f"{label}_lbe{int(round(dist))}m"
-        pgm = _out_path(out_dir, name, tag, suffix=".pgm")
-        pgm.parent.mkdir(parents=True, exist_ok=True)
-        with open(pgm, "wb") as handle:
+        with open(_out_path(out_dir, name, tag, suffix=".pgm"), "wb") as handle:
             handle.write(f"P5\n{wf.pixels} {wf.pixels}\n65535\n".encode())
             handle.write(pixels.tobytes())
         with open(_out_path(out_dir, name, tag, suffix=".txt"), "w") as handle:
@@ -178,23 +180,6 @@ def cmd_wavefront(config: RunConfig, out_dir: str, name: str, label: str,
             for r, a in zip(profile.radial_nodes, profile.complex_amplitudes):
                 writer.writerow([repr(float(r)), repr(float(abs(a))),
                                  repr(float(a.real)), repr(float(a.imag))])
-    return 0
-
-
-def cmd_cache(args) -> int:
-    disk = env_cache()
-    if disk is None:
-        raise ConfigError(f"no profile cache: {CACHE_ENV_VAR} is not set")
-    if not disk.directory.is_dir():
-        raise ConfigError(f"no profile cache: {disk.directory} is not a directory")
-    if args.cache_action == "clear":
-        removed = disk.clear()
-        print(f"removed {removed} cached profiles")
-    else:
-        entries = disk.entries()
-        print(f"{len(entries)} cached profiles in {disk.directory}")
-        for entry in entries:
-            print(f"  {entry.name}  {entry.stat().st_size} bytes")
     return 0
 
 
@@ -251,8 +236,14 @@ def _run_command(args) -> int:
             raise ConfigError(str(exc)) from exc
     if kind == "before_bob" and any(i.config.scenario != "before_bob" for i in items):
         raise ConfigError("before-bob command needs scenario = before_bob")
-    disk = env_cache()
-    provider = ProfileCache(compute=disk.get_or_compute if disk else None).get_or_compute
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ConfigError(f"cannot make output directory {args.out}: {reason}") from exc
+    cache_dir = os.environ.get("FSOQKD_CACHE")
+    compute = ProfileDiskCache(cache_dir).get_or_compute if cache_dir else None
+    provider = ProfileCache(compute=compute).get_or_compute
     if write is cmd_signed_axis:
         errors = write(items, args.out, name, provider)
     else:
@@ -272,9 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--recipe", choices=recipe_names(),
-                       help="named canonical recipe")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", help="JSON run configuration")
+        source.add_argument("--recipe", choices=recipe_names(),
+                            help="named canonical recipe")
         p.add_argument("--out", default=".",
                        help="output directory (default: the current one)")
         p.add_argument("--threads", type=int, default=1,
@@ -288,18 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     for cmd in COMMANDS:
         add_common(sub.add_parser(cmd, epilog=CACHE_HELP))
-
-    cache_p = sub.add_parser("cache", description="List or delete the profiles "
-                             f"cached in the ${CACHE_ENV_VAR} directory.")
-    cache_p.add_argument("cache_action", choices=["inspect", "clear"])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "cache":
-            return cmd_cache(args)
         return _run_command(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,10 @@
 
 The config holds what is computed: link, beam, protocol and grid.  Where
 and how a run happens comes from the command line and the environment alone:
-the output directory (``--out``) and the profile cache (``FSOQKD_CACHE``).
-Every run is single-threaded; ``--threads`` is accepted and has no effect,
-kept only because the benchmark passes it.
+the output directory (``--out``) and the profile cache, which the CLI turns
+on when ``FSOQKD_CACHE`` names a directory.  Every run is single-threaded;
+``--threads`` is accepted and has no effect, kept only because the benchmark
+passes it.
 
 The schema is the set of ``RunConfig`` fields (``wavefront`` a nested
 object of ``WavefrontSettings`` fields) plus an optional ``version``; an
@@ -21,7 +22,8 @@ allowed), beta, f_L and the pulse rate; ``thermal_occupation`` the
 temperature; ``SweepSpec`` the grid, the noise and the objective, and that
 both grid ends give valid settings; ``arago_geometry``, under
 ``emit_arago_overlay``, that the sweep has a bright-spot curve;
-``WavefrontSettings`` the wavefront grid, where no number may be a bool.
+``WavefrontSettings`` the wavefront grid, where no number may be a bool and
+no two distances may round to the same metre, the unit of a map's file name.
 Their ``ValueError`` or ``TypeError`` becomes a :class:`ConfigError`.
 These checks hold for every command.  What depends on the command, whether
 its producer can give any row within the profile budget, is
@@ -65,6 +67,13 @@ class WavefrontSettings:
                                          for d in self.distances):
             raise ValueError(f"wavefront distances must be positive and finite, "
                              f"got {list(self.distances)!r}")
+        seen = {}  # a map's file name holds its distance in whole metres
+        for d in self.distances:
+            if round(d) in seen:
+                raise ValueError(f"wavefront distances {seen[round(d)]!r} and {d!r} "
+                                 f"round to the same metre, so their maps would "
+                                 f"share a file name")
+            seen[round(d)] = d
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""CLI runs: the on-disk profile cache and its subcommand, config errors, and
-every command on tiny grids."""
+"""CLI runs: the on-disk profile cache, config errors, and every command on
+tiny grids."""
 
 import csv
 import functools
@@ -17,11 +17,12 @@ import pytest
 
 from fsoqkd import cache, cli, diffraction, sweeps
 from fsoqkd.beams import BeamParams
-from fsoqkd.cache import CACHE_ENV_VAR
 from fsoqkd.channel import ChannelParams
 from fsoqkd.config import RunConfig
 from fsoqkd.diffraction import DiskSpec, SourceAnnulus, propagate_profile
 from fsoqkd.rates import OBJECTIVES, upper_bound
+
+CACHE_ENV_VAR = "FSOQKD_CACHE"
 
 CONFIG = {"scenario": "behind_bob", "alice_bob_distance": 40_000.0,
           "sweep_parameter": "L_BE", "sweep_min": 20_000.0,
@@ -215,33 +216,21 @@ def test_cache_read_returns_the_callers_source(tmp_path, monkeypatch):
     assert read.budget == written.budget
 
 
-def test_cache_inspect_lists_and_clear_removes_the_entries(sweep, capsys):
-    sweep()
-    capsys.readouterr()
-    assert cli.main(["cache", "inspect"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == f"3 cached profiles in {sweep.cache_dir}"
-    assert len(lines) == 4 and all(line.endswith(" bytes") for line in lines[1:])
-    assert cli.main(["cache", "clear"]) == 0
-    assert capsys.readouterr().out == "removed 3 cached profiles\n"
-    assert not list(sweep.cache_dir.glob("*.profile"))
-
-
+@pytest.mark.parametrize("cache_set", [False, True], ids=["unset", "set"])
 @pytest.mark.parametrize("action", ["inspect", "clear"])
-def test_cache_command_without_the_variable_exits_2(monkeypatch, capsys, action):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-    assert cli.main(["cache", action]) == 2
-    assert CACHE_ENV_VAR in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("action", ["inspect", "clear"])
-def test_cache_command_on_a_missing_directory_exits_2(tmp_path, monkeypatch, capsys,
-                                                      action):
-    missing = tmp_path / "typo" / "cache"
-    monkeypatch.setenv(CACHE_ENV_VAR, str(missing))
-    assert cli.main(["cache", action]) == 2
-    assert str(missing) in capsys.readouterr().err
-    assert not (tmp_path / "typo").exists()
+def test_removed_cache_command_exits_2(tmp_path, monkeypatch, capsys, action,
+                                       cache_set):
+    # the cache directory is the user's to list or remove; there is no command
+    monkeypatch.chdir(tmp_path)
+    if cache_set:
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+    else:
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["cache", action])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'cache'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("override", [
@@ -296,6 +285,61 @@ def test_bad_wavefront_config_exits_2(tmp_path, capsys, wavefront):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("distances", [[60_000.0, 60_000.4], [1_000.0, 999.6],
+                                       [20_000.0, 60_000.0, 20_000.0]], ids=str)
+def test_wavefront_distances_in_one_metre_exit_2(tmp_path, capsys, distances):
+    # a map's files are named by its distance in whole metres, so the second
+    # map would overwrite the first
+    config = tmp_path / "maps.json"
+    config.write_text(json.dumps({**CONFIG, "wavefront": {"distances": distances}}))
+    code = cli.main(["wavefront", "--config", str(config), "--out",
+                     str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{distances[0]!r} and {distances[-1]!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, recipe", [
+    ("sweep", "fig5"), ("wavefront", "fig4"), ("optimal-distance", "fig11"),
+    ("optimize-d", "fig14"), ("before-bob", "fig18")])
+def test_out_naming_a_file_exits_2_before_any_producer(tmp_path, monkeypatch, capsys,
+                                                       command, recipe):
+    def producer(*args, **kwargs):
+        raise AssertionError("a producer ran")
+
+    for name in ("run_sweep", "arago_prediction_curve", "optimal_eve_distance",
+                 "optimal_eve_offsets", "wavefront_profiles"):
+        monkeypatch.setattr(cli, name, producer)
+    out = tmp_path / "out"
+    out.write_text("not a directory")
+    code = cli.main([command, "--recipe", recipe, "--max-points", "2",
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert out.read_text() == "not a directory"
+
+
+def test_config_and_recipe_together_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps(CONFIG))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["sweep", "--recipe", "fig5", "--config", str(config)])
+    assert exit_.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_neither_config_nor_recipe_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sweep"]) == 2
+    assert capsys.readouterr().err == "error: either --config or --recipe is required\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("override", [["--threads", "-2"], ["--threads", "0"],
                                       ["--max-points", "1"], ["--max-points", "-3"]],
                          ids=" ".join)
@@ -340,8 +384,7 @@ def test_removed_deterministic_key_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [["sweep", "--recipe", "fig5", "--cache", "c"],
-                                  ["sweep", "--recipe", "fig5", "--scale", "0.5"],
-                                  ["cache", "inspect", "--cache", "c"]],
+                                  ["sweep", "--recipe", "fig5", "--scale", "0.5"]],
                          ids=" ".join)
 def test_removed_flag_exits_2(tmp_path, monkeypatch, capsys, args):
     monkeypatch.chdir(tmp_path)
