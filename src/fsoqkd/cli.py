@@ -11,12 +11,14 @@ of one label in one file).  ``wavefront`` writes one map per profile of
 recipe kinds it accepts, its producer and its writer.  All outputs are
 deterministic: identical configs produce byte-identical files.
 
-The config (``--config`` or ``--recipe``, exactly one) says what is
-computed; ``--out`` and the environment say where and how.
-``FSOQKD_CACHE`` is the profile cache's only switch: naming a directory
-keeps profiles there across runs, as records that
-:class:`~fsoqkd.cache.ProfileDiskCache` reads and writes; removing the
-directory empties the cache.  Every producer takes its profiles from a
+Every command takes the same options, so one parser takes the command and
+its options, in any order.  The config (``--config`` or ``--recipe``,
+exactly one) says what is computed; ``--out`` and the environment say where
+and how.  ``FSOQKD_CACHE`` is the profile cache's only switch: naming a
+directory keeps profiles there across runs, as records that
+:class:`~fsoqkd.cache.ProfileDiskCache` reads and writes; the first write
+makes a missing directory, and removing the directory empties the cache.
+Every producer takes its profiles from a
 :class:`~fsoqkd.sweeps.ProfileCache` over the disk cache or else
 propagation, which keeps none in memory.
 
@@ -36,8 +38,9 @@ Exit codes: 0 on success; 2 on usage or configuration errors, all found
 before anything is written: ``--config`` and ``--recipe`` both given or
 neither, a config file that cannot be read as UTF-8 text, the config's own
 checks (:mod:`fsoqkd.config`), a recipe or scenario that does not fit the
-command, :func:`~fsoqkd.sweeps.check_producer` on every item, and last an
-``--out`` that cannot be made a directory (it is made once, before any
+command, :func:`~fsoqkd.sweeps.check_producer` on every item, an
+``FSOQKD_CACHE`` whose path holds a file where a directory must be, and last
+an ``--out`` that cannot be made a directory (it is made once, before any
 producer runs).  ``check_producer`` rejects a search off an L_BE sweep
 behind Bob, a wavefront off the axis, and a profile over its node or series
 budget where the command cannot give a row without it: the cheaper end of a
@@ -236,12 +239,19 @@ def _run_command(args) -> int:
             raise ConfigError(str(exc)) from exc
     if kind == "before_bob" and any(i.config.scenario != "before_bob" for i in items):
         raise ConfigError("before-bob command needs scenario = before_bob")
+    cache_dir = os.environ.get("FSOQKD_CACHE")
+    if cache_dir:
+        # the first write makes a missing directory; a file on its path never can
+        path = Path(cache_dir)
+        existing = next((p for p in (path, *path.parents) if p.exists()), path)
+        if not existing.is_dir():
+            raise ConfigError(f"cannot use FSOQKD_CACHE={cache_dir} as a directory: "
+                              f"{existing} is not a directory")
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         reason = exc.strerror or exc
         raise ConfigError(f"cannot make output directory {args.out}: {reason}") from exc
-    cache_dir = os.environ.get("FSOQKD_CACHE")
     compute = ProfileDiskCache(cache_dir).get_or_compute if cache_dir else None
     provider = ProfileCache(compute=compute).get_or_compute
     if write is cmd_signed_axis:
@@ -260,26 +270,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Key-rate bounds over a free-space link with a movable "
                     "finite-aperture eavesdropper",
         epilog=CACHE_HELP)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        source = p.add_mutually_exclusive_group()
-        source.add_argument("--config", help="JSON run configuration")
-        source.add_argument("--recipe", choices=recipe_names(),
-                            help="named canonical recipe")
-        p.add_argument("--out", default=".",
-                       help="output directory (default: the current one)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="no effect: every command runs in one thread.  "
-                            "Kept, at least 1, only because the benchmark "
-                            "passes it.  BLAS is pinned to one thread unless "
-                            "OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or "
-                            "OMP_NUM_THREADS is exported (default: 1)")
-        p.add_argument("--max-points", type=int, default=0,
-                       help="cap sweep grid sizes, at least 2 (smoke testing)")
-
-    for cmd in COMMANDS:
-        add_common(sub.add_parser(cmd, epilog=CACHE_HELP))
+    parser.add_argument("command", choices=COMMANDS, help="what to compute")
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--config", help="JSON run configuration")
+    source.add_argument("--recipe", choices=recipe_names(), help="named canonical recipe")
+    parser.add_argument("--out", default=".",
+                        help="output directory (default: the current one)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="no effect: every command runs in one thread.  "
+                             "Kept, at least 1, only because the benchmark "
+                             "passes it.  BLAS is pinned to one thread unless "
+                             "OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or "
+                             "OMP_NUM_THREADS is exported (default: 1)")
+    parser.add_argument("--max-points", type=int, default=0,
+                        help="cap sweep grid sizes, at least 2 (smoke testing)")
     return parser
 
 

@@ -117,6 +117,7 @@ PROFILE_MAX_NODES = 60_000
 # value on the axis, and the budget on the orders of the Bessel recurrence.
 SERIES_EPS = 2.0 ** -53
 SERIES_MAX_TERMS = 200_000
+_LOG2, _LOG_SERIES_EPS = math.log(2.0), math.log(SERIES_EPS)
 # Bessel arguments are raised to this floor: below it every order past J0 and
 # every O(v^2) part of the sums is under their rounding, and 2n/v stays finite.
 BESSEL_ARG_FLOOR = 1e-20
@@ -374,10 +375,16 @@ def _bessel_sums(v: np.ndarray, t: np.ndarray):
             j_n, j_up, horner, even = j_n * factor, j_up * factor, horner * factor, even * factor
             room = 0.0
         room += growth
-        horner = horner * t + j_n
+        # in place, the same IEEE operations in the same order as
+        # horner * t + j_n and 2n / v * j_n - j_up
+        horner *= t
+        horner += j_n
         if n % 2 == 0:
             even += j_n
-        j_n, j_up = 2.0 * n / v * j_n - j_up, j_n
+        j_next = np.divide(2.0 * n, v)
+        j_next *= j_n
+        j_next -= j_up
+        j_n, j_up = j_next, j_n
     norm = j_n + 2.0 * even
     return j_n / norm, j_up / norm, horner / norm, m + 1, achieved
 
@@ -391,12 +398,12 @@ def _series_order(x: float) -> tuple[int, float]:
     m, log_term = 0, log_x
     if x >= 0.5 * (SERIES_MAX_TERMS + 2):  # the loop would run to the budget
         m = SERIES_MAX_TERMS
-    while m < SERIES_MAX_TERMS and (log_term + math.log(2.0) > math.log(SERIES_EPS)
+    while m < SERIES_MAX_TERMS and (log_term + _LOG2 > _LOG_SERIES_EPS
                                     or x >= 0.5 * (m + 2)):
         m += 1
         log_term += log_x - math.log(m + 1)
     if x < 0.5 * (m + 2):
-        log_tail = math.log(2.0) + (m + 1) * log_x - math.lgamma(m + 2)
+        log_tail = _LOG2 + (m + 1) * log_x - math.lgamma(m + 2)
     else:  # cut short by the budget while the terms still grow
         log_tail = x  # the whole series is at most e^x
     return m, math.exp(log_tail) if log_tail < 709.0 else math.inf

@@ -47,6 +47,11 @@ from .optimize import refine_grid_point
 
 LN2 = math.log(2.0)
 LOG2_E = math.log2(math.e)
+# module-level names for the rate bodies, which an optimized sweep calls
+# about 240 times per row
+_INF = math.inf
+_FLOAT_MIN = sys.float_info.min
+_exp, _expm1, _log, _log1p, _log2 = math.exp, math.expm1, math.log, math.log1p, math.log2
 MU_GRID_LO, MU_GRID_HI = 1e-4, 1e8
 # log powers of optimize_mu's coarse grid, and the powers it scores there
 _LOG_MU_GRID = np.log(np.geomspace(MU_GRID_LO, MU_GRID_HI, 61)).tolist()
@@ -112,17 +117,18 @@ def g_entropy(x: float) -> float:
     overflows: below 1 as ((1+x) log1p(x) - x ln x) / ln 2, whose terms add
     and which stays finite for subnormal x, where 1/x overflows; from 1 to
     1e12 as (log1p(x) + x log1p(1/x)) / ln 2; beyond 1e12 the asymptote
-    log2(x) + log2(e) + 1/(2 x ln 2).
+    log2(x) + log2(e) + 1/(2 x ln 2).  The branches are tested in the order
+    of how often an optimized sweep takes them.
     """
+    if 1.0 <= x <= 1e12:
+        return (_log1p(x) + x * _log1p(1.0 / x)) / LN2
+    if 0.0 < x < 1.0:
+        return ((1.0 + x) * _log1p(x) - x * _log(x)) / LN2
+    if x > 1e12:
+        return _log2(x) + LOG2_E + LOG2_E / (2.0 * x)
     if x < 0:
         raise ValueError("mean photon number must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    if x > 1e12:
-        return math.log2(x) + LOG2_E + LOG2_E / (2.0 * x)
-    if x < 1.0:
-        return ((1.0 + x) * math.log1p(x) - x * math.log(x)) / LN2
-    return (math.log1p(x) + x * math.log1p(1.0 / x)) / LN2
+    return 0.0 if x == 0.0 else x  # 0 at either zero, NaN at NaN
 
 
 def _g_slope(x: float) -> float:
@@ -139,7 +145,7 @@ def binary_entropy(p: float) -> float:
     """Binary entropy in bits; 0 outside (0, 1)."""
     if not 0.0 < p < 1.0:
         return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    return -p * _log2(p) - (1.0 - p) * _log2(1.0 - p)
 
 
 def eve_spectra(channel: ChannelParams, mu: float) -> tuple[float, float]:
@@ -162,7 +168,7 @@ def eve_spectra(channel: ChannelParams, mu: float) -> tuple[float, float]:
     ``0 <= mu < inf``, and when a value falls below the vacuum's 1, which
     only unphysical channel parameters cause.
     """
-    if not 0.0 <= mu < math.inf:
+    if not 0.0 <= mu < _INF:
         raise ValueError("eve_spectra needs finite mu >= 0")
     eta, kappa, n_e = channel.eta, channel.kappa, channel.n_e
     leaked = (1.0 - eta) * mu + eta * n_e
@@ -205,7 +211,10 @@ def _eve_conditional_limit(channel: ChannelParams) -> float:
 # Every finite-power body takes (ch, inputs, mu, terms, g_mu, g_noise): the
 # last three are Eve's entropy pair at mu, g(mu) and ``_noise_entropies(ch)``,
 # which a caller scoring several objectives computes once for all.  A body
-# computes what it needs and is given as None.
+# computes what it needs and is given as None.  The bodies are the hot path
+# of optimize_mu, so they clamp by comparison rather than by calling max:
+# ``0.0 if v < 0.0 else v`` returns what ``max(v, 0.0)`` returns, NaN and
+# -0.0 included, and so does ``r if r > d else d`` for ``max(d, r)``.
 
 def _lb_direct(ch: ChannelParams, inputs: RateInputs, mu: float,
                terms=None, g_mu=None, g_noise=None) -> float:
@@ -217,7 +226,7 @@ def _lb_direct(ch: ChannelParams, inputs: RateInputs, mu: float,
              - s_e
              - beta * g_lost
              + g_collected)
-    return max(value, 0.0)
+    return 0.0 if value < 0.0 else value
 
 
 def lb_direct(ch: ChannelParams, inputs: RateInputs) -> float:
@@ -250,7 +259,7 @@ def _lb_reverse(ch: ChannelParams, inputs: RateInputs, mu: float,
              - s_e
              - beta * g_entropy(cond_alice)
              + s_e_cond)
-    return max(value, 0.0)
+    return 0.0 if value < 0.0 else value
 
 
 def lb_reverse(ch: ChannelParams, inputs: RateInputs) -> float:
@@ -308,8 +317,8 @@ def _skr_cv(ch: ChannelParams, inputs: RateInputs, mu: float,
             mid, half = x - 0.5 * d, 0.5 * d / math.sqrt(3.0)
             holevo = 0.5 * d * (_g_slope(mid - half) + _g_slope(mid + half))
     floor = 1.0 + (1.0 - ch.eta) * ch.n_e
-    mutual = inputs.beta * math.log1p(ch.eta * mu / floor) / LN2
-    return inputs.pulse_rate * max(mutual - holevo, 0.0)
+    value = inputs.beta * _log1p(ch.eta * mu / floor) / LN2 - holevo
+    return inputs.pulse_rate * (0.0 if value < 0.0 else value)
 
 
 def skr_cv_ccq(ch: ChannelParams, inputs: RateInputs) -> float:
@@ -346,18 +355,18 @@ def _bb84(ch: ChannelParams, inputs: RateInputs, signal: float, leak: float,
     # for normal operands this rounds exactly as (y0/2 + e_d signal) / gain
     err = (y0 + 2.0 * inputs.misalignment * signal) / gain * 0.5
     value = gain * (1.0 - inputs.f_L * binary_entropy(err)) - leak
-    return inputs.pulse_rate * max(value, 0.0) / scale
+    return inputs.pulse_rate * (0.0 if value < 0.0 else value) / scale
 
 
 def _skr_bb84(ch: ChannelParams, inputs: RateInputs, mu: float,
               terms=None, g_mu=None, g_noise=None) -> float:
     lte_mu = _loss_to_eve(ch) * mu
-    if ch.eta * mu >= sys.float_info.min:
-        return _bb84(ch, inputs, -math.expm1(-ch.eta * mu), -math.expm1(-lte_mu))
+    if ch.eta * mu >= _FLOAT_MIN:
+        return _bb84(ch, inputs, -_expm1(-ch.eta * mu), -_expm1(-lte_mu))
     # a subnormal eta mu, where 1 - e^-x is x to full precision: every
     # operand is scaled up by 2^600, which is exact
     s = 2.0 ** 600
-    leak = (-math.expm1(-lte_mu) * s if lte_mu >= sys.float_info.min
+    leak = (-math.expm1(-lte_mu) * s if lte_mu >= _FLOAT_MIN
             else ch.kappa * s * (1.0 - ch.eta) * mu)
     return _bb84(ch, inputs, ch.eta * s * mu, leak, s)
 
@@ -378,8 +387,9 @@ def skr_ds_bb84(ch: ChannelParams, inputs: RateInputs) -> float:
 def _lb_max(ch: ChannelParams, inputs: RateInputs, mu: float,
             terms=None, g_mu=None, g_noise=None) -> float:
     terms = terms or _eve_entropy_terms(ch, mu)
-    return max(_lb_direct(ch, inputs, mu, terms, g_mu, g_noise),
-               _lb_reverse(ch, inputs, mu, terms, g_mu, g_noise))
+    d = _lb_direct(ch, inputs, mu, terms, g_mu, g_noise)
+    r = _lb_reverse(ch, inputs, mu, terms, g_mu, g_noise)
+    return r if r > d else d
 
 
 # objective -> (value at inputs.mu, value at a finite power)
@@ -428,10 +438,11 @@ def optimize_mu(ch: ChannelParams, inputs: RateInputs,
                if not (name in LB_OBJECTIVES and inputs.beta == 1.0)}
     needs_spectra = any(bodies[i] is not _skr_bb84 for i in columns)
     g_noise = _noise_entropies(ch)
+    scorers = [(values.append, bodies[i]) for i, values in columns.items()]
     for mu, g_mu in zip(_MU_GRID, _G_MU_GRID):
         terms = _eve_entropy_terms(ch, mu) if needs_spectra else None
-        for i, values in columns.items():
-            values.append(bodies[i](ch, inputs, mu, terms, g_mu, g_noise))
+        for append, body in scorers:
+            append(body(ch, inputs, mu, terms, g_mu, g_noise))
 
     def optimum(i: int) -> MuOptimum:
         if i not in columns:
@@ -442,7 +453,7 @@ def optimize_mu(ch: ChannelParams, inputs: RateInputs,
             return MuOptimum(mu=MU_GRID_LO, value=0.0, degenerate=True)
         best = max(range(len(values)), key=values.__getitem__)
         t_best, v_best = refine_grid_point(
-            lambda t: bodies[i](ch, inputs, math.exp(t), None, None, g_noise),
+            lambda t: bodies[i](ch, inputs, _exp(t), None, None, g_noise),
             _LOG_MU_GRID, best, values[best], tol=math.log1p(rel_tol))
         return MuOptimum(mu=math.exp(t_best), value=v_best)
 

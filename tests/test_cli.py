@@ -395,6 +395,45 @@ def test_removed_flag_exits_2(tmp_path, monkeypatch, capsys, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_every_command_help_lists_every_option(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    for option in ("--config", "--recipe", "--out", "--threads", "--max-points"):
+        assert option in out
+
+
+def test_options_before_the_command_are_read(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps(CONFIG))
+    assert cli.main(["--out", str(out), "--config", str(config), "sweep"]) == 0
+    assert (out / "grid__run.csv").exists()
+
+
+@pytest.mark.parametrize("cache_path", ["afile", "afile/below"])
+def test_cache_path_through_a_file_exits_2_before_any_producer(tmp_path, monkeypatch,
+                                                             capsys, cache_path):
+    def producer(*args, **kwargs):
+        raise AssertionError("a producer ran")
+
+    for name in ("run_sweep", "arago_prediction_curve", "optimal_eve_distance",
+                 "optimal_eve_offsets", "wavefront_profiles"):
+        monkeypatch.setattr(cli, name, producer)
+    (tmp_path / "afile").write_text("not a directory")
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / cache_path))
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--recipe", "fig5", "--max-points", "2", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / cache_path) in err
+    assert not out.exists()
+    assert (tmp_path / "afile").read_text() == "not a directory"
+
+
 def _run_cli(tmp_path, monkeypatch, command, config, out, *extra):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     path = tmp_path / "grid.json"

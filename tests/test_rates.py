@@ -54,6 +54,41 @@ def test_g_rejects_negative():
         g_entropy(-0.1)
 
 
+def _g_small(x):
+    return ((1.0 + x) * math.log1p(x) - x * math.log(x)) / math.log(2.0)
+
+
+def _g_mid(x):
+    return (math.log1p(x) + x * math.log1p(1.0 / x)) / math.log(2.0)
+
+
+def _g_large(x):
+    return math.log2(x) + math.log2(math.e) + math.log2(math.e) / (2.0 * x)
+
+
+G_EDGES = [(0.0, lambda x: 0.0), (-0.0, lambda x: 0.0),
+           (5e-324, _g_small), (math.nextafter(1.0, 0.0), _g_small),
+           (1.0, _g_mid), (1e12, _g_mid),
+           (math.nextafter(1e12, math.inf), _g_large), (math.inf, _g_large)]
+
+
+@pytest.mark.parametrize("x, branch", G_EDGES, ids=[repr(x) for x, _ in G_EDGES])
+def test_g_edges_equal_their_branch_bit_for_bit(x, branch):
+    # the branches are tested in order of use, not of x; each edge value
+    # must still land in its own branch
+    assert g_entropy(x).hex() == branch(x).hex()
+
+
+def test_g_nan_is_nan():
+    assert math.isnan(g_entropy(math.nan))
+
+
+@pytest.mark.parametrize("x", [-5e-324, -1.0, -math.inf], ids=repr)
+def test_g_rejects_every_negative_value(x):
+    with pytest.raises(ValueError):
+        g_entropy(x)
+
+
 def test_g_monotone_small_and_large():
     xs = np.geomspace(1e-12, 1e15, 200)
     vals = [g_entropy(float(x)) for x in xs]

@@ -1,5 +1,5 @@
-"""Smoke tests of the checked-in tools: the timing harness on a small grid,
-and the list of runs of the every-recipe script."""
+"""Smoke tests of the checked-in tools: the timing harnesses at one
+repetition, and the list of runs of the every-recipe script."""
 
 import importlib.util
 import json
@@ -29,6 +29,20 @@ def test_warm_search_harness_reports_every_layer(tmp_path):
                  "grid_geometries_s", "search_s"):
         assert metrics[name] > 0.0
     assert report["count"] == 20 and report["repeat"] == 1
+
+
+def test_kernel_harness_reports_every_layer(tmp_path):
+    out = tmp_path / "BENCH_kernels.json"
+    assert load_tool("kernel_layers").main(["--repeat", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    metrics = report["metrics"]
+    assert metrics["channels"] == 48
+    for name in ("channels_s", "rate_report_fixed_s", "rate_report_optimized_s",
+                 "propagate_short_s", "propagate_mid_s", "propagate_long_s"):
+        assert metrics[name] > 0.0
+    assert report["repeat"] == 1
+    assert report["propagation_distances_m"] == {"short": 700.0, "mid": 5_000.0,
+                                                 "long": 100_000.0}
 
 
 def test_every_recipe_script_runs_each_recipe_then_the_distance_search():
