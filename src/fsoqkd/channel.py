@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .beams import BeamParams, encircled_power, total_power
-from .diffraction import DiskSpec, SourceAnnulus, disk_power, propagate_profile
+from .diffraction import DiskSpec, SourceAnnulus, disk_power, propagate_profiles
 
 # exact SI values (2019 redefinition), equal to scipy.constants' h, k and c
 PLANCK = 6.62607015e-34  # J s
@@ -137,12 +137,14 @@ def channel_params(geom: Geometry | Sequence[Geometry], beam: BeamParams,
 
     ``geom`` is a :class:`Geometry`, which gives one :class:`ChannelParams`,
     or a sequence of geometries that differ in ``bob_eve_distance`` only,
-    which gives a list in the same order: the collected powers of the whole
-    sequence then come from one :func:`disk_power` call, and the values are
-    those of one call per geometry.  ``profile_provider`` optionally replaces
-    direct profile construction with a caching callable of signature
-    ``(source, distance, disk_hint) -> FieldProfile``; the CLI passes one
-    through the sweeps to read and fill its profile cache.
+    which gives a list in the same order, the values of one call per
+    geometry.  The field profiles of the whole sequence come from one
+    :func:`propagate_profiles` call (behind Bob, one source, Bob's cropped
+    beam; before Bob, one per geometry, Eve's blocked beam) and its collected
+    powers from one :func:`disk_power` call.  ``profile_provider``
+    optionally replaces that call with one call per geometry of a callable
+    of signature ``(source, distance, disk_hint) -> FieldProfile``; the CLI
+    passes one through the sweeps to read and fill its disk cache.
     """
     single = isinstance(geom, Geometry)
     geoms = [geom] if single else list(geom)
@@ -150,19 +152,21 @@ def channel_params(geom: Geometry | Sequence[Geometry], beam: BeamParams,
     layout = _layout(g0)
     if any(_layout(g) != layout for g in geoms):
         raise ValueError("a geometry sequence may vary bob_eve_distance only")
-    provider = profile_provider or propagate_profile
     p_tot = total_power(beam)
 
     if g0.scenario is Scenario.BEHIND_BOB:
         p_bob = encircled_power(beam, g0.alice_bob_distance, g0.bob_radius)
         src, _, disk = profile_request(g0, beam)
-        profiles = [provider(src, g.bob_eve_distance, disk) for g in geoms]
+        profiles = _profiles([(src, g.bob_eve_distance) for g in geoms], disk,
+                             profile_provider)
         p_bobs, p_eves = [p_bob] * len(geoms), disk_power(profiles, disk).tolist()
     else:
         p_eves = [encircled_power(beam, g.alice_eve_distance, g.eve_radius)
                   for g in geoms]
-        requests = [profile_request(g, beam) for g in geoms]
-        p_bobs = disk_power([provider(*r) for r in requests], requests[0][2]).tolist()
+        disk = profile_request(g0, beam)[2]
+        profiles = _profiles([profile_request(g, beam)[:2] for g in geoms], disk,
+                             profile_provider)
+        p_bobs = disk_power(profiles, disk).tolist()
 
     out = []
     for p_bob, p_eve in zip(p_bobs, p_eves):
@@ -183,6 +187,14 @@ def profile_request(geom: Geometry, beam: BeamParams
                 geom.bob_eve_distance, DiskSpec(geom.eve_radius, geom.eve_offset))
     return (SourceAnnulus(beam, geom.alice_eve_distance, geom.eve_radius),
             geom.bob_eve_distance, DiskSpec(geom.bob_radius, 0.0))
+
+
+def _profiles(requests, disk: DiskSpec, profile_provider) -> list:
+    """The profiles of (source, distance) ``requests`` on ``disk``: one
+    batched call, or one provider call each."""
+    if profile_provider is None:
+        return propagate_profiles(requests, disk)
+    return [profile_provider(src, distance, disk) for src, distance in requests]
 
 
 def _layout(geom: Geometry) -> tuple:

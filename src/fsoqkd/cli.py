@@ -18,9 +18,13 @@ and how.  ``FSOQKD_CACHE`` is the profile cache's only switch: naming a
 directory keeps profiles there across runs, as records that
 :class:`~fsoqkd.cache.ProfileDiskCache` reads and writes; the first write
 makes a missing directory, and removing the directory empties the cache.
-Every producer takes its profiles from a
-:class:`~fsoqkd.sweeps.ProfileCache` over the disk cache or else
-propagation, which keeps none in memory.
+With it set, every producer takes its profiles one at a time from a
+:class:`~fsoqkd.sweeps.ProfileCache` over the disk cache, which computes
+each miss with :func:`~fsoqkd.diffraction.propagate_profile`; only then is
+:mod:`fsoqkd.cache` imported.  Unset, the CLI passes no provider, and each
+batched channel call computes all its profiles in one
+:func:`~fsoqkd.diffraction.propagate_profiles` call.  Both write the same
+bytes.
 
 Parallelism: none.  Every command runs in one thread.  A sweep is scored by
 row group, a run of rows whose geometries differ in the Bob-Eve distance
@@ -61,12 +65,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .cache import ProfileDiskCache
 from .config import ConfigError, RunConfig
 from .recipes import RecipeItem, build_recipe, recipe_names
 from .sweeps import (ProfileCache, SweepRow, arago_prediction_curve, check_producer,
                      optimal_eve_distance, optimal_eve_offsets, run_sweep,
                      wavefront_profiles)
+
+# fsoqkd.cache loads logging and hashlib, which an uncached run never uses.
+# A process started with FSOQKD_CACHE set imports it here, with the package,
+# as before: so its import stays in process start-up, and perfbench's probe,
+# which wraps the functions of the fsoqkd modules loaded when it starts,
+# still traces the cache.  _run_command imports it for a cache set later.
+if os.environ.get("FSOQKD_CACHE"):
+    from . import cache  # noqa: F401
 
 CACHE_HELP = ("Field profiles are cached on disk when the FSOQKD_CACHE "
               "environment variable names a directory, and only then; "
@@ -252,8 +263,10 @@ def _run_command(args) -> int:
     except OSError as exc:
         reason = exc.strerror or exc
         raise ConfigError(f"cannot make output directory {args.out}: {reason}") from exc
-    compute = ProfileDiskCache(cache_dir).get_or_compute if cache_dir else None
-    provider = ProfileCache(compute=compute).get_or_compute
+    provider = None
+    if cache_dir:
+        from .cache import ProfileDiskCache  # see the import after the module imports
+        provider = ProfileCache(ProfileDiskCache(cache_dir).get_or_compute).get_or_compute
     if write is cmd_signed_axis:
         errors = write(items, args.out, name, provider)
     else:

@@ -4,6 +4,8 @@
 reduction, a single radial integral with a J0 kernel, on a radial grid.  This
 is what sweeps, geometry searches and channel parameters use; the field at
 one radius l is the outer node of a profile whose disk reaches l.
+:func:`propagate_profiles` computes many profiles at once (see Batching
+below); propagate_profile is its call with one request.
 
 The Fresnel source is the beam outside a disk of radius ``a`` (Bob's aperture,
 or Eve's obstacle before Bob), so the radial integral runs over [a, inf).  The
@@ -44,16 +46,16 @@ Numerical Recipes section 6.5).  One vectorised loop runs it for every
 observation point at once and carries the Horner sum of the series along; it
 rescales by powers of two wherever the unnormalised values could overflow,
 and calls no special function.  The orders follow the bound
-|t^n J_n(v)| <= x^n / n! with x = max(v) / 2 (A&S 9.1.62): the series is
-summed to the first order N past the turning point x < (N + 2) / 2 whose
-tail bound ``2 x^(N+1) / (N+1)!`` is at most ``SERIES_EPS``, and the
-recurrence starts there, M = N.  No margin above N is needed: the error of
-the backward recurrence at order n is set by the ratio of the minimal to the
-dominant solution at the start order (Gautschi, SIAM Rev. 9, 24 (1967)), and
-at N the minimal solution J_N is already below the tail bound.  The
-achieved error of a profile is the tail bound beyond M, in units of
-``|A a^2 e^c / 2c|``: that is the integral's magnitude on the axis, so the
-bound is also relative to the largest value on the profile.
+|t^n J_n(v)| <= x^n / n! with x = max(v) / 2 over a profile (A&S 9.1.62):
+the series is summed to the first order N past the turning point
+x < (N + 2) / 2 whose tail bound ``2 x^(N+1) / (N+1)!`` is at most
+``SERIES_EPS``, and the recurrence starts there, M = N.  No margin above N
+is needed: the error of the backward recurrence at order n is set by the
+ratio of the minimal to the dominant solution at the start order (Gautschi,
+SIAM Rev. 9, 24 (1967)), and at N the minimal solution J_N is already below
+the tail bound.  The achieved error of a profile is the tail bound beyond M,
+in units of ``|A a^2 e^c / 2c|``: that is the integral's magnitude on the
+axis, so the bound is also relative to the largest value on the profile.
 
 Sign convention: the source carries the curvature phase
 ``exp(-i k r^2 / 2R)`` of :func:`beams.field_amplitude`, while the Fresnel
@@ -85,6 +87,29 @@ and D + r substitute rho = edge +- t^2.  :func:`disk_power` takes one profile
 or a whole sequence of them.  Offset disks are integrated one profile at a
 time; only the centered closed form is batched over a sequence.
 
+Batching: the fixed cost of a profile of a few dozen nodes, well over a
+hundred small numpy calls, is far more than its arithmetic.
+:func:`propagate_profiles` builds each request's grid as
+:func:`propagate_profile` does, then lays the grids end to end and runs the
+Fresnel integral, the prefactor and one recurrence over them together, in
+chunks of at most ``CHUNK_NODES`` nodes (a larger profile is a chunk of its
+own).  In the recurrence each point starts at its own profile's order: the
+profiles are sorted by descending order, so the points under way are a
+prefix of the chunk, and a point joins with the start values of a call of
+its own.  Each profile's constants (source amplitude, alpha, c, the disk's
+scale) enter as arrays repeated over its nodes, or as scalars in a chunk of
+one profile, so every node meets the same operands in the same order as in
+its own call; rescaling is exact, so where it happens does not matter.  The
+chunk bound keeps that true: from 256 KiB on, numpy turns a temporary into
+an in-place operation with its operands swapped, and a complex product is
+not bitwise commutative.  A chunk of several profiles holds at most 4,096
+nodes, 64 KiB of complex values, so neither it nor any of its profiles
+alone reaches that size, and a larger profile is computed alone, as in its
+own call: a profile has the same bits in any batch
+(test_batch_of_random_geometries_is_one_call_each).  In one unbounded
+chunk, 17,144 of the 40,904 amplitudes of fig5's 160 profiles at L_AB 40 km
+changed.
+
 A profile is identified by :func:`profile_key`, the one list of the inputs
 that determine it; the on-disk profile cache keys on it.
 """
@@ -93,6 +118,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import struct
 from collections.abc import Sequence
@@ -134,13 +160,16 @@ _DISK_GW = np.array([0.10122853629037706, 0.22238103445337443, 0.313706645877886
                      0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
                      0.22238103445337443, 0.10122853629037706])
 
-# disk_power's centered closed form over a sequence of profiles works on
-# runs of consecutive profiles holding at most this many radial nodes (a
-# larger profile is a run of its own), so its temporaries stay a few hundred
-# kB whatever the count.  On the 1,207 profiles (91,641 nodes) of a distance
-# search, it took 18 ms at 4,096 against 46 ms at 512, where the fixed cost
-# of each run dominates, and 19-21 ms at 8,192 and 16,384 (2 cores).
-DISK_POWER_CHUNK_NODES = 4096
+# Batched work, the field of propagate_profiles and disk_power's centered
+# closed form over a sequence, runs on chunks of consecutive profiles holding
+# at most this many radial nodes (a larger profile is a chunk of its own).
+# The field needs the bound for its bits (the module docstring, Batching):
+# no complex temporary of a chunk reaches numpy's 256 KiB threshold for
+# reusing a temporary in place with its operands swapped.  disk_power needs
+# it for speed: on the 1,207 profiles (91,641 nodes) of a distance search it
+# took 18 ms at 4,096 against 46 ms at 512, where the fixed cost of each
+# chunk dominates, and 19-21 ms at 8,192 and 16,384 (2 cores).
+CHUNK_NODES = 4096
 
 
 class QuadratureError(RuntimeError):
@@ -306,9 +335,17 @@ def _source_phase(src: SourceAnnulus) -> complex:
 def _gaussian_hankel(alpha: complex, s):
     """int_0^inf exp(alpha r^2) J0(s r) r dr = -exp(s^2/(4 alpha)) / (2 alpha).
 
-    Gradshteyn & Ryzhik 6.631.4; needs Re alpha < 0.
+    Gradshteyn & Ryzhik 6.631.4; needs Re alpha < 0.  ``alpha`` may be an
+    array of the shape of ``s``; 4 alpha and 2 alpha are exact either way.
     """
     return -np.exp(np.asarray(s, dtype=float) ** 2 / (4.0 * alpha)) / (2.0 * alpha)
+
+
+def _per_point(rows, sizes):
+    """Per-profile constants, one row of scalars per profile, as a batch
+    takes them: a lone profile's own scalars, else one array per column, each
+    value repeated over its profile's ``sizes`` radii."""
+    return rows[0] if len(rows) == 1 else [np.repeat(col, sizes) for col in zip(*rows)]
 
 
 def _fresnel_integral(src: SourceAnnulus, distance: float, l_values: np.ndarray):
@@ -318,27 +355,52 @@ def _fresnel_integral(src: SourceAnnulus, distance: float, l_values: np.ndarray)
     integrated over [a, inf) as the closed form over [0, inf) less the disk
     term, in the U or V form of the module docstring.  Returns (integral,
     slope, terms, achieved): the slope dI/ds of the module docstring, the
-    Bessel orders summed (0 without a disk) and the achieved error.
+    Bessel orders summed (0 without a disk) and the achieved error, those of
+    :func:`profile_work` at the largest offset.  Raises
+    :class:`QuadratureError` when that error exceeds ``PROFILE_FIELD_RTOL``.
     """
-    k = src.beam.wavenumber
-    amp, c_src = _source_gaussian(src)
-    alpha = c_src + 0.5j * k / distance
-    s = k * np.asarray(l_values, dtype=float) / distance
-    a = src.inner_radius
-    if a == 0.0:
+    l_values = np.asarray(l_values, dtype=float)
+    work = profile_work(src, distance, float(l_values.max(initial=0.0)))
+    error = over_budget(0, work.tail)
+    if error is not None:
+        raise error
+    integral, slope = _fresnel_integrals([(src, distance)], l_values, [l_values.size],
+                                         [work.terms - 1])
+    return integral, slope, work.terms, work.tail
+
+
+def _fresnel_integrals(requests, l_values: np.ndarray, sizes, orders):
+    """The integral and slope of :func:`_fresnel_integral` for ``requests``,
+    (source, distance) pairs whose offsets lie end to end in ``l_values``,
+    ``sizes`` of them each; all have a disk or none has.  The recurrence of
+    request i starts at order ``orders[i]`` (:func:`_miller`)."""
+    def constants(src, distance):
+        k = src.beam.wavenumber
+        amp, c_src = _source_gaussian(src)
+        alpha = c_src + 0.5j * k / distance
+        a = src.inner_radius
+        if a == 0.0:
+            return k, distance, amp, alpha
+        c = alpha * a * a
+        scale = amp * a * a * cmath.exp(c)
+        return (k, distance, amp, alpha, a, c, 2.0 * abs(c), scale, scale / a,
+                -scale / (2.0 * c))
+
+    k, distance, amp, alpha, *disk = _per_point([constants(*r) for r in requests], sizes)
+    s = k * l_values / distance
+    if not disk:
         whole = amp * _gaussian_hankel(alpha, s)
-        return whole, s * whole / (2.0 * alpha), 0, 0.0
-    c = alpha * a * a
+        return whole, s * whole / (2.0 * alpha)
+    a, c, u_edge, scale, scale_a, v_coef = disk
     v = np.maximum(s * a, BESSEL_ARG_FLOOR)
-    u_form = v > 2.0 * abs(c)
+    u_form = v > u_edge
     t = np.where(u_form, -2.0 * c / v, v / (2.0 * c))
-    j0, j1, tail, terms, achieved = _bessel_sums(v, t)
-    scale = amp * a * a * cmath.exp(c)
+    j0, j1, tail = _miller(v, t, orders, sizes)
     with np.errstate(under="ignore"):  # a Gaussian factor below the smallest double is 0
         whole = amp * _gaussian_hankel(alpha, s)
-    out = np.where(u_form, whole - scale * tail / v, -scale / (2.0 * c) * (j0 + t * tail))
-    slope = (scale / a * j1 + s * out) / (2.0 * alpha)
-    return out, slope, terms, achieved
+    out = np.where(u_form, whole - scale * tail / v, v_coef * (j0 + t * tail))
+    slope = (scale_a * j1 + s * out) / (2.0 * alpha)
+    return out, slope
 
 
 def _bessel_sums(v: np.ndarray, t: np.ndarray):
@@ -361,32 +423,58 @@ def _bessel_sums(v: np.ndarray, t: np.ndarray):
     error = over_budget(0, achieved)
     if error is not None:
         raise error
+    return (*_miller(v, t, [m], [v.size]), m + 1, achieved)
 
+
+def _miller(v: np.ndarray, t: np.ndarray, orders, sizes):
+    """The sums of :func:`_bessel_sums` over segments of ``v`` (1-d, at
+    least ``BESSEL_ARG_FLOOR``) laid end to end, ``sizes`` points each, the
+    recurrence of segment i started at its own order ``orders[i]``.  The
+    orders must not increase, so that the points under way are a prefix of
+    ``v``; a point joins with J_N = 1 and J_{N+1} = 0, as in a call of its
+    own.  Rescaling is exact and the sums are linear in the values, so the
+    rescales that a batch adds change no bit of the normalised results.
+    """
     widest = max(math.log2(2.0 / float(v.min(initial=1.0))), 0.0)
-    j_n, j_up = np.ones(v.shape), np.zeros(v.shape)
+    stops = list(itertools.accumulate(sizes))
+    # J_n and J_{n+1}, whose buffers swap roles at each order, over the
+    # points under way, v[:k]
+    j_n, j_up = np.empty(v.shape), np.empty(v.shape)
     horner = np.zeros(v.shape, dtype=complex)
     even = np.zeros(v.shape)
+    begun = k = 0  # segments under way, and their points
+    start = orders[0] if orders else 0  # the next segment's order
     room = 0.0  # log2 bound on the largest unnormalised value
-    for n in range(m, 0, -1):
+    for n in range(start, 0, -1):
+        if n == start:
+            while begun < len(orders) and orders[begun] == n:
+                begun += 1
+            start = orders[begun] if begun < len(orders) else 0
+            j_n[k:stops[begun - 1]], j_up[k:stops[begun - 1]] = 1.0, 0.0
+            k = stops[begun - 1]
+            v_k, t_k, horner_k, even_k = v[:k], t[:k], horner[:k], even[:k]
+            jn_k, jup_k = j_n[:k], j_up[:k]
         growth = max(math.log2(n) + widest, 0.0) + 1.0  # >= log2(2n/v + 1)
         if room + growth > 960.0:
-            _, exp2 = np.frexp(np.maximum(np.abs(j_n), np.abs(j_up)))
+            _, exp2 = np.frexp(np.maximum(np.abs(jn_k), np.abs(jup_k)))
             factor = np.ldexp(1.0, -exp2)
-            j_n, j_up, horner, even = j_n * factor, j_up * factor, horner * factor, even * factor
+            for values in (jn_k, jup_k, horner_k, even_k):
+                values *= factor
             room = 0.0
         room += growth
         # in place, the same IEEE operations in the same order as
         # horner * t + j_n and 2n / v * j_n - j_up
-        horner *= t
-        horner += j_n
+        horner_k *= t_k
+        horner_k += jn_k
         if n % 2 == 0:
-            even += j_n
-        j_next = np.divide(2.0 * n, v)
-        j_next *= j_n
-        j_next -= j_up
-        j_n, j_up = j_next, j_n
+            even_k += jn_k
+        j_next = np.divide(2.0 * n, v_k)
+        j_next *= jn_k
+        np.subtract(j_next, jup_k, out=jup_k)
+        j_n, j_up, jn_k, jup_k = j_up, j_n, jup_k, jn_k
+    j_n[k:], j_up[k:] = 1.0, 0.0  # segments of order 0 never begin
     norm = j_n + 2.0 * even
-    return j_n / norm, j_up / norm, horner / norm, m + 1, achieved
+    return j_n / norm, j_up / norm, horner / norm
 
 
 def _series_order(x: float) -> tuple[int, float]:
@@ -410,11 +498,22 @@ def _series_order(x: float) -> tuple[int, float]:
 
 
 def _fresnel_prefactor(src: SourceAnnulus, distance: float, l_values):
-    k = src.beam.wavenumber
-    lam = src.beam.wavelength
-    return (2.0 * math.pi * np.exp(1j * k * distance) / (1j * lam * distance)
-            * _source_phase(src)
-            * np.exp(1j * k * np.asarray(l_values, dtype=float) ** 2 / (2.0 * distance)))
+    l_values = np.asarray(l_values, dtype=float)
+    return _fresnel_prefactors([(src, distance)], l_values, [l_values.size])
+
+
+def _fresnel_prefactors(requests, l_values: np.ndarray, sizes):
+    """:func:`_fresnel_prefactor` for requests laid end to end, as in
+    :func:`_fresnel_integrals`."""
+    def constants(src, distance):
+        k = src.beam.wavenumber
+        lam = src.beam.wavelength
+        front = (2.0 * math.pi * np.exp(1j * k * distance) / (1j * lam * distance)
+                 * _source_phase(src))
+        return front, 1j * k, 2.0 * distance
+
+    front, ik, twice = _per_point([constants(*r) for r in requests], sizes)
+    return front * np.exp(ik * l_values ** 2 / twice)
 
 
 class ProfileWork(NamedTuple):
@@ -467,15 +566,18 @@ def over_budget(nodes: int | float, tail: float) -> QuadratureError | None:
     return None
 
 
-def _profile_nodes(src: SourceAnnulus, distance: float, coverage: float) -> np.ndarray:
+def _profile_nodes(src: SourceAnnulus, distance: float, coverage: float,
+                   work: ProfileWork | None = None) -> np.ndarray:
     """Observation-plane radial nodes resolving carrier and ring structure.
 
     Local spacing follows the combined phase rate k*(l + r_out)/distance,
     where r_out = 3 W is the transverse extent of the source that matters,
     with density doubled near the axis and near the geometric shadow edge at
-    l = inner_radius where the field has the most curvature.
+    l = inner_radius where the field has the most curvature.  ``work`` is
+    the :func:`profile_work` of the profile, if the caller has it.
     """
-    work = profile_work(src, distance, coverage)
+    if work is None:
+        work = profile_work(src, distance, coverage)
     error = over_budget(work.nodes, work.tail)
     if error is not None:
         raise error
@@ -487,10 +589,11 @@ def _profile_nodes(src: SourceAnnulus, distance: float, coverage: float) -> np.n
     nodes[-1] = coverage
 
     def densify(lo, hi):
-        sel = (nodes >= lo) & (nodes <= hi)
-        if sel.sum() < 2:
+        # the nodes are sorted, so those in [lo, hi] are one slice
+        sel = nodes[nodes.searchsorted(lo):nodes.searchsorted(hi, "right")]
+        if sel.size < 2:
             return nodes
-        mids = 0.5 * (nodes[sel][:-1] + nodes[sel][1:])
+        mids = 0.5 * (sel[:-1] + sel[1:])
         return _sorted_distinct(np.concatenate([nodes, mids]))
 
     width = max(0.02 * coverage, 4.0 * (nodes[1] - nodes[0]))
@@ -505,25 +608,69 @@ def _profile_nodes(src: SourceAnnulus, distance: float, coverage: float) -> np.n
 def propagate_profile(src: SourceAnnulus, distance: float,
                       disk_hint: DiskSpec) -> FieldProfile:
     """Sample the diffracted field and its radial slope on a grid covering
-    the hinted disk.
+    the hinted disk: :func:`propagate_profiles` of one request.
 
     The budget records the achieved error and the series terms of
     :func:`_fresnel_integral`; :class:`QuadratureError` is raised when the
     error would exceed ``PROFILE_FIELD_RTOL``.
     """
-    if distance <= 0:
-        raise ValueError("propagation distance must be positive")
+    return propagate_profiles([(src, distance)], disk_hint)[0]
+
+
+def propagate_profiles(requests, disk_hint: DiskSpec) -> list[FieldProfile]:
+    """The profiles of (source, distance) ``requests`` on one disk hint, in
+    request order: bit for bit those of one :func:`propagate_profile` call
+    each.  Every request's grid is built and checked first, in order, so a
+    batch raises the error of its first request that fails; then the field
+    is computed chunk by chunk (``CHUNK_NODES``), the profiles sorted by
+    descending series order, those without a disk apart."""
     coverage = disk_hint.center_offset + disk_hint.radius
-    nodes = _profile_nodes(src, distance, coverage)
-    field, slope, terms, achieved = _fresnel_integral(src, distance, nodes)
-    prefactor = _fresnel_prefactor(src, distance, nodes)
+    items = []
+    for src, distance in requests:
+        if distance <= 0:
+            raise ValueError("propagation distance must be positive")
+        work = profile_work(src, distance, coverage)
+        items.append((src, distance, _profile_nodes(src, distance, coverage, work), work))
+    if len(items) == 1:
+        return _propagate_chunk(items)
+    chunks, size, disk = [], 0, None
+    for i in sorted(range(len(items)), key=lambda i: -items[i][3].terms):
+        nodes = items[i][2].size
+        if size + nodes > CHUNK_NODES or disk != (items[i][0].inner_radius > 0.0):
+            chunks.append([])
+            size, disk = 0, items[i][0].inner_radius > 0.0
+        chunks[-1].append(i)
+        size += nodes
+    profiles = [None] * len(items)
+    for chunk in chunks:
+        for i, profile in zip(chunk, _propagate_chunk([items[i] for i in chunk])):
+            profiles[i] = profile
+    return profiles
+
+
+def _propagate_chunk(batch) -> list[FieldProfile]:
+    """The profiles of (source, distance, nodes, work) items, computed
+    together on their nodes laid end to end."""
+    requests = [item[:2] for item in batch]
+    sizes = [item[2].size for item in batch]
+    nodes = np.concatenate([item[2] for item in batch]) if len(batch) > 1 else batch[0][2]
+    field, slope = _fresnel_integrals(requests, nodes, sizes,
+                                      [item[3].terms - 1 for item in batch])
+    prefactor = _fresnel_prefactors(requests, nodes, sizes)
     amplitudes = prefactor * field
     # d/dl of prefactor * I(k l / L): the kernel phase exp(i k l^2 / 2L)
     # gives i k l / L, the argument s = k l / L gives k / L
-    slopes = prefactor * (src.beam.wavenumber / distance) * (1j * nodes * field + slope)
-    budget = QuadratureBudget(achieved=achieved, source_nodes=terms,
-                              profile_nodes=len(nodes))
-    return FieldProfile(src, distance, nodes, amplitudes, slopes, budget)
+    k_over_l, = _per_point([(src.beam.wavenumber / distance,)
+                            for src, distance in requests], sizes)
+    slopes = prefactor * k_over_l * (1j * nodes * field + slope)
+    out, stop = [], 0
+    for src, distance, grid, work in batch:
+        start, stop = stop, stop + grid.size
+        budget = QuadratureBudget(achieved=work.tail, source_nodes=work.terms,
+                                  profile_nodes=grid.size)
+        out.append(FieldProfile(src, distance, grid, amplitudes[start:stop],
+                                slopes[start:stop], budget))
+    return out
 
 
 def _overlap_halfwidth(rho: np.ndarray, disk: DiskSpec) -> np.ndarray:
@@ -570,7 +717,7 @@ def disk_power(profile: FieldProfile | Sequence[FieldProfile],
         out = np.empty(len(profiles))
         start = size = 0
         for stop, prof in enumerate(profiles):
-            if stop > start and size + prof.radial_nodes.size > DISK_POWER_CHUNK_NODES:
+            if stop > start and size + prof.radial_nodes.size > CHUNK_NODES:
                 _centered_power(profiles[start:stop], disk.radius, out[start:stop])
                 start, size = stop, 0
             size += prof.radial_nodes.size

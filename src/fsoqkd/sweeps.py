@@ -52,13 +52,14 @@ OFFSET_TOL = 1e-3  # m, the bracket width at which an offset search stops
 
 
 class ProfileCache:
-    """The CLI's ``profile_provider``: the disk cache, or else propagation.
-    It keeps no profile, so each, with its interpolant's pieces, goes after
-    its one use: a map of them had 0 hits in 4,674 lookups over every recipe
-    (measured).  The class stays while the benchmark traces it."""
+    """The CLI's ``profile_provider`` when the disk cache is on: ``compute``,
+    the disk cache's lookup.  It keeps no profile, so each, with its
+    interpolant's pieces, goes after its one use: a map of them had 0 hits
+    in 4,674 lookups over every recipe (measured).  The class stays while
+    the benchmark traces it."""
 
-    def __init__(self, compute=None):
-        self._compute = compute or propagate_profile
+    def __init__(self, compute):
+        self._compute = compute
 
     def get_or_compute(self, src: SourceAnnulus, distance: float,
                        disk_hint: DiskSpec) -> FieldProfile:

@@ -15,12 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fsoqkd import cache, cli, diffraction, sweeps
+from fsoqkd import cache, channel, cli, diffraction, sweeps
 from fsoqkd.beams import BeamParams
 from fsoqkd.channel import ChannelParams
 from fsoqkd.config import RunConfig
 from fsoqkd.diffraction import DiskSpec, SourceAnnulus, propagate_profile
 from fsoqkd.rates import OBJECTIVES, upper_bound
+from fsoqkd.recipes import build_recipe
 
 CACHE_ENV_VAR = "FSOQKD_CACHE"
 
@@ -538,6 +539,23 @@ def test_cli_import_leaves_concurrent_futures_unloaded():
     assert _fresh_python("-c", code).split() == []
 
 
+CACHE_MODULES = ("fsoqkd.cache", "logging", "hashlib")
+CACHE_IMPORTS = f"import sys, fsoqkd.cli; print(*(m for m in {CACHE_MODULES!r} if m in sys.modules))"
+
+
+def test_cli_import_leaves_logging_and_hashlib_unloaded():
+    # only the disk cache needs them, and with FSOQKD_CACHE unset the CLI
+    # does not import it
+    assert _fresh_python("-c", CACHE_IMPORTS).split() == []
+
+
+def test_cli_import_with_a_cache_loads_it(tmp_path):
+    # a process started with the cache set imports it with the CLI, so that
+    # the import stays in start-up
+    loaded = _fresh_python("-c", CACHE_IMPORTS, FSOQKD_CACHE=str(tmp_path))
+    assert loaded.split() == list(CACHE_MODULES)
+
+
 BLAS_REPORT = f"""
 import os, sys, fsoqkd.cli
 print(*(os.environ.get(v) for v in {BLAS_THREAD_VARS!r}))
@@ -828,3 +846,36 @@ def test_optimize_d_scores_its_rows_on_the_search_profile(tmp_path, monkeypatch)
                            float(row["P_Bob"]), float(row["P_Eve"]))
         # the written channel is the one the search scored with the largest kappa
         assert ch in scored and ch.kappa == max(c.kappa for c in scored)
+
+
+# (command, recipe, --max-points) of the runs whose outputs must not depend on
+# the disk cache.  fig5 at 40 points: its row groups hold 10.6k-17.9k nodes,
+# so the batched field call of each spans several chunks.
+CACHE_PATH_RUNS = [("sweep", "fig5", 40), ("optimal-distance", "fig11", 2),
+                   ("before-bob", "fig18", 3)]
+
+
+def test_cached_and_uncached_runs_write_the_same_bytes(tmp_path):
+    # with FSOQKD_CACHE set, every profile comes from the disk cache, one
+    # propagate_profile call per miss; unset, each batched channel call
+    # computes its profiles in one propagate_profiles call.  Cold, warm and
+    # uncached runs write the same files, and a RuntimeWarning fails a run.
+    for item in build_recipe("fig5").items:  # each row group spans chunks
+        spec = replace(item.config, sweep_count=40).sweep_spec()
+        src, _, disk = channel.profile_request(spec.geometry, spec.beam)
+        coverage = disk.center_offset + disk.radius
+        nodes = [diffraction._profile_nodes(src, float(d), coverage).size
+                 for d in spec.grid()]
+        assert sum(nodes) > 2 * diffraction.CHUNK_NODES
+    commands = [[c, "--recipe", r, "--max-points", str(n)] for c, r, n in CACHE_PATH_RUNS]
+    cached = {CACHE_ENV_VAR: str(tmp_path / "cache")}
+    trees = {}
+    for run, env in [("cold", cached), ("warm", cached), ("uncached", {})]:
+        out = tmp_path / run
+        script = ("import sys; from fsoqkd import cli; sys.exit(max("
+                  f"cli.main(a + ['--out', {str(out)!r}]) for a in {commands!r}))")
+        _fresh_python("-W", "error::RuntimeWarning", "-c", script, **env)
+        trees[run] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(list((tmp_path / "cache").glob("*.profile"))) > 0
+    assert len(trees["uncached"]) == 3 + 4 + 3  # fig5, fig11 and fig18 files
+    assert trees["cold"] == trees["uncached"] == trees["warm"]

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import struct
 import warnings
@@ -796,7 +797,7 @@ def test_centered_disk_power_is_the_integral_of_the_interpolant(plane, distance)
         assert abs(disk_power(prof, DiskSpec(radius)) - want) <= 1e-13 * want
 
 
-@pytest.mark.parametrize("chunk", [diffraction.DISK_POWER_CHUNK_NODES, 512, 100])
+@pytest.mark.parametrize("chunk", [diffraction.CHUNK_NODES, 512, 100])
 @pytest.mark.parametrize("radius,offset", [
     (0.1, 0.0), (0.05, 0.0), (0.03, 0.02), (0.04, 0.05), (0.02, 0.08), (0.05, 0.05),
     (0.04, 0.06 + 5e-14),
@@ -808,7 +809,7 @@ def test_disk_power_sequence_equals_per_profile_calls(profile_mix, radius, offse
     # end on the 0.1 m coverage of the behind-Bob profiles; the last disk
     # ends past it within the coverage check's tolerance, so that its last
     # cut is the coverage, not D + r
-    monkeypatch.setattr(diffraction, "DISK_POWER_CHUNK_NODES", chunk)
+    monkeypatch.setattr(diffraction, "CHUNK_NODES", chunk)
     disk = DiskSpec(radius, offset)
     batched = disk_power(profile_mix, disk)
     assert isinstance(batched, np.ndarray) and batched.shape == (len(profile_mix),)
@@ -1020,6 +1021,110 @@ def test_profile_work_is_inf_rather_than_an_overflow(wavelength, waist, plane, c
         propagate_profile(src, 20e3, DiskSpec(0.05, coverage - 0.05))
     if coverage > 1e308:
         assert (work.terms, work.tail) == (diffraction.SERIES_MAX_TERMS + 1, math.inf)
+
+
+# ------------------------------------------------- batched propagation
+
+def assert_batch_is_one_call_each(requests, hint):
+    """propagate_profiles equals one propagate_profile call per request,
+    byte for byte: nodes, amplitudes, slopes and budget."""
+    batch = diffraction.propagate_profiles(requests, hint)
+    assert len(batch) == len(requests)
+    for prof, (src, distance) in zip(batch, requests):
+        one = propagate_profile(src, distance, hint)
+        assert prof.source is src and prof.propagation_distance == distance
+        for name in ("radial_nodes", "complex_amplitudes", "slopes"):
+            got, want = getattr(prof, name), getattr(one, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert prof.budget == one.budget
+    return batch
+
+
+def test_batch_of_the_rate_sweep_is_one_call_each(beam):
+    # perfbench's rate_opt_sweep: 48 distances of 69 nodes, one chunk
+    src = SourceAnnulus(beam, 50e3, 0.1)
+    requests = [(src, float(d)) for d in np.geomspace(20e3, 400e3, 48)]
+    batch = assert_batch_is_one_call_each(requests, DiskSpec(0.1))
+    assert sum(p.radial_nodes.size for p in batch) <= diffraction.CHUNK_NODES
+
+
+def test_batch_of_the_distance_search_grid_is_one_call_each(beam):
+    # perfbench's distance_search_warm grid, 1,200 distances over many chunks
+    src = SourceAnnulus(beam, 40e3, 0.1)
+    requests = [(src, float(d)) for d in np.geomspace(5e3, 400e3, 1200)]
+    batch = assert_batch_is_one_call_each(requests, DiskSpec(0.1))
+    assert sum(p.radial_nodes.size for p in batch) > 10 * diffraction.CHUNK_NODES
+
+
+def test_batch_across_a_chunk_boundary_and_a_large_profile_is_one_call_each(beam):
+    # 2 km to 100 km on a wide disk: profiles of a few hundred to a few
+    # thousand nodes fill several chunks; 300 m gives one above 16,384 nodes,
+    # whose temporaries numpy may reuse in place, a chunk of its own
+    src = SourceAnnulus(beam, 40e3, 0.02)
+    hint = DiskSpec(0.3, 0.5)
+    requests = [(src, float(d)) for d in np.geomspace(2e3, 100e3, 40)] + [(src, 300.0)]
+    batch = assert_batch_is_one_call_each(requests[::-1], hint)
+    sizes = [p.radial_nodes.size for p in batch]
+    assert max(sizes) > 16_384
+    assert sum(sizes) - max(sizes) > 2 * diffraction.CHUNK_NODES
+
+
+def test_batch_of_before_bob_sources_and_no_disk_is_one_call_each(beam):
+    # one source per request, as before Bob, and sources with no disk
+    # (inner radius 0), which are computed in chunks of their own
+    requests = [(SourceAnnulus(beam, 40e3 - d, 0.1), d) for d in (500.0, 3e3, 15e3)]
+    requests += [(SourceAnnulus(beam, plane, 0.0), 20e3) for plane in (1e3, 30e3)]
+    requests += [(SourceAnnulus(beam, 25e3, 0.05), 6e3)]
+    batch = assert_batch_is_one_call_each(requests, DiskSpec(0.1))
+    assert [p.budget.source_nodes == 0 for p in batch] == [False] * 3 + [True] * 2 + [False]
+
+
+def test_batch_of_random_geometries_is_one_call_each():
+    # 60 batches: random beams, sources, disk hints and distances, half of
+    # them with one source per request.  Both Lommel series forms occur: the
+    # V form on the axis of every profile, the U form out to the nodes where
+    # v = s a > 2 |c|, as in _fresnel_integral
+    rng = np.random.default_rng(31)
+    u_forms, profiles, largest = 0, 0, 0
+    for _ in range(60):
+        beam = BeamParams(float(rng.choice([800e-9, 1064e-9, 1550e-9])),
+                          float(rng.uniform(0.02, 0.3)))
+        inner = float(rng.uniform(0.01, 0.4))
+        hint = DiskSpec(float(rng.uniform(0.02, 0.4)),
+                        float(rng.choice([0.0, rng.uniform(0.0, 0.5)])))
+        coverage = hint.center_offset + hint.radius
+        planes = 10 ** rng.uniform(3.0, 6.0, 1 if rng.uniform() < 0.5 else 12)
+        requests = []
+        for plane, distance in zip(itertools.cycle(planes), 10 ** rng.uniform(2.5, 6.0, 12)):
+            src = SourceAnnulus(beam, float(plane), inner)
+            work = diffraction.profile_work(src, float(distance), coverage)
+            # within budget, and at most about 1e6 point-orders of recurrence
+            if (diffraction.over_budget(work.nodes, work.tail) is None
+                    and work.nodes * work.terms <= 1e6):
+                requests.append((src, float(distance)))
+        if requests:
+            batch = assert_batch_is_one_call_each(requests, hint)
+            profiles += len(batch)
+            largest = max([largest] + [p.radial_nodes.size for p in batch])
+            for src, distance in requests:
+                k = beam.wavenumber
+                c = (diffraction._source_gaussian(src)[1] + 0.5j * k / distance) * inner ** 2
+                u_forms += k * coverage / distance * inner > 2.0 * abs(c)
+    assert profiles >= 200 and largest > diffraction.CHUNK_NODES
+    assert 50 <= u_forms <= profiles - 50
+
+
+def test_batch_with_an_over_budget_distance_raises_its_own_error(beam):
+    src = SourceAnnulus(beam, 40e3, 0.1)
+    hint = DiskSpec(0.1)
+    with pytest.raises(QuadratureError) as own:
+        propagate_profile(src, 5.0, hint)
+    with pytest.raises(QuadratureError) as batched:
+        diffraction.propagate_profiles([(src, 50e3), (src, 5.0), (src, 1.0), (src, 9e3)],
+                                       hint)
+    assert str(batched.value) == str(own.value)
+    assert batched.value.estimate == own.value.estimate or (
+        math.isnan(batched.value.estimate) and math.isnan(own.value.estimate))
 
 
 # ------------------------------------------------- the conjugated beam

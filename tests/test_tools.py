@@ -38,7 +38,8 @@ def test_kernel_harness_reports_every_layer(tmp_path):
     metrics = report["metrics"]
     assert metrics["channels"] == 48
     for name in ("channels_s", "rate_report_fixed_s", "rate_report_optimized_s",
-                 "propagate_short_s", "propagate_mid_s", "propagate_long_s"):
+                 "propagate_short_s", "propagate_mid_s", "propagate_long_s",
+                 "propagate_batch_s"):
         assert metrics[name] > 0.0
     assert report["repeat"] == 1
     assert report["propagation_distances_m"] == {"short": 700.0, "mid": 5_000.0,

@@ -19,7 +19,10 @@ untimed; the script then reports the best of ``--repeat`` timings of:
 * ``propagate_short_s``, ``propagate_mid_s``, ``propagate_long_s``: one
   ``propagate_profile`` on the geometry of perfbench's ``near_field_sweep``
   (L_AB 40 km) at L_BE 0.7, 5 and 100 km, one on each side of perfbench's
-  2 km and 20 km split.
+  2 km and 20 km split;
+* ``propagate_batch_s``: the 48 profiles of the rate geometries (69 nodes
+  each) as one ``propagate_profiles`` call, the field call that
+  ``channels_s`` makes.
 
 The report (JSON) also holds the Python, numpy and machine it ran on.
 Timings of one process on a shared machine vary from run to run; compare
@@ -40,7 +43,7 @@ import fsoqkd  # before numpy, so that BLAS is pinned to one thread
 import numpy as np
 from fsoqkd.channel import channel_params, profile_request
 from fsoqkd.config import RunConfig
-from fsoqkd.diffraction import propagate_profile
+from fsoqkd.diffraction import propagate_profile, propagate_profiles
 from fsoqkd.rates import rate_report
 
 # L_BE of the short, mid and long propagations, in metres
@@ -79,6 +82,8 @@ def measure(repeat: int) -> dict:
         for ch in channels:
             rate_report(ch, inputs, optimize=optimize, objective=spec.objective)
 
+    rate_src, _, rate_disk = profile_request(spec.geometry, spec.beam)
+    requests = [(rate_src, g.bob_eve_distance) for g in geoms]
     metrics = {
         "channels": len(channels),
         "channels_s": best_of(repeat, lambda: channel_params(geoms, spec.beam, spec.noise)),
@@ -90,6 +95,8 @@ def measure(repeat: int) -> dict:
     for band, distance in PROPAGATION_DISTANCES.items():
         metrics[f"propagate_{band}_s"] = best_of(
             repeat, lambda: propagate_profile(src, distance, disk))
+    metrics["propagate_batch_s"] = best_of(
+        repeat, lambda: propagate_profiles(requests, rate_disk))
     return metrics
 
 
