@@ -142,9 +142,10 @@ def channel_params(geom: Geometry | Sequence[Geometry], beam: BeamParams,
     :func:`propagate_profiles` call (behind Bob, one source, Bob's cropped
     beam; before Bob, one per geometry, Eve's blocked beam) and its collected
     powers from one :func:`disk_power` call.  ``profile_provider``
-    optionally replaces that call with one call per geometry of a callable
-    of signature ``(source, distance, disk_hint) -> FieldProfile``; the CLI
-    passes one through the sweeps to read and fill its disk cache.
+    optionally replaces :func:`propagate_profiles` in that one call: a
+    callable of its signature, ``(requests, disk_hint) -> list[FieldProfile]``
+    with ``requests`` the (source, distance) pairs; the CLI passes one
+    through the sweeps to read and fill its disk cache.
     """
     single = isinstance(geom, Geometry)
     geoms = [geom] if single else list(geom)
@@ -157,15 +158,15 @@ def channel_params(geom: Geometry | Sequence[Geometry], beam: BeamParams,
     if g0.scenario is Scenario.BEHIND_BOB:
         p_bob = encircled_power(beam, g0.alice_bob_distance, g0.bob_radius)
         src, _, disk = profile_request(g0, beam)
-        profiles = _profiles([(src, g.bob_eve_distance) for g in geoms], disk,
-                             profile_provider)
+        profiles = (profile_provider or propagate_profiles)(
+            [(src, g.bob_eve_distance) for g in geoms], disk)
         p_bobs, p_eves = [p_bob] * len(geoms), disk_power(profiles, disk).tolist()
     else:
         p_eves = [encircled_power(beam, g.alice_eve_distance, g.eve_radius)
                   for g in geoms]
         disk = profile_request(g0, beam)[2]
-        profiles = _profiles([profile_request(g, beam)[:2] for g in geoms], disk,
-                             profile_provider)
+        profiles = (profile_provider or propagate_profiles)(
+            [profile_request(g, beam)[:2] for g in geoms], disk)
         p_bobs = disk_power(profiles, disk).tolist()
 
     out = []
@@ -187,14 +188,6 @@ def profile_request(geom: Geometry, beam: BeamParams
                 geom.bob_eve_distance, DiskSpec(geom.eve_radius, geom.eve_offset))
     return (SourceAnnulus(beam, geom.alice_eve_distance, geom.eve_radius),
             geom.bob_eve_distance, DiskSpec(geom.bob_radius, 0.0))
-
-
-def _profiles(requests, disk: DiskSpec, profile_provider) -> list:
-    """The profiles of (source, distance) ``requests`` on ``disk``: one
-    batched call, or one provider call each."""
-    if profile_provider is None:
-        return propagate_profiles(requests, disk)
-    return [profile_provider(src, distance, disk) for src, distance in requests]
 
 
 def _layout(geom: Geometry) -> tuple:

@@ -18,9 +18,10 @@ and how.  ``FSOQKD_CACHE`` is the profile cache's only switch: naming a
 directory keeps profiles there across runs, as records that
 :class:`~fsoqkd.cache.ProfileDiskCache` reads and writes; the first write
 makes a missing directory, and removing the directory empties the cache.
-With it set, every producer takes its profiles one at a time from a
-:class:`~fsoqkd.sweeps.ProfileCache` over the disk cache, which computes
-each miss with :func:`~fsoqkd.diffraction.propagate_profile`; only then is
+With it set, every producer takes each batch of profiles from one call of a
+:class:`~fsoqkd.sweeps.ProfileCache` over the disk cache, which reads the
+batch's records together and computes each miss with
+:func:`~fsoqkd.diffraction.propagate_profile`; only then is
 :mod:`fsoqkd.cache` imported.  Unset, the CLI passes no provider, and each
 batched channel call computes all its profiles in one
 :func:`~fsoqkd.diffraction.propagate_profiles` call.  Both write the same

@@ -839,10 +839,14 @@ def bessel_j0(x):
 # uint64 node count (the budget's profile_nodes); uint64 budget source_nodes.
 # Body: (node, re, im, slope re, slope im) float64 rows, read and written as
 # the node column and a (amplitude, slope) complex view; the last node is the
-# coverage.
+# coverage.  The sequence form of deserialize_profile reads records laid end
+# to end in one buffer, each RECORD_GAP bytes after the one before and the
+# first at byte RECORD_GAP.  A gap and a header fill 80 bytes, two body rows,
+# so a buffer of valid records is one table of 40-byte rows.
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<I7d2Q")
+RECORD_GAP = 4
 
 
 def serialize_profile(profile: FieldProfile) -> bytes:
@@ -858,7 +862,8 @@ def serialize_profile(profile: FieldProfile) -> bytes:
 
 
 def deserialize_profile(blob: bytes, key: tuple | None = None,
-                        src: SourceAnnulus | None = None) -> FieldProfile | None:
+                        src: SourceAnnulus | None = None, spans=None
+                        ) -> FieldProfile | list[FieldProfile] | None:
     """The profile of a record, its arrays read-only views of ``blob``.
 
     Raises ValueError for a short or long record, another version, a grid
@@ -872,7 +877,18 @@ def deserialize_profile(blob: bytes, key: tuple | None = None,
     not that key gives None, and one that is gives a profile whose source is
     ``src`` itself, so that no beam or annulus is built.  Without them the
     source is built from the header.
+
+    Sequence form: with ``spans``, the (start, stop) byte range of each
+    record in ``blob``, laid out as the comment above this function says,
+    and ``key`` and ``src`` sequences with one entry per record, the list of
+    their profiles, views of one table of the buffer's rows.  Version,
+    length and key are checked header by header in Python; the grids, the
+    finiteness and the last nodes in one pass over the table.  If any record
+    fails, or the layout is not that one, it gives None; the caller then
+    reads each record alone, by the form above, to learn which and why.
     """
+    if spans is not None:
+        return _deserialize_sequence(blob, key, src, spans)
     if len(blob) < _HEADER.size:
         raise ValueError("profile record truncated: missing header")
     version, *head, achieved, count, source_nodes = _HEADER.unpack_from(blob)
@@ -897,3 +913,36 @@ def deserialize_profile(blob: bytes, key: tuple | None = None,
     waves = body[:, 1:].view("<c16")
     budget = QuadratureBudget(achieved, source_nodes, count)
     return FieldProfile(src, head[5], nodes, waves[:, 0], waves[:, 1], budget)
+
+
+def _deserialize_sequence(blob, keys, sources, spans) -> list[FieldProfile] | None:
+    heads, at = [], RECORD_GAP
+    for (start, stop), key in zip(spans, keys):
+        if start != at or stop - start < _HEADER.size:
+            return None
+        version, *head, achieved, count, source_nodes = _HEADER.unpack_from(blob, start)
+        if (version != SERIALIZATION_VERSION or stop - start != _HEADER.size + count * 40
+                or count < 2 or tuple(head) != key[:6]):
+            return None
+        heads.append((head[5], achieved, count, source_nodes))
+        at = stop + RECORD_GAP
+    rows = np.frombuffer(blob, dtype="<f8", count=(at - RECORD_GAP) // 8).reshape(-1, 5)
+    nodes = rows[:, 0]
+    counts = np.array([head[2] for head in heads])
+    first = np.cumsum(counts + 2) - counts  # row of each record's axis node
+    # pairs of rows that meet a header need not rise; a NaN node fails the rest
+    rising = nodes[1:] > nodes[:-1]
+    rising[first - 2] = rising[first - 1] = True
+    rising[first[1:] - 3] = True
+    # the sum takes in the headers too: it is finite if they and the bodies
+    # are, as the header's gap, version and counts read as tiny doubles
+    if not (rising.all() and (nodes[first] == 0.0).all()
+            and (nodes[first + counts - 1] == [key[6] for key in keys]).all()
+            and math.isfinite(rows.sum())):
+        return None
+    waves = rows[:, 1:].view("<c16")
+    amplitudes, slopes = waves[:, 0], waves[:, 1]
+    return [FieldProfile(src, distance, nodes[f:f + count], amplitudes[f:f + count],
+                         slopes[f:f + count], QuadratureBudget(achieved, source_nodes, count))
+            for (distance, achieved, count, source_nodes), f, src
+            in zip(heads, first.tolist(), sources)]

@@ -42,7 +42,7 @@ from .channel import (ChannelParams, Geometry, Scenario, _kappa_from_powers, _la
                       channel_params, profile_request)
 from .diffraction import (DiskSpec, FieldProfile, SourceAnnulus,
                           arago_relative_amplitude, over_budget, profile_work,
-                          propagate_profile, source_reach)
+                          propagate_profiles, source_reach)
 from .optimize import golden_section_max, refine_grid_point
 from .rates import OBJECTIVES, RateInputs, RateReport, rate_report
 
@@ -53,17 +53,16 @@ OFFSET_TOL = 1e-3  # m, the bracket width at which an offset search stops
 
 class ProfileCache:
     """The CLI's ``profile_provider`` when the disk cache is on: ``compute``,
-    the disk cache's lookup.  It keeps no profile, so each, with its
-    interpolant's pieces, goes after its one use: a map of them had 0 hits
-    in 4,674 lookups over every recipe (measured).  The class stays while
-    the benchmark traces it."""
+    the disk cache's lookup, of the signature of :func:`propagate_profiles`.
+    It keeps no profile, so each, with its interpolant's pieces, goes after
+    its one use: a map of them had 0 hits in 4,674 lookups over every recipe
+    (measured).  The class stays while the benchmark traces it."""
 
     def __init__(self, compute):
         self._compute = compute
 
-    def get_or_compute(self, src: SourceAnnulus, distance: float,
-                       disk_hint: DiskSpec) -> FieldProfile:
-        return self._compute(src, distance, disk_hint)
+    def get_or_compute(self, requests, disk_hint: DiskSpec) -> list[FieldProfile]:
+        return self._compute(requests, disk_hint)
 
 
 @dataclass(frozen=True)
@@ -303,10 +302,17 @@ def optimal_eve_distance(spec: SweepSpec, profile_provider=None) -> list[SweepRo
 
 
 def _at_distances(geom: Geometry, distances) -> list[Geometry]:
-    """``geom`` at each Bob-Eve distance.  The constructor checks each one
-    as ``replace`` would, in about 60% of its time."""
-    scenario, lab, offset, r_b, r_e = _layout(geom)
-    return [Geometry(scenario, lab, lbe, offset, r_b, r_e) for lbe in distances]
+    """``geom`` at each Bob-Eve distance of a search grid, each equal to the
+    constructor's, built without its checks in a quarter of its time.  Of a
+    valid geometry behind Bob that differs in L_BE alone they check only
+    0 < L_BE < inf, and the spec has checked its grid's two ends, between
+    which every point lies."""
+    fields, out = vars(geom), []
+    for lbe in distances:
+        point = object.__new__(Geometry)
+        vars(point).update(fields, bob_eve_distance=lbe)
+        out.append(point)
+    return out
 
 
 def _offset_search_disk(geom: Geometry, beam: BeamParams) -> DiskSpec:
@@ -335,12 +341,12 @@ def optimize_eve_offset(spec: SweepSpec, distance: float,
     hint = _offset_search_disk(geom, beam)
     d_max = hint.center_offset
     src = SourceAnnulus(beam, geom.alice_bob_distance, geom.bob_radius)
-    profile = (profile_provider or propagate_profile)(src, distance, hint)
+    profiles = (profile_provider or propagate_profiles)([(src, distance)], hint)
     scored = {}
 
     def kappa_at(d: float) -> float:
         scored[d] = channel_params(replace(geom, eve_offset=d), beam, spec.noise,
-                                   profile_provider=lambda *_: profile)
+                                   profile_provider=lambda *_: profiles)
         return scored[d].kappa
 
     starts = sorted({0.0, min(geom.bob_radius, d_max), d_max / 3.0,
@@ -385,8 +391,8 @@ def wavefront_profiles(spec: SweepSpec, maps, profile_provider=None
     distance of ``maps`` (:class:`~fsoqkd.config.WavefrontSettings`): one
     profile per map, out to its corners."""
     src, coverage = _wavefront_source(spec, maps)
-    return [(profile_provider or propagate_profile)(src, d, DiskSpec(coverage, 0.0))
-            for d in maps.distances]
+    return (profile_provider or propagate_profiles)([(src, d) for d in maps.distances],
+                                                    DiskSpec(coverage, 0.0))
 
 
 def arago_geometry(spec: SweepSpec) -> Geometry:

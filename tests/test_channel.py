@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fsoqkd.beams import BeamParams
 from fsoqkd.channel import (ChannelConsistencyError, Geometry, Scenario,
                             channel_params, default_noise, thermal_occupation)
-from fsoqkd.diffraction import propagate_profile
+from fsoqkd.diffraction import propagate_profiles
 from fsoqkd.rates import RateInputs, lb_direct, lb_reverse, upper_bound
 
 LAM = 1550e-9
@@ -163,11 +163,11 @@ def test_subnormal_offset_is_the_axis_without_warnings(beam):
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_collected_power_raises(beam, value):
     # a profile with a non-finite amplitude gives Eve a non-finite power
-    def provider(src, distance, disk_hint):
-        prof = propagate_profile(src, distance, disk_hint)
+    def provider(requests, disk_hint):
+        [prof] = propagate_profiles(requests, disk_hint)
         amps = prof.complex_amplitudes.copy()
         amps[3] = value
-        return replace(prof, complex_amplitudes=amps)
+        return [replace(prof, complex_amplitudes=amps)]
 
     geom = Geometry(Scenario.BEHIND_BOB, 40e3, 5e3)
     with np.errstate(invalid="ignore"), pytest.raises(ChannelConsistencyError,

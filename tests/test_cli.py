@@ -206,15 +206,137 @@ def test_cache_read_returns_the_callers_source(tmp_path, monkeypatch):
     disk = cache.ProfileDiskCache(tmp_path)
     beam = BeamParams(1550e-9, 0.1)
     first = SourceAnnulus(beam, 40_000.0, 0.1)
-    written = disk.get_or_compute(first, 30_000.0, DiskSpec(0.1))
+    [written] = disk.get_or_compute([(first, 30_000.0)], DiskSpec(0.1))
     monkeypatch.setattr(cache, "propagate_profile", None)  # a computation would fail
     again = SourceAnnulus(BeamParams(1550e-9, 0.1), 40_000.0, 0.1)
     assert again == first and again is not first
-    read = disk.get_or_compute(again, 30_000.0, DiskSpec(0.1))
+    [read] = disk.get_or_compute([(again, 30_000.0)], DiskSpec(0.1))
     assert read.source is again
     assert read.key == written.key
     assert np.array_equal(read.complex_amplitudes, written.complex_amplitudes)
     assert read.budget == written.budget
+
+
+# one batch of requests, as a channel call over a distance grid makes
+BATCH_SOURCE = SourceAnnulus(BeamParams(1550e-9, 0.1), 40_000.0, 0.1)
+BATCH = [(BATCH_SOURCE, d) for d in np.geomspace(5e3, 400e3, 10).tolist()]
+BATCH_HINT = DiskSpec(0.1)
+
+
+@pytest.fixture
+def counted_disk(tmp_path, monkeypatch):
+    """A disk cache whose ``computed`` list holds the distance of each
+    propagate_profile call it makes and ``written`` the path of each write."""
+    disk = cache.ProfileDiskCache(tmp_path / "cache")
+    disk.computed, disk.written = [], []
+    propagate, write = cache.propagate_profile, cache.ProfileDiskCache._write_atomic
+
+    def counted_propagate(src, distance, disk_hint):
+        disk.computed.append(distance)
+        return propagate(src, distance, disk_hint)
+
+    def counted_write(self, path, blob):
+        disk.written.append(path)
+        write(self, path, blob)
+
+    monkeypatch.setattr(cache, "propagate_profile", counted_propagate)
+    monkeypatch.setattr(cache.ProfileDiskCache, "_write_atomic", counted_write)
+    return disk
+
+
+def test_batch_computes_and_writes_each_miss_once(counted_disk):
+    disk = counted_disk
+    cold = disk.get_or_compute(BATCH, BATCH_HINT)
+    assert disk.computed == [d for _, d in BATCH]
+    paths = list(disk.written)
+    assert len(set(paths)) == len(BATCH)
+    disk.computed.clear()
+    disk.written.clear()
+    warm = disk.get_or_compute(BATCH, BATCH_HINT)
+    assert disk.computed == [] and disk.written == []
+    assert [diffraction.serialize_profile(p) for p in warm] == \
+        [diffraction.serialize_profile(p) for p in cold]
+    # a batch of records and misses computes and writes the misses alone
+    misses = [0, 4, 9]
+    for i in misses:
+        os.unlink(paths[i])
+    again = disk.get_or_compute(BATCH, BATCH_HINT)
+    assert disk.computed == [BATCH[i][1] for i in misses]
+    assert disk.written == [paths[i] for i in misses]
+    assert [diffraction.serialize_profile(p) for p in again] == \
+        [diffraction.serialize_profile(p) for p in cold]
+
+
+def _set_double(blob, at, value):
+    return blob[:at] + struct.pack("<d", value) + blob[at + 8:]
+
+
+def test_batch_recomputes_and_rewrites_only_its_bad_records(counted_disk, caplog):
+    disk = counted_disk
+    disk.get_or_compute(BATCH, BATCH_HINT)
+    paths = list(disk.written)
+    blobs = [Path(p).read_bytes() for p in paths]
+    rows = diffraction._HEADER.size
+    second_node = struct.unpack_from("<d", blobs[6], rows + 40)[0]
+    faults = {
+        1: blobs[1][:-8],
+        4: _set_double(blobs[4], rows + 40 * 3 + 8, math.nan),
+        6: _set_double(blobs[6], rows + 40 * 2, second_node),
+        8: _set_double(blobs[8], KEY_FIELD_AT["distance"],
+                       math.nextafter(BATCH[8][1], math.inf)),
+    }
+    for i, blob in faults.items():
+        Path(paths[i]).write_bytes(blob)
+    disk.computed.clear()
+    disk.written.clear()
+    caplog.clear()
+    read = disk.get_or_compute(BATCH, BATCH_HINT)
+    bad = sorted(faults)
+    assert disk.computed == [BATCH[i][1] for i in bad]
+    assert disk.written == [paths[i] for i in bad]
+    names = [os.path.basename(paths[i]) for i in bad]
+    expect = len(blobs[1])
+    assert caplog.messages == [
+        f"cache entry {names[0]} unreadable (profile record truncated: "
+        f"{expect - 8} bytes, expected {expect}); recomputing",
+        f"cache entry {names[1]} unreadable (profile record corrupt: a value is "
+        f"not finite); recomputing",
+        f"cache entry {names[2]} unreadable (profile record corrupt: bad radial "
+        f"grid); recomputing",
+        f"cache entry {names[3]} does not match its key; recomputing"]
+    assert [Path(p).read_bytes() for p in paths] == blobs
+    # the others are read from their records: read-only views, not computed
+    assert [p.radial_nodes.flags.writeable for p in read] == \
+        [i in faults for i in range(len(BATCH))]
+    assert [diffraction.serialize_profile(p) for p in read] == blobs
+
+
+def test_batch_read_of_the_warm_search_equals_one_read_per_record(tmp_path):
+    # the distance search of the benchmark's warm workload, on its filled cache
+    config = {**CONFIG, "sweep_min": 5_000.0, "sweep_count": 1200}
+    spec = RunConfig.from_json(json.dumps(config)).sweep_spec()
+    disk = cache.ProfileDiskCache(tmp_path)
+    batches = []
+
+    def recorded(requests, disk_hint):
+        batches.append((requests, disk_hint))
+        return disk.get_or_compute(requests, disk_hint)
+
+    sweeps.optimal_eve_distance(spec, recorded)
+    requests = [request for batch, _ in batches for request in batch]
+    (hint,) = {hint for _, hint in batches}
+    assert len(requests) == 1207
+    read = disk.get_or_compute(requests, hint)
+    for (src, distance), profile in zip(requests, read):
+        key = diffraction.profile_key(src, distance, hint.radius)
+        blob = (tmp_path / cache._filename(key)).read_bytes()
+        one = diffraction.deserialize_profile(blob, key, src)
+        for name in ("radial_nodes", "complex_amplitudes", "slopes"):
+            assert getattr(profile, name).tobytes() == getattr(one, name).tobytes()
+        assert profile.source is src
+        assert (profile.propagation_distance, profile.budget) == \
+            (one.propagation_distance, one.budget)
+        assert diffraction.serialize_profile(profile) == blob
 
 
 @pytest.mark.parametrize("cache_set", [False, True], ids=["unset", "set"])
@@ -781,6 +903,12 @@ def _every_rate_setting(spec):
             for optimize in (False, True) for objective in OBJECTIVES]
 
 
+def _cached_propagation():
+    """A profile provider that computes each request on a disk hint once."""
+    one = functools.cache(propagate_profile)
+    return lambda requests, disk_hint: [one(src, d, disk_hint) for src, d in requests]
+
+
 def test_optimize_d_places_eve_at_the_largest_kappa_where_every_rate_is_0(
         tmp_path, monkeypatch):
     out = _run_cli(tmp_path, monkeypatch, "optimize-d", ZERO_RATE, tmp_path / "out")
@@ -792,7 +920,7 @@ def test_optimize_d_places_eve_at_the_largest_kappa_where_every_rate_is_0(
     assert float(on_axis[0]["kappa"]) == pytest.approx(0.027197, rel=1e-3)
     # the offsets depend on the optics alone, not on the rates
     spec = RunConfig.from_json(json.dumps(ZERO_RATE)).sweep_spec()
-    cache = functools.cache(propagate_profile)
+    cache = _cached_propagation()
     for setting in _every_rate_setting(spec):
         rows_opt, _ = sweeps.optimal_eve_offsets(setting, cache)
         assert [r.d_opt for r in rows_opt] == [float(r["D_opt"]) for r in rows]
@@ -810,7 +938,7 @@ def test_optimal_distance_places_eve_at_the_largest_kappa_where_every_rate_is_0(
     # the global row depends on the optics alone; a setting whose rates are
     # not 0 may keep fewer of the peaks, never others
     spec = RunConfig.from_json(json.dumps(ZERO_RATE)).sweep_spec()
-    cache = functools.cache(propagate_profile)
+    cache = _cached_propagation()
     written = [float(r["parameter"]) for r in rows]
     for setting in _every_rate_setting(spec):
         found = [r.value for r in sweeps.optimal_eve_distance(setting, cache)]
@@ -821,13 +949,13 @@ def test_optimize_d_scores_its_rows_on_the_search_profile(tmp_path, monkeypatch)
     config = {**RATE_OPT, "sweep_min": 1_000.0, "sweep_max": 2_000.0,
               "sweep_count": 2}
     distances = []
-    propagate = sweeps.propagate_profile
+    propagate = sweeps.propagate_profiles
 
-    def counted(src, distance, disk_hint):
-        distances.append(distance)
-        return propagate(src, distance, disk_hint)
+    def counted(requests, disk_hint):
+        distances.extend(distance for _, distance in requests)
+        return propagate(requests, disk_hint)
 
-    monkeypatch.setattr(sweeps, "propagate_profile", counted)
+    monkeypatch.setattr(sweeps, "propagate_profiles", counted)
     out = _run_cli(tmp_path, monkeypatch, "optimize-d", config, tmp_path / "out")
     spec = RunConfig.from_json(json.dumps(config)).sweep_spec()
     assert distances == spec.grid().tolist()  # one propagation per distance

@@ -944,6 +944,103 @@ def test_wrong_version_rejected(profile_60):
         deserialize_profile(bytes(blob))
 
 
+def lay_out(blobs):
+    """``blobs`` in one read-only buffer, as the disk cache reads a batch,
+    and the (start, stop) span of each."""
+    buffer, spans = bytearray(), []
+    for blob in blobs:
+        buffer += bytes(diffraction.RECORD_GAP)
+        spans.append((len(buffer), len(buffer) + len(blob)))
+        buffer += blob
+    return memoryview(buffer).toreadonly(), spans
+
+
+# four profiles of one source on one disk hint, as a batch of the cache holds
+SEQUENCE_DISTANCES = (500.0, 5e3, 40e3, 200e3)
+
+
+def sequence_profiles():
+    src = SourceAnnulus(BeamParams(LAM, 0.1), 40e3, 0.1)
+    return src, [profile_at(40e3, d) for d in SEQUENCE_DISTANCES]
+
+
+def test_sequence_of_records_reads_as_one_call_each():
+    src, profiles = sequence_profiles()
+    blobs = [serialize_profile(p) for p in profiles]
+    keys = [p.key for p in profiles]
+    buffer, spans = lay_out(blobs)
+    read = deserialize_profile(buffer, keys, [src] * len(keys), spans)
+    for profile, blob, key in zip(read, blobs, keys):
+        one = deserialize_profile(blob, key, src)
+        for name in ("radial_nodes", "complex_amplitudes", "slopes"):
+            mine, theirs = getattr(profile, name), getattr(one, name)
+            assert mine.tobytes() == theirs.tobytes() and not mine.flags.writeable
+        assert profile.source is src
+        assert (profile.propagation_distance, profile.budget) == \
+            (one.propagation_distance, one.budget)
+        assert serialize_profile(profile) == blob
+
+
+def _corrupt(blob, row, column, value):
+    blob = bytearray(blob)
+    n = (len(blob) - diffraction._HEADER.size) // 40
+    at = diffraction._HEADER.size + 40 * (row % n) + 8 * column
+    blob[at:at + 8] = struct.pack("<d", value)
+    return bytes(blob)
+
+
+def _one_ulp_up(blob, at):
+    value = math.nextafter(struct.unpack_from("<d", blob, at)[0], math.inf)
+    return blob[:at] + struct.pack("<d", value) + blob[at + 8:]
+
+
+# each record fault of the single form, put into the second record of four;
+# the axis and last nodes sit next to the rows a header fills
+SEQUENCE_FAULTS = {
+    "truncated": lambda b: b[:-8],
+    "version": lambda b: b"\x63" + b[1:],
+    "nan-node": lambda b: _corrupt(b, 5, 0, math.nan),
+    "nan-axis-node": lambda b: _corrupt(b, 0, 0, math.nan),
+    "axis-node-not-0": lambda b: _corrupt(b, 0, 0, 1e-9),
+    "inf-last-node": lambda b: _corrupt(b, -1, 0, math.inf),
+    "second-node-not-rising": lambda b: _corrupt(b, 1, 0, 0.0),
+    "last-node-not-rising": lambda b: _corrupt(
+        b, -2, 0, struct.unpack_from("<d", b, len(b) - 40)[0]),
+    "inf-amplitude": lambda b: _corrupt(b, 5, 1, math.inf),
+    "nan-slope": lambda b: _corrupt(b, 7, 4, math.nan),
+    "one-node": lambda b: b[:diffraction._HEADER.size - 16] + struct.pack("<Q", 1)
+    + b[diffraction._HEADER.size - 8:diffraction._HEADER.size + 40],
+    "distance-one-ulp-away": lambda b: _one_ulp_up(b, 44),
+    "coverage-one-ulp-away": lambda b: _one_ulp_up(b, len(b) - 40),
+}
+
+
+@pytest.mark.parametrize("fault", list(SEQUENCE_FAULTS))
+def test_sequence_with_one_bad_record_gives_none(fault):
+    src, profiles = sequence_profiles()
+    blobs = [serialize_profile(p) for p in profiles]
+    blobs[1] = SEQUENCE_FAULTS[fault](blobs[1])
+    keys = [p.key for p in profiles]
+    try:
+        single = deserialize_profile(blobs[1], keys[1], src)
+    except ValueError:
+        single = None
+    assert single is None  # the fault fails the record read alone, too
+    buffer, spans = lay_out(blobs)
+    assert deserialize_profile(buffer, keys, [src] * 4, spans) is None
+
+
+def test_sequence_off_its_layout_gives_none():
+    src, profiles = sequence_profiles()
+    blobs = [serialize_profile(p) for p in profiles]
+    keys = [p.key for p in profiles]
+    buffer, spans = lay_out(blobs)
+    assert deserialize_profile(buffer, keys[1:], [src] * 3, spans[1:]) is None
+    shifted = memoryview(b"\0" + bytes(buffer)).toreadonly()
+    assert deserialize_profile(shifted, keys, [src] * 4,
+                               [(a + 1, b + 1) for a, b in spans]) is None
+
+
 # ------------------------------------------------------------- panel helper
 
 def test_phase_panels_cover_interval():

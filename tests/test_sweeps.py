@@ -1,6 +1,6 @@
 import functools
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from fsoqkd import channel, sweeps
 from fsoqkd.beams import BeamParams
 from fsoqkd.channel import Geometry, Scenario, channel_params, profile_request
-from fsoqkd.diffraction import QuadratureError, profile_work, propagate_profile
+from fsoqkd.diffraction import (QuadratureError, profile_work, propagate_profile,
+                                propagate_profiles)
 from fsoqkd.rates import OBJECTIVES, RateInputs, RateReport
 from fsoqkd.sweeps import (ProfileCache, SweepSpec, _apply_parameter,
                            arago_prediction_curve, check_producer, geometry_row,
@@ -21,6 +22,12 @@ from predictor_reference import (AnalyticPredictor, DegenerateGeometryError,
                                  analytic_f1_f2)
 
 LAM = 1550e-9
+
+
+def cached_propagation():
+    """A profile provider that computes each request on a disk hint once."""
+    one = functools.cache(propagate_profile)
+    return lambda requests, disk_hint: [one(src, d, disk_hint) for src, d in requests]
 
 
 def make_spec(**kw):
@@ -54,7 +61,7 @@ def test_distance_sweep_dips_then_recovers():
 
 
 def test_sweep_rows_deterministic_and_cache_reusable():
-    cache = functools.cache(propagate_profile)
+    cache = cached_propagation()
     spec = make_spec(count=6)
     rows_a = run_sweep(spec, cache)
     rows_b = run_sweep(spec, cache)  # warm cache
@@ -102,10 +109,10 @@ def test_batch_fault_errors_its_row_only(kw):
     bad = spec.grid()[2]
     bad_distance = _apply_parameter(spec, bad)[0].bob_eve_distance
 
-    def faulty(src, distance, disk_hint):
-        if distance == bad_distance:
+    def faulty(requests, disk_hint):
+        if any(distance == bad_distance for _, distance in requests):
             raise QuadratureError("injected fault", 1.0)
-        return propagate_profile(src, distance, disk_hint)
+        return propagate_profiles(requests, disk_hint)
 
     rows = run_sweep(spec, ProfileCache(compute=faulty).get_or_compute)
     assert rows[2].error == ("QuadratureError: injected fault "
@@ -124,9 +131,9 @@ def test_distance_sweep_computes_its_channels_in_one_disk_power_call(monkeypatch
         disk_power_calls.append(len(profiles))
         return disk_power(profiles, disk)
 
-    def counted_propagation(src, distance, disk_hint):
-        distances.append(distance)
-        return propagate_profile(src, distance, disk_hint)
+    def counted_propagation(requests, disk_hint):
+        distances.extend(distance for _, distance in requests)
+        return propagate_profiles(requests, disk_hint)
 
     monkeypatch.setattr(channel, "disk_power", counted_disk_power)
     spec = make_spec(count=6)
@@ -216,9 +223,29 @@ def test_predictor_degenerate_geometry():
 
 # ------------------------------------------------------ distance search
 
+@pytest.mark.parametrize("geom", [
+    Geometry(Scenario.BEHIND_BOB, 40e3, 5e3),
+    Geometry(Scenario.BEHIND_BOB, 25e3, 1e3, eve_offset=0.03, bob_radius=0.12,
+             eve_radius=0.08),
+], ids=["benchmark", "offset"])
+def test_search_grid_geometries_equal_the_constructors(geom):
+    # the 1,200-point grid of the benchmark's distance search
+    grid = np.geomspace(5e3, 400e3, 1200).tolist()
+    points = sweeps._at_distances(geom, grid)
+    want = [Geometry(geom.scenario, geom.alice_bob_distance, lbe, geom.eve_offset,
+                     geom.bob_radius, geom.eve_radius) for lbe in grid]
+    assert points == want
+    names = [f.name for f in fields(Geometry)]
+    for point, built in zip(points, want):
+        assert type(point) is Geometry and hash(point) == hash(built)
+        assert [getattr(point, n) for n in names] == [getattr(built, n) for n in names]
+    with pytest.raises(FrozenInstanceError):
+        points[0].bob_eve_distance = 1.0
+
+
 @pytest.fixture(scope="module")
 def distance_search_cache():
-    return functools.cache(propagate_profile)
+    return cached_propagation()
 
 
 @pytest.mark.parametrize("optimize_power", [False, True])

@@ -11,9 +11,11 @@ log grid of max(200, ``--count``) points.  The script fills a temporary
 profile cache with one untimed search, keeping the requests it makes, then
 reports the best of ``--repeat`` timings of:
 
-* ``lookup_us_per_record``: ``ProfileDiskCache.get_or_compute`` per request;
-* ``deserialize_us_per_record``: ``deserialize_profile`` per record, on
-  bytes already in memory, as the cache calls it;
+* ``lookup_us_per_record``: one batched ``ProfileDiskCache.get_or_compute``
+  call over every request of the search, per request;
+* ``deserialize_us_per_record``: one ``deserialize_profile`` call on the
+  sequence of every record, already read into one buffer as the cache
+  reads a batch, per record;
 * ``disk_power_s``: one ``disk_power`` call over every profile of the search;
 * ``grid_geometries_s``: the coarse grid's geometries;
 * ``search_s``: the whole ``optimal_eve_distance`` on the filled cache,
@@ -37,7 +39,7 @@ import time
 import fsoqkd  # before numpy, so that BLAS is pinned to one thread
 import numpy as np
 from fsoqkd import sweeps
-from fsoqkd.cache import ProfileDiskCache, _filename
+from fsoqkd.cache import ProfileDiskCache, _filename, _read_records
 from fsoqkd.config import RunConfig
 from fsoqkd.diffraction import DiskSpec, deserialize_profile, disk_power, profile_key
 
@@ -61,42 +63,37 @@ def best_of(repeat: int, run) -> float:
 def measure(count: int, repeat: int, directory: str) -> dict:
     spec = search_config(count).sweep_spec()
     disk = ProfileDiskCache(directory)
-    requests, profiles = [], []
+    requests, profiles, hints = [], [], set()
 
-    def recorded(src, distance, hint):
-        requests.append((src, distance, hint))
-        profiles.append(disk.get_or_compute(src, distance, hint))
-        return profiles[-1]
+    def recorded(batch, hint):
+        requests.extend(batch)
+        hints.add(hint)
+        read = disk.get_or_compute(batch, hint)
+        profiles.extend(read)
+        return read
 
     sweeps.optimal_eve_distance(spec, sweeps.ProfileCache(compute=recorded).get_or_compute)
-    keys = [profile_key(src, distance, hint.center_offset + hint.radius)
-            for src, distance, hint in requests]
-    blobs = []
-    for key in keys:
-        with open(os.path.join(directory, _filename(key)), "rb") as handle:
-            blobs.append(handle.read())
-    sources = [src for src, _, _ in requests]
+    (hint,) = hints  # every profile of the search covers Eve's centered disk
+    coverage = hint.center_offset + hint.radius
+    keys = [profile_key(src, distance, coverage) for src, distance in requests]
+    view, spans = _read_records([os.path.join(directory, _filename(key)) for key in keys])
+    spans = list(spans.values())
+    sources = [src for src, _ in requests]
     n = len(requests)
     grid = np.geomspace(spec.minimum, spec.maximum, max(200, spec.count)).tolist()
-
-    def lookups():
-        for src, distance, hint in requests:
-            disk.get_or_compute(src, distance, hint)
-
-    def reads():
-        for blob, key, src in zip(blobs, keys, sources):
-            deserialize_profile(blob, key, src)
 
     def search():
         sweeps.optimal_eve_distance(
             spec, sweeps.ProfileCache(compute=disk.get_or_compute).get_or_compute)
 
+    lookup = best_of(repeat, lambda: disk.get_or_compute(requests, hint))
+    read = best_of(repeat, lambda: deserialize_profile(view, keys, sources, spans))
     centered = DiskSpec(spec.geometry.eve_radius, 0.0)
     return {
         "records": n,
         "grid_points": len(grid),
-        "lookup_us_per_record": best_of(repeat, lookups) / n * 1e6,
-        "deserialize_us_per_record": best_of(repeat, reads) / n * 1e6,
+        "lookup_us_per_record": lookup / n * 1e6,
+        "deserialize_us_per_record": read / n * 1e6,
         "disk_power_s": best_of(repeat, lambda: disk_power(profiles, centered)),
         "grid_geometries_s": best_of(repeat, lambda: sweeps._at_distances(spec.geometry, grid)),
         "search_s": best_of(repeat, search),
