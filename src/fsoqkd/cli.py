@@ -297,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or "
                              "OMP_NUM_THREADS is exported (default: 1)")
     parser.add_argument("--max-points", type=int, default=0,
-                        help="cap sweep grid sizes, at least 2 (smoke testing)")
+                        help="cap sweep grid sizes, at least 2 (smoke testing); "
+                             "it does not set optimal-distance's grid, which "
+                             "the geometry sets")
     return parser
 
 

@@ -25,6 +25,9 @@ both grid ends give valid settings; ``arago_geometry``, under
 ``WavefrontSettings`` the wavefront grid, where no number may be a bool and
 no two distances may round to the same metre, the unit of a map's file name.
 Their ``ValueError`` or ``TypeError`` becomes a :class:`ConfigError`.
+``sweep_count`` does not set the grid of the distance search
+(``optimal-distance``): :func:`~fsoqkd.sweeps.distance_grid` builds it from
+the geometry alone.
 These checks hold for every command.  What depends on the command, whether
 its producer can give any row within the profile budget, is
 :func:`~fsoqkd.sweeps.check_producer`, which the CLI runs on every config

@@ -23,10 +23,16 @@ gives the lowest rates: a search needs the optics alone, and rates are computed 
 the rows it writes and, in the distance search, for the candidate peaks
 that the dip rule compares.  Kappa carries interference ripples with
 multiple local maxima, so the searches scan a coarse grid before local
-refinement: the distance search scans a log grid of max(200, count) points
-over the spec's L_BE range, and the offset search brackets golden sections
-between five fixed offsets.  A search scores each position it tries once,
-keeps those channels by position, and its rows carry the channels it scored.
+refinement.  The distance search scans the union of 200 log points and of
+points uniform in the Fresnel number N = (r_b + r_e)^2 / (lambda L_BE), 6 per
+unit of N, over the spec's L_BE range: about 200 + 6 (r_b + r_e)^2 /
+(lambda L_min) points, set by the geometry alone, not by the spec's count.
+kappa's edge ripples are evenly spaced in N, so on short links the grid
+follows them; on long links, where N spans less than a unit, the log points
+put a grid point on the refocus peak at L_BE ~ L_AB.  The offset search
+brackets golden sections between five fixed offsets.  A search scores each
+position it tries once, keeps those channels by position, and its rows carry
+the channels it scored.
 """
 
 from __future__ import annotations
@@ -49,6 +55,8 @@ from .rates import OBJECTIVES, RateInputs, RateReport, rate_report
 SWEEP_PARAMETERS = ("L_BE", "L_AE", "mu", "D", "L_AB", "W0", "r_e")
 SWEEP_SPACINGS = ("log", "linear")
 OFFSET_TOL = 1e-3  # m, the bracket width at which an offset search stops
+DISTANCE_LOG_POINTS = 200  # log points of the distance search's grid
+DISTANCE_POINTS_PER_FRESNEL = 6  # its points per unit of Fresnel number
 
 
 class ProfileCache:
@@ -263,19 +271,39 @@ def check_producer(spec: SweepSpec, producer, maps=None) -> None:
             raise ValueError(f"{where}: {error}")
 
 
+def distance_grid(spec: SweepSpec) -> np.ndarray:
+    """The distance search's coarse grid over [``spec.minimum``,
+    ``spec.maximum``], both ends exact: the sorted union, exact duplicates
+    dropped, of :data:`DISTANCE_LOG_POINTS` log points and of points uniform
+    in the Fresnel number N = (r_b + r_e)^2 / (lambda L_BE), at
+    :data:`DISTANCE_POINTS_PER_FRESNEL` per unit of N.  kappa's edge ripples
+    are evenly spaced in N; the log points sample the refocus peak at
+    L_BE ~ L_AB on long links, where N spans less than a unit.
+    ``spec.count`` does not enter."""
+    geom = spec.geometry
+    scale = (geom.bob_radius + geom.eve_radius) ** 2 / spec.beam.wavelength  # N L_BE
+    n_lo, n_hi = scale / spec.maximum, scale / spec.minimum
+    fresnel = scale / np.linspace(n_lo, n_hi,
+                                  math.ceil(DISTANCE_POINTS_PER_FRESNEL * (n_hi - n_lo)) + 1)
+    fresnel[[0, -1]] = spec.maximum, spec.minimum
+    return np.unique(np.concatenate(
+        [np.geomspace(spec.minimum, spec.maximum, DISTANCE_LOG_POINTS), fresnel]))
+
+
 def optimal_eve_distance(spec: SweepSpec, profile_provider=None) -> list[SweepRow]:
     """Rows at the distances behind Bob where Eve collects the largest share
     kappa: the global maximum first, then each interior peak of kappa whose
     row's ``spec.objective`` is at most 1.05x the first row's, in grid order.
 
-    The coarse grid is a log grid of max(200, ``spec.count``) points over
-    [``spec.minimum``, ``spec.maximum``], its channels from one batched
-    :func:`channel_params` call; :func:`refine_grid_point` refines the
-    global maximum and each peak between its grid neighbors.  Each distance
+    The coarse grid is :func:`distance_grid`, about 200 + 6 (r_b + r_e)^2 /
+    (lambda ``spec.minimum``) points whatever ``spec.count`` says, its
+    channels from one batched :func:`channel_params` call;
+    :func:`refine_grid_point` refines the global maximum and each peak
+    between its grid neighbors.  Each distance
     is scored once; only the candidates' rows, on those channels, compute rates.
     """
     geom, beam = _search_geometry(spec, "eavesdropper-distance search"), spec.beam
-    grid = np.geomspace(spec.minimum, spec.maximum, max(200, spec.count))
+    grid = distance_grid(spec)
     distances = grid.tolist()
     channels = channel_params(_at_distances(geom, distances), beam, spec.noise,
                               profile_provider=profile_provider)

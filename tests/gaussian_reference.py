@@ -2,7 +2,9 @@
 
 The reference that the closed forms of ``fsoqkd.rates`` are tested against:
 ``five_mode_spectra`` builds the purified wiretap network explicitly and
-reads Eve's spectra off its covariance matrix.
+reads Eve's spectra off its covariance matrix.  ``geometric_kappa`` is the
+share kappa of a Gaussian beam's lost light that Eve collects in the
+geometric-optics limit, the reference of ``fsoqkd.channel`` at short L_BE.
 
 A thermal state with mean photon number n has covariance (2n+1) * I per mode,
 so symplectic eigenvalues map to thermal occupations via (nu - 1) / 2.  Only
@@ -168,3 +170,16 @@ def five_mode_spectra(eta: float, kappa: float, n_e: float, mu: float):
     nu_alice = symplectic_eigenvalues(
         heterodyne_condition(state, keep=[0], measured=[1]).covariance)
     return float(nu[0]), float(nu_cond[0]), float(nu_alice[0])
+
+
+def geometric_kappa(wavelength: float, waist: float, alice_bob: float,
+                    bob_radius: float, eve_radius: float) -> float:
+    """kappa on axis as L_BE -> 0, for r_e > r_b: Eve's disk then gathers
+    the Gaussian intensity of Bob's plane in the annulus r_b < r < r_e, and
+    her share of what Bob loses is 1 - exp(-2 (r_e^2 - r_b^2) / W^2), W the
+    beam radius at L_AB."""
+    if not eve_radius > bob_radius:
+        raise ValueError("the closed form needs r_e > r_b")
+    rayleigh = math.pi * waist**2 / wavelength
+    w2 = waist**2 * (1.0 + (alice_bob / rayleigh) ** 2)
+    return -math.expm1(-2.0 * (eve_radius**2 - bob_radius**2) / w2)

@@ -12,6 +12,7 @@ from fsoqkd.channel import (ChannelConsistencyError, Geometry, Scenario,
                             channel_params, default_noise, thermal_occupation)
 from fsoqkd.diffraction import propagate_profiles
 from fsoqkd.rates import RateInputs, lb_direct, lb_reverse, upper_bound
+from gaussian_reference import geometric_kappa
 
 LAM = 1550e-9
 
@@ -193,6 +194,28 @@ def test_geometry_sequence_varies_the_bob_eve_distance_only(beam):
                   replace(geom, eve_offset=0.01), replace(geom, eve_radius=0.2)):
         with pytest.raises(ValueError, match="bob_eve_distance only"):
             channel_params([geom, other], beam, 0.0)
+
+
+@pytest.mark.parametrize("lab", [1e3, 5e3, 40e3], ids=["1km", "5km", "40km"])
+def test_short_range_kappa_tends_to_the_geometric_limit_like_1_over_n(beam, lab):
+    # On axis with r_e = 0.2 m > r_b = 0.1 m, kappa = kappa_geo + c / N +
+    # o(1/N), N = r_e^2 / (lambda L_BE), so the Richardson value in 1/N from
+    # two distances removes the 1/N term.  The edge waves add a ripple of
+    # phase pi (r_e - r_b)^2 / (lambda L_BE).  That ratio is 100 and 200 at
+    # the two distances, 64.5 and 32.3 m, so the ripple has the same phase
+    # at both and is removed with the 1/N term.  Measured relative
+    # differences from kappa_geo: 3.3e-6, 4.3e-6 and 1.14e-5 (1, 5, 40 km),
+    # against 6.2e-4-6.8e-4 at 32.3 m alone.
+    r_b, r_e = 0.1, 0.2
+    distances = [(r_e - r_b) ** 2 / (LAM * n_edge) for n_edge in (100.0, 200.0)]
+    geoms = [Geometry(Scenario.BEHIND_BOB, lab, lbe, bob_radius=r_b, eve_radius=r_e)
+             for lbe in distances]
+    kappas = [ch.kappa for ch in channel_params(geoms, beam, 0.0)]
+    n1, n2 = (r_e**2 / (LAM * lbe) for lbe in distances)
+    richardson = (n2 * kappas[1] - n1 * kappas[0]) / (n2 - n1)
+    limit = geometric_kappa(LAM, beam.waist_radius, lab, r_b, r_e)
+    assert abs(richardson / limit - 1.0) < 2e-5
+    assert abs(kappas[1] / limit - 1.0) > 5e-4
 
 
 # ------------------------------------------- invariants over random geometries

@@ -325,7 +325,7 @@ def test_batch_read_of_the_warm_search_equals_one_read_per_record(tmp_path):
     sweeps.optimal_eve_distance(spec, recorded)
     requests = [request for batch, _ in batches for request in batch]
     (hint,) = {hint for _, hint in batches}
-    assert len(requests) == 1207
+    assert len(requests) == 240  # 230 grid points, then 10 golden-section points
     read = disk.get_or_compute(requests, hint)
     for (src, distance), profile in zip(requests, read):
         key = diffraction.profile_key(src, distance, hint.radius)
@@ -731,7 +731,8 @@ def test_csv_is_identical_with_and_without_the_blas_pin(tmp_path):
 BEFORE_BOB = {**CONFIG, "scenario": "before_bob", "bob_eve_distance": 20_000.0,
               "sweep_parameter": "L_AE", "sweep_min": 2_000.0,
               "sweep_max": 38_000.0, "sweep_spacing": "linear"}
-# optimal-distance scans at least 200 points whatever sweep_count says
+# optimal-distance scans 200 log points and 6 per unit of Fresnel number,
+# 202 here, whatever sweep_count says
 DISTANCE_SEARCH = {**CONFIG, "sweep_min": 50_000.0}
 
 
@@ -934,7 +935,7 @@ def test_optimal_distance_places_eve_at_the_largest_kappa_where_every_rate_is_0(
     assert all(float(r[c]) == 0.0 for r in rows for c in RATE_COLUMNS)
     assert float(rows[0]["parameter"]) == pytest.approx(52_832.0, rel=1e-3)
     assert float(rows[0]["kappa"]) == pytest.approx(0.75224, rel=1e-3)
-    assert len(rows) == 6 and max(float(r["kappa"]) for r in rows) == float(rows[0]["kappa"])
+    assert len(rows) == 10 and max(float(r["kappa"]) for r in rows) == float(rows[0]["kappa"])
     # the global row depends on the optics alone; a setting whose rates are
     # not 0 may keep fewer of the peaks, never others
     spec = RunConfig.from_json(json.dumps(ZERO_RATE)).sweep_spec()

@@ -268,13 +268,98 @@ def test_distance_search_coarse_grid_equals_per_point_channels(
     spec = make_spec(geometry=geom, beam=beam, rates=rates, noise=1e-7, minimum=50e3,
                      maximum=400e3, count=200, optimize_power=optimize_power)
     rows = sweeps.optimal_eve_distance(spec, cache)
-    grid = np.geomspace(50e3, 400e3, 200)
+    # 200 log points and 4 uniform in N over 0.065-0.52, sharing the two ends
+    grid = sweeps.distance_grid(spec)
+    assert len(grid) == 202
     want = [real(replace(geom, bob_eve_distance=lbe), beam, 1e-7,
                  profile_provider=cache) for lbe in grid]
     assert seen[0] == want
     i = int(np.argmax([ch.kappa for ch in want]))
-    assert grid[max(i - 1, 0)] <= rows[0].value <= grid[min(i + 1, 199)]
+    assert grid[max(i - 1, 0)] <= rows[0].value <= grid[min(i + 1, len(grid) - 1)]
     assert rows[0].channel.kappa >= want[i].kappa
+
+
+def _kappas(spec, distances, provider=None):
+    """kappa of ``spec``'s geometry at each Bob-Eve distance, in one batch."""
+    geoms = [replace(spec.geometry, bob_eve_distance=d) for d in distances]
+    return np.array([ch.kappa for ch in channel_params(geoms, spec.beam, spec.noise,
+                                                       profile_provider=provider)])
+
+
+def _local_maxima(values):
+    return [i for i in range(1, len(values) - 1)
+            if values[i - 1] < values[i] > values[i + 1]]
+
+
+def test_distance_grid_is_200_log_points_and_6_per_unit_of_fresnel_number():
+    assert sweeps.DISTANCE_LOG_POINTS == 200
+    assert sweeps.DISTANCE_POINTS_PER_FRESNEL == 6
+    # the benchmark's search: N = (r_b + r_e)^2 / (lambda L_BE) spans
+    # 0.065-5.2, so ceil(6 x 5.1) + 1 = 32 points uniform in N, two of them
+    # the ends the 200 log points share
+    spec = make_spec(geometry=Geometry(Scenario.BEHIND_BOB, 40e3, 5e3), minimum=5e3,
+                     maximum=400e3, count=1200)
+    grid = sweeps.distance_grid(spec)
+    assert len(grid) == 230
+    assert grid[0] == 5e3 and grid[-1] == 400e3 and np.all(np.diff(grid) > 0)
+    assert set(np.geomspace(5e3, 400e3, 200).tolist()) <= set(grid.tolist())
+    fresnel = 0.2**2 / (LAM * grid)  # (r_b + r_e)^2 / (lambda L_BE)
+    assert np.all(-np.diff(fresnel) <= 1 / 6 * (1 + 1e-12))
+    # the spec's count does not enter
+    assert np.array_equal(sweeps.distance_grid(replace(spec, count=2)), grid)
+    # fig11 re30cm: N spans 0.26-206, so 1,239 points uniform in N
+    wide = make_spec(geometry=Geometry(Scenario.BEHIND_BOB, 50e3, 5e3, eve_radius=0.3),
+                     minimum=500.0, maximum=400e3)
+    assert len(sweeps.distance_grid(wide)) == 1437
+
+
+@pytest.mark.parametrize("lab, r_e, lbe_range, dense_count, maxima", [
+    (40e3, 0.1, (5e3, 400e3), 1000, 1),
+    (50e3, 0.3, (4e3, 400e3), 1500, 9),
+    (1e3, 0.1, (500.0, 20e3), 1500, 25),
+], ids=["benchmark", "fig11-re30cm", "short-link"])
+def test_distance_grid_brackets_every_kappa_maximum_of_a_dense_grid(
+        lab, r_e, lbe_range, dense_count, maxima):
+    # every local maximum of kappa on a dense log grid lies between the two
+    # neighbours of a coarse-grid maximum, so the refinement can reach it;
+    # the 200 log points alone miss 2 on fig11 re30cm and 4 on the short link
+    spec = make_spec(geometry=Geometry(Scenario.BEHIND_BOB, lab, 5e3, eve_radius=r_e),
+                     minimum=lbe_range[0], maximum=lbe_range[1])
+    grid = sweeps.distance_grid(spec)
+    coarse = _kappas(spec, grid)
+    dense = np.geomspace(*lbe_range, dense_count)
+    peaks = _local_maxima(_kappas(spec, dense))
+    assert len(peaks) == maxima
+    candidates = _local_maxima(coarse) + [int(np.argmax(coarse))]
+    last = len(grid) - 1
+    for i in peaks:
+        assert any(grid[max(j - 1, 0)] <= dense[i] <= grid[min(j + 1, last)]
+                   for j in candidates), dense[i]
+
+
+def test_distance_search_samples_the_refocus_peak_of_a_long_link():
+    # L_AB 1,000 km, 50 times the Rayleigh length: kappa peaks sharply at
+    # L_BE = L_AB.  N spans 0.005-0.52, so the points uniform in N are 5;
+    # alone, their largest kappa is at 194 km, 0.1% of the peak's.  The
+    # log points put one 1% from the peak, at 92% of its kappa, so the
+    # global maximum is picked on the peak itself, not on a far flank that
+    # happens to beat the ripples.  (Golden section from 194 km still finds
+    # the peak, as kappa has one maximum on 99-5,000 km.)
+    spec = make_spec(geometry=Geometry(Scenario.BEHIND_BOB, 1000e3, 5e3),
+                     minimum=50e3, maximum=5000e3)
+    provider = cached_propagation()
+    dense = np.geomspace(50e3, 5000e3, 2001)
+    i = int(np.argmax(_kappas(spec, dense, provider)))
+    fine = np.linspace(dense[i - 1], dense[i + 1], 201)
+    fine_kappa = _kappas(spec, fine, provider)
+    peak, peak_kappa = fine[np.argmax(fine_kappa)], fine_kappa.max()
+    grid = sweeps.distance_grid(spec)
+    coarse = _kappas(spec, grid, provider)
+    j = int(np.argmax(coarse))
+    assert coarse[j] > 0.5 * peak_kappa
+    row = optimal_eve_distance(spec, provider)[0]
+    assert abs(row.value - peak) <= max(1.0, 1e-3 * grid[j])
+    assert row.channel.kappa == pytest.approx(peak_kappa, rel=1e-6)
 
 
 def _spy_channels(monkeypatch, position):

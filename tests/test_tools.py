@@ -18,17 +18,17 @@ def load_tool(name="warm_search_layers"):
 
 
 def test_warm_search_harness_reports_every_layer(tmp_path):
-    # sweep_count 20: the search scans its 200-point floor, plus refinement
+    # the search's own grid of 230 points, then 10 golden-section points
     out = tmp_path / "BENCH_warm_search.json"
-    assert load_tool().main(["--count", "20", "--repeat", "1", "--out", str(out)]) == 0
+    assert load_tool().main(["--repeat", "1", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     metrics = report["metrics"]
-    assert metrics["grid_points"] == 200
-    assert metrics["records"] > 200
+    assert metrics["grid_points"] == 230
+    assert metrics["records"] == 240
     for name in ("lookup_us_per_record", "deserialize_us_per_record", "disk_power_s",
                  "grid_geometries_s", "search_s"):
         assert metrics[name] > 0.0
-    assert report["count"] == 20 and report["repeat"] == 1
+    assert report["repeat"] == 1
 
 
 def test_kernel_harness_reports_every_layer(tmp_path):

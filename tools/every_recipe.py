@@ -8,7 +8,9 @@ Usage::
 
 Each recipe runs in its own ``python -W error::RuntimeWarning -m fsoqkd.cli``
 process, so a floating-point overflow or underflow on any path fails it, as
-does a non-zero exit.  Recipe outputs go to ``OUT/recipes``.  No recipe's
+does a non-zero exit.  After each run it prints the recipe, the command,
+the thread count and the run's wall time in seconds, one line per run, so
+that a recipe's cost shows.  Recipe outputs go to ``OUT/recipes``.  No recipe's
 first command is ``optimal-distance``, so the distance search runs after
 them on fig11, whose re30cm item has secondary dips, into
 ``OUT/distance-search``.  A recipe added later is covered without an edit.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from fsoqkd.cli import COMMANDS
@@ -44,11 +47,13 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=1, help="--threads of each run")
     args = parser.parse_args(argv)
     for command, name, subdir in runs():
-        print(name, command, "threads", args.threads, flush=True)
+        start = time.perf_counter()
         subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "fsoqkd.cli",
                         command, "--recipe", name, "--max-points", str(args.max_points),
                         "--threads", str(args.threads),
                         "--out", str(Path(args.out) / subdir)], check=True)
+        print(f"{name} {command} threads {args.threads}: "
+              f"{time.perf_counter() - start:.2f} s", flush=True)
     return 0
 
 

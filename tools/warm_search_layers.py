@@ -2,12 +2,12 @@
 
 Usage::
 
-    PYTHONPATH=src python tools/warm_search_layers.py [--count 1200] \
-        [--repeat 15] [--out BENCH_warm_search.json]
+    PYTHONPATH=src python tools/warm_search_layers.py [--repeat 15] \
+        [--out BENCH_warm_search.json]
 
 The search is that of perfbench's ``distance_search_warm`` workload: behind
-Bob, L_AB 40 km, r_b = r_e = W0 = 10 cm, 1550 nm, L_BE over 5-400 km on a
-log grid of max(200, ``--count``) points.  The script fills a temporary
+Bob, L_AB 40 km, r_b = r_e = W0 = 10 cm, 1550 nm, L_BE over 5-400 km on the
+search's own grid, ``sweeps.distance_grid``.  The script fills a temporary
 profile cache with one untimed search, keeping the requests it makes, then
 reports the best of ``--repeat`` timings of:
 
@@ -44,10 +44,10 @@ from fsoqkd.config import RunConfig
 from fsoqkd.diffraction import DiskSpec, deserialize_profile, disk_power, profile_key
 
 
-def search_config(count: int) -> RunConfig:
+def search_config() -> RunConfig:
     return RunConfig(scenario="behind_bob", alice_bob_distance=40_000.0,
                      sweep_parameter="L_BE", sweep_min=5_000.0,
-                     sweep_max=400_000.0, sweep_count=count, noise_override=1e-8)
+                     sweep_max=400_000.0, noise_override=1e-8)
 
 
 def best_of(repeat: int, run) -> float:
@@ -60,8 +60,8 @@ def best_of(repeat: int, run) -> float:
     return min(times)
 
 
-def measure(count: int, repeat: int, directory: str) -> dict:
-    spec = search_config(count).sweep_spec()
+def measure(repeat: int, directory: str) -> dict:
+    spec = search_config().sweep_spec()
     disk = ProfileDiskCache(directory)
     requests, profiles, hints = [], [], set()
 
@@ -80,7 +80,7 @@ def measure(count: int, repeat: int, directory: str) -> dict:
     spans = list(spans.values())
     sources = [src for src, _ in requests]
     n = len(requests)
-    grid = np.geomspace(spec.minimum, spec.maximum, max(200, spec.count)).tolist()
+    grid = sweeps.distance_grid(spec).tolist()
 
     def search():
         sweeps.optimal_eve_distance(
@@ -102,16 +102,13 @@ def measure(count: int, repeat: int, directory: str) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--count", type=int, default=1200,
-                        help="sweep_count of the search (its grid has at least 200 points)")
     parser.add_argument("--repeat", type=int, default=15, help="timed calls per layer")
     parser.add_argument("--out", default="BENCH_warm_search.json", help="report path")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as directory:
-        metrics = measure(args.count, args.repeat, directory)
+        metrics = measure(args.repeat, directory)
     report = {
         "harness": "tools/warm_search_layers.py",
-        "count": args.count,
         "repeat": args.repeat,
         "statistic": "best of repeat",
         "python": platform.python_version(),
